@@ -10,8 +10,12 @@ Three commands:
 * audit -- print the claimed-vs-effective throughput table for the two
   flawed schemes and the correct baseline.
 
-Reports go to standard output (or --out PATH); diagnostics to standard
-error.  Exit codes: 0 success, 2 configuration error, 1 internal failure.
+Every scheme is one `Scenario` record in `SCENARIOS`; the three commands
+are loops over that registry.
+
+Reports go to standard output (or --out PATH, written whole or not at
+all); diagnostics to standard error.  Exit codes: 0 success, 2
+configuration error (including an unwritable --out), 1 internal failure.
 Identical command lines, including the seed, produce byte-identical JSON.
 The default seed can be overridden with the OTPLAB_SEED environment
 variable.
@@ -28,6 +32,7 @@ import random
 import sys
 import traceback
 from dataclasses import asdict, dataclass
+from typing import Callable
 
 from . import __version__
 from .bits import check_bits, random_bits
@@ -41,14 +46,15 @@ from .cryptanalysis import (
 from .infotheory import Distribution, enumerate_joint, mutual_information, posterior
 from .otp import KeyMaterial, ciphertext_joint, derived_correlated, encrypt, random_key
 from .protocols import eve_view, run_es_qkd, run_otp_baseline, run_xor_chain
-from .quantum import BellLabel
+from .quantum import PHI_PLUS, PSI_PLUS, BellLabel
+from .tolerances import FLOAT_TOL
 
-SCENARIOS = ("xor-chain", "es-qkd", "otp-baseline")
 # Exact-analysis ceilings: 2**bits messages for the chain, and
 # 2**bits plaintexts x 2**bits pads for the baseline (the 2**24 budget).
 MAX_XOR_MESSAGE_BITS = 16
 MAX_OTP_MESSAGE_BITS = 12
-POSTERIOR_TOL = 1e-9
+DEFAULT_MESSAGE_BITS = 2
+DEFAULT_PAIRS = "phi+:psi+"
 
 
 class ConfigError(Exception):
@@ -58,11 +64,11 @@ class ConfigError(Exception):
 @dataclass
 class ScenarioConfig:
     scenario: str
-    message_bits: int | None
-    pairs: list | None
     seed: int
     trials: int
     fmt: str
+    message_bits: int | None = None
+    pairs: list | None = None
     out: str | None = None
     plaintext: str | None = None
 
@@ -112,14 +118,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--scenario", choices=SCENARIOS, required=True)
+        p.add_argument("--scenario", choices=tuple(SCENARIOS), required=True)
         p.add_argument(
-            "--message-bits", type=int, default=2,
-            help="message length for xor-chain (even) and otp-baseline",
+            "--message-bits", type=int, default=None,
+            help=f"xor-chain (even) and otp-baseline only: message length "
+                 f"(default {DEFAULT_MESSAGE_BITS})",
         )
         p.add_argument(
-            "--pairs", default="phi+:psi+",
-            help="initial Bell pairs for es-qkd, e.g. phi+:psi+,phi-:phi-",
+            "--pairs", default=None,
+            help=f"es-qkd only: initial Bell pairs, e.g. phi+:psi+,phi-:phi- "
+                 f"(default {DEFAULT_PAIRS})",
         )
         p.add_argument("--seed", type=int, default=None, help="defaults to $OTPLAB_SEED or 0")
         p.add_argument("--trials", type=int, default=1)
@@ -150,8 +158,15 @@ def config_from_args(args) -> ScenarioConfig:
 
     message_bits = None
     pairs = None
+    if args.scenario == "es-qkd":
+        if args.message_bits is not None:
+            raise ConfigError("--message-bits does not apply to the es-qkd scenario")
+        pairs = parse_pairs(DEFAULT_PAIRS if args.pairs is None else args.pairs)
+    else:
+        if args.pairs is not None:
+            raise ConfigError("--pairs applies to the es-qkd scenario only")
+        message_bits = DEFAULT_MESSAGE_BITS if args.message_bits is None else args.message_bits
     if args.scenario == "xor-chain":
-        message_bits = args.message_bits
         if message_bits < 2 or message_bits % 2 != 0:
             raise ConfigError(f"xor-chain needs an even message length >= 2, got {message_bits}")
         if message_bits > MAX_XOR_MESSAGE_BITS:
@@ -160,7 +175,6 @@ def config_from_args(args) -> ScenarioConfig:
                 "(exact enumeration over all messages)"
             )
     elif args.scenario == "otp-baseline":
-        message_bits = args.message_bits
         if message_bits < 1:
             raise ConfigError(f"otp-baseline needs a message length >= 1, got {message_bits}")
         if message_bits > MAX_OTP_MESSAGE_BITS:
@@ -168,20 +182,17 @@ def config_from_args(args) -> ScenarioConfig:
                 f"otp-baseline message length is capped at {MAX_OTP_MESSAGE_BITS} "
                 "(exact enumeration over all plaintext/pad pairs)"
             )
-    else:
-        pairs = parse_pairs(args.pairs)
 
     if plaintext is not None:
         if args.scenario != "es-qkd":
             raise ConfigError("--plaintext applies to the es-qkd scenario only")
-        check = None
         try:
-            check = check_bits(plaintext, "plaintext")
+            check_bits(plaintext, "plaintext")
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        if len(check) != 4 * len(pairs):
+        if len(plaintext) != 4 * len(pairs):
             raise ConfigError(
-                f"plaintext must cover 4 bits per pair ({4 * len(pairs)}), got {len(check)}"
+                f"plaintext must cover 4 bits per pair ({4 * len(pairs)}), got {len(plaintext)}"
             )
 
     return ScenarioConfig(
@@ -196,124 +207,142 @@ def config_from_args(args) -> ScenarioConfig:
     )
 
 
-def _trial_rngs(config: ScenarioConfig):
-    base = random.Random(config.seed)
-    return [random.Random(base.getrandbits(64)) for _ in range(config.trials)]
-
-
 def _distributions_match(a: Distribution, b: Distribution) -> bool:
     outcomes = set(a.entries) | set(b.entries)
-    return all(abs(a.probability(o) - b.probability(o)) <= POSTERIOR_TOL for o in outcomes)
+    return all(abs(a.probability(o) - b.probability(o)) <= FLOAT_TOL for o in outcomes)
 
 
-def _run_xor_chain(config: ScenarioConfig, with_attack: bool) -> dict:
-    prior = Distribution.uniform_bits(config.message_bits)
-    joint = enumerate_joint(prior, xor_chain_view)
-    eve_bits = mutual_information(joint)
-    trials = []
-    leakage = None
-    for rng in _trial_rngs(config):
-        run = run_xor_chain(random_bits(config.message_bits, rng))
-        view = eve_view(run.transcript)
-        post = posterior(joint, view)
-        if leakage is None:
-            leakage = leakage_report(run, (post, eve_bits))
-        attack = None
-        if with_attack:
-            attack = {
-                "view": view,
-                "posterior_support": list(post.support),
-                "eve_bits": eve_bits,
-            }
-        trials.append({
-            "transcript": run.transcript.to_records(),
-            "key_or_message": run.message,
-            "attack": attack,
-        })
-    return {"trials": trials, "leakage": leakage}
+def _xor_chain_analysis(config: ScenarioConfig):
+    joint = enumerate_joint(Distribution.uniform_bits(config.message_bits), xor_chain_view)
+    return joint, mutual_information(joint)
 
 
-def _run_es_qkd(config: ScenarioConfig, with_attack: bool) -> dict:
-    key_sets, key_entropy = attack_es_qkd_keyset(config.pairs)
-    trials = []
-    leakage = None
-    for rng in _trial_rngs(config):
-        run = run_es_qkd(config.pairs, rng)
-        if leakage is None:
-            leakage = leakage_report(run, (key_sets, key_entropy))
-        attack = None
-        if with_attack:
-            attack = {
-                "key_sets": [list(blocks) for blocks in key_sets],
-                "key_entropy_given_eve": key_entropy,
-            }
-            if config.plaintext is not None:
-                pad = KeyMaterial(run.key, derived_correlated("entanglement-swap outcomes"))
-                ciphertext = encrypt(config.plaintext, pad).ciphertext
-                recovered = []
-                true = []
-                for i, pair in enumerate(config.pairs):
-                    block = slice(4 * i, 4 * i + 4)
-                    recovered.append(list(attack_es_qkd_parity(ciphertext[block], pair)))
-                    p = [int(ch) for ch in config.plaintext[block]]
-                    true.append([p[0] ^ p[2], p[1] ^ p[3]])
-                attack.update({
-                    "ciphertext": ciphertext,
-                    "recovered_parities": recovered,
-                    "true_parities": true,
-                    "parities_match": recovered == true,
-                })
-        trials.append({
-            "transcript": [],
-            "key_or_message": run.key,
-            "attack": attack,
-        })
-    return {"trials": trials, "leakage": leakage}
+def _xor_chain_trial(config: ScenarioConfig, analysis, rng, with_attack: bool):
+    joint, eve_bits = analysis
+    run = run_xor_chain(random_bits(config.message_bits, rng))
+    view = eve_view(run.transcript)
+    # Computed in every trial, attack or not: perfbench's expected call
+    # counts pin one posterior per xor-chain trial.
+    post = posterior(joint, view)
+    attack = None
+    if with_attack:
+        attack = {"view": view, "posterior_support": list(post.support), "eve_bits": eve_bits}
+    return run, run.transcript.to_records(), run.message, attack
 
 
-def _run_otp_baseline(config: ScenarioConfig, with_attack: bool) -> dict:
+def _es_qkd_trial(config: ScenarioConfig, analysis, rng, with_attack: bool):
+    key_sets, key_entropy = analysis
+    run = run_es_qkd(config.pairs, rng)
+    attack = None
+    if with_attack:
+        attack = {
+            "key_sets": [list(blocks) for blocks in key_sets],
+            "key_entropy_given_eve": key_entropy,
+        }
+        if config.plaintext is not None:
+            pad = KeyMaterial(run.key, derived_correlated("entanglement-swap outcomes"))
+            ciphertext = encrypt(config.plaintext, pad).ciphertext
+            recovered = [
+                list(attack_es_qkd_parity(ciphertext[4 * i:4 * i + 4], pair))
+                for i, pair in enumerate(config.pairs)
+            ]
+            p = [int(ch) for ch in config.plaintext]
+            true = [[p[i] ^ p[i + 2], p[i + 1] ^ p[i + 3]] for i in range(0, len(p), 4)]
+            attack.update({
+                "ciphertext": ciphertext,
+                "recovered_parities": recovered,
+                "true_parities": true,
+                "parities_match": recovered == true,
+            })
+    return run, [], run.key, attack
+
+
+def _otp_baseline_analysis(config: ScenarioConfig):
     prior = Distribution.uniform_bits(config.message_bits)
     joint = ciphertext_joint(prior)
-    eve_bits = mutual_information(joint)
-    trials = []
-    leakage = None
-    for rng in _trial_rngs(config):
-        plaintext = random_bits(config.message_bits, rng)
-        key = random_key(config.message_bits, rng)
-        transcript = run_otp_baseline(plaintext, key)
-        if leakage is None:
-            leakage = leakage_report(transcript, (None, eve_bits))
-        attack = None
-        if with_attack:
-            ciphertext = eve_view(transcript)
-            post = posterior(joint, ciphertext)
-            attack = {
-                "ciphertext": ciphertext,
-                "eve_bits": eve_bits,
-                "posterior_equals_prior": _distributions_match(post, prior),
-            }
-        trials.append({
-            "transcript": transcript.to_records(),
-            "key_or_message": plaintext,
-            "attack": attack,
-        })
-    return {"trials": trials, "leakage": leakage}
+    return (prior, joint), mutual_information(joint)
 
 
-_RUNNERS = {
-    "xor-chain": _run_xor_chain,
-    "es-qkd": _run_es_qkd,
-    "otp-baseline": _run_otp_baseline,
+def _otp_baseline_trial(config: ScenarioConfig, analysis, rng, with_attack: bool):
+    (prior, joint), eve_bits = analysis
+    plaintext = random_bits(config.message_bits, rng)
+    transcript = run_otp_baseline(plaintext, random_key(config.message_bits, rng))
+    attack = None
+    if with_attack:
+        ciphertext = eve_view(transcript)
+        attack = {
+            "ciphertext": ciphertext,
+            "eve_bits": eve_bits,
+            "posterior_equals_prior": _distributions_match(posterior(joint, ciphertext), prior),
+        }
+    return transcript, transcript.to_records(), plaintext, attack
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """One scheme as the CLI runs it.
+
+    `analyze(config)` is the exact analysis, run once per report; its
+    result is the second argument of `leakage_report`.
+    `trial(config, analysis, rng, with_attack)` runs one seeded trial and
+    returns (run, transcript records, key_or_message, attack).
+    `audit_config` sizes the scheme's row of the audit table.
+
+    Both callables look up the protocol, attack and enumeration functions
+    as module globals at call time, so patching a module binding (as
+    perfbench's tracer does) reaches every call.
+    """
+
+    analyze: Callable
+    trial: Callable
+    carrier_unit: str
+    audit_config: dict
+
+
+SCENARIOS = {
+    "xor-chain": Scenario(
+        analyze=_xor_chain_analysis,
+        trial=_xor_chain_trial,
+        carrier_unit="ghz-state",
+        audit_config={"message_bits": 2},
+    ),
+    "es-qkd": Scenario(
+        analyze=lambda config: attack_es_qkd_keyset(config.pairs),
+        trial=_es_qkd_trial,
+        carrier_unit="swap",
+        audit_config={"pairs": [(PHI_PLUS, PSI_PLUS)]},
+    ),
+    "otp-baseline": Scenario(
+        analyze=_otp_baseline_analysis,
+        trial=_otp_baseline_trial,
+        carrier_unit="pad-bit",
+        audit_config={"message_bits": 2},
+    ),
 }
 
 
 def build_report(config: ScenarioConfig, with_attack: bool) -> dict:
-    result = _RUNNERS[config.scenario](config, with_attack)
-    leakage = result["leakage"]
+    scenario = SCENARIOS[config.scenario]
+    analysis = scenario.analyze(config)
+    trials = []
+    leakage = None
+    base = random.Random(config.seed)
+    for _ in range(config.trials):
+        rng = random.Random(base.getrandbits(64))
+        run, transcript, key_or_message, attack = scenario.trial(
+            config, analysis, rng, with_attack
+        )
+        if leakage is None:
+            leakage = leakage_report(run, analysis)
+        trials.append({
+            "transcript": transcript,
+            "key_or_message": key_or_message,
+            "attack": attack,
+        })
     return {
         "scenario": config.scenario,
         "config": config.to_dict(),
-        "trials": result["trials"],
+        "trials": trials,
         "leakage": asdict(leakage),
         "efficiency": asdict(efficiency_audit(leakage)),
         "tool_version": __version__,
@@ -321,40 +350,25 @@ def build_report(config: ScenarioConfig, with_attack: bool) -> dict:
 
 
 def build_audit_rows() -> list:
-    """Claimed-vs-effective table at canonical sizes, from the real pipeline."""
-    rows = []
-    rng = random.Random(0)
+    """Claimed-vs-effective table: each scheme's efficiency at its audit size.
 
-    run = run_xor_chain("00")
-    prior = Distribution.uniform_bits(2)
-    joint = enumerate_joint(prior, xor_chain_view)
-    leak = leakage_report(run, (None, mutual_information(joint)))
-    rows.append(("xor-chain", "ghz-state", leak))
-
-    es_run = run_es_qkd([(BellLabel.from_token("phi+"), BellLabel.from_token("psi+"))], rng)
-    leak = leakage_report(es_run, attack_es_qkd_keyset(es_run.initial_pairs))
-    rows.append(("es-qkd", "swap", leak))
-
-    key = random_key(2, rng)
-    transcript = run_otp_baseline("00", key)
-    eve_bits = mutual_information(ciphertext_joint(prior))
-    leak = leakage_report(transcript, (None, eve_bits))
-    rows.append(("otp-baseline", "pad-bit", leak))
-
+    Every row is the efficiency block of the same report `simulate` builds.
+    """
     table = []
-    for scenario, unit, leak in rows:
-        verdict = efficiency_audit(leak)
-        claimed = verdict.claimed_bits_per_carrier
-        effective = verdict.effective_bits_per_carrier
-        if abs(claimed - round(claimed)) > 1e-9 or abs(effective - round(effective)) > 1e-9:
+    for name, scenario in SCENARIOS.items():
+        config = ScenarioConfig(name, seed=0, trials=1, fmt="json", **scenario.audit_config)
+        verdict = build_report(config, with_attack=False)["efficiency"]
+        claimed = verdict["claimed_bits_per_carrier"]
+        effective = verdict["effective_bits_per_carrier"]
+        if any(abs(rate - round(rate)) > FLOAT_TOL for rate in (claimed, effective)):
             raise AssertionError("audit table rates must be exact integers")
         table.append({
-            "scenario": scenario,
-            "carrier_unit": unit,
+            "scenario": name,
+            "carrier_unit": scenario.carrier_unit,
             "claimed_bits_per_carrier": int(round(claimed)),
             "effective_bits_per_carrier": int(round(effective)),
-            "effective_bits_per_qubit": verdict.effective_bits_per_qubit,
-            "holevo_ok": verdict.holevo_ok,
+            "effective_bits_per_qubit": verdict["effective_bits_per_qubit"],
+            "holevo_ok": verdict["holevo_ok"],
         })
     return table
 
@@ -412,9 +426,21 @@ def render_audit_text(rows: list) -> str:
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
-        with open(out, "w") as handle:
+        return
+    # Write beside the target, then rename over it, so a failed write never
+    # leaves a partial report behind.
+    partial = f"{out}.{os.getpid()}.partial"
+    try:
+        handle = open(partial, "x")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc.strerror or exc}") from None
+    try:
+        with handle:
             handle.write(text)
+        os.replace(partial, out)
+    except OSError as exc:
+        os.remove(partial)
+        raise ConfigError(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
 def main(argv=None) -> int:

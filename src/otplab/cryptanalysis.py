@@ -30,8 +30,8 @@ from .infotheory import (
 from .otp import ciphertext_joint
 from .protocols import EsQkdRun, Transcript, XorChainRun, eve_view
 from .quantum import swap_distribution_oracle
+from .tolerances import FLOAT_TOL
 
-HOLEVO_TOL = 1e-9
 # Carrier sizes in qubits: one three-qubit state per xor-chain pair, two
 # Bell pairs per entanglement swap, and the baseline's pad costed at the
 # optimum of one qubit per distributed key bit.
@@ -58,11 +58,11 @@ class LeakageReport:
     resources: ResourceCount
 
     def __post_init__(self):
-        if not (-1e-9 <= self.eve_bits <= self.receiver_bits + 1e-9):
+        if not (-FLOAT_TOL <= self.eve_bits <= self.receiver_bits + FLOAT_TOL):
             raise ValueError(
                 f"eve_bits {self.eve_bits} outside [0, receiver_bits={self.receiver_bits}]"
             )
-        if abs(self.secure_bits - (self.receiver_bits - self.eve_bits)) > 1e-9:
+        if abs(self.secure_bits - (self.receiver_bits - self.eve_bits)) > FLOAT_TOL:
             raise ValueError("secure_bits must equal receiver_bits - eve_bits")
 
 
@@ -147,7 +147,7 @@ def leakage_report(run, attack_result) -> LeakageReport:
 
     Accepts an `XorChainRun` with (posterior, eve_bits), an `EsQkdRun` with
     (key_sets, key_entropy_given_eve), or an otp-baseline `Transcript` with
-    (posterior, eve_bits).
+    (posterior, eve_bits).  Only the second element of the pair is read.
     """
     if isinstance(run, XorChainRun):
         _, eve_bits = attack_result
@@ -200,5 +200,5 @@ def efficiency_audit(report: LeakageReport) -> EfficiencyVerdict:
         claimed_bits_per_carrier=report.claimed_bits / report.resources.carrier_states,
         effective_bits_per_carrier=report.secure_bits / report.resources.carrier_states,
         effective_bits_per_qubit=per_qubit,
-        holevo_ok=per_qubit <= 1.0 + HOLEVO_TOL,
+        holevo_ok=per_qubit <= 1.0 + FLOAT_TOL,
     )

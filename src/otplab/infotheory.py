@@ -4,7 +4,7 @@ Everything here is computed by full enumeration; there is no sampling and
 no estimation error.  Outcomes are fixed-width bitstrings.  All the
 ensembles this package produces are dyadic (probabilities are multiples of
 a power of 1/2), so float64 arithmetic is exact in practice; assertions
-elsewhere still use 1e-9 tolerances.
+still allow the tolerances in `tolerances`.
 
 Logarithms are base 2 throughout, and 0 * log 0 is taken to be 0.
 
@@ -22,8 +22,8 @@ from typing import Callable, Union
 import numpy as np
 
 from .bits import all_bitstrings, bits_to_int, check_bits, int_to_bits
+from .tolerances import FLOAT_TOL, PROB_SUM_TOL
 
-PROB_SUM_TOL = 1e-12
 ENUMERATION_BUDGET = 1 << 24
 # Marginalize via bincount up to this outcome width; fall back to a sort
 # for wider codes so the count buffer stays small.
@@ -233,7 +233,7 @@ def conditional_entropy(joint: JointDistribution) -> float:
 def mutual_information(joint: JointDistribution) -> float:
     """I(secret; observation) = H(secret) - H(secret | observation)."""
     value = entropy(joint.secret_marginal()) - conditional_entropy(joint)
-    if value < -1e-9:
+    if value < -FLOAT_TOL:
         raise AssertionError(f"mutual information {value} is negative beyond tolerance")
     return max(value, 0.0)
 

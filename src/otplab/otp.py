@@ -9,13 +9,10 @@ per-bit usage ledger so condition (iii) is enforced mechanically, and
 Randomness auditing is analytic: when the distribution the key was drawn
 from is known, condition (i) holds iff that distribution's entropy equals
 the key length.  Every scenario in this package has an exactly known key
-distribution, so this is a computation, not a statistical test.  A small
-frequency/runs diagnostic for sampled streams is included separately; its
-thresholds are heuristic.
+distribution, so this is a computation, not a statistical test.
 """
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 
@@ -29,8 +26,7 @@ from .infotheory import (
     JointDistribution,
     entropy,
 )
-
-RANDOMNESS_TOL = 1e-9
+from .tolerances import FLOAT_TOL
 
 
 class OtpError(Exception):
@@ -79,7 +75,6 @@ class KeyMaterial:
         self._bits = check_bits(bits, "key bits")
         self._origin = origin
         self._key_id = f"pad-{next(_KEY_IDS):06d}"
-        self._used = [False] * len(bits)
         self._cursor = 0
 
     @property
@@ -100,7 +95,7 @@ class KeyMaterial:
     @property
     def used_flags(self) -> tuple:
         """Snapshot of the per-bit ledger."""
-        return tuple(self._used)
+        return tuple(i < self._cursor for i in range(len(self._bits)))
 
     @property
     def used_count(self) -> int:
@@ -133,8 +128,6 @@ class KeyMaterial:
                 f"pad {self.key_id} holds {len(self.bits)} bits, {n} needed"
             )
         offset = self._cursor
-        for i in range(offset, offset + n):
-            self._used[i] = True
         self._cursor = offset + n
         return offset, self.bits[offset:offset + n]
 
@@ -204,7 +197,7 @@ def shannon_audit(key: KeyMaterial, intended_message_len: int,
     """Audit a pad against the three perfect-secrecy conditions.
 
     Randomness passes iff the supplied generating distribution has entropy
-    equal to the key length within 1e-9 (analytic mode) or, absent a
+    equal to the key length within `FLOAT_TOL` (analytic mode) or, absent a
     distribution, iff the pad's origin is truly random.  Length passes iff
     enough unused bits remain for the intended message.  Reuse passes iff
     the pad has never been committed to an encryption before.
@@ -217,7 +210,7 @@ def shannon_audit(key: KeyMaterial, intended_message_len: int,
             )
         ent = entropy(key_distribution)
         deficiency = max(0.0, len(key.bits) - ent)
-        randomness_ok = deficiency <= RANDOMNESS_TOL
+        randomness_ok = deficiency <= FLOAT_TOL
     else:
         ent = None
         randomness_ok = key.origin.kind == TRULY_RANDOM.kind
@@ -258,34 +251,3 @@ def ciphertext_joint(message_prior: Distribution) -> JointDistribution:
     observation = secret ^ np.tile(keys, plaintexts.size)
     probabilities = np.repeat(weights, n_keys) / float(n_keys)
     return JointDistribution(secret, observation, probabilities, width, width)
-
-
-def empirical_randomness_check(bits: str, z_threshold: float = 3.0) -> dict:
-    """Heuristic frequency and runs diagnostic for a sampled bit stream.
-
-    Secondary to the analytic audit: both statistics are compared against a
-    plain |z| threshold (default 3.0), which is a rule of thumb, not a
-    calibrated test.
-    """
-    check_bits(bits, "bit stream")
-    n = len(bits)
-    if n < 2:
-        raise ValueError("diagnostic needs at least 2 bits")
-    ones = bits.count("1")
-    zeros = n - ones
-    monobit_z = (ones - zeros) / math.sqrt(n)
-    runs = 1 + sum(1 for a, b in zip(bits, bits[1:]) if a != b)
-    if ones == 0 or zeros == 0:
-        runs_z = math.inf
-    else:
-        expected = 2.0 * ones * zeros / n + 1.0
-        variance = (expected - 1.0) * (expected - 2.0) / (n - 1.0)
-        runs_z = (runs - expected) / math.sqrt(variance) if variance > 0.0 else math.inf
-    return {
-        "monobit_z": monobit_z,
-        "monobit_ok": abs(monobit_z) < z_threshold,
-        "runs_z": runs_z,
-        "runs_ok": abs(runs_z) < z_threshold,
-        "z_threshold": z_threshold,
-        "heuristic": True,
-    }

@@ -67,10 +67,6 @@ class Transcript:
     def public_events(self) -> tuple:
         return tuple(e for e in self.events if e.channel is Channel.PUBLIC_BROADCAST)
 
-    def to_lines(self) -> str:
-        """Line-oriented text form: "sender channel payload" per event."""
-        return "\n".join(f"{e.sender} {e.channel.value} {e.payload}" for e in self.events)
-
     def to_records(self) -> list:
         """JSON-ready records, one {sender, channel, payload} per event."""
         return [
@@ -182,7 +178,7 @@ def run_es_qkd(initial_pairs, rng: random.Random) -> EsQkdRun:
     """
     initial_pairs = list(initial_pairs)
     if not initial_pairs:
-        raise ValueError("at least one initial Bell pair pair is required")
+        raise ValueError("at least one initial Bell pair is required")
     alice_results = []
     bob_results = []
     key_parts = []

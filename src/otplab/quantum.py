@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-NORM_TOL = 1e-9
-PROB_SUM_TOL = 1e-12
+from .tolerances import FLOAT_TOL, PROB_SUM_TOL
+
 # Projection probabilities below this are treated as exact zeros so support
 # sizes are crisp; every true value here is a multiple of 1/4.
 PROB_CLAMP = 1e-12
@@ -115,8 +115,8 @@ class StateVector:
         if amps.ndim != 1 or amps.size != (1 << n):
             raise ValueError(f"expected 2**{n} amplitudes, got shape {amps.shape}")
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"state vector norm {norm} deviates from 1 beyond {NORM_TOL}")
+        if abs(norm - 1.0) > FLOAT_TOL:
+            raise ValueError(f"state vector norm {norm} deviates from 1 beyond {FLOAT_TOL}")
 
     @property
     def n_qubits(self) -> int:
@@ -176,10 +176,6 @@ class SwapDistribution:
 
     def probability(self, outcome) -> float:
         return self.entries.get(outcome, 0.0)
-
-    def to_text(self) -> str:
-        """Debug dump: one "label13 label24 probability" line per outcome."""
-        return "\n".join(f"{x} {y} {p:.12g}" for (x, y), p in self.entries.items())
 
 
 def bell_state_vector(label: BellLabel, particles=(1, 2)) -> StateVector:

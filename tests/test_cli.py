@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -160,6 +161,9 @@ class TestConfigErrors:
         ("attack", "--scenario", "es-qkd", "--pairs", "phi+:psi+", "--plaintext", "10"),
         ("attack", "--scenario", "es-qkd", "--pairs", "phi+:psi+", "--plaintext", "102x"),
         ("attack", "--scenario", "xor-chain", "--plaintext", "1010"),
+        ("simulate", "--scenario", "es-qkd", "--message-bits", "4"),
+        ("simulate", "--scenario", "xor-chain", "--pairs", "phi+:psi+"),
+        ("attack", "--scenario", "otp-baseline", "--pairs", "phi+:psi+"),
     ])
     def test_invalid_configs_exit_2(self, capsys, args):
         code, _, err = run_cli(capsys, *args)
@@ -179,10 +183,11 @@ class TestConfigErrors:
     def test_internal_failure_exits_1(self, capsys, monkeypatch):
         import otplab.cli as cli
 
-        def boom(config, with_attack):
+        def boom(config, analysis, rng, with_attack):
             raise RuntimeError("forced failure")
 
-        monkeypatch.setitem(cli._RUNNERS, "xor-chain", boom)
+        record = dataclasses.replace(cli.SCENARIOS["xor-chain"], trial=boom)
+        monkeypatch.setitem(cli.SCENARIOS, "xor-chain", record)
         code, _, err = run_cli(capsys, "simulate", "--scenario", "xor-chain")
         assert code == 1
         assert "forced failure" in err
@@ -204,6 +209,25 @@ class TestOutput:
         assert out == ""
         report = json.loads(target.read_text())
         jsonschema.validate(report, SCHEMA)
+
+    def test_unwritable_out_exits_2_with_one_line(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "report.json"
+        code, out, err = run_cli(
+            capsys, "simulate", "--scenario", "xor-chain", "--out", str(target),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not target.parent.exists()
+
+    def test_failed_out_write_leaves_no_file(self, capsys, tmp_path):
+        target = tmp_path / "taken"
+        target.mkdir()
+        code, _, err = run_cli(capsys, "audit", "--out", str(target))
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+        assert not any(target.iterdir())
 
     def test_text_mode_carries_the_same_numbers(self, capsys):
         code, out, _ = run_cli(

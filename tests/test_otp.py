@@ -19,7 +19,6 @@ from otplab.otp import (
     ciphertext_joint,
     decrypt,
     derived_correlated,
-    empirical_randomness_check,
     encrypt,
     random_key,
     shannon_audit,
@@ -191,25 +190,3 @@ class TestPerfectSecrecy:
     def test_budget_guard(self):
         with pytest.raises(EnumerationBudgetError):
             ciphertext_joint(Distribution.uniform_bits(13))
-
-
-class TestEmpiricalDiagnostic:
-    def test_balanced_stream_passes(self):
-        bits = random_bits(4096, random.Random(11))
-        result = empirical_randomness_check(bits)
-        assert result["monobit_ok"] and result["runs_ok"]
-        assert result["heuristic"] is True
-
-    def test_constant_stream_fails(self):
-        result = empirical_randomness_check("1" * 512)
-        assert not result["monobit_ok"]
-        assert not result["runs_ok"]
-
-    def test_alternating_stream_fails_runs(self):
-        result = empirical_randomness_check("01" * 256)
-        assert result["monobit_ok"]
-        assert not result["runs_ok"]
-
-    def test_needs_two_bits(self):
-        with pytest.raises(ValueError):
-            empirical_randomness_check("1")

@@ -36,7 +36,6 @@ class TestTranscript:
         t = Transcript()
         t.append("alice", Channel.SECURE_PRIMITIVE, "1")
         t.append("alice", Channel.PUBLIC_BROADCAST, "0")
-        assert t.to_lines() == "alice secure-primitive 1\nalice public-broadcast 0"
         assert t.to_records() == [
             {"sender": "alice", "channel": "secure-primitive", "payload": "1"},
             {"sender": "alice", "channel": "public-broadcast", "payload": "0"},
