@@ -34,6 +34,8 @@ import traceback
 from dataclasses import asdict, dataclass
 from typing import Callable
 
+import numpy as np
+
 from . import __version__
 from .bits import check_bits, random_bits
 from .cryptanalysis import (
@@ -53,6 +55,8 @@ from .tolerances import FLOAT_TOL
 # 2**bits plaintexts x 2**bits pads for the baseline (the 2**24 budget).
 MAX_XOR_MESSAGE_BITS = 16
 MAX_OTP_MESSAGE_BITS = 12
+# The whole report is built in memory, about 5 KB per trial.
+MAX_TRIALS = 100_000
 DEFAULT_MESSAGE_BITS = 2
 DEFAULT_PAIRS = "phi+:psi+"
 
@@ -152,8 +156,8 @@ def config_from_args(args) -> ScenarioConfig:
     seed = args.seed if args.seed is not None else default_seed()
     if not 0 <= seed < (1 << 64):
         raise ConfigError(f"seed must be an unsigned 64-bit integer, got {seed}")
-    if args.trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {args.trials}")
+    if not 1 <= args.trials <= MAX_TRIALS:
+        raise ConfigError(f"trials must be between 1 and {MAX_TRIALS}, got {args.trials}")
     plaintext = getattr(args, "plaintext", None)
 
     message_bits = None
@@ -208,8 +212,9 @@ def config_from_args(args) -> ScenarioConfig:
 
 
 def _distributions_match(a: Distribution, b: Distribution) -> bool:
-    outcomes = set(a.entries) | set(b.entries)
-    return all(abs(a.probability(o) - b.probability(o)) <= FLOAT_TOL for o in outcomes)
+    """Same support, and probabilities equal within FLOAT_TOL."""
+    same = a.bit_length == b.bit_length and np.array_equal(a.codes, b.codes)
+    return same and bool(np.abs(a.probabilities - b.probabilities).max() <= FLOAT_TOL)
 
 
 def _xor_chain_analysis(config: ScenarioConfig):

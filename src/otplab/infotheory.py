@@ -8,24 +8,26 @@ still allow the tolerances in `tolerances`.
 
 Logarithms are base 2 throughout, and 0 * log 0 is taken to be 0.
 
-`Distribution` is a plain sorted mapping.  `JointDistribution` stores its
-entries columnar (integer-coded outcomes plus a weight vector) so that
-enumerations up to the 2**24-entry budget run in seconds; the mapping view
-`entries` materializes on demand and is only meant for small joints.
+Both distribution classes store columns: int64 outcome codes (a
+bitstring's value), float64 probabilities and the width in bits, checked
+by one routine, so enumerations up to the 2**24-entry budget run in
+seconds.  Bitstrings appear only at the API boundary: the mapping
+constructors, `entries`, `support`, `probability`, and the secret handed
+to an `enumerate_joint` view.
 """
 
 import math
-from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Union
 
 import numpy as np
 
-from .bits import all_bitstrings, bits_to_int, check_bits, int_to_bits
+from .bits import bits_to_int, check_bits, int_to_bits
 from .tolerances import FLOAT_TOL, PROB_SUM_TOL
 
 ENUMERATION_BUDGET = 1 << 24
-# Marginalize via bincount up to this outcome width; fall back to a sort
+# Group by code via bincount up to this outcome width; fall back to a sort
 # for wider codes so the count buffer stays small.
 _BINCOUNT_MAX_BITS = 20
 
@@ -38,55 +40,105 @@ class EnumerationBudgetError(ValueError):
     """An exact enumeration would exceed the 2**24-entry budget."""
 
 
-@dataclass(frozen=True)
-class Distribution:
-    """Exact probability map over equal-width bitstring outcomes.
+def _validated(probabilities, columns, distinct: bool = False):
+    """Checked read-only (probabilities, [codes per column]) for both classes.
 
-    Entries are stored in ascending outcome order; zero-probability
-    outcomes are dropped, so the support is exactly the key set.
+    Each column is a (codes, width) pair.  Probabilities must be
+    nonnegative and sum to 1; zero entries are dropped; codes must lie in
+    [0, 2**width).  With `distinct` (a `Distribution`), the one column is
+    sorted and must not repeat, so its range check reads its ends; a joint's
+    pairs are distinct by construction, as checking would sort 2**24 entries.
+    """
+    probs = np.asarray(probabilities, dtype=np.float64)
+    codes = [np.asarray(c, dtype=np.int64) for c, _ in columns]
+    if any(c.shape != probs.shape for c in codes):
+        raise ValueError("code and probability arrays must have identical shapes")
+    low = probs.min() if probs.size else 0.0
+    if low < 0.0:
+        raise ValueError(f"negative probability {low}")
+    if low == 0.0:
+        keep = probs > 0.0
+        probs, codes = probs[keep], [c[keep] for c in codes]
+        if probs.size == 0:
+            raise ValueError("distribution has empty support")
+    if distinct:
+        (c,) = codes
+        if c.size > 1 and not (c[1:] > c[:-1]).all():
+            order = np.argsort(c)
+            probs, c = probs[order], c[order]
+            if not (c[1:] > c[:-1]).all():
+                raise ValueError("outcomes must be distinct")
+            codes = [c]
+    for c, (_, width) in zip(codes, columns):
+        first, last = (c[0], c[-1]) if distinct else (c.min(), c.max())
+        if first < 0 or last >= 1 << width:
+            raise ValueError(f"codes out of range for width {width}")
+    total = float(probs.sum())
+    if not abs(total - 1.0) <= PROB_SUM_TOL:
+        raise ValueError(f"probabilities sum to {total}, not 1 within {PROB_SUM_TOL}")
+    for arr in (probs, *codes):
+        arr.setflags(write=False)
+    return probs, codes
+
+
+def _encode(outcomes, name: str):
+    """Integer codes of equal-width bitstrings (at most 63 bits), and the width."""
+    if not outcomes:
+        raise ValueError("distribution has empty support")
+    codes = [bits_to_int(check_bits(outcome, name)) for outcome in outcomes]
+    widths = {len(outcome) for outcome in outcomes}
+    if len(widths) > 1 or max(widths) > 63:
+        raise ValueError(f"{name}s must share one bit length of at most 63, got {sorted(widths)}")
+    return codes, widths.pop()
+
+
+class Distribution:
+    """Exact distribution over equal-width bitstrings, from a {bitstring: p} mapping.
+
+    Stored as columns: ascending distinct int64 `codes`, their positive
+    float64 `probabilities` (zero entries are dropped) and `bit_length`.
     """
 
-    entries: dict
+    def __init__(self, entries):
+        codes, width = _encode(list(entries), "outcome")
+        self._init(codes, list(entries.values()), width)
 
-    def __post_init__(self):
-        cleaned = {}
-        for outcome in sorted(self.entries):
-            p = self.entries[outcome]
-            check_bits(outcome, "outcome")
-            if p < 0.0:
-                raise ValueError(f"negative probability {p} for outcome {outcome!r}")
-            if p > 0.0:
-                cleaned[outcome] = float(p)
-        if not cleaned:
-            raise ValueError("distribution has empty support")
-        widths = {len(outcome) for outcome in cleaned}
-        if len(widths) != 1:
-            raise ValueError(f"outcomes must share one bit length, got lengths {sorted(widths)}")
-        total = math.fsum(cleaned.values())
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise ValueError(f"probabilities sum to {total}, not 1 within {PROB_SUM_TOL}")
-        object.__setattr__(self, "entries", MappingProxyType(cleaned))
+    def _init(self, codes, probabilities, bit_length: int) -> None:
+        self.probabilities, (self.codes,) = _validated(
+            probabilities, [(codes, bit_length)], distinct=True
+        )
+        self.bit_length = bit_length
+
+    @classmethod
+    def _from_codes(cls, codes, probabilities, bit_length: int) -> "Distribution":
+        """Build from integer codes in any order; duplicates raise ValueError."""
+        dist = cls.__new__(cls)
+        dist._init(codes, probabilities, bit_length)
+        return dist
 
     @classmethod
     def uniform(cls, outcomes) -> "Distribution":
-        outcomes = list(outcomes)
-        if len(set(outcomes)) != len(outcomes):
-            raise ValueError("uniform outcomes must be distinct")
-        p = 1.0 / len(outcomes)
-        return cls({outcome: p for outcome in outcomes})
+        codes, width = _encode(list(outcomes), "outcome")
+        return cls._from_codes(codes, np.full(len(codes), 1.0 / len(codes)), width)
 
     @classmethod
     def uniform_bits(cls, width: int) -> "Distribution":
         """Uniform distribution over all bitstrings of the given width."""
-        return cls.uniform(all_bitstrings(width))
+        n = 1 << width
+        return cls._from_codes(np.arange(n), np.full(n, 1.0 / n), width)
 
     @classmethod
     def point(cls, outcome: str) -> "Distribution":
         return cls({outcome: 1.0})
 
-    @property
-    def bit_length(self) -> int:
-        return len(next(iter(self.entries)))
+    @cached_property
+    def entries(self) -> MappingProxyType:
+        """Read-only {bitstring: probability} view, in ascending outcome order."""
+        width = self.bit_length
+        return MappingProxyType({
+            int_to_bits(c, width): p
+            for c, p in zip(self.codes.tolist(), self.probabilities.tolist())
+        })
 
     @property
     def support(self) -> tuple:
@@ -106,55 +158,20 @@ class JointDistribution:
 
     def __init__(self, secret_codes, observation_codes, probabilities,
                  secret_bits: int, observation_bits: int):
-        secret_codes = np.asarray(secret_codes, dtype=np.int64)
-        observation_codes = np.asarray(observation_codes, dtype=np.int64)
-        probabilities = np.asarray(probabilities, dtype=np.float64)
-        if not (secret_codes.shape == observation_codes.shape == probabilities.shape):
-            raise ValueError("code and probability arrays must have identical shapes")
-        if np.any(probabilities < 0.0):
-            raise ValueError("probabilities must be nonnegative")
-        keep = probabilities > 0.0
-        if not np.all(keep):
-            secret_codes = secret_codes[keep]
-            observation_codes = observation_codes[keep]
-            probabilities = probabilities[keep]
-        if secret_codes.size == 0:
-            raise ValueError("joint distribution has empty support")
-        if np.any(secret_codes < 0) or np.any(secret_codes >= (1 << secret_bits)):
-            raise ValueError(f"secret codes out of range for width {secret_bits}")
-        if np.any(observation_codes < 0) or np.any(observation_codes >= (1 << observation_bits)):
-            raise ValueError(f"observation codes out of range for width {observation_bits}")
-        total = float(np.sum(probabilities))
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise ValueError(f"probabilities sum to {total}, not 1 within {PROB_SUM_TOL}")
-        for arr in (secret_codes, observation_codes, probabilities):
-            arr.setflags(write=False)
-        self.secret_codes = secret_codes
-        self.observation_codes = observation_codes
-        self.probabilities = probabilities
+        self.probabilities, (self.secret_codes, self.observation_codes) = _validated(
+            probabilities, [(secret_codes, secret_bits), (observation_codes, observation_bits)]
+        )
         self.secret_bits = secret_bits
         self.observation_bits = observation_bits
 
     @classmethod
     def from_entries(cls, entries: dict) -> "JointDistribution":
         """Build from a {(secret, observation): probability} mapping."""
-        if not entries:
-            raise ValueError("joint distribution has empty support")
         keys = sorted(entries)
-        secret_bits = len(keys[0][0])
-        observation_bits = len(keys[0][1])
-        for secret, observation in keys:
-            check_bits(secret, "secret")
-            check_bits(observation, "observation")
-            if len(secret) != secret_bits or len(observation) != observation_bits:
-                raise ValueError("outcomes must share one bit length per coordinate")
-        return cls(
-            [bits_to_int(s) for s, _ in keys],
-            [bits_to_int(o) for _, o in keys],
-            [entries[k] for k in keys],
-            secret_bits,
-            observation_bits,
-        )
+        secrets, secret_bits = _encode([s for s, _ in keys], "secret")
+        observations, observation_bits = _encode([o for _, o in keys], "observation")
+        return cls(secrets, observations, [entries[k] for k in keys],
+                   secret_bits, observation_bits)
 
     def __len__(self) -> int:
         return int(self.secret_codes.size)
@@ -177,29 +194,26 @@ class JointDistribution:
         return _marginal(self.observation_codes, self.probabilities, self.observation_bits)
 
 
-def _totals_by_code(codes: np.ndarray, probs: np.ndarray, width: int):
-    """Per-entry marginal totals: totals[i] = sum of probs sharing codes[i]."""
+def _grouped(codes: np.ndarray, probs: np.ndarray, width: int):
+    """Per-code probability totals, as (values, totals, index).
+
+    `totals[i]` sums the probabilities of code `values[i]` (0.0 if no entry
+    has it); `totals[index]` gives each entry its code's total.
+    """
     if width <= _BINCOUNT_MAX_BITS:
-        sums = np.bincount(codes, weights=probs, minlength=1 << width)
-        return sums[codes]
-    _, inverse = np.unique(codes, return_inverse=True)
-    sums = np.bincount(inverse, weights=probs)
-    return sums[inverse]
+        return np.arange(1 << width), np.bincount(codes, weights=probs, minlength=1 << width), codes
+    values, index = np.unique(codes, return_inverse=True)
+    return values, np.bincount(index, weights=probs), index
 
 
 def _marginal(codes: np.ndarray, probs: np.ndarray, width: int) -> Distribution:
-    if width <= _BINCOUNT_MAX_BITS:
-        sums = np.bincount(codes, weights=probs, minlength=1 << width)
-        support = np.nonzero(sums)[0]
-        return Distribution({int_to_bits(int(c), width): float(sums[c]) for c in support})
-    values, inverse = np.unique(codes, return_inverse=True)
-    sums = np.bincount(inverse, weights=probs)
-    return Distribution({int_to_bits(int(c), width): float(p) for c, p in zip(values, sums)})
+    values, totals, _ = _grouped(codes, probs, width)
+    return Distribution._from_codes(values, totals, width)
 
 
 def entropy(dist: Distribution) -> float:
     """Shannon entropy in bits; zero-probability terms contribute 0."""
-    return -math.fsum(p * math.log2(p) for p in dist.entries.values() if p > 0.0)
+    return -math.fsum(p * math.log2(p) for p in dist.probabilities.tolist())
 
 
 def posterior(joint: JointDistribution, observation: str) -> Distribution:
@@ -210,23 +224,21 @@ def posterior(joint: JointDistribution, observation: str) -> Distribution:
             f"observation width {len(observation)} != joint width {joint.observation_bits}"
         )
     mask = joint.observation_codes == bits_to_int(observation)
-    total = float(np.sum(joint.probabilities[mask]))
+    probs = joint.probabilities[mask]
+    total = float(probs.sum())
     if total <= 0.0:
         raise ZeroProbabilityObservationError(
             f"observation {observation!r} has zero marginal probability"
         )
-    secrets = joint.secret_codes[mask]
-    probs = joint.probabilities[mask] / total
-    width = joint.secret_bits
-    return Distribution({int_to_bits(int(s), width): float(p) for s, p in zip(secrets, probs)})
+    return Distribution._from_codes(joint.secret_codes[mask], probs / total, joint.secret_bits)
 
 
 def conditional_entropy(joint: JointDistribution) -> float:
     """H(secret | observation) = sum_obs p(obs) * entropy(posterior given obs)."""
     probs = joint.probabilities
-    totals = _totals_by_code(joint.observation_codes, probs, joint.observation_bits)
+    _, totals, index = _grouped(joint.observation_codes, probs, joint.observation_bits)
     # Equivalent single pass: -sum p * log2(p / p(obs)).
-    value = float(np.sum(probs * (np.log2(totals) - np.log2(probs))))
+    value = float(np.sum(probs * (np.log2(totals[index]) - np.log2(probs))))
     return max(value, 0.0)
 
 
@@ -250,32 +262,22 @@ def enumerate_joint(secret_prior: Distribution, view_fn: ViewFn) -> JointDistrib
     and bit-identical across repeated calls; the total enumeration size is
     capped at 2**24 entries.
     """
-    secret_chunks = []
     observation_chunks = []
     probability_chunks = []
     observation_bits = None
     total_entries = 0
-    cache = {}  # id(view Distribution) -> (view, codes, probs); keeps views alive
+    secret_bits = secret_prior.bit_length
 
-    for secret, p_secret in secret_prior.entries.items():
-        view = view_fn(secret)
+    for code, p_secret in zip(secret_prior.codes.tolist(), secret_prior.probabilities.tolist()):
+        view = view_fn(int_to_bits(code, secret_bits))
         if isinstance(view, str):
-            check_bits(view, "observation")
-            width = len(view)
-            codes = np.array([bits_to_int(view)], dtype=np.int64)
-            probs = np.array([p_secret], dtype=np.float64)
+            width = len(check_bits(view, "observation"))
+            codes = [bits_to_int(view)]
+            probs = [p_secret]
         elif isinstance(view, Distribution):
             width = view.bit_length
-            cached = cache.get(id(view))
-            if cached is None:
-                codes = np.fromiter(
-                    (bits_to_int(o) for o in view.entries), dtype=np.int64, count=len(view.entries)
-                )
-                base = np.fromiter(view.entries.values(), dtype=np.float64, count=len(view.entries))
-                cache[id(view)] = (view, codes, base)
-            else:
-                _, codes, base = cached
-            probs = p_secret * base
+            codes = view.codes
+            probs = p_secret * view.probabilities
         else:
             raise TypeError(f"view_fn must return a bitstring or Distribution, got {type(view)}")
 
@@ -285,19 +287,18 @@ def enumerate_joint(secret_prior: Distribution, view_fn: ViewFn) -> JointDistrib
             raise ValueError(
                 f"observation widths differ across secrets: {width} vs {observation_bits}"
             )
-        total_entries += codes.size
+        total_entries += len(codes)
         if total_entries > ENUMERATION_BUDGET:
             raise EnumerationBudgetError(
                 f"enumeration exceeds {ENUMERATION_BUDGET} joint entries"
             )
-        secret_chunks.append(np.full(codes.size, bits_to_int(secret), dtype=np.int64))
         observation_chunks.append(codes)
         probability_chunks.append(probs)
 
     return JointDistribution(
-        np.concatenate(secret_chunks),
-        np.concatenate(observation_chunks),
-        np.concatenate(probability_chunks),
-        secret_prior.bit_length,
+        np.repeat(secret_prior.codes, [len(codes) for codes in observation_chunks]),
+        np.concatenate(observation_chunks, dtype=np.int64),
+        np.concatenate(probability_chunks, dtype=np.float64),
+        secret_bits,
         observation_bits,
     )

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import bits_to_int, check_bits, random_bits, xor_bits
+from .bits import check_bits, random_bits, xor_bits
 from .infotheory import (
     ENUMERATION_BUDGET,
     Distribution,
@@ -234,20 +234,13 @@ def ciphertext_joint(message_prior: Distribution) -> JointDistribution:
     """
     width = message_prior.bit_length
     n_keys = 1 << width
-    if len(message_prior.entries) * n_keys > ENUMERATION_BUDGET:
+    plaintexts = message_prior.codes
+    if plaintexts.size * n_keys > ENUMERATION_BUDGET:
         raise EnumerationBudgetError(
             f"enumeration exceeds {ENUMERATION_BUDGET} joint entries"
         )
-    plaintexts = np.fromiter(
-        (bits_to_int(p) for p in message_prior.entries),
-        dtype=np.int64,
-        count=len(message_prior.entries),
-    )
-    weights = np.fromiter(
-        message_prior.entries.values(), dtype=np.float64, count=len(message_prior.entries)
-    )
     keys = np.arange(n_keys, dtype=np.int64)
     secret = np.repeat(plaintexts, n_keys)
     observation = secret ^ np.tile(keys, plaintexts.size)
-    probabilities = np.repeat(weights, n_keys) / float(n_keys)
+    probabilities = np.repeat(message_prior.probabilities, n_keys) / float(n_keys)
     return JointDistribution(secret, observation, probabilities, width, width)

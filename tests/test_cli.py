@@ -164,6 +164,7 @@ class TestConfigErrors:
         ("simulate", "--scenario", "es-qkd", "--message-bits", "4"),
         ("simulate", "--scenario", "xor-chain", "--pairs", "phi+:psi+"),
         ("attack", "--scenario", "otp-baseline", "--pairs", "phi+:psi+"),
+        ("simulate", "--scenario", "xor-chain", "--trials", "100001"),
     ])
     def test_invalid_configs_exit_2(self, capsys, args):
         code, _, err = run_cli(capsys, *args)

@@ -1,9 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from otplab.bits import all_bitstrings, xor_bits
+from otplab.bits import all_bitstrings, int_to_bits, xor_bits
 from otplab.infotheory import (
     Distribution,
     EnumerationBudgetError,
@@ -15,6 +18,7 @@ from otplab.infotheory import (
     mutual_information,
     posterior,
 )
+from otplab.tolerances import FLOAT_TOL
 
 
 def xor_chain_view(message: str) -> str:
@@ -61,6 +65,8 @@ class TestDistribution:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             Distribution({})
+        with pytest.raises(ValueError):
+            Distribution.uniform([])
 
     def test_entries_are_read_only(self):
         d = Distribution.uniform_bits(1)
@@ -207,3 +213,159 @@ class TestJointDistributionType:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             JointDistribution.from_entries({("0", "0"): 1.25, ("1", "1"): -0.25})
+
+
+# Exact-rational oracle: small joints rebuilt with fractions.Fraction.  The
+# library's figures must agree with entropies taken of exact probabilities,
+# through formulas other than the ones the library uses.
+
+@st.composite
+def dyadic_weights(draw, n):
+    """n positive Fractions with a power-of-two denominator, summing to 1."""
+    weights = draw(st.lists(st.integers(1, 7), min_size=n, max_size=n))
+    scale = 1 << (sum(weights) - 1).bit_length()
+    weights[draw(st.integers(0, n - 1))] += scale - sum(weights)
+    return [Fraction(w, scale) for w in weights]
+
+
+@st.composite
+def exact_distributions(draw, max_bits):
+    """(width, {code: Fraction}) with a drawn support, generally non-uniform."""
+    width = draw(st.integers(1, max_bits))
+    codes = draw(st.lists(st.integers(0, (1 << width) - 1), min_size=1,
+                          max_size=1 << width, unique=True))
+    weights = draw(dyadic_weights(len(codes)))
+    assume(len(codes) == 1 or len(set(weights)) > 1)
+    return width, dict(zip(codes, weights))
+
+
+def as_distribution(width, exact):
+    return Distribution({int_to_bits(c, width): float(p) for c, p in exact.items()})
+
+
+@st.composite
+def exact_joints(draw):
+    """(prior, view_fn, sb, ob, {(s, o): Fraction}) with 4-bit secrets, 3-bit views.
+
+    Each secret's view is either one observation bitstring or a
+    `Distribution` over observations.
+    """
+    sb, prior = draw(exact_distributions(4))
+    ob = draw(st.integers(1, 3))
+    views, exact = {}, {}
+    for s, p_s in prior.items():
+        if draw(st.booleans()):
+            o = draw(st.integers(0, (1 << ob) - 1))
+            views[int_to_bits(s, sb)] = int_to_bits(o, ob)
+            exact[(s, o)] = p_s
+        else:
+            codes = draw(st.lists(st.integers(0, (1 << ob) - 1), min_size=1,
+                                  max_size=1 << ob, unique=True))
+            weights = draw(dyadic_weights(len(codes)))
+            views[int_to_bits(s, sb)] = as_distribution(ob, dict(zip(codes, weights)))
+            exact.update({(s, o): p_s * q for o, q in zip(codes, weights)})
+    return as_distribution(sb, prior), views.__getitem__, sb, ob, exact
+
+
+def exact_entropy(probabilities) -> float:
+    """Entropy of exact rationals; only the logarithms are taken in floats."""
+    return -math.fsum(
+        float(p) * (math.log2(p.numerator) - math.log2(p.denominator)) for p in probabilities
+    )
+
+
+def exact_marginal(exact, axis):
+    totals = {}
+    for pair, p in exact.items():
+        totals[pair[axis]] = totals.get(pair[axis], Fraction(0)) + p
+    return totals
+
+
+def assert_matches(dist, width, exact):
+    assert set(dist.entries) == {int_to_bits(c, width) for c in exact}
+    for code, p in exact.items():
+        assert dist.probability(int_to_bits(code, width)) == pytest.approx(float(p), abs=FLOAT_TOL)
+
+
+class TestExactRationalOracle:
+    @settings(deadline=None)
+    @given(exact_joints())
+    def test_figures_match_exact_rationals(self, case):
+        prior, view_fn, sb, ob, exact = case
+        joint = enumerate_joint(prior, view_fn)
+        secrets, observations = exact_marginal(exact, 0), exact_marginal(exact, 1)
+        assert_matches(joint.secret_marginal(), sb, secrets)
+        assert_matches(joint.observation_marginal(), ob, observations)
+
+        h_secret = exact_entropy(secrets.values())
+        h_observation = exact_entropy(observations.values())
+        # H(S|O) as the p(o)-weighted entropy of exact posteriors.
+        h_conditional = 0.0
+        for o, p_o in observations.items():
+            exact_post = {s: p / p_o for (s, oo), p in exact.items() if oo == o}
+            post = posterior(joint, int_to_bits(o, ob))
+            assert_matches(post, sb, exact_post)
+            assert math.fsum(post.entries.values()) == pytest.approx(1.0, abs=FLOAT_TOL)
+            h_conditional += float(p_o) * exact_entropy(exact_post.values())
+        # I(S;O) = H(S) + H(O) - H(S,O), not the library's H(S) - H(S|O).
+        mi = h_secret + h_observation - exact_entropy(exact.values())
+
+        assert entropy(prior) == pytest.approx(h_secret, abs=FLOAT_TOL)
+        assert entropy(joint.secret_marginal()) == pytest.approx(h_secret, abs=FLOAT_TOL)
+        assert conditional_entropy(joint) == pytest.approx(h_conditional, abs=FLOAT_TOL)
+        got = mutual_information(joint)
+        assert got == pytest.approx(mi, abs=FLOAT_TOL)
+        assert -FLOAT_TOL <= got <= min(h_secret, h_observation) + FLOAT_TOL
+
+
+@st.composite
+def bit_mappings(draw):
+    """{bitstring: p} in drawn order, dyadic, with some zero-probability outcomes."""
+    width, exact = draw(exact_distributions(4))
+    zeros = draw(st.sets(st.integers(0, (1 << width) - 1))) - set(exact)
+    items = [(c, float(p)) for c, p in exact.items()] + [(c, 0.0) for c in zeros]
+    order = draw(st.permutations(range(len(items))))
+    return {int_to_bits(items[i][0], width): items[i][1] for i in order}
+
+
+class TestBoundaryRoundTrip:
+    @settings(deadline=None)
+    @given(bit_mappings())
+    def test_entries_are_the_mapping_without_zeros(self, mapping):
+        dist = Distribution(mapping)
+        nonzero = {k: p for k, p in mapping.items() if p != 0.0}
+        assert dist.entries == nonzero
+        assert dist.support == tuple(sorted(nonzero))
+        assert list(dist.entries) == sorted(nonzero)
+
+    @settings(deadline=None)
+    @given(bit_mappings(), st.randoms(use_true_random=False))
+    def test_code_order_does_not_matter(self, mapping, rnd):
+        dist = Distribution(mapping)
+        order = list(range(len(dist.codes)))
+        rnd.shuffle(order)
+        shuffled = Distribution._from_codes(
+            dist.codes[order], dist.probabilities[order], dist.bit_length
+        )
+        assert np.array_equal(shuffled.codes, dist.codes)
+        assert np.array_equal(shuffled.probabilities, dist.probabilities)
+        assert shuffled.entries == dist.entries
+
+    @settings(deadline=None)
+    @given(bit_mappings(), st.data())
+    def test_duplicate_codes_rejected(self, mapping, data):
+        dist = Distribution(mapping)
+        i = data.draw(st.integers(0, len(dist.codes) - 1))
+        probs = list(dist.probabilities)
+        probs[i] /= 2  # split one outcome in two; the total stays 1
+        with pytest.raises(ValueError):
+            Distribution._from_codes(
+                [*dist.codes, dist.codes[i]], [*probs, probs[i]], dist.bit_length
+            )
+
+    @settings(deadline=None)
+    @given(exact_joints())
+    def test_joint_entries_round_trip(self, case):
+        prior, view_fn, *_ = case
+        joint = enumerate_joint(prior, view_fn)
+        assert JointDistribution.from_entries(joint.entries).entries == joint.entries
