@@ -47,7 +47,7 @@ def _validated(probabilities, columns, distinct: bool = False):
     nonnegative and sum to 1; zero entries are dropped; codes must lie in
     [0, 2**width).  With `distinct` (a `Distribution`), the one column is
     sorted and must not repeat, so its range check reads its ends; a joint's
-    pairs are distinct by construction, as checking would sort 2**24 entries.
+    pair check is `_distinct_pairs`, which its constructor runs.
     """
     probs = np.asarray(probabilities, dtype=np.float64)
     codes = [np.asarray(c, dtype=np.int64) for c, _ in columns]
@@ -152,17 +152,32 @@ class JointDistribution:
     """Exact joint distribution over (secret, observation) bitstring pairs.
 
     Stored as parallel arrays of integer codes and probabilities.  The
-    (secret, observation) pairs must be distinct; both public constructors
-    (`from_entries` and `enumerate_joint`) guarantee that.
+    (secret, observation) pairs must be distinct; the constructor checks
+    that, and `_from_codes` skips the check for builders whose pairs are
+    distinct by construction.
     """
 
     def __init__(self, secret_codes, observation_codes, probabilities,
                  secret_bits: int, observation_bits: int):
+        self._init(secret_codes, observation_codes, probabilities, secret_bits, observation_bits)
+        if not _distinct_pairs(self.secret_codes, self.observation_codes):
+            raise ValueError("(secret, observation) pairs must be distinct")
+
+    def _init(self, secret_codes, observation_codes, probabilities,
+              secret_bits: int, observation_bits: int) -> None:
         self.probabilities, (self.secret_codes, self.observation_codes) = _validated(
             probabilities, [(secret_codes, secret_bits), (observation_codes, observation_bits)]
         )
         self.secret_bits = secret_bits
         self.observation_bits = observation_bits
+
+    @classmethod
+    def _from_codes(cls, secret_codes, observation_codes, probabilities,
+                    secret_bits: int, observation_bits: int) -> "JointDistribution":
+        """Build from pairs the caller guarantees distinct; every other check runs."""
+        joint = cls.__new__(cls)
+        joint._init(secret_codes, observation_codes, probabilities, secret_bits, observation_bits)
+        return joint
 
     @classmethod
     def from_entries(cls, entries: dict) -> "JointDistribution":
@@ -192,6 +207,13 @@ class JointDistribution:
 
     def observation_marginal(self) -> Distribution:
         return _marginal(self.observation_codes, self.probabilities, self.observation_bits)
+
+
+def _distinct_pairs(secret_codes: np.ndarray, observation_codes: np.ndarray) -> bool:
+    """Whether no (secret, observation) pair repeats."""
+    order = np.lexsort((observation_codes, secret_codes))
+    s, o = secret_codes[order], observation_codes[order]
+    return not ((s[1:] == s[:-1]) & (o[1:] == o[:-1])).any()
 
 
 def _grouped(codes: np.ndarray, probs: np.ndarray, width: int):
@@ -295,7 +317,7 @@ def enumerate_joint(secret_prior: Distribution, view_fn: ViewFn) -> JointDistrib
         observation_chunks.append(codes)
         probability_chunks.append(probs)
 
-    return JointDistribution(
+    return JointDistribution._from_codes(
         np.repeat(secret_prior.codes, [len(codes) for codes in observation_chunks]),
         np.concatenate(observation_chunks, dtype=np.int64),
         np.concatenate(probability_chunks, dtype=np.float64),

@@ -243,4 +243,4 @@ def ciphertext_joint(message_prior: Distribution) -> JointDistribution:
     secret = np.repeat(plaintexts, n_keys)
     observation = secret ^ np.tile(keys, plaintexts.size)
     probabilities = np.repeat(message_prior.probabilities, n_keys) / float(n_keys)
-    return JointDistribution(secret, observation, probabilities, width, width)
+    return JointDistribution._from_codes(secret, observation, probabilities, width, width)

@@ -21,15 +21,19 @@ componentwise.  `swap_distribution_oracle` derives this by brute-force
 state-vector projection in the 16-dimensional space;
 `swap_distribution_rule` states the same distribution in closed form.  The
 two must agree entrywise, which the test suite checks for all 16 initial
-pairs.
+pairs.  The oracle's result is memoized per initial configuration, so each
+of the 16 is projected once per process; the tests compare the uncached
+projection (`swap_distribution_oracle.__wrapped__`) with the rule.
 
 Basis-index convention: bit k of a basis index corresponds to the (k+1)-th
 entry of `qubit_order`, most significant bit first.
 """
 
+import functools
 import math
 import random
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -71,7 +75,7 @@ class BellLabel:
     def from_code(cls, code: int) -> "BellLabel":
         if code not in (0, 1, 2, 3):
             raise ValueError(f"Bell label code must be in 0..3, got {code}")
-        return cls(code >> 1, code & 1)
+        return BELL_LABELS[code]
 
     @classmethod
     def from_token(cls, token: str) -> "BellLabel":
@@ -154,9 +158,10 @@ class SwapDistribution:
 
     Keys are (result on particles 1,3 ; result on particles 2,4).  Only
     outcomes with nonzero probability are stored, so `support` is exact.
+    `entries` is a read-only mapping, so one instance can be shared.
     """
 
-    entries: dict
+    entries: MappingProxyType
 
     def __post_init__(self):
         for (x, y), p in self.entries.items():
@@ -168,7 +173,7 @@ class SwapDistribution:
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise ValueError(f"probabilities sum to {total}, not 1 within {PROB_SUM_TOL}")
         entries = {pair: p for pair, p in sorted(self.entries.items()) if p > 0.0}
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", MappingProxyType(entries))
 
     @property
     def support(self) -> tuple:
@@ -186,11 +191,14 @@ def bell_state_vector(label: BellLabel, particles=(1, 2)) -> StateVector:
     return StateVector(amps, tuple(particles))
 
 
+@functools.cache
 def swap_distribution_oracle(initial_12: BellLabel, initial_34: BellLabel) -> SwapDistribution:
     """Outcome distribution of entanglement swapping, by state-vector projection.
 
     Builds the product state on particles (1,2,3,4), regroups to
-    (1,3),(2,4), and projects onto all 16 Bell x Bell basis states.
+    (1,3),(2,4), and projects onto all 16 Bell x Bell basis states.  The
+    result is memoized per (initial_12, initial_34) and shared by every
+    caller; `__wrapped__` projects afresh.
     """
     product = bell_state_vector(initial_12, (1, 2)).tensor(bell_state_vector(initial_34, (3, 4)))
     regrouped = product.permuted((1, 3, 2, 4))

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from otplab.bits import all_bitstrings, xor_bits
 from otplab.cryptanalysis import (
@@ -19,7 +21,13 @@ from otplab.cryptanalysis import (
 from otplab.infotheory import Distribution, enumerate_joint, posterior
 from otplab.otp import random_key
 from otplab.protocols import eve_view, run_es_qkd, run_otp_baseline, run_xor_chain
-from otplab.quantum import BELL_LABELS, PHI_PLUS, PSI_PLUS, swap_distribution_oracle
+from otplab.quantum import (
+    BELL_LABELS,
+    PHI_PLUS,
+    PSI_PLUS,
+    swap_distribution_oracle,
+    swap_distribution_rule,
+)
 
 ALL_PAIRS = list(itertools.product(BELL_LABELS, BELL_LABELS))
 
@@ -103,6 +111,19 @@ class TestAttackEsQkdKeyset:
                 marginal[key[:2]] = marginal.get(key[:2], 0.0) + p
             for p in marginal.values():
                 assert p == pytest.approx(0.25, abs=1e-9)
+
+    @settings(deadline=None)
+    @given(st.lists(st.sampled_from(ALL_PAIRS), min_size=1, max_size=20),
+           st.integers(0, 2**32 - 1))
+    def test_key_sets_are_the_rule_blocks(self, pairs, seed):
+        key_sets, _ = attack_es_qkd_keyset(pairs)
+        assert key_sets == [
+            tuple(sorted(x.bits + y.bits for x, y in swap_distribution_rule(*pair).support))
+            for pair in pairs
+        ]
+        run = run_es_qkd(pairs, random.Random(seed))
+        for i, blocks in enumerate(key_sets):
+            assert run.key[4 * i:4 * i + 4] in blocks
 
 
 class TestAttackEsQkdParity:

@@ -4,13 +4,17 @@ The determinism tests compare two runs of one build; this test compares a
 build against recorded bytes.  The hashes were recorded before the CLI's
 per-scheme runners and hand-written audit pipeline were replaced by the
 scenario registry, with no source file yet edited, so they pin the
-reports the earlier code wrote.  A change that alters a report on purpose
-must re-record the affected hash and say why.
+reports the earlier code wrote.  The two es-qkd attacks over all sixteen
+initial configurations, each listed twice so the memoized swap oracle
+answers from its cache, were recorded the same way before the oracle was
+memoized.  A change that alters a report on purpose must re-record the
+affected hash and say why.
 """
 
 import contextlib
 import hashlib
 import io
+import itertools
 
 import pytest
 
@@ -18,6 +22,11 @@ from otplab.cli import main
 
 ES_PAIRS = "phi+:psi+,psi-:phi+,phi-:phi-"
 ES_PLAINTEXT = "101001101100"
+BELL_TOKENS = ("phi+", "phi-", "psi+", "psi-")
+ES_ALL_PAIRS_TWICE = ",".join(
+    2 * [f"{a}:{b}" for a, b in itertools.product(BELL_TOKENS, BELL_TOKENS)]
+)
+ES_ALL_PLAINTEXT = "0110100110010110" * 8
 
 COMMANDS = [
     *[
@@ -34,6 +43,11 @@ COMMANDS = [
     *[
         ("attack", "--scenario", "es-qkd", "--pairs", ES_PAIRS, "--plaintext", ES_PLAINTEXT,
          "--seed", "11", "--trials", "2", "--format", fmt)
+        for fmt in ("json", "text")
+    ],
+    *[
+        ("attack", "--scenario", "es-qkd", "--pairs", ES_ALL_PAIRS_TWICE,
+         "--plaintext", ES_ALL_PLAINTEXT, "--seed", "13", "--trials", "2", "--format", fmt)
         for fmt in ("json", "text")
     ],
     ("simulate", "--scenario", "xor-chain", "--format", "json"),
@@ -58,6 +72,8 @@ GOLDEN = {
     "attack --scenario otp-baseline --message-bits 6 --seed 7 --trials 3 --format text": "d1af167d805390aa72facba78cde0a58922a0e7ccd15102626e75c0fb1d3506b",
     "attack --scenario es-qkd --pairs phi+:psi+,psi-:phi+,phi-:phi- --plaintext 101001101100 --seed 11 --trials 2 --format json": "5915e8f773ec4d5ed06b530160b27ac291ac97179085428b64393a943881e403",
     "attack --scenario es-qkd --pairs phi+:psi+,psi-:phi+,phi-:phi- --plaintext 101001101100 --seed 11 --trials 2 --format text": "91f81c67f786c20d0c77005a765b4014a1280d27948426e525a56d087a22de7b",
+    f"attack --scenario es-qkd --pairs {ES_ALL_PAIRS_TWICE} --plaintext {ES_ALL_PLAINTEXT} --seed 13 --trials 2 --format json": "eb3d65a36b3c8d069e8356025a221074cbb852899a38d2899cc4933ab7ca57f1",
+    f"attack --scenario es-qkd --pairs {ES_ALL_PAIRS_TWICE} --plaintext {ES_ALL_PLAINTEXT} --seed 13 --trials 2 --format text": "c0ea83f68f25f5d7594e6342526292c4ee5102c7ed6d7977c02651bd8d42e7f3",
     "simulate --scenario xor-chain --format json": "0d76938d6b364640f59648939491bda44ff6ef7b09daefdfd71d3bf49ddc67a7",
     "simulate --scenario es-qkd --format json": "08524b7d1cc8d9db50dbd7ee940d69aa64a11eef4820e1704f9a01b864a66de6",
     "simulate --scenario otp-baseline --format json": "3e0ab47a5b5261b5c25e036dab3c5d3f80c96e0dd56d2fe36b4cb026c5bd1894",

@@ -214,6 +214,22 @@ class TestJointDistributionType:
         with pytest.raises(ValueError):
             JointDistribution.from_entries({("0", "0"): 1.25, ("1", "1"): -0.25})
 
+    def test_rejects_repeated_pairs(self):
+        with pytest.raises(ValueError, match="distinct"):
+            JointDistribution([0, 0], [1, 1], [0.5, 0.5], 1, 1)
+        with pytest.raises(ValueError, match="distinct"):
+            JointDistribution([1, 0, 1], [0, 1, 0], [0.25, 0.5, 0.25], 1, 1)
+
+    def test_accepts_distinct_pairs_in_any_order(self):
+        joint = JointDistribution([1, 0, 1], [1, 1, 0], [0.25, 0.5, 0.25], 1, 1)
+        assert joint.entries == {("1", "1"): 0.25, ("0", "1"): 0.5, ("1", "0"): 0.25}
+
+    def test_private_constructor_keeps_the_other_checks(self):
+        with pytest.raises(ValueError):
+            JointDistribution._from_codes([0, 1], [0, 1], [0.5, 0.25], 1, 1)
+        with pytest.raises(ValueError):
+            JointDistribution._from_codes([0, 2], [0, 1], [0.5, 0.5], 1, 1)
+
 
 # Exact-rational oracle: small joints rebuilt with fractions.Fraction.  The
 # library's figures must agree with entropies taken of exact probabilities,

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from otplab.bits import random_bits, xor_bits
 from otplab.infotheory import (
@@ -56,6 +58,13 @@ class TestEncryptDecrypt:
             plaintext = random_bits(16, rng)
             key = random_key(16, rng)
             assert decrypt(encrypt(plaintext, key), key) == plaintext
+
+    @settings(deadline=None)
+    @given(st.text("01", min_size=1, max_size=64), st.integers(0, 16),
+           st.integers(0, 2**32 - 1))
+    def test_roundtrip_property(self, plaintext, extra_pad_bits, seed):
+        key = random_key(len(plaintext) + extra_pad_bits, random.Random(seed))
+        assert decrypt(encrypt(plaintext, key), key) == plaintext
 
     def test_sequential_use_of_long_pad(self):
         key = fresh_key("110100")

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from otplab.bits import random_bits
 from otplab.otp import KeyMaterial, TRULY_RANDOM, derived_correlated, random_key
@@ -15,7 +17,13 @@ from otplab.protocols import (
     run_otp_baseline,
     run_xor_chain,
 )
-from otplab.quantum import BELL_LABELS, PHI_PLUS, PSI_PLUS, swap_distribution_oracle
+from otplab.quantum import (
+    BELL_LABELS,
+    PHI_PLUS,
+    PSI_PLUS,
+    swap_distribution_oracle,
+    swap_distribution_rule,
+)
 
 ALL_PAIRS = list(itertools.product(BELL_LABELS, BELL_LABELS))
 
@@ -174,6 +182,14 @@ class TestEsQkd:
     def test_empty_pair_list_rejected(self):
         with pytest.raises(ValueError):
             run_es_qkd([], random.Random(0))
+
+    @settings(deadline=None)
+    @given(st.lists(st.sampled_from(ALL_PAIRS), min_size=1, max_size=20),
+           st.integers(0, 2**32 - 1))
+    def test_outcomes_stay_in_rule_support(self, pairs, seed):
+        run = run_es_qkd(pairs, random.Random(seed))
+        for pair, alice, bob in zip(pairs, run.alice_results, run.bob_results):
+            assert (alice, bob) in swap_distribution_rule(*pair).support
 
 
 class TestOtpBaseline:

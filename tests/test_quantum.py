@@ -19,6 +19,7 @@ from otplab.quantum import (
     swap_distribution_oracle,
     swap_distribution_rule,
 )
+from otplab.tolerances import FLOAT_TOL
 
 SQ = 1.0 / math.sqrt(2.0)
 ALL_PAIRS = list(itertools.product(BELL_LABELS, BELL_LABELS))
@@ -39,6 +40,10 @@ class TestBellLabel:
 
     def test_codes_cover_0_to_3(self):
         assert [label.code for label in BELL_LABELS] == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("code", range(4))
+    def test_from_code_returns_the_interned_label(self, code):
+        assert BellLabel.from_code(code) is BELL_LABELS[code]
 
     @pytest.mark.parametrize("bad", [(2, 0), (0, -1), (1, 2)])
     def test_rejects_non_bits(self, bad):
@@ -164,6 +169,31 @@ class TestSwapDistributionRule:
         outcomes = set(oracle.entries) | set(rule.entries)
         for outcome in outcomes:
             assert abs(oracle.probability(outcome) - rule.probability(outcome)) < 1e-9
+
+
+class TestSwapOracleCache:
+    @pytest.mark.parametrize("initial", ALL_PAIRS)
+    def test_cached_result_matches_fresh_projection_and_rule(self, initial):
+        cached = swap_distribution_oracle(*initial)
+        fresh = swap_distribution_oracle.__wrapped__(*initial)
+        assert cached is not fresh
+        assert cached.support == fresh.support
+        for outcome in fresh.support:
+            assert cached.probability(outcome) == fresh.probability(outcome)
+        rule = swap_distribution_rule(*initial)
+        assert cached.support == rule.support
+        for outcome in rule.support:
+            assert abs(cached.probability(outcome) - rule.probability(outcome)) < FLOAT_TOL
+
+    @pytest.mark.parametrize("initial", ALL_PAIRS)
+    def test_second_call_returns_the_same_object(self, initial):
+        assert swap_distribution_oracle(*initial) is swap_distribution_oracle(*initial)
+
+    @pytest.mark.parametrize("initial", ALL_PAIRS)
+    def test_shared_entries_are_read_only(self, initial):
+        dist = swap_distribution_oracle(*initial)
+        with pytest.raises(TypeError):
+            dist.entries[(PHI_PLUS, PHI_PLUS)] = 1.0
 
 
 class TestSwapDistributionType:
