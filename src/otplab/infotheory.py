@@ -11,9 +11,12 @@ Logarithms are base 2 throughout, and 0 * log 0 is taken to be 0.
 Both distribution classes store columns: int64 outcome codes (a
 bitstring's value), float64 probabilities and the width in bits, checked
 by one routine, so enumerations up to the 2**24-entry budget run in
-seconds.  Bitstrings appear only at the API boundary: the mapping
-constructors, `entries`, `support`, `probability`, and the secret handed
-to an `enumerate_joint` view.
+seconds.  Both keep one stored order: entries strictly ascending by their
+key, the outcome code of a `Distribution` and (observation, secret),
+observation first, of a `JointDistribution`.  So outcomes never repeat,
+and a posterior is one contiguous slice.  Bitstrings appear only at the
+API boundary: the mapping constructors, `entries`, `support`,
+`probability`, and the secret handed to an `enumerate_joint` view.
 """
 
 import math
@@ -40,14 +43,24 @@ class EnumerationBudgetError(ValueError):
     """An exact enumeration would exceed the 2**24-entry budget."""
 
 
-def _validated(probabilities, columns, distinct: bool = False):
+def _ascending(columns) -> bool:
+    """Whether entries are strictly ascending by their key columns, the first major."""
+    *major, minor = columns
+    up = minor[1:] > minor[:-1]
+    for c in reversed(major):
+        up = (c[1:] > c[:-1]) | ((c[1:] == c[:-1]) & up)
+    return bool(up.all())
+
+
+def _validated(probabilities, columns):
     """Checked read-only (probabilities, [codes per column]) for both classes.
 
-    Each column is a (codes, width) pair.  Probabilities must be
-    nonnegative and sum to 1; zero entries are dropped; codes must lie in
-    [0, 2**width).  With `distinct` (a `Distribution`), the one column is
-    sorted and must not repeat, so its range check reads its ends; a joint's
-    pair check is `_distinct_pairs`, which its constructor runs.
+    Each column is a (codes, width) pair, and together they form each
+    entry's key, the first column major.  Probabilities must be nonnegative
+    and sum to 1; zero entries are dropped; codes must lie in [0, 2**width).
+    Entries are sorted by key (a `lexsort` only when they are not already
+    in order) and a repeated key is rejected, so the first column's range
+    check reads its ends.
     """
     probs = np.asarray(probabilities, dtype=np.float64)
     codes = [np.asarray(c, dtype=np.int64) for c, _ in columns]
@@ -61,16 +74,13 @@ def _validated(probabilities, columns, distinct: bool = False):
         probs, codes = probs[keep], [c[keep] for c in codes]
         if probs.size == 0:
             raise ValueError("distribution has empty support")
-    if distinct:
-        (c,) = codes
-        if c.size > 1 and not (c[1:] > c[:-1]).all():
-            order = np.argsort(c)
-            probs, c = probs[order], c[order]
-            if not (c[1:] > c[:-1]).all():
-                raise ValueError("outcomes must be distinct")
-            codes = [c]
-    for c, (_, width) in zip(codes, columns):
-        first, last = (c[0], c[-1]) if distinct else (c.min(), c.max())
+    if not _ascending(codes):
+        order = np.lexsort(codes[::-1])
+        probs, codes = probs[order], [c[order] for c in codes]
+        if not _ascending(codes):
+            raise ValueError("outcomes must be distinct")
+    for i, (c, (_, width)) in enumerate(zip(codes, columns)):
+        first, last = (c[0], c[-1]) if i == 0 else (c.min(), c.max())
         if first < 0 or last >= 1 << width:
             raise ValueError(f"codes out of range for width {width}")
     total = float(probs.sum())
@@ -104,9 +114,7 @@ class Distribution:
         self._init(codes, list(entries.values()), width)
 
     def _init(self, codes, probabilities, bit_length: int) -> None:
-        self.probabilities, (self.codes,) = _validated(
-            probabilities, [(codes, bit_length)], distinct=True
-        )
+        self.probabilities, (self.codes,) = _validated(probabilities, [(codes, bit_length)])
         self.bit_length = bit_length
 
     @classmethod
@@ -151,48 +159,35 @@ class Distribution:
 class JointDistribution:
     """Exact joint distribution over (secret, observation) bitstring pairs.
 
-    Stored as parallel arrays of integer codes and probabilities.  The
-    (secret, observation) pairs must be distinct; the constructor checks
-    that, and `_from_codes` skips the check for builders whose pairs are
-    distinct by construction.
+    Stored as parallel arrays of integer codes and probabilities, strictly
+    ascending by (observation, secret), observation first: the constructor
+    sorts its input into that order and rejects a repeated pair, so each
+    observation's entries form one slice, ascending by secret.
     """
 
     def __init__(self, secret_codes, observation_codes, probabilities,
                  secret_bits: int, observation_bits: int):
-        self._init(secret_codes, observation_codes, probabilities, secret_bits, observation_bits)
-        if not _distinct_pairs(self.secret_codes, self.observation_codes):
-            raise ValueError("(secret, observation) pairs must be distinct")
-
-    def _init(self, secret_codes, observation_codes, probabilities,
-              secret_bits: int, observation_bits: int) -> None:
-        self.probabilities, (self.secret_codes, self.observation_codes) = _validated(
-            probabilities, [(secret_codes, secret_bits), (observation_codes, observation_bits)]
+        self.probabilities, (self.observation_codes, self.secret_codes) = _validated(
+            probabilities, [(observation_codes, observation_bits), (secret_codes, secret_bits)]
         )
         self.secret_bits = secret_bits
         self.observation_bits = observation_bits
 
     @classmethod
-    def _from_codes(cls, secret_codes, observation_codes, probabilities,
-                    secret_bits: int, observation_bits: int) -> "JointDistribution":
-        """Build from pairs the caller guarantees distinct; every other check runs."""
-        joint = cls.__new__(cls)
-        joint._init(secret_codes, observation_codes, probabilities, secret_bits, observation_bits)
-        return joint
-
-    @classmethod
     def from_entries(cls, entries: dict) -> "JointDistribution":
         """Build from a {(secret, observation): probability} mapping."""
-        keys = sorted(entries)
-        secrets, secret_bits = _encode([s for s, _ in keys], "secret")
-        observations, observation_bits = _encode([o for _, o in keys], "observation")
-        return cls(secrets, observations, [entries[k] for k in keys],
-                   secret_bits, observation_bits)
+        secrets, secret_bits = _encode([s for s, _ in entries], "secret")
+        observations, observation_bits = _encode([o for _, o in entries], "observation")
+        return cls(secrets, observations, list(entries.values()), secret_bits, observation_bits)
 
     def __len__(self) -> int:
         return int(self.secret_codes.size)
 
     def items(self):
-        """Iterate ((secret, observation), probability); renders strings lazily."""
+        """Iterate ((secret, observation), probability) in (observation, secret) order.
+
+        Renders strings lazily.
+        """
         sb, ob = self.secret_bits, self.observation_bits
         for s, o, p in zip(self.secret_codes, self.observation_codes, self.probabilities):
             yield (int_to_bits(int(s), sb), int_to_bits(int(o), ob)), float(p)
@@ -207,13 +202,6 @@ class JointDistribution:
 
     def observation_marginal(self) -> Distribution:
         return _marginal(self.observation_codes, self.probabilities, self.observation_bits)
-
-
-def _distinct_pairs(secret_codes: np.ndarray, observation_codes: np.ndarray) -> bool:
-    """Whether no (secret, observation) pair repeats."""
-    order = np.lexsort((observation_codes, secret_codes))
-    s, o = secret_codes[order], observation_codes[order]
-    return not ((s[1:] == s[:-1]) & (o[1:] == o[:-1])).any()
 
 
 def _grouped(codes: np.ndarray, probs: np.ndarray, width: int):
@@ -239,20 +227,26 @@ def entropy(dist: Distribution) -> float:
 
 
 def posterior(joint: JointDistribution, observation: str) -> Distribution:
-    """Bayes-normalized distribution over secrets given one observation."""
+    """Bayes-normalized distribution over secrets given one observation.
+
+    The observation's entries are one slice of the joint's stored order.
+    """
     check_bits(observation, "observation")
     if len(observation) != joint.observation_bits:
         raise ValueError(
             f"observation width {len(observation)} != joint width {joint.observation_bits}"
         )
-    mask = joint.observation_codes == bits_to_int(observation)
-    probs = joint.probabilities[mask]
+    # Two scalar searches: one array search costs about twice as much on
+    # the tiny joints that are queried once per trial.
+    code, observations = bits_to_int(observation), joint.observation_codes
+    lo, hi = observations.searchsorted(code), observations.searchsorted(code, "right")
+    probs = joint.probabilities[lo:hi]
     total = float(probs.sum())
     if total <= 0.0:
         raise ZeroProbabilityObservationError(
             f"observation {observation!r} has zero marginal probability"
         )
-    return Distribution._from_codes(joint.secret_codes[mask], probs / total, joint.secret_bits)
+    return Distribution._from_codes(joint.secret_codes[lo:hi], probs / total, joint.secret_bits)
 
 
 def conditional_entropy(joint: JointDistribution) -> float:
@@ -282,7 +276,8 @@ def enumerate_joint(secret_prior: Distribution, view_fn: ViewFn) -> JointDistrib
     (deterministic view) or to a `Distribution` over observations (the
     view's internal randomness, enumerated exactly).  The result is exact
     and bit-identical across repeated calls; the total enumeration size is
-    capped at 2**24 entries.
+    capped at 2**24 entries.  Entries are collected secret-major and sorted
+    into the joint's stored order by its constructor.
     """
     observation_chunks = []
     probability_chunks = []
@@ -317,7 +312,7 @@ def enumerate_joint(secret_prior: Distribution, view_fn: ViewFn) -> JointDistrib
         observation_chunks.append(codes)
         probability_chunks.append(probs)
 
-    return JointDistribution._from_codes(
+    return JointDistribution(
         np.repeat(secret_prior.codes, [len(codes) for codes in observation_chunks]),
         np.concatenate(observation_chunks, dtype=np.int64),
         np.concatenate(probability_chunks, dtype=np.float64),

@@ -227,20 +227,23 @@ def shannon_audit(key: KeyMaterial, intended_message_len: int,
 def ciphertext_joint(message_prior: Distribution) -> JointDistribution:
     """Exact joint of (plaintext, ciphertext) under a fresh uniform pad.
 
-    Enumerates every key of the message width for every plaintext in the
-    prior (vectorized over integer codes: ciphertext = plaintext XOR key).
+    Built directly in the joint's stored order, ciphertext-major: for each
+    ciphertext c and each plaintext s in the prior's support, the entry has
+    probability p(s) * 2**-width, the probability of the one key s XOR c.
     Subject to the same 2**24-entry budget as `enumerate_joint`, which this
     matches entrywise wherever both are affordable.
     """
     width = message_prior.bit_length
-    n_keys = 1 << width
+    n_ciphertexts = 1 << width
     plaintexts = message_prior.codes
-    if plaintexts.size * n_keys > ENUMERATION_BUDGET:
+    if plaintexts.size * n_ciphertexts > ENUMERATION_BUDGET:
         raise EnumerationBudgetError(
             f"enumeration exceeds {ENUMERATION_BUDGET} joint entries"
         )
-    keys = np.arange(n_keys, dtype=np.int64)
-    secret = np.repeat(plaintexts, n_keys)
-    observation = secret ^ np.tile(keys, plaintexts.size)
-    probabilities = np.repeat(message_prior.probabilities, n_keys) / float(n_keys)
-    return JointDistribution._from_codes(secret, observation, probabilities, width, width)
+    return JointDistribution(
+        np.tile(plaintexts, n_ciphertexts),
+        np.repeat(np.arange(n_ciphertexts, dtype=np.int64), plaintexts.size),
+        np.tile(message_prior.probabilities / float(n_ciphertexts), n_ciphertexts),
+        width,
+        width,
+    )

@@ -18,6 +18,7 @@ from otplab.infotheory import (
     mutual_information,
     posterior,
 )
+from otplab.otp import ciphertext_joint
 from otplab.tolerances import FLOAT_TOL
 
 
@@ -224,11 +225,11 @@ class TestJointDistributionType:
         joint = JointDistribution([1, 0, 1], [1, 1, 0], [0.25, 0.5, 0.25], 1, 1)
         assert joint.entries == {("1", "1"): 0.25, ("0", "1"): 0.5, ("1", "0"): 0.25}
 
-    def test_private_constructor_keeps_the_other_checks(self):
+    def test_constructor_checks_total_and_range(self):
         with pytest.raises(ValueError):
-            JointDistribution._from_codes([0, 1], [0, 1], [0.5, 0.25], 1, 1)
+            JointDistribution([0, 1], [0, 1], [0.5, 0.25], 1, 1)
         with pytest.raises(ValueError):
-            JointDistribution._from_codes([0, 2], [0, 1], [0.5, 0.5], 1, 1)
+            JointDistribution([0, 2], [0, 1], [0.5, 0.5], 1, 1)
 
 
 # Exact-rational oracle: small joints rebuilt with fractions.Fraction.  The
@@ -333,6 +334,18 @@ class TestExactRationalOracle:
         assert got == pytest.approx(mi, abs=FLOAT_TOL)
         assert -FLOAT_TOL <= got <= min(h_secret, h_observation) + FLOAT_TOL
 
+    @settings(deadline=None)
+    @given(exact_joints())
+    def test_posterior_of_an_absent_observation_raises(self, case):
+        # Every code outside the support: before the first stored
+        # observation, between two of them and after the last.
+        prior, view_fn, _, ob, exact = case
+        joint = enumerate_joint(prior, view_fn)
+        observed = set(exact_marginal(exact, 1))
+        for o in set(range(1 << ob)) - observed:
+            with pytest.raises(ZeroProbabilityObservationError):
+                posterior(joint, int_to_bits(o, ob))
+
 
 @st.composite
 def bit_mappings(draw):
@@ -342,6 +355,12 @@ def bit_mappings(draw):
     items = [(c, float(p)) for c, p in exact.items()] + [(c, 0.0) for c in zeros]
     order = draw(st.permutations(range(len(items))))
     return {int_to_bits(items[i][0], width): items[i][1] for i in order}
+
+
+def assert_stored_order(joint):
+    """Entries strictly ascending by (observation, secret), observation first."""
+    keys = list(zip(joint.observation_codes.tolist(), joint.secret_codes.tolist()))
+    assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 class TestBoundaryRoundTrip:
@@ -378,6 +397,25 @@ class TestBoundaryRoundTrip:
             Distribution._from_codes(
                 [*dist.codes, dist.codes[i]], [*probs, probs[i]], dist.bit_length
             )
+
+    @settings(deadline=None)
+    @given(exact_joints(), st.randoms(use_true_random=False))
+    def test_joint_column_order_does_not_matter(self, case, rnd):
+        prior, view_fn, sb, ob, _ = case
+        joint = enumerate_joint(prior, view_fn)
+        order = list(range(len(joint)))
+        rnd.shuffle(order)
+        shuffled = JointDistribution(
+            joint.secret_codes[order], joint.observation_codes[order],
+            joint.probabilities[order], sb, ob,
+        )
+        for column in ("secret_codes", "observation_codes", "probabilities"):
+            assert np.array_equal(getattr(shuffled, column), getattr(joint, column))
+        assert_stored_order(shuffled)
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_ciphertext_joint_is_in_stored_order(self, width):
+        assert_stored_order(ciphertext_joint(Distribution.uniform_bits(width)))
 
     @settings(deadline=None)
     @given(exact_joints())

@@ -163,15 +163,16 @@ class TestPerfectSecrecy:
         joint = ciphertext_joint(Distribution.uniform_bits(length))
         assert mutual_information(joint) == pytest.approx(0.0, abs=1e-9)
 
-    @pytest.mark.parametrize("length", [1, 2, 3, 5])
-    def test_ciphertext_joint_matches_generic_enumeration(self, length):
-        prior = Distribution.uniform_bits(length)
+    @pytest.mark.parametrize("prior", [
+        *(Distribution.uniform_bits(length) for length in (1, 2, 3, 5)),
+        Distribution({"00": 0.4, "01": 0.3, "10": 0.2, "11": 0.1}),
+        Distribution({"00": 0.75, "11": 0.25}),
+    ], ids=["1", "2", "3", "5", "biased-2", "strict-subset-2"])
+    def test_ciphertext_joint_matches_generic_enumeration(self, prior):
+        keys = Distribution.uniform_bits(prior.bit_length).support
 
         def pad_view(plaintext):
-            n = 1 << length
-            return Distribution.uniform(
-                xor_bits(plaintext, key) for key in Distribution.uniform_bits(length).entries
-            )
+            return Distribution.uniform(xor_bits(plaintext, key) for key in keys)
 
         fast = ciphertext_joint(prior)
         slow = enumerate_joint(prior, pad_view)
