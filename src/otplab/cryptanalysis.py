@@ -20,6 +20,8 @@ ceiling (one secure bit per qubit at best).
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bits import check_bits, xor_bits
 from .infotheory import Distribution, enumerate_joint, mutual_information, posterior
 from .otp import ciphertext_joint
@@ -71,11 +73,34 @@ class EfficiencyVerdict:
     holevo_ok: bool
 
 
+def _check_even(width: int) -> None:
+    if width % 2 != 0:
+        raise ValueError(f"xor-chain messages have an even length, got {width}")
+
+
 def xor_chain_view(message: str) -> str:
     """Eve's view of an xor-chain run: the broadcast XOR of each bit pair."""
+    _check_even(len(message))
     return "".join(
         xor_bits(message[i], message[i + 1]) for i in range(0, len(message), 2)
     )
+
+
+def _xor_chain_view_codes(codes: np.ndarray, width: int):
+    """Integer form of `xor_chain_view` for `enumerate_joint`.
+
+    Bitstrings are read most significant bit first, so bit i of the view
+    is the XOR of code bits 2i+1 and 2i: bit 2i of `codes ^ (codes >> 1)`.
+    """
+    _check_even(width)
+    parity = codes ^ (codes >> 1)
+    view = np.zeros_like(codes)
+    for i in range(width // 2):
+        view |= ((parity >> (2 * i)) & 1) << i
+    return view, width // 2
+
+
+xor_chain_view.codes = _xor_chain_view_codes
 
 
 def attack_xor_chain(run: XorChainRun, message_prior: Distribution):

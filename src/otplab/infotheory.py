@@ -17,6 +17,11 @@ observation first, of a `JointDistribution`.  So outcomes never repeat,
 and a posterior is one contiguous slice.  Bitstrings appear only at the
 API boundary: the mapping constructors, `entries`, `support`,
 `probability`, and the secret handed to an `enumerate_joint` view.
+
+A deterministic view may also carry an integer form, a `codes` attribute
+mapping the array of secret codes to one observation code per secret;
+`enumerate_joint` then builds the joint, one entry per secret, in one
+numpy call instead of one call of the view per secret.
 """
 
 import math
@@ -204,20 +209,13 @@ class JointDistribution:
         return _marginal(self.observation_codes, self.probabilities, self.observation_bits)
 
 
-def _grouped(codes: np.ndarray, probs: np.ndarray, width: int):
-    """Per-code probability totals, as (values, totals, index).
-
-    `totals[i]` sums the probabilities of code `values[i]` (0.0 if no entry
-    has it); `totals[index]` gives each entry its code's total.
-    """
-    if width <= _BINCOUNT_MAX_BITS:
-        return np.arange(1 << width), np.bincount(codes, weights=probs, minlength=1 << width), codes
-    values, index = np.unique(codes, return_inverse=True)
-    return values, np.bincount(index, weights=probs), index
-
-
 def _marginal(codes: np.ndarray, probs: np.ndarray, width: int) -> Distribution:
-    values, totals, _ = _grouped(codes, probs, width)
+    """Distribution of the per-code probability totals (zero totals are dropped)."""
+    if width <= _BINCOUNT_MAX_BITS:
+        values, totals = np.arange(1 << width), np.bincount(codes, weights=probs, minlength=1 << width)
+    else:
+        values, index = np.unique(codes, return_inverse=True)
+        totals = np.bincount(index, weights=probs)
     return Distribution._from_codes(values, totals, width)
 
 
@@ -250,11 +248,15 @@ def posterior(joint: JointDistribution, observation: str) -> Distribution:
 
 
 def conditional_entropy(joint: JointDistribution) -> float:
-    """H(secret | observation) = sum_obs p(obs) * entropy(posterior given obs)."""
-    probs = joint.probabilities
-    _, totals, index = _grouped(joint.observation_codes, probs, joint.observation_bits)
-    # Equivalent single pass: -sum p * log2(p / p(obs)).
-    value = float(np.sum(probs * (np.log2(totals[index]) - np.log2(probs))))
+    """H(secret | observation) = H(secret, observation) - H(observation).
+
+    Each observation's entries form one run of the stored order, so its
+    total is a sum over that run.
+    """
+    probs, observations = joint.probabilities, joint.observation_codes
+    starts = np.flatnonzero(np.concatenate(([True], observations[1:] != observations[:-1])))
+    totals = np.add.reduceat(probs, starts)
+    value = float(np.dot(totals, np.log2(totals)) - np.dot(probs, np.log2(probs)))
     return max(value, 0.0)
 
 
@@ -278,12 +280,35 @@ def enumerate_joint(secret_prior: Distribution, view_fn: ViewFn) -> JointDistrib
     and bit-identical across repeated calls; the total enumeration size is
     capped at 2**24 entries.  Entries are collected secret-major and sorted
     into the joint's stored order by its constructor.
+
+    A deterministic view may carry an integer form: a `codes` attribute,
+    called as `view_fn.codes(secret_codes, secret_bits)`, that returns
+    `(observation_codes, observation_bits)` with one observation code per
+    secret code.  It is used instead of calling `view_fn` once per secret;
+    each secret then gives one entry, carrying the secret's probability.
+    Randomized views have no integer form.
     """
+    secret_bits = secret_prior.bit_length
+    codes_fn = getattr(view_fn, "codes", None)
+    if codes_fn is not None:
+        if len(secret_prior.codes) > ENUMERATION_BUDGET:
+            raise EnumerationBudgetError(
+                f"enumeration exceeds {ENUMERATION_BUDGET} joint entries"
+            )
+        observations, observation_bits = codes_fn(secret_prior.codes, secret_bits)
+        # A stable sort keeps the ascending secrets ascending within each
+        # observation, so the constructor finds the stored order and skips
+        # its lexsort.
+        order = np.argsort(observations, kind="stable")
+        return JointDistribution(
+            secret_prior.codes[order], observations[order], secret_prior.probabilities[order],
+            secret_bits, observation_bits,
+        )
+
     observation_chunks = []
     probability_chunks = []
     observation_bits = None
     total_entries = 0
-    secret_bits = secret_prior.bit_length
 
     for code, p_secret in zip(secret_prior.codes.tolist(), secret_prior.probabilities.tolist()):
         view = view_fn(int_to_bits(code, secret_bits))

@@ -1,11 +1,12 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otplab.bits import all_bitstrings, xor_bits
+from otplab.bits import all_bitstrings, bits_to_int, int_to_bits, xor_bits
 from otplab.cryptanalysis import (
     EfficiencyVerdict,
     LeakageReport,
@@ -73,6 +74,25 @@ class TestAttackXorChain:
     def test_prior_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             attack_xor_chain(run_xor_chain("11"), Distribution.uniform_bits(4))
+
+    @pytest.mark.parametrize("width", [1, 3, 5])
+    def test_odd_length_messages_rejected(self, width):
+        with pytest.raises(ValueError, match="even length"):
+            xor_chain_view("1" * width)
+        with pytest.raises(ValueError, match="even length"):
+            enumerate_joint(Distribution.uniform_bits(width), xor_chain_view)
+        with pytest.raises(ValueError, match="even length"):
+            xor_chain_view.codes(np.arange(1 << width), width)
+
+    @settings(deadline=None)
+    @given(st.integers(0, 31).map(lambda pairs: 2 * pairs), st.data())
+    def test_integer_form_matches_string_form(self, width, data):
+        codes = data.draw(st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=20))
+        view_codes, view_bits = xor_chain_view.codes(np.array(codes, dtype=np.int64), width)
+        assert view_bits == width // 2
+        assert view_codes.tolist() == [
+            bits_to_int(xor_chain_view(int_to_bits(c, width))) for c in codes
+        ]
 
 
 class TestAttackEsQkdKeyset:

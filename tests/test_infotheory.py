@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from otplab import cryptanalysis, infotheory
 from otplab.bits import all_bitstrings, int_to_bits, xor_bits
 from otplab.infotheory import (
     Distribution,
@@ -23,7 +24,11 @@ from otplab.tolerances import FLOAT_TOL
 
 
 def xor_chain_view(message: str) -> str:
-    """Broadcast string of the chaining scheme: XOR of each bit pair."""
+    """Broadcast string of the chaining scheme: XOR of each bit pair.
+
+    A plain callable with no integer form, so `enumerate_joint` calls it
+    once per secret: the reference for the library's integer view.
+    """
     return "".join(
         xor_bits(message[i], message[i + 1]) for i in range(0, len(message), 2)
     )
@@ -423,3 +428,66 @@ class TestBoundaryRoundTrip:
         prior, view_fn, *_ = case
         joint = enumerate_joint(prior, view_fn)
         assert JointDistribution.from_entries(joint.entries).entries == joint.entries
+
+
+@st.composite
+def even_width_priors(draw):
+    """Non-uniform dyadic priors on a strict subset of 2-, 4-, 6- or 8-bit messages."""
+    width = draw(st.sampled_from([2, 4, 6, 8]))
+    codes = draw(st.lists(st.integers(0, (1 << width) - 1), min_size=1,
+                          max_size=(1 << width) - 1, unique=True))
+    weights = draw(dyadic_weights(len(codes)))
+    assume(len(codes) == 1 or len(set(weights)) > 1)
+    return as_distribution(width, dict(zip(codes, weights)))
+
+
+def assert_same_joint(a, b):
+    assert (a.secret_bits, a.observation_bits) == (b.secret_bits, b.observation_bits)
+    for column in ("secret_codes", "observation_codes", "probabilities"):
+        assert np.array_equal(getattr(a, column), getattr(b, column))
+
+
+class TestIntegerView:
+    """The integer-view builder against the per-secret loop over a plain callable."""
+
+    @pytest.mark.parametrize("width", range(2, 17, 2))
+    def test_uniform_priors_match_the_loop(self, width):
+        prior = Distribution.uniform_bits(width)
+        assert_same_joint(enumerate_joint(prior, cryptanalysis.xor_chain_view),
+                          enumerate_joint(prior, xor_chain_view))
+
+    @settings(deadline=None)
+    @given(even_width_priors())
+    def test_subset_priors_match_the_loop(self, prior):
+        assert_same_joint(enumerate_joint(prior, cryptanalysis.xor_chain_view),
+                          enumerate_joint(prior, xor_chain_view))
+
+    def test_view_without_codes_is_called_per_secret(self):
+        calls = []
+
+        def view(message):
+            calls.append(message)
+            return xor_chain_view(message)
+
+        prior = Distribution({"0001": 0.25, "0110": 0.25, "1011": 0.5})
+        joint = enumerate_joint(prior, view)
+        assert calls == ["0001", "0110", "1011"]
+        assert joint.entries == {("0001", "01"): 0.25, ("1011", "10"): 0.5, ("0110", "11"): 0.25}
+
+    def test_view_with_codes_is_not_called(self):
+        def view(message):
+            raise AssertionError("the string form was called")
+
+        view.codes = cryptanalysis.xor_chain_view.codes
+        prior = Distribution.uniform_bits(6)
+        assert_same_joint(enumerate_joint(prior, view), enumerate_joint(prior, xor_chain_view))
+
+    @pytest.mark.parametrize("view", [cryptanalysis.xor_chain_view, xor_chain_view],
+                             ids=["integer", "loop"])
+    def test_both_builders_keep_the_budget(self, view, monkeypatch):
+        prior = Distribution.uniform_bits(4)
+        monkeypatch.setattr(infotheory, "ENUMERATION_BUDGET", 16)
+        assert len(enumerate_joint(prior, view)) == 16
+        monkeypatch.setattr(infotheory, "ENUMERATION_BUDGET", 15)
+        with pytest.raises(EnumerationBudgetError):
+            enumerate_joint(prior, view)
