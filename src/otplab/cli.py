@@ -39,6 +39,7 @@ import numpy as np
 from . import __version__
 from .bits import check_bits, random_bits
 from .cryptanalysis import (
+    CARRIERS,
     attack_es_qkd_keyset,
     attack_es_qkd_parity,
     efficiency_audit,
@@ -48,13 +49,9 @@ from .cryptanalysis import (
 from .infotheory import Distribution, enumerate_joint, mutual_information, posterior
 from .otp import KeyMaterial, ciphertext_joint, derived_correlated, encrypt, random_key
 from .protocols import eve_view, run_es_qkd, run_otp_baseline, run_xor_chain
-from .quantum import PHI_PLUS, PSI_PLUS, BellLabel
+from .quantum import BellLabel
 from .tolerances import FLOAT_TOL
 
-# Exact-analysis ceilings: 2**bits messages for the chain, and
-# 2**bits plaintexts x 2**bits pads for the baseline (the 2**24 budget).
-MAX_XOR_MESSAGE_BITS = 16
-MAX_OTP_MESSAGE_BITS = 12
 # The whole report is built in memory, about 5 KB per trial.
 MAX_TRIALS = 100_000
 DEFAULT_MESSAGE_BITS = 2
@@ -159,33 +156,7 @@ def config_from_args(args) -> ScenarioConfig:
     if not 1 <= args.trials <= MAX_TRIALS:
         raise ConfigError(f"trials must be between 1 and {MAX_TRIALS}, got {args.trials}")
     plaintext = getattr(args, "plaintext", None)
-
-    message_bits = None
-    pairs = None
-    if args.scenario == "es-qkd":
-        if args.message_bits is not None:
-            raise ConfigError("--message-bits does not apply to the es-qkd scenario")
-        pairs = parse_pairs(DEFAULT_PAIRS if args.pairs is None else args.pairs)
-    else:
-        if args.pairs is not None:
-            raise ConfigError("--pairs applies to the es-qkd scenario only")
-        message_bits = DEFAULT_MESSAGE_BITS if args.message_bits is None else args.message_bits
-    if args.scenario == "xor-chain":
-        if message_bits < 2 or message_bits % 2 != 0:
-            raise ConfigError(f"xor-chain needs an even message length >= 2, got {message_bits}")
-        if message_bits > MAX_XOR_MESSAGE_BITS:
-            raise ConfigError(
-                f"xor-chain message length is capped at {MAX_XOR_MESSAGE_BITS} "
-                "(exact enumeration over all messages)"
-            )
-    elif args.scenario == "otp-baseline":
-        if message_bits < 1:
-            raise ConfigError(f"otp-baseline needs a message length >= 1, got {message_bits}")
-        if message_bits > MAX_OTP_MESSAGE_BITS:
-            raise ConfigError(
-                f"otp-baseline message length is capped at {MAX_OTP_MESSAGE_BITS} "
-                "(exact enumeration over all plaintext/pad pairs)"
-            )
+    sizes = scenario_sizes(args.scenario, args.message_bits, args.pairs)
 
     if plaintext is not None:
         if args.scenario != "es-qkd":
@@ -194,21 +165,44 @@ def config_from_args(args) -> ScenarioConfig:
             check_bits(plaintext, "plaintext")
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        if len(plaintext) != 4 * len(pairs):
+        bits = 4 * len(sizes["pairs"])
+        if len(plaintext) != bits:
             raise ConfigError(
-                f"plaintext must cover 4 bits per pair ({4 * len(pairs)}), got {len(plaintext)}"
+                f"plaintext must cover 4 bits per pair ({bits}), got {len(plaintext)}"
             )
 
     return ScenarioConfig(
         scenario=args.scenario,
-        message_bits=message_bits,
-        pairs=pairs,
         seed=seed,
         trials=args.trials,
         fmt=args.fmt,
         out=args.out,
         plaintext=plaintext,
+        **sizes,
     )
+
+
+def scenario_sizes(name: str, message_bits: int | None = None,
+                   pairs: str | None = None) -> dict:
+    """The scenario's size fields of `ScenarioConfig`, defaults filled in and checked.
+
+    A scenario with `message_lengths` takes a message length; the other,
+    es-qkd, takes Bell pairs instead.
+    """
+    accepted = SCENARIOS[name].message_lengths
+    if accepted is None:
+        if message_bits is not None:
+            raise ConfigError(f"--message-bits does not apply to the {name} scenario")
+        return {"pairs": parse_pairs(DEFAULT_PAIRS if pairs is None else pairs)}
+    if pairs is not None:
+        raise ConfigError("--pairs applies to the es-qkd scenario only")
+    message_bits = DEFAULT_MESSAGE_BITS if message_bits is None else message_bits
+    if message_bits not in accepted:
+        raise ConfigError(
+            f"{name} message length must be one of {accepted[0]}, {accepted[1]}, ..., "
+            f"{accepted[-1]}, got {message_bits}"
+        )
+    return {"message_bits": message_bits}
 
 
 def _distributions_match(a: Distribution, b: Distribution) -> bool:
@@ -291,7 +285,8 @@ class Scenario:
     result is the second argument of `leakage_report`.
     `trial(config, analysis, rng, with_attack)` runs one seeded trial and
     returns (run, transcript records, key_or_message, attack).
-    `audit_config` sizes the scheme's row of the audit table.
+    `message_lengths` is the range of message lengths the scheme accepts, or
+    None for es-qkd, which is sized by its Bell pairs.
 
     Both callables look up the protocol, attack and enumeration functions
     as module globals at call time, so patching a module binding (as
@@ -300,28 +295,27 @@ class Scenario:
 
     analyze: Callable
     trial: Callable
-    carrier_unit: str
-    audit_config: dict
+    message_lengths: range | None
 
 
+# The length caps keep the analysis an exact enumeration: 2**16 messages
+# for the chain, 2**12 plaintexts x 2**12 pads (the 2**24 budget) for the
+# baseline.
 SCENARIOS = {
     "xor-chain": Scenario(
         analyze=_xor_chain_analysis,
         trial=_xor_chain_trial,
-        carrier_unit="ghz-state",
-        audit_config={"message_bits": 2},
+        message_lengths=range(2, 17, 2),
     ),
     "es-qkd": Scenario(
         analyze=lambda config: attack_es_qkd_keyset(config.pairs),
         trial=_es_qkd_trial,
-        carrier_unit="swap",
-        audit_config={"pairs": [(PHI_PLUS, PSI_PLUS)]},
+        message_lengths=None,
     ),
     "otp-baseline": Scenario(
         analyze=_otp_baseline_analysis,
         trial=_otp_baseline_trial,
-        carrier_unit="pad-bit",
-        audit_config={"message_bits": 2},
+        message_lengths=range(1, 13),
     ),
 }
 
@@ -355,13 +349,14 @@ def build_report(config: ScenarioConfig, with_attack: bool) -> dict:
 
 
 def build_audit_rows() -> list:
-    """Claimed-vs-effective table: each scheme's efficiency at its audit size.
+    """Claimed-vs-effective table: each scheme's efficiency at its default size.
 
-    Every row is the efficiency block of the same report `simulate` builds.
+    Every row is the efficiency block of the report `simulate` builds
+    without size flags.
     """
     table = []
-    for name, scenario in SCENARIOS.items():
-        config = ScenarioConfig(name, seed=0, trials=1, fmt="json", **scenario.audit_config)
+    for name in SCENARIOS:
+        config = ScenarioConfig(name, seed=0, trials=1, fmt="json", **scenario_sizes(name))
         verdict = build_report(config, with_attack=False)["efficiency"]
         claimed = verdict["claimed_bits_per_carrier"]
         effective = verdict["effective_bits_per_carrier"]
@@ -369,7 +364,7 @@ def build_audit_rows() -> list:
             raise AssertionError("audit table rates must be exact integers")
         table.append({
             "scenario": name,
-            "carrier_unit": scenario.carrier_unit,
+            "carrier_unit": CARRIERS[name].unit,
             "claimed_bits_per_carrier": int(round(claimed)),
             "effective_bits_per_carrier": int(round(effective)),
             "effective_bits_per_qubit": verdict["effective_bits_per_qubit"],

@@ -1,19 +1,24 @@
 """Eavesdropper attacks and the leakage/efficiency accounting.
 
-Leakage is measured in bits of mutual information between the secret and
-Eve's view, computed by exact enumeration.  The accounting per scheme:
+For xor-chain and otp-baseline, leakage is measured in bits of mutual
+information between the secret and Eve's view, computed by exact
+enumeration.  The accounting per scheme:
 
 * xor-chain: each broadcast a' = a_odd XOR a_even hands Eve exactly one
   bit about the pair, so half the message leaks.  Effective throughput is
   1 secure bit per carrier state, not the advertised 2.
 * es-qkd: the swap outcome pair is confined to 4 of 16 label combinations
   once the initial states are known, so 4 key bits carry only 2 bits of
-  entropy.  Both key parities are public, which a known-ciphertext parity
-  attack recovers with certainty.  Effective throughput is 2 secure bits
-  per swap, not the advertised 4.
+  entropy.  The figure is the entropy of the key given the allowed key
+  sets, log2 of 4 equally likely blocks per swap, not a mutual
+  information computed from a joint.  Both key parities are public, which
+  a known-ciphertext parity attack recovers with certainty.  Effective
+  throughput is 2 secure bits per swap, not the advertised 4.
 * otp-baseline: a correct pad leaks nothing; effective equals claimed.
 
-Every verdict is sanity-checked against the n-qubits-carry-at-most-n-bits
+`CARRIERS` states, once per scenario, what a carrier is, the bits the
+scheme claims per carrier and the qubits each carrier costs.  Every
+verdict is sanity-checked against the n-qubits-carry-at-most-n-bits
 ceiling (one secure bit per qubit at best).
 """
 
@@ -29,12 +34,24 @@ from .protocols import EsQkdRun, Transcript, XorChainRun, eve_view
 from .quantum import swap_distribution_oracle
 from .tolerances import FLOAT_TOL
 
-# Carrier sizes in qubits: one three-qubit state per xor-chain pair, two
-# Bell pairs per entanglement swap, and the baseline's pad costed at the
-# optimum of one qubit per distributed key bit.
-QUBITS_PER_GHZ = 3
-QUBITS_PER_SWAP = 4
-QUBITS_PER_PAD_BIT = 1
+
+@dataclass(frozen=True)
+class CarrierAccounting:
+    """A scheme's carrier: its unit name, the bits claimed per carrier, its qubits."""
+
+    unit: str
+    claimed_bits: int
+    qubits: int
+
+
+# One three-qubit state per xor-chain pair, two Bell pairs per
+# entanglement swap, and the baseline's pad costed at the optimum of one
+# qubit per distributed key bit.
+CARRIERS = {
+    "xor-chain": CarrierAccounting("ghz-state", claimed_bits=2, qubits=3),
+    "es-qkd": CarrierAccounting("swap", claimed_bits=4, qubits=4),
+    "otp-baseline": CarrierAccounting("pad-bit", claimed_bits=1, qubits=1),
+}
 
 
 @dataclass(frozen=True)
@@ -168,47 +185,33 @@ def leakage_report(run, attack_result) -> LeakageReport:
     Accepts an `XorChainRun` with (posterior, eve_bits), an `EsQkdRun` with
     (key_sets, key_entropy_given_eve), or an otp-baseline `Transcript` with
     (posterior, eve_bits).  Only the second element of the pair is read.
+    The run gives the scenario and its carrier count; `CARRIERS` gives
+    the rest.
     """
+    _, figure = attack_result
     if isinstance(run, XorChainRun):
-        _, eve_bits = attack_result
-        n = len(run.message)
-        carriers = run.ghz_states_consumed
-        return LeakageReport(
-            scenario="xor-chain",
-            claimed_bits=n,
-            receiver_bits=float(n),
-            eve_bits=eve_bits,
-            secure_bits=float(n) - eve_bits,
-            resources=ResourceCount(carriers, QUBITS_PER_GHZ * carriers),
-        )
-    if isinstance(run, EsQkdRun):
-        _, key_entropy = attack_result
-        swaps = len(run.initial_pairs)
-        claimed = 4 * swaps
-        eve_bits = claimed - key_entropy
-        return LeakageReport(
-            scenario="es-qkd",
-            claimed_bits=claimed,
-            receiver_bits=float(claimed),
-            eve_bits=eve_bits,
-            secure_bits=key_entropy,
-            resources=ResourceCount(swaps, QUBITS_PER_SWAP * swaps),
-        )
-    if isinstance(run, Transcript):
-        _, eve_bits = attack_result
+        scenario, carriers = "xor-chain", run.ghz_states_consumed
+    elif isinstance(run, EsQkdRun):
+        scenario, carriers = "es-qkd", len(run.initial_pairs)
+    elif isinstance(run, Transcript):
         broadcasts = run.public_events()
         if len(broadcasts) != 1:
             raise ValueError("an otp-baseline transcript carries exactly one broadcast")
-        n = len(broadcasts[0].payload)
-        return LeakageReport(
-            scenario="otp-baseline",
-            claimed_bits=n,
-            receiver_bits=float(n),
-            eve_bits=eve_bits,
-            secure_bits=float(n) - eve_bits,
-            resources=ResourceCount(n, QUBITS_PER_PAD_BIT * n),
-        )
-    raise TypeError(f"no leakage accounting for run type {type(run)}")
+        scenario, carriers = "otp-baseline", len(broadcasts[0].payload)
+    else:
+        raise TypeError(f"no leakage accounting for run type {type(run)}")
+    accounting = CARRIERS[scenario]
+    claimed = accounting.claimed_bits * carriers
+    # es-qkd's figure is the key entropy Eve leaves; the others' is Eve's information.
+    eve_bits = claimed - figure if scenario == "es-qkd" else figure
+    return LeakageReport(
+        scenario=scenario,
+        claimed_bits=claimed,
+        receiver_bits=float(claimed),
+        eve_bits=eve_bits,
+        secure_bits=float(claimed) - eve_bits,
+        resources=ResourceCount(carriers, accounting.qubits * carriers),
+    )
 
 
 def efficiency_audit(report: LeakageReport) -> EfficiencyVerdict:

@@ -48,6 +48,12 @@ class EnumerationBudgetError(ValueError):
     """An exact enumeration would exceed the 2**24-entry budget."""
 
 
+def check_budget(entries: int) -> None:
+    """Raise `EnumerationBudgetError` if a joint of this many entries is over budget."""
+    if entries > ENUMERATION_BUDGET:
+        raise EnumerationBudgetError(f"enumeration exceeds {ENUMERATION_BUDGET} joint entries")
+
+
 def _ascending(columns) -> bool:
     """Whether entries are strictly ascending by their key columns, the first major."""
     *major, minor = columns
@@ -278,8 +284,8 @@ def enumerate_joint(secret_prior: Distribution, view_fn: ViewFn) -> JointDistrib
     (deterministic view) or to a `Distribution` over observations (the
     view's internal randomness, enumerated exactly).  The result is exact
     and bit-identical across repeated calls; the total enumeration size is
-    capped at 2**24 entries.  Entries are collected secret-major and sorted
-    into the joint's stored order by its constructor.
+    capped at 2**24 entries.  Entries are collected secret-major and put in
+    the joint's stored order by one stable sort on the observations.
 
     A deterministic view may carry an integer form: a `codes` attribute,
     called as `view_fn.codes(secret_codes, secret_bits)`, that returns
@@ -291,56 +297,46 @@ def enumerate_joint(secret_prior: Distribution, view_fn: ViewFn) -> JointDistrib
     secret_bits = secret_prior.bit_length
     codes_fn = getattr(view_fn, "codes", None)
     if codes_fn is not None:
-        if len(secret_prior.codes) > ENUMERATION_BUDGET:
-            raise EnumerationBudgetError(
-                f"enumeration exceeds {ENUMERATION_BUDGET} joint entries"
-            )
-        observations, observation_bits = codes_fn(secret_prior.codes, secret_bits)
-        # A stable sort keeps the ascending secrets ascending within each
-        # observation, so the constructor finds the stored order and skips
-        # its lexsort.
-        order = np.argsort(observations, kind="stable")
-        return JointDistribution(
-            secret_prior.codes[order], observations[order], secret_prior.probabilities[order],
-            secret_bits, observation_bits,
-        )
+        check_budget(len(secret_prior.codes))
+        secrets, probabilities = secret_prior.codes, secret_prior.probabilities
+        observations, observation_bits = codes_fn(secrets, secret_bits)
+    else:
+        observation_chunks, probability_chunks = [], []
+        observation_bits, total_entries = None, 0
+        for code, p_secret in zip(secret_prior.codes.tolist(), secret_prior.probabilities.tolist()):
+            view = view_fn(int_to_bits(code, secret_bits))
+            if isinstance(view, str):
+                width = len(check_bits(view, "observation"))
+                codes = [bits_to_int(view)]
+                probs = [p_secret]
+            elif isinstance(view, Distribution):
+                width = view.bit_length
+                codes = view.codes
+                probs = p_secret * view.probabilities
+            else:
+                raise TypeError(
+                    f"view_fn must return a bitstring or Distribution, got {type(view)}"
+                )
 
-    observation_chunks = []
-    probability_chunks = []
-    observation_bits = None
-    total_entries = 0
+            if observation_bits is None:
+                observation_bits = width
+            elif width != observation_bits:
+                raise ValueError(
+                    f"observation widths differ across secrets: {width} vs {observation_bits}"
+                )
+            total_entries += len(codes)
+            check_budget(total_entries)
+            observation_chunks.append(codes)
+            probability_chunks.append(probs)
+        secrets = np.repeat(secret_prior.codes, [len(codes) for codes in observation_chunks])
+        observations = np.concatenate(observation_chunks, dtype=np.int64)
+        probabilities = np.concatenate(probability_chunks, dtype=np.float64)
 
-    for code, p_secret in zip(secret_prior.codes.tolist(), secret_prior.probabilities.tolist()):
-        view = view_fn(int_to_bits(code, secret_bits))
-        if isinstance(view, str):
-            width = len(check_bits(view, "observation"))
-            codes = [bits_to_int(view)]
-            probs = [p_secret]
-        elif isinstance(view, Distribution):
-            width = view.bit_length
-            codes = view.codes
-            probs = p_secret * view.probabilities
-        else:
-            raise TypeError(f"view_fn must return a bitstring or Distribution, got {type(view)}")
-
-        if observation_bits is None:
-            observation_bits = width
-        elif width != observation_bits:
-            raise ValueError(
-                f"observation widths differ across secrets: {width} vs {observation_bits}"
-            )
-        total_entries += len(codes)
-        if total_entries > ENUMERATION_BUDGET:
-            raise EnumerationBudgetError(
-                f"enumeration exceeds {ENUMERATION_BUDGET} joint entries"
-            )
-        observation_chunks.append(codes)
-        probability_chunks.append(probs)
-
+    # The columns are secret-major with ascending secrets, and each
+    # secret's observations ascend.  A stable sort by observation keeps the
+    # secrets ascending within each observation, so the constructor finds
+    # the stored order and skips its lexsort.
+    order = np.argsort(observations, kind="stable")
     return JointDistribution(
-        np.repeat(secret_prior.codes, [len(codes) for codes in observation_chunks]),
-        np.concatenate(observation_chunks, dtype=np.int64),
-        np.concatenate(probability_chunks, dtype=np.float64),
-        secret_bits,
-        observation_bits,
+        secrets[order], observations[order], probabilities[order], secret_bits, observation_bits
     )

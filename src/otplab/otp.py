@@ -6,10 +6,11 @@ long as the message, (iii) the key is never reused.  `KeyMaterial` keeps a
 per-bit usage ledger so condition (iii) is enforced mechanically, and
 `shannon_audit` checks all three before a pad is committed to a message.
 
-Randomness auditing is analytic: when the distribution the key was drawn
-from is known, condition (i) holds iff that distribution's entropy equals
-the key length.  Every scenario in this package has an exactly known key
-distribution, so this is a computation, not a statistical test.
+Randomness is audited without statistical tests, in one of two modes.  By
+origin (what the protocol runners use): condition (i) holds iff the pad is
+marked truly random.  Analytically, when the distribution the key was
+drawn from is supplied: condition (i) holds iff that distribution's
+entropy equals the key length.
 """
 
 import itertools
@@ -19,13 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import check_bits, random_bits, xor_bits
-from .infotheory import (
-    ENUMERATION_BUDGET,
-    Distribution,
-    EnumerationBudgetError,
-    JointDistribution,
-    entropy,
-)
+from .infotheory import Distribution, JointDistribution, check_budget, entropy
 from .tolerances import FLOAT_TOL
 
 
@@ -236,10 +231,7 @@ def ciphertext_joint(message_prior: Distribution) -> JointDistribution:
     width = message_prior.bit_length
     n_ciphertexts = 1 << width
     plaintexts = message_prior.codes
-    if plaintexts.size * n_ciphertexts > ENUMERATION_BUDGET:
-        raise EnumerationBudgetError(
-            f"enumeration exceeds {ENUMERATION_BUDGET} joint entries"
-        )
+    check_budget(plaintexts.size * n_ciphertexts)
     return JointDistribution(
         np.tile(plaintexts, n_ciphertexts),
         np.repeat(np.arange(n_ciphertexts, dtype=np.int64), plaintexts.size),

@@ -31,6 +31,10 @@ from .bits import check_bits, xor_bits
 from .otp import AuditReport, KeyMaterial, decrypt, encrypt, shannon_audit
 from .quantum import BellLabel, sample_swap, swap_distribution_oracle
 
+# The xor-chain's parties: one sender, two receivers who both rebuild the message.
+XOR_CHAIN_SENDER = "alice"
+XOR_CHAIN_RECEIVERS = ("bob", "charlie")
+
 
 class Channel(enum.Enum):
     PUBLIC_BROADCAST = "public-broadcast"
@@ -100,7 +104,7 @@ class XorChainRun:
     ghz_states_consumed: int
 
     def __post_init__(self):
-        if self.ghz_states_consumed != len(self.message) // 2:
+        if 2 * self.ghz_states_consumed != len(self.message):
             raise ValueError("carrier count must be half the message length")
         for name, output in self.receiver_outputs.items():
             if output != self.message:
@@ -127,8 +131,7 @@ class EsQkdRun:
             raise ValueError("key must concatenate the result labels, 4 bits per swap")
 
 
-def run_xor_chain(message: str, sender: str = "alice",
-                  receivers=("bob", "charlie")) -> XorChainRun:
+def run_xor_chain(message: str) -> XorChainRun:
     """Run the xor-chain scheme on an even-length message.
 
     Per bit pair: the odd-numbered bit rides the secure primitive (one
@@ -140,9 +143,9 @@ def run_xor_chain(message: str, sender: str = "alice",
         raise ValueError(f"message length must be even and >= 2, got {len(message)}")
     transcript = Transcript()
     for i in range(0, len(message), 2):
-        transcript.append(sender, Channel.SECURE_PRIMITIVE, message[i])
+        transcript.append(XOR_CHAIN_SENDER, Channel.SECURE_PRIMITIVE, message[i])
         transcript.append(
-            sender, Channel.PUBLIC_BROADCAST, xor_bits(message[i], message[i + 1])
+            XOR_CHAIN_SENDER, Channel.PUBLIC_BROADCAST, xor_bits(message[i], message[i + 1])
         )
     transcript.freeze()
 
@@ -154,7 +157,7 @@ def run_xor_chain(message: str, sender: str = "alice",
     return XorChainRun(
         message=message,
         transcript=transcript,
-        receiver_outputs={name: decoded for name in receivers},
+        receiver_outputs={name: decoded for name in XOR_CHAIN_RECEIVERS},
         ghz_states_consumed=len(message) // 2,
     )
 
@@ -203,16 +206,15 @@ def run_es_qkd(initial_pairs, rng: random.Random) -> EsQkdRun:
     )
 
 
-def run_otp_baseline(plaintext: str, key: KeyMaterial,
-                     key_distribution=None) -> Transcript:
+def run_otp_baseline(plaintext: str, key: KeyMaterial) -> Transcript:
     """Correct one-time pad over the public channel.
 
-    Refuses to run unless the pad passes all three secrecy conditions;
-    otherwise broadcasts the ciphertext and checks the receiver's
-    decryption round-trips.
+    Refuses to run unless the pad passes all three secrecy conditions,
+    randomness audited by the pad's origin; otherwise broadcasts the
+    ciphertext and checks the receiver's decryption round-trips.
     """
     check_bits(plaintext, "plaintext")
-    report = shannon_audit(key, len(plaintext), key_distribution)
+    report = shannon_audit(key, len(plaintext))
     if not report.all_ok:
         raise ConditionViolationError(report)
     block = encrypt(plaintext, key)

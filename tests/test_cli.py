@@ -5,7 +5,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from otplab.cli import build_audit_rows, main
+from otplab.cli import build_audit_rows, build_parser, config_from_args, main
+from otplab.cryptanalysis import CARRIERS
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "report.schema.json").read_text()
@@ -165,11 +166,19 @@ class TestConfigErrors:
         ("simulate", "--scenario", "xor-chain", "--pairs", "phi+:psi+"),
         ("attack", "--scenario", "otp-baseline", "--pairs", "phi+:psi+"),
         ("simulate", "--scenario", "xor-chain", "--trials", "100001"),
+        ("simulate", "--scenario", "otp-baseline", "--message-bits", "0"),
     ])
     def test_invalid_configs_exit_2(self, capsys, args):
         code, _, err = run_cli(capsys, *args)
         assert code == 2
         assert err.strip()
+
+    @pytest.mark.parametrize("scenario,bits", [("xor-chain", 16), ("otp-baseline", 12)])
+    def test_largest_message_lengths_accepted(self, scenario, bits):
+        args = build_parser().parse_args(
+            ["simulate", "--scenario", scenario, "--message-bits", str(bits), "--seed", "0"]
+        )
+        assert config_from_args(args).message_bits == bits
 
     def test_unknown_scenario_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "--scenario", "bb84")
@@ -250,6 +259,14 @@ class TestAudit:
         otp = rows["otp-baseline"]
         assert otp["claimed_bits_per_carrier"] == otp["effective_bits_per_carrier"]
         assert all(row["holevo_ok"] for row in rows.values())
+
+    @pytest.mark.parametrize("scenario", ["xor-chain", "es-qkd", "otp-baseline"])
+    def test_row_matches_simulate_at_default_size(self, capsys, scenario):
+        row = {row["scenario"]: row for row in build_audit_rows()}[scenario]
+        report = run_json(capsys, "simulate", "--scenario", scenario, "--seed", "0")
+        assert row["carrier_unit"] == CARRIERS[scenario].unit
+        for key, value in report["efficiency"].items():
+            assert row[key] == value
 
     def test_text_table(self, capsys):
         code, out, _ = run_cli(capsys, "audit")

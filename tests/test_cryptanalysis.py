@@ -212,6 +212,10 @@ class TestLeakageReport:
         assert report.eve_bits == pytest.approx(0.0, abs=1e-9)
         assert report.secure_bits == pytest.approx(6.0, abs=1e-9)
 
+    def test_unknown_run_type_raises(self):
+        with pytest.raises(TypeError):
+            leakage_report(object(), (None, 0.0))
+
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
             LeakageReport("x", 2, 1.0, 2.0, -1.0, ResourceCount(1, 3))

@@ -9,16 +9,25 @@ initial configurations, each listed twice so the memoized swap oracle
 answers from its cache, were recorded the same way before the oracle was
 memoized.  A change that alters a report on purpose must re-record the
 affected hash and say why.
+
+The benchmark's workload command lines, at the benchmark seed and the
+held-out seed, are pinned the same way; their hashes were recorded before
+the carrier accounting moved into one table.
 """
 
 import contextlib
 import hashlib
 import io
 import itertools
+import sys
+from pathlib import Path
 
 import pytest
 
 from otplab.cli import main
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402  (perfbench/workloads.py imports its sibling `tracer`)
 
 ES_PAIRS = "phi+:psi+,psi-:phi+,phi-:phi-"
 ES_PLAINTEXT = "101001101100"
@@ -98,3 +107,20 @@ def stdout_sha256(args) -> str:
 @pytest.mark.parametrize("args", COMMANDS, ids=" ".join)
 def test_report_bytes_match_recorded_hash(args):
     assert stdout_sha256(args) == GOLDEN[" ".join(args)]
+
+
+WORKLOAD_GOLDEN = {
+    ("xor-chain-16", 1): "71794f9b029f5cf0d32ab166afc20df68fce3d09d9d0d7e7ebaed3608140cdda",
+    ("otp-baseline-12", 1): "4f7edd9a2fddd078551e97525caab2c04810e7c3b5cedccbb721b61cc52f7820",
+    ("es-qkd-200", 1): "58e4f9d6f23ea3519582e2c4ad67f891d2b0c66ca8a23316fc3106e14a5e7942",
+    ("xor-chain-trials", 1): "c7ba18e412e3cbdc90ecc1106ce9f7b5950a7bb18baca5437deac205e53d0f98",
+    ("xor-chain-16", 7919): "21040c689c4af019e23b9a09df54c08a7cbd9cec92e82de9fb00780bff1f7c18",
+    ("otp-baseline-12", 7919): "295872e3c1e2d49d5f7b611f52f26cb68d220c262c3f48ce1707262201095106",
+    ("es-qkd-200", 7919): "f2be418ff70fdde4fa212107aa574aa536cf7006de49eec177fad05d85b399b7",
+    ("xor-chain-trials", 7919): "033d50678d1872a0a678ca8640186375755c478afc9d04108f9d5d2e250fd394",
+}
+
+
+@pytest.mark.parametrize("name,seed", list(WORKLOAD_GOLDEN))
+def test_workload_report_bytes_match_recorded_hash(name, seed):
+    assert stdout_sha256(workloads.command_line(name, seed)) == WORKLOAD_GOLDEN[name, seed]

@@ -11,6 +11,7 @@ from otplab.protocols import (
     Channel,
     ConditionViolationError,
     Transcript,
+    XorChainRun,
     deduce_partner_result,
     eve_view,
     run_es_qkd,
@@ -92,6 +93,12 @@ class TestXorChain:
             run_xor_chain("101")
         with pytest.raises(ValueError):
             run_xor_chain("")
+
+    def test_run_record_rejects_odd_length(self):
+        # The leakage accounting claims 2 bits per carrier, so a 3-bit
+        # message on one carrier must not be a valid run.
+        with pytest.raises(ValueError):
+            XorChainRun("101", Transcript().freeze(), {}, ghz_states_consumed=1)
 
     @pytest.mark.parametrize("n_bits", [2, 4, 10, 16])
     def test_resource_counts(self, n_bits):
