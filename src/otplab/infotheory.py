@@ -22,9 +22,15 @@ A deterministic view may also carry an integer form, a `codes` attribute
 mapping the array of secret codes to one observation code per secret;
 `enumerate_joint` then builds the joint, one entry per secret, in one
 numpy call instead of one call of the view per secret.
+
+Memory bound: the reductions over a joint's columns (the order check,
+the marginals and the entropies) hold at most one chunk of `_CHUNK`
+entries beyond the columns themselves and their result, so a 2**24-entry
+joint costs its 384 MB of columns and little more.  The one exception is
+a secret marginal wider than `_DENSE_MARGINAL_MAX_BITS`, which groups
+codes by a sort that copies the column.
 """
 
-import math
 from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Union
@@ -35,9 +41,12 @@ from .bits import bits_to_int, check_bits, int_to_bits
 from .tolerances import FLOAT_TOL, PROB_SUM_TOL
 
 ENUMERATION_BUDGET = 1 << 24
-# Group by code via bincount up to this outcome width; fall back to a sort
-# for wider codes so the count buffer stays small.
-_BINCOUNT_MAX_BITS = 20
+# Sum a marginal into a dense buffer of 2**width totals up to this width;
+# wider codes are first grouped by a sort, so the buffer stays small.
+_DENSE_MARGINAL_MAX_BITS = 20
+# Entries per window of a pass over the columns: about 2 MB of float64
+# temporaries, whatever the joint's size.
+_CHUNK = 1 << 18
 
 
 class ZeroProbabilityObservationError(ValueError):
@@ -55,12 +64,22 @@ def check_budget(entries: int) -> None:
 
 
 def _ascending(columns) -> bool:
-    """Whether entries are strictly ascending by their key columns, the first major."""
+    """Whether entries are strictly ascending by their key columns, the first major.
+
+    Compares each entry i with entry i + 1, `_CHUNK` pairs at a time: the
+    windows [lo, hi] overlap by one entry, so every pair lies in one window.
+    """
     *major, minor = columns
-    up = minor[1:] > minor[:-1]
-    for c in reversed(major):
-        up = (c[1:] > c[:-1]) | ((c[1:] == c[:-1]) & up)
-    return bool(up.all())
+    n = len(minor)
+    for lo in range(0, n - 1, _CHUNK):
+        hi = min(lo + _CHUNK, n - 1)
+        up = minor[lo + 1:hi + 1] > minor[lo:hi]
+        for c in reversed(major):
+            later, earlier = c[lo + 1:hi + 1], c[lo:hi]
+            up = (later > earlier) | ((later == earlier) & up)
+        if not up.all():
+            return False
+    return True
 
 
 def _validated(probabilities, columns):
@@ -212,22 +231,48 @@ class JointDistribution:
         return _marginal(self.secret_codes, self.probabilities, self.secret_bits)
 
     def observation_marginal(self) -> Distribution:
-        return _marginal(self.observation_codes, self.probabilities, self.observation_bits)
+        """Each observation's total, summed over its run of the stored order."""
+        observations = self.observation_codes
+        n = observations.size
+        starts = [np.zeros(1, dtype=np.intp)]
+        for lo in range(0, n - 1, _CHUNK):
+            hi = min(lo + _CHUNK, n - 1)
+            changes = np.flatnonzero(observations[lo + 1:hi + 1] != observations[lo:hi])
+            changes += lo + 1
+            starts.append(changes)
+        starts = np.concatenate(starts)
+        totals = np.add.reduceat(self.probabilities, starts)
+        return Distribution._from_codes(observations[starts], totals, self.observation_bits)
 
 
 def _marginal(codes: np.ndarray, probs: np.ndarray, width: int) -> Distribution:
-    """Distribution of the per-code probability totals (zero totals are dropped)."""
-    if width <= _BINCOUNT_MAX_BITS:
-        values, totals = np.arange(1 << width), np.bincount(codes, weights=probs, minlength=1 << width)
+    """Distribution of the per-code probability totals (zero totals are dropped).
+
+    `np.add.at` sums in entry order into the totals buffer, reading the
+    read-only columns in place.
+    """
+    if width <= _DENSE_MARGINAL_MAX_BITS:
+        values, index = np.arange(1 << width), codes
     else:
         values, index = np.unique(codes, return_inverse=True)
-        totals = np.bincount(index, weights=probs)
+    totals = np.zeros(values.size)
+    np.add.at(totals, index, probs)
     return Distribution._from_codes(values, totals, width)
+
+
+def _entropy(probs: np.ndarray) -> float:
+    """-sum(p * log2 p) over positive probabilities, one chunk of logarithms at a time."""
+    logs = np.empty(min(probs.size, _CHUNK))
+    total = 0.0
+    for start in range(0, probs.size, _CHUNK):
+        chunk = probs[start:start + _CHUNK]
+        total += float(np.dot(chunk, np.log2(chunk, out=logs[:chunk.size])))
+    return -total
 
 
 def entropy(dist: Distribution) -> float:
     """Shannon entropy in bits; zero-probability terms contribute 0."""
-    return -math.fsum(p * math.log2(p) for p in dist.probabilities.tolist())
+    return _entropy(dist.probabilities)
 
 
 def posterior(joint: JointDistribution, observation: str) -> Distribution:
@@ -254,15 +299,8 @@ def posterior(joint: JointDistribution, observation: str) -> Distribution:
 
 
 def conditional_entropy(joint: JointDistribution) -> float:
-    """H(secret | observation) = H(secret, observation) - H(observation).
-
-    Each observation's entries form one run of the stored order, so its
-    total is a sum over that run.
-    """
-    probs, observations = joint.probabilities, joint.observation_codes
-    starts = np.flatnonzero(np.concatenate(([True], observations[1:] != observations[:-1])))
-    totals = np.add.reduceat(probs, starts)
-    value = float(np.dot(totals, np.log2(totals)) - np.dot(probs, np.log2(probs)))
+    """H(secret | observation) = H(secret, observation) - H(observation)."""
+    value = _entropy(joint.probabilities) - entropy(joint.observation_marginal())
     return max(value, 0.0)
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -491,3 +492,193 @@ class TestIntegerView:
         monkeypatch.setattr(infotheory, "ENUMERATION_BUDGET", 15)
         with pytest.raises(EnumerationBudgetError):
             enumerate_joint(prior, view)
+
+
+# Chunked reductions against the whole-array formulas they replaced.  The
+# library reduces a joint's columns one window of `infotheory._CHUNK`
+# entries at a time; with the chunk patched down to 1, 2 or 3 entries,
+# small joints take the multi-window paths and put window boundaries
+# between every kind of neighbour.
+
+CHUNKS = [1, 2, 3]
+
+
+def reference_ascending(columns) -> bool:
+    """One whole-array comparison per key column."""
+    *major, minor = columns
+    up = minor[1:] > minor[:-1]
+    for c in reversed(major):
+        up = (c[1:] > c[:-1]) | ((c[1:] == c[:-1]) & up)
+    return bool(up.all())
+
+
+def reference_marginal(codes, probs, width):
+    """(codes, totals) of the nonzero totals of a weighted `bincount`."""
+    totals = np.bincount(codes, weights=probs, minlength=1 << width)
+    return np.flatnonzero(totals), totals[totals > 0]
+
+
+def reference_entropy(probs) -> float:
+    return -math.fsum(p * math.log2(p) for p in probs.tolist())
+
+
+def reference_conditional_entropy(joint) -> float:
+    """H(S,O) - H(O), with observation totals by `reduceat` over whole-array run starts."""
+    probs, observations = joint.probabilities, joint.observation_codes
+    starts = np.flatnonzero(np.concatenate(([True], observations[1:] != observations[:-1])))
+    totals = np.add.reduceat(probs, starts)
+    return max(float(np.dot(totals, np.log2(totals)) - np.dot(probs, np.log2(probs))), 0.0)
+
+
+def reference_mutual_information(joint) -> float:
+    _, secret_totals = reference_marginal(joint.secret_codes, joint.probabilities,
+                                          joint.secret_bits)
+    return max(reference_entropy(secret_totals) - reference_conditional_entropy(joint), 0.0)
+
+
+@st.composite
+def power_of_two_joints(draw):
+    """Joints whose entries and both marginals are all powers of two.
+
+    The secrets are the leaves of a random full binary tree, each with
+    probability 2**-depth, written as codes padded with zeros.  The
+    observation is a drawn-length prefix of the secret followed by up to
+    two bits of uniform noise, so every observation's total is the mass
+    of one tree node times a power of two.  Every term p * log2(p) is then
+    exact, and so is every sum of such terms in any order.
+    """
+    sb = draw(st.integers(1, 5))
+    leaves = [""]
+    for _ in range(draw(st.integers(0, 12))):
+        splittable = [leaf for leaf in leaves if len(leaf) < sb]
+        if not splittable:
+            break
+        leaf = draw(st.sampled_from(splittable))
+        leaves.remove(leaf)
+        leaves += [leaf + "0", leaf + "1"]
+    depth, noise = draw(st.integers(1, sb)), draw(st.integers(0, 2))
+    secrets, observations, probs = [], [], []
+    for leaf in leaves:
+        code = int(leaf.ljust(sb, "0"), 2)
+        for n in range(1 << noise):
+            secrets.append(code)
+            observations.append((code >> (sb - depth)) << noise | n)
+            probs.append(2.0 ** -(len(leaf) + noise))
+    order = draw(st.permutations(range(len(probs))))
+    return JointDistribution(np.array(secrets)[order], np.array(observations)[order],
+                             np.array(probs)[order], sb, depth + noise)
+
+
+@st.composite
+def non_dyadic_joints(draw):
+    """Joints over distinct drawn pairs with integer weights over a general total."""
+    sb, ob = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    pairs = draw(st.lists(st.tuples(st.integers(0, (1 << sb) - 1), st.integers(0, (1 << ob) - 1)),
+                          min_size=1, max_size=40, unique=True))
+    weights = np.array(draw(st.lists(st.integers(1, 1000), min_size=len(pairs),
+                                     max_size=len(pairs))), dtype=np.float64)
+    secrets, observations = zip(*pairs)
+    return JointDistribution(secrets, observations, weights / weights.sum(), sb, ob)
+
+
+@st.composite
+def key_columns(draw):
+    """(observation, secret) columns: sorted distinct keys, then maybe one defect.
+
+    The defect swaps two neighbours (a descent) or repeats one key, at a
+    drawn position, so it falls on both sides of every window boundary.
+    """
+    keys = sorted(draw(st.sets(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                               min_size=1, max_size=16)))
+    defect, i = draw(st.sampled_from(["none", "swap", "repeat"])), draw(st.integers(0, 15))
+    i %= len(keys)
+    if defect == "swap" and i + 1 < len(keys):
+        keys[i], keys[i + 1] = keys[i + 1], keys[i]
+    elif defect == "repeat":
+        keys.insert(i, keys[i])
+    observations, secrets = (np.array(column, dtype=np.int64) for column in zip(*keys))
+    return observations, secrets
+
+
+class TestChunkedReductions:
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @settings(deadline=None)
+    @given(key_columns())
+    def test_order_check_matches_the_whole_array_check(self, chunk, columns):
+        observations, secrets = columns
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(infotheory, "_CHUNK", chunk)
+            assert infotheory._ascending([observations, secrets]) == reference_ascending(
+                [observations, secrets])
+            assert infotheory._ascending([secrets]) == reference_ascending([secrets])
+            n = len(secrets)
+            pairs = set(zip(observations.tolist(), secrets.tolist()))
+            if len(pairs) < n:
+                with pytest.raises(ValueError, match="distinct"):
+                    JointDistribution(secrets, observations, np.full(n, 1.0 / n), 2, 2)
+            else:
+                assert_stored_order(
+                    JointDistribution(secrets, observations, np.full(n, 1.0 / n), 2, 2))
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @settings(deadline=None)
+    @given(power_of_two_joints())
+    def test_power_of_two_joints_match_the_references_exactly(self, chunk, joint):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(infotheory, "_CHUNK", chunk)
+            for marginal, codes, width in (
+                (joint.secret_marginal(), joint.secret_codes, joint.secret_bits),
+                (joint.observation_marginal(), joint.observation_codes, joint.observation_bits),
+            ):
+                ref_codes, ref_totals = reference_marginal(codes, joint.probabilities, width)
+                assert np.array_equal(marginal.codes, ref_codes)
+                assert np.array_equal(marginal.probabilities, ref_totals)
+                assert entropy(marginal) == reference_entropy(ref_totals)
+            assert conditional_entropy(joint) == reference_conditional_entropy(joint)
+            assert mutual_information(joint) == reference_mutual_information(joint)
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @settings(deadline=None)
+    @given(non_dyadic_joints())
+    def test_non_dyadic_joints_match_the_references_within_tolerance(self, chunk, joint):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(infotheory, "_CHUNK", chunk)
+            secret_codes, secret_totals = reference_marginal(
+                joint.secret_codes, joint.probabilities, joint.secret_bits)
+            marginal = joint.secret_marginal()
+            # Both sum each code's entries in entry order from zero.
+            assert np.array_equal(marginal.codes, secret_codes)
+            assert np.array_equal(marginal.probabilities, secret_totals)
+            observation_codes, observation_totals = reference_marginal(
+                joint.observation_codes, joint.probabilities, joint.observation_bits)
+            marginal = joint.observation_marginal()
+            assert np.array_equal(marginal.codes, observation_codes)
+            assert np.allclose(marginal.probabilities, observation_totals, rtol=0, atol=FLOAT_TOL)
+            assert entropy(marginal) == pytest.approx(
+                reference_entropy(observation_totals), abs=FLOAT_TOL)
+            assert conditional_entropy(joint) == pytest.approx(
+                reference_conditional_entropy(joint), abs=FLOAT_TOL)
+            assert mutual_information(joint) == pytest.approx(
+                reference_mutual_information(joint), abs=FLOAT_TOL)
+
+
+class TestMemoryBound:
+    """A 2**20-entry joint (24 MiB of columns) is reduced in about one chunk."""
+
+    def test_reductions_hold_little_beyond_the_columns(self):
+        mib = 1 << 20
+        prior = Distribution.uniform_bits(10)
+        tracemalloc.start()
+        try:
+            joint = ciphertext_joint(prior)
+            columns, build_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            assert mutual_information(joint) == 0.0
+            _, reduce_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert columns >= 24 * mib
+        # Whole-array order checks, bincount copies of the read-only
+        # columns and a full-size log2 array took 3 MiB and 16 MiB here.
+        assert build_peak - columns <= 2 * mib
+        assert reduce_peak - columns <= 4 * mib
