@@ -9,7 +9,8 @@ import random
 
 def check_bits(s: str, name: str = "bitstring") -> str:
     """Validate that `s` is a string over {0,1}; returns it unchanged."""
-    if not isinstance(s, str) or any(ch not in "01" for ch in s):
+    # strip leaves a character other than 0/1 exactly when there is one.
+    if not isinstance(s, str) or s.strip("01"):
         raise ValueError(f"{name} must be a string of 0/1 characters, got {s!r}")
     return s
 

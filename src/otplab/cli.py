@@ -376,7 +376,30 @@ def build_audit_rows() -> list:
 
 
 def render_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """`json.dumps(payload, indent=2, sort_keys=True)` plus a newline, byte for byte.
+
+    Sorted keys put a report's `trials` last, so the text is a header (the
+    other keys, rendered as one object whose closing brace is cut off) and
+    one body per trial.  Trials repeat: a 2-bit xor-chain run has 4
+    distinct ones.  Each trial is keyed by its compact rendering, and each
+    distinct one is rendered with indent=2 once and indented by four
+    spaces; a JSON string cannot hold a raw newline, so every newline in a
+    body starts a line.  Payloads without a nonempty `trials` list sorted
+    last, such as the audit table, are rendered in one call.
+    """
+    trials = payload.get("trials")
+    keys = sorted(payload)
+    if not (isinstance(trials, list) and trials and len(keys) > 1 and keys[-1] == "trials"):
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    header = json.dumps({k: payload[k] for k in keys[:-1]}, indent=2, sort_keys=True)
+    bodies, parts = {}, []
+    for trial in trials:
+        key = json.dumps(trial, sort_keys=True)
+        body = bodies.get(key)
+        if body is None:
+            body = bodies[key] = json.dumps(trial, indent=2, sort_keys=True).replace("\n", "\n    ")
+        parts.append(body)
+    return f'{header[:-2]},\n  "trials": [\n    ' + ",\n    ".join(parts) + "\n  ]\n}\n"
 
 
 def render_report_text(report: dict) -> str:

@@ -14,7 +14,10 @@ by one routine, so enumerations up to the 2**24-entry budget run in
 seconds.  Both keep one stored order: entries strictly ascending by their
 key, the outcome code of a `Distribution` and (observation, secret),
 observation first, of a `JointDistribution`.  So outcomes never repeat,
-and a posterior is one contiguous slice.  Bitstrings appear only at the
+and a posterior is one contiguous slice.  Each joint keeps the posteriors
+it has returned, one per distinct observation queried, so a repeated
+observation is a dict lookup; their probabilities total at most one copy
+of the joint's probability column.  Bitstrings appear only at the
 API boundary: the mapping constructors, `entries`, `support`,
 `probability`, and the secret handed to an `enumerate_joint` view.
 
@@ -28,7 +31,8 @@ the marginals and the entropies) hold at most one chunk of `_CHUNK`
 entries beyond the columns themselves and their result, so a 2**24-entry
 joint costs its 384 MB of columns and little more.  The one exception is
 a secret marginal wider than `_DENSE_MARGINAL_MAX_BITS`, which groups
-codes by a sort that copies the column.
+codes by a sort that copies the column.  Building a joint from an integer
+view holds the result's columns plus one sort order.
 """
 
 from functools import cached_property
@@ -202,6 +206,8 @@ class JointDistribution:
         )
         self.secret_bits = secret_bits
         self.observation_bits = observation_bits
+        # `posterior`'s results, keyed by observation bitstring.
+        self._posteriors = {}
 
     @classmethod
     def from_entries(cls, entries: dict) -> "JointDistribution":
@@ -279,7 +285,17 @@ def posterior(joint: JointDistribution, observation: str) -> Distribution:
     """Bayes-normalized distribution over secrets given one observation.
 
     The observation's entries are one slice of the joint's stored order.
+    Each joint keeps the posteriors it has returned, keyed by observation,
+    and returns the same read-only `Distribution` when asked again.  An
+    observation that raises is never stored, so it raises on every call.
+    The stored probabilities are at most one copy of the joint's
+    probability column (each entry belongs to one observation), and the
+    secret codes are views of the joint's column.
     """
+    if isinstance(observation, str):
+        cached = joint._posteriors.get(observation)
+        if cached is not None:
+            return cached
     check_bits(observation, "observation")
     if len(observation) != joint.observation_bits:
         raise ValueError(
@@ -295,7 +311,9 @@ def posterior(joint: JointDistribution, observation: str) -> Distribution:
         raise ZeroProbabilityObservationError(
             f"observation {observation!r} has zero marginal probability"
         )
-    return Distribution._from_codes(joint.secret_codes[lo:hi], probs / total, joint.secret_bits)
+    result = Distribution._from_codes(joint.secret_codes[lo:hi], probs / total, joint.secret_bits)
+    joint._posteriors[observation] = result
+    return result
 
 
 def conditional_entropy(joint: JointDistribution) -> float:
@@ -373,8 +391,13 @@ def enumerate_joint(secret_prior: Distribution, view_fn: ViewFn) -> JointDistrib
     # The columns are secret-major with ascending secrets, and each
     # secret's observations ascend.  A stable sort by observation keeps the
     # secrets ascending within each observation, so the constructor finds
-    # the stored order and skips its lexsort.
+    # the stored order and skips its lexsort.  The columns are gathered one
+    # at a time and the unsorted observations dropped first, so with an
+    # integer view (secrets and probabilities are the prior's) the peak is
+    # the result's columns plus the sort order.
     order = np.argsort(observations, kind="stable")
-    return JointDistribution(
-        secrets[order], observations[order], probabilities[order], secret_bits, observation_bits
-    )
+    observations = observations[order]
+    secrets = secrets[order]
+    probabilities = probabilities[order]
+    del order  # before the constructor's order check adds its window
+    return JointDistribution(secrets, observations, probabilities, secret_bits, observation_bits)

@@ -4,8 +4,10 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from otplab.cli import build_audit_rows, build_parser, config_from_args, main
+from otplab.cli import build_audit_rows, build_parser, config_from_args, main, render_json
 from otplab.cryptanalysis import CARRIERS
 
 SCHEMA = json.loads(
@@ -280,3 +282,58 @@ class TestAudit:
         assert {row["scenario"] for row in payload["rows"]} == {
             "xor-chain", "es-qkd", "otp-baseline",
         }
+
+
+# `render_json` renders each distinct trial once; the oracle is one
+# `json.dumps` of the whole payload.
+
+TRICKY_TEXT = st.text(alphabet='01ab "\\\n\t\u00e9\u2028\U0001f512{}[],:', max_size=8)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | TRICKY_TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TRICKY_TEXT, inner, max_size=3),
+    max_leaves=10,
+)
+# Report-like keys sort before "trials"; arbitrary keys may sort after it.
+REPORT_KEYS = TRICKY_TEXT.filter(lambda k: k < "trials")
+
+
+@st.composite
+def payloads(draw, keys=TRICKY_TEXT, trials=True):
+    payload = draw(st.dictionaries(keys, JSON_VALUES, max_size=4))
+    payload.pop("trials", None)
+    if trials:
+        pool = draw(st.lists(JSON_VALUES, min_size=1, max_size=4))
+        payload["trials"] = draw(st.lists(st.sampled_from(pool), max_size=12))
+    return payload
+
+
+def stdlib_json(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+class TestRenderJson:
+    @settings(deadline=None)
+    @given(payloads(keys=REPORT_KEYS))
+    def test_report_like_payloads_match_stdlib(self, payload):
+        assert render_json(payload) == stdlib_json(payload)
+
+    @settings(deadline=None)
+    @given(payloads())
+    def test_any_keys_match_stdlib(self, payload):
+        assert render_json(payload) == stdlib_json(payload)
+
+    @given(payloads(trials=False))
+    def test_payloads_without_trials_match_stdlib(self, payload):
+        assert render_json(payload) == stdlib_json(payload)
+
+    @given(payloads(keys=REPORT_KEYS))
+    def test_empty_trials_match_stdlib(self, payload):
+        payload["trials"] = []
+        assert render_json(payload) == stdlib_json(payload)
+
+    def test_repeated_trials_with_quotes_newlines_and_non_ascii(self):
+        trial = {"attack": None, "key_or_message": 'a"\n\u00e9\U0001f512',
+                 "transcript": [{"payload": "1\n}", "sender": "alice"}], "x": {}}
+        payload = {"scenario": "s", "trials": [trial, [], trial, {"a": [1, 2.5]}, trial]}
+        assert render_json(payload) == stdlib_json(payload)
+        assert render_json({"trials": [trial]}) == stdlib_json({"trials": [trial]})

@@ -600,6 +600,47 @@ def key_columns(draw):
     return observations, secrets
 
 
+class TestPosteriorMemo:
+    """Each joint's stored posteriors against a fresh slice-and-normalize oracle."""
+
+    def test_repeated_observation_returns_the_same_object(self):
+        joint = chain_joint(4)
+        first = posterior(joint, "01")
+        assert posterior(joint, "01") is first
+        assert posterior(joint, "10") is not first
+        # Stored per joint: an equal joint computes its own.
+        other = chain_joint(4)
+        assert posterior(other, "01") is not first
+        assert posterior(other, "01").entries == first.entries
+
+    @settings(deadline=None)
+    @given(non_dyadic_joints())
+    def test_stored_posteriors_equal_fresh_ones(self, joint):
+        ob, sb = joint.observation_bits, joint.secret_bits
+        for o in sorted(set(joint.observation_codes.tolist())):
+            observation = int_to_bits(o, ob)
+            rows = [(s, p) for (s, oo), p in joint.items() if oo == observation]
+            probs = np.array([p for _, p in rows])
+            fresh = Distribution({s: p for (s, _), p in zip(rows, probs / probs.sum())})
+            first = posterior(joint, observation)
+            assert posterior(joint, observation) is first
+            assert first.bit_length == fresh.bit_length == sb
+            assert np.array_equal(first.codes, fresh.codes)
+            assert np.array_equal(first.probabilities, fresh.probabilities)
+            assert not first.probabilities.flags.writeable
+            assert not first.codes.flags.writeable
+
+    @pytest.mark.parametrize("observation", ["1", "01", "", "2", "x", " 0", None, 0, ["0"]])
+    def test_bad_observations_raise_every_time_and_are_never_stored(self, observation):
+        joint = enumerate_joint(Distribution.uniform_bits(2), lambda s: "0")
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                posterior(joint, observation)
+        assert joint._posteriors == {}
+        assert posterior(joint, "0").entries == {s: 0.25 for s in ("00", "01", "10", "11")}
+        assert list(joint._posteriors) == ["0"]
+
+
 class TestChunkedReductions:
     @pytest.mark.parametrize("chunk", CHUNKS)
     @settings(deadline=None)
@@ -682,3 +723,24 @@ class TestMemoryBound:
         # columns and a full-size log2 array took 3 MiB and 16 MiB here.
         assert build_peak - columns <= 2 * mib
         assert reduce_peak - columns <= 4 * mib
+
+    def test_integer_view_build_holds_one_column_beyond_the_result(self):
+        mib = 1 << 20
+
+        def view(secret):
+            raise AssertionError("the string form was called")
+
+        view.codes = lambda codes, width: (codes ^ 1, width)
+        prior = Distribution.uniform_bits(20)
+        tracemalloc.start()
+        try:
+            joint = enumerate_joint(prior, view)
+            columns, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(joint) == 1 << 20
+        assert columns >= 24 * mib
+        # The sort order is the one 8 MiB column beyond the result's three.
+        # Gathering all three columns while the unsorted observations were
+        # alive peaked at 41 MiB here.
+        assert peak - columns <= 8 * mib + mib // 2
