@@ -14,8 +14,8 @@ Every scheme is one `Scenario` record in `SCENARIOS`; the three commands
 are loops over that registry.
 
 Reports go to standard output (or --out PATH, written whole or not at
-all); diagnostics to standard error.  Exit codes: 0 success, 2
-configuration error (including an unwritable --out), 1 internal failure.
+all); diagnostics to standard error.  Exit codes: 0 success, 1 internal
+failure, 2 configuration error (an unwritable --out or stdout included).
 Identical command lines, including the seed, produce byte-identical JSON.
 The default seed can be overridden with the OTPLAB_SEED environment
 variable.
@@ -448,9 +448,28 @@ def render_audit_text(rows: list) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _discard_stdout() -> None:
+    """Point stdout's descriptor, if it has one, at the null device after a failed write.
+
+    The stream keeps the unwritten bytes, and the interpreter retries them at exit.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except OSError:
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            _discard_stdout()
+            raise ConfigError(f"cannot write standard output: {exc.strerror or exc}") from None
         return
     # Write beside the target, then rename over it, so a failed write never
     # leaves a partial report behind.

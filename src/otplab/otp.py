@@ -13,9 +13,8 @@ drawn from is supplied: condition (i) holds iff that distribution's
 entropy equals the key length.
 """
 
-import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,21 +54,17 @@ def derived_correlated(description: str) -> KeyOrigin:
     return KeyOrigin("derived-correlated", description)
 
 
-_KEY_IDS = itertools.count(1)
-
-
 class KeyMaterial:
     """A pad of key bits with a per-bit usage ledger.
 
     Bits are consumed as a strictly advancing prefix; a used flag never
     reverts.  Single-writer: encryptions against one pad must be serialized
-    by the caller.
+    by the caller.  A pad is identified by the object itself, not its bits.
     """
 
     def __init__(self, bits: str, origin: KeyOrigin):
         self._bits = check_bits(bits, "key bits")
         self._origin = origin
-        self._key_id = f"pad-{next(_KEY_IDS):06d}"
         self._cursor = 0
 
     @property
@@ -81,20 +76,9 @@ class KeyMaterial:
         return self._origin
 
     @property
-    def key_id(self) -> str:
-        return self._key_id
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-    @property
     def used_flags(self) -> tuple:
         """Snapshot of the per-bit ledger."""
         return tuple(i < self._cursor for i in range(len(self._bits)))
-
-    @property
-    def used_count(self) -> int:
-        return self._cursor
 
     @property
     def unused_count(self) -> int:
@@ -116,12 +100,10 @@ class KeyMaterial:
         if n > self.unused_count:
             if self._cursor > 0:
                 raise ReuseViolationError(
-                    f"pad {self.key_id} already spent {self._cursor} bits; "
+                    f"pad already spent {self._cursor} bits; "
                     f"{n} more would reuse key material"
                 )
-            raise KeyExhaustedError(
-                f"pad {self.key_id} holds {len(self.bits)} bits, {n} needed"
-            )
+            raise KeyExhaustedError(f"pad holds {len(self.bits)} bits, {n} needed")
         offset = self._cursor
         self._cursor = offset + n
         return offset, self.bits[offset:offset + n]
@@ -129,10 +111,10 @@ class KeyMaterial:
 
 @dataclass(frozen=True)
 class CipherBlock:
-    """Ciphertext plus the identity and offset of the pad bits it consumed."""
+    """Ciphertext plus the pad object it was made from (not in the repr) and the bit offset."""
 
     ciphertext: str
-    key_id: str
+    pad: KeyMaterial = field(repr=False)
     key_offset: int
 
 
@@ -145,15 +127,13 @@ def encrypt(plaintext: str, key: KeyMaterial) -> CipherBlock:
     """XOR the plaintext with the next unused pad bits, marking them used."""
     check_bits(plaintext, "plaintext")
     offset, pad = key.consume(len(plaintext))
-    return CipherBlock(xor_bits(plaintext, pad), key.key_id, offset)
+    return CipherBlock(xor_bits(plaintext, pad), key, offset)
 
 
 def decrypt(block: CipherBlock, key: KeyMaterial) -> str:
-    """Invert `encrypt`; the pad identity must match the block's."""
-    if key.key_id != block.key_id:
-        raise KeyMismatchError(
-            f"block was made from pad {block.key_id}, not {key.key_id}"
-        )
+    """Invert `encrypt`; `key` must be the pad object the block was made from."""
+    if block.pad is not key:
+        raise KeyMismatchError("block was made from a different pad")
     pad = key.bits[block.key_offset:block.key_offset + len(block.ciphertext)]
     return xor_bits(block.ciphertext, pad)
 

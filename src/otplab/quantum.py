@@ -37,11 +37,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .tolerances import FLOAT_TOL, PROB_SUM_TOL
-
-# Projection probabilities below this are treated as exact zeros so support
-# sizes are crisp; every true value here is a multiple of 1/4.
-PROB_CLAMP = 1e-12
+from .tolerances import FLOAT_TOL, PROB_CLAMP, PROB_SUM_TOL
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 

@@ -1,5 +1,10 @@
 import dataclasses
+import errno
+import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -10,9 +15,8 @@ from hypothesis import strategies as st
 from otplab.cli import build_audit_rows, build_parser, config_from_args, main, render_json
 from otplab.cryptanalysis import CARRIERS
 
-SCHEMA = json.loads(
-    (Path(__file__).resolve().parent.parent / "docs" / "report.schema.json").read_text()
-)
+ROOT = Path(__file__).resolve().parent.parent
+SCHEMA = json.loads((ROOT / "docs" / "report.schema.json").read_text())
 
 
 def run_cli(capsys, *args):
@@ -240,6 +244,45 @@ class TestOutput:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert [p.name for p in tmp_path.iterdir()] == ["taken"]
         assert not any(target.iterdir())
+
+    @pytest.mark.parametrize("failing", ["write", "flush"])
+    def test_failed_stdout_exits_2_with_one_line(self, capsys, monkeypatch, failing):
+        class FullStdout(io.StringIO):
+            def fail(self, *args):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        stub = FullStdout()
+        monkeypatch.setattr(stub, failing, stub.fail)
+        monkeypatch.setattr(sys, "stdout", stub)
+        code = main(["audit"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: cannot write standard output: {os.strerror(errno.ENOSPC)}\n"
+
+    @pytest.mark.parametrize("target", ["/dev/full", "closed pipe"])
+    def test_failed_stdout_in_a_fresh_interpreter_exits_2_with_one_line(self, target):
+        # A buffered stdout keeps the bytes it failed to write and retries
+        # them at interpreter exit, so this needs a process of its own.
+        if target == "/dev/full" and not os.path.exists(target):
+            pytest.skip("no /dev/full")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        if target == "/dev/full":
+            stdout = os.open(target, os.O_WRONLY)
+        else:
+            reader, stdout = os.pipe()
+            os.close(reader)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "otplab.cli", "audit"],
+                stdout=stdout, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+            )
+        finally:
+            os.close(stdout)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("error: cannot write standard output: ")
+        assert done.stderr.count("\n") == 1
+        assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
 
     def test_text_mode_carries_the_same_numbers(self, capsys):
         code, out, _ = run_cli(

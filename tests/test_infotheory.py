@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from otplab import cryptanalysis, infotheory
@@ -351,6 +351,41 @@ class TestExactRationalOracle:
         for o in set(range(1 << ob)) - observed:
             with pytest.raises(ZeroProbabilityObservationError):
                 posterior(joint, int_to_bits(o, ob))
+
+
+@st.composite
+def wide_exact_joints(draw):
+    """(sb, ob, {(s, o): Fraction}) with secrets wider than the dense marginal's buffer.
+
+    A few secrets, each paired with one or more observations, so the secret
+    marginal sums several entries per code.
+    """
+    sb = draw(st.integers(infotheory._DENSE_MARGINAL_MAX_BITS + 1, 63))
+    ob = draw(st.integers(1, 3))
+    secrets = draw(st.lists(st.integers(0, (1 << sb) - 1), min_size=1, max_size=6, unique=True))
+    pairs = draw(st.lists(
+        st.tuples(st.sampled_from(secrets), st.integers(0, (1 << ob) - 1)),
+        min_size=1, max_size=12, unique=True,
+    ))
+    return sb, ob, dict(zip(pairs, draw(dyadic_weights(len(pairs)))))
+
+
+class TestWideSecretMarginal:
+    """Secrets over `_DENSE_MARGINAL_MAX_BITS` are grouped by `np.unique`, not a dense buffer."""
+
+    @settings(deadline=None)
+    @given(wide_exact_joints())
+    @example((40, 1, {(0, 0): Fraction(1, 2), ((1 << 40) - 1, 1): Fraction(1, 2)}))
+    def test_figures_match_exact_rationals(self, case):
+        sb, ob, exact = case
+        joint = JointDistribution.from_entries({
+            (int_to_bits(s, sb), int_to_bits(o, ob)): float(p) for (s, o), p in exact.items()
+        })
+        secrets, observations = exact_marginal(exact, 0), exact_marginal(exact, 1)
+        assert_matches(joint.secret_marginal(), sb, secrets)
+        mi = (exact_entropy(secrets.values()) + exact_entropy(observations.values())
+              - exact_entropy(exact.values()))
+        assert mutual_information(joint) == pytest.approx(mi, abs=FLOAT_TOL)
 
 
 @st.composite

@@ -90,6 +90,32 @@ class TestEncryptDecrypt:
             decrypt(block, key_b)
 
 
+class TestPadIdentity:
+    """A pad is identified by the object itself, not by a process-wide name."""
+
+    @staticmethod
+    def observed():
+        block = encrypt("10", KeyMaterial("11", TRULY_RANDOM))
+        with pytest.raises(KeyExhaustedError) as exhausted:
+            encrypt("1010", fresh_key("10"))
+        spent = fresh_key("11")
+        encrypt("1", spent)
+        with pytest.raises(ReuseViolationError) as reused:
+            encrypt("01", spent)
+        return repr(block), str(exhausted.value), str(reused.value)
+
+    def test_repr_and_messages_do_not_depend_on_earlier_pads(self):
+        before = self.observed()
+        for width in range(1, 50):
+            fresh_key("1" * width)
+        assert self.observed() == before
+        assert before == (
+            "CipherBlock(ciphertext='01', key_offset=0)",
+            "pad holds 2 bits, 4 needed",
+            "pad already spent 1 bits; 2 more would reuse key material",
+        )
+
+
 class TestLedger:
     def test_flags_advance_monotonically(self):
         key = fresh_key("1101")
