@@ -4,106 +4,9 @@ Two quantum-communication efficiency tricks that masquerade as one-time
 pads are simulated here and attacked exactly: keying a broadcast with
 message bits (the xor-chain scheme) and keying it with correlated
 entanglement-swapping outcomes (the es-qkd scheme).  A correct pad serves
-as the baseline.  All leakage numbers are computed by full enumeration.
+as the baseline.  Leakage is exact: full enumeration for xor-chain and the
+baseline, the swap-outcome support (key blocks allowed per swap) for es-qkd.
+Import each name from its module, e.g. `from otplab.infotheory import Distribution`.
 """
 
 __version__ = "0.1.0"
-
-from .infotheory import (
-    Distribution,
-    JointDistribution,
-    conditional_entropy,
-    entropy,
-    enumerate_joint,
-    mutual_information,
-    posterior,
-)
-from .quantum import (
-    BELL_LABELS,
-    BellLabel,
-    StateVector,
-    SwapDistribution,
-    bell_state_vector,
-    sample_swap,
-    swap_distribution_oracle,
-    swap_distribution_rule,
-)
-from .otp import (
-    AuditReport,
-    CipherBlock,
-    KeyMaterial,
-    KeyOrigin,
-    ciphertext_joint,
-    decrypt,
-    derived_correlated,
-    encrypt,
-    random_key,
-    shannon_audit,
-)
-from .protocols import (
-    Channel,
-    ConditionViolationError,
-    EsQkdRun,
-    Transcript,
-    XorChainRun,
-    eve_view,
-    run_es_qkd,
-    run_otp_baseline,
-    run_xor_chain,
-)
-from .cryptanalysis import (
-    EfficiencyVerdict,
-    LeakageReport,
-    attack_es_qkd_keyset,
-    attack_es_qkd_parity,
-    attack_otp_baseline,
-    attack_xor_chain,
-    efficiency_audit,
-    leakage_report,
-)
-
-__all__ = [
-    "__version__",
-    "AuditReport",
-    "BELL_LABELS",
-    "BellLabel",
-    "Channel",
-    "CipherBlock",
-    "ConditionViolationError",
-    "Distribution",
-    "EfficiencyVerdict",
-    "EsQkdRun",
-    "JointDistribution",
-    "KeyMaterial",
-    "KeyOrigin",
-    "LeakageReport",
-    "StateVector",
-    "SwapDistribution",
-    "Transcript",
-    "XorChainRun",
-    "attack_es_qkd_keyset",
-    "attack_es_qkd_parity",
-    "attack_otp_baseline",
-    "attack_xor_chain",
-    "bell_state_vector",
-    "ciphertext_joint",
-    "conditional_entropy",
-    "decrypt",
-    "derived_correlated",
-    "efficiency_audit",
-    "encrypt",
-    "entropy",
-    "enumerate_joint",
-    "eve_view",
-    "leakage_report",
-    "mutual_information",
-    "posterior",
-    "random_key",
-    "run_es_qkd",
-    "run_otp_baseline",
-    "run_xor_chain",
-    "sample_swap",
-    "shannon_audit",
-    "swap_distribution_oracle",
-    "swap_distribution_rule",
-]

@@ -3,8 +3,9 @@
 Three commands:
 
 * simulate -- run a scenario and report transcripts plus the exact leakage
-  accounting (the numbers come from full enumeration, never from trial
-  frequencies).
+  accounting (the numbers never come from trial frequencies: xor-chain and
+  otp-baseline enumerate the full joint, es-qkd counts the key blocks the
+  exact swap-outcome support allows).
 * attack -- simulate and additionally mount the eavesdropper attack that
   matches the scenario, reporting what Eve recovers.
 * audit -- print the claimed-vs-effective throughput table for the two
@@ -375,6 +376,10 @@ def build_audit_rows() -> list:
     return table
 
 
+# Equal to `json.dumps(obj, sort_keys=True)`, without a new encoder per call.
+_compact_json = json.JSONEncoder(sort_keys=True).encode
+
+
 def render_json(payload: dict) -> str:
     """`json.dumps(payload, indent=2, sort_keys=True)` plus a newline, byte for byte.
 
@@ -394,7 +399,7 @@ def render_json(payload: dict) -> str:
     header = json.dumps({k: payload[k] for k in keys[:-1]}, indent=2, sort_keys=True)
     bodies, parts = {}, []
     for trial in trials:
-        key = json.dumps(trial, sort_keys=True)
+        key = _compact_json(trial)
         body = bodies.get(key)
         if body is None:
             body = bodies[key] = json.dumps(trial, indent=2, sort_keys=True).replace("\n", "\n    ")

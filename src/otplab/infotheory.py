@@ -165,8 +165,9 @@ class Distribution:
 
     @classmethod
     def uniform_bits(cls, width: int) -> "Distribution":
-        """Uniform distribution over all bitstrings of the given width."""
+        """Uniform distribution over all bitstrings of the given width, within the budget."""
         n = 1 << width
+        check_budget(n)
         return cls._from_codes(np.arange(n), np.full(n, 1.0 / n), width)
 
     @classmethod

@@ -53,6 +53,14 @@ class TestDistribution:
         d = Distribution(skewed)
         assert 0.0 <= entropy(d) <= math.log2(len(d.entries)) + 1e-12
 
+    def test_uniform_bits_keeps_the_budget(self, monkeypatch):
+        with pytest.raises(EnumerationBudgetError):
+            Distribution.uniform_bits(25)  # checked before 2**25 outcomes are allocated
+        monkeypatch.setattr(infotheory, "ENUMERATION_BUDGET", 16)
+        assert len(Distribution.uniform_bits(4).codes) == 16
+        with pytest.raises(EnumerationBudgetError):
+            Distribution.uniform_bits(5)
+
     def test_zero_probability_outcomes_dropped(self):
         d = Distribution({"00": 1.0, "01": 0.0})
         assert d.support == ("00",)

@@ -1,10 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otplab.bits import random_bits, xor_bits
+from otplab.bits import int_to_bits, random_bits, xor_bits
 from otplab.infotheory import (
     Distribution,
     EnumerationBudgetError,
@@ -27,6 +28,31 @@ from otplab.otp import (
 )
 
 ES_QKD_KEY_BLOCKS = ["0010", "0111", "1000", "1101"]
+
+
+@st.composite
+def priors(draw, max_width):
+    """A prior of 1 to `max_width` bits with any nonempty support and positive weights."""
+    width = draw(st.integers(1, max_width))
+    support = draw(st.lists(st.integers(0, (1 << width) - 1), min_size=1, unique=True))
+    weights = draw(st.lists(st.floats(1e-6, 1.0), min_size=len(support), max_size=len(support)))
+    total = sum(weights)
+    return Distribution({int_to_bits(c, width): w / total for c, w in zip(support, weights)})
+
+
+def assert_matches_generic_enumeration(prior):
+    """`ciphertext_joint` equals `enumerate_joint` with a uniform pad as the view."""
+    keys = Distribution.uniform_bits(prior.bit_length).support
+
+    def pad_view(plaintext):
+        return Distribution.uniform(xor_bits(plaintext, key) for key in keys)
+
+    fast = ciphertext_joint(prior)
+    slow = enumerate_joint(prior, pad_view)
+    assert (fast.secret_bits, fast.observation_bits) == (slow.secret_bits, slow.observation_bits)
+    assert np.array_equal(fast.secret_codes, slow.secret_codes)
+    assert np.array_equal(fast.observation_codes, slow.observation_codes)
+    assert np.allclose(fast.probabilities, slow.probabilities, rtol=0, atol=1e-12)
 
 
 def fresh_key(bits: str) -> KeyMaterial:
@@ -195,14 +221,12 @@ class TestPerfectSecrecy:
         Distribution({"00": 0.75, "11": 0.25}),
     ], ids=["1", "2", "3", "5", "biased-2", "strict-subset-2"])
     def test_ciphertext_joint_matches_generic_enumeration(self, prior):
-        keys = Distribution.uniform_bits(prior.bit_length).support
+        assert_matches_generic_enumeration(prior)
 
-        def pad_view(plaintext):
-            return Distribution.uniform(xor_bits(plaintext, key) for key in keys)
-
-        fast = ciphertext_joint(prior)
-        slow = enumerate_joint(prior, pad_view)
-        assert fast.entries == pytest.approx(slow.entries, abs=1e-12)
+    @settings(deadline=None)
+    @given(priors(max_width=6))
+    def test_ciphertext_joint_matches_generic_enumeration_on_any_prior(self, prior):
+        assert_matches_generic_enumeration(prior)
 
     def test_biased_prior_still_secret(self):
         prior = Distribution({"00": 0.7, "01": 0.1, "10": 0.1, "11": 0.1})

@@ -1,0 +1,63 @@
+"""The package root holds only `__version__`: every name is imported from its module.
+
+Each check runs in a fresh interpreter, because the test process has
+already imported every module.
+"""
+
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import otplab
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(info.name for info in pkgutil.iter_modules(otplab.__path__))
+NUMPY_FREE = ["bits", "tolerances"]
+# The names the package root re-exported before each name had one import path.
+FORMER_REEXPORTS = [
+    "AuditReport", "BELL_LABELS", "BellLabel", "Channel", "CipherBlock",
+    "ConditionViolationError", "Distribution", "EfficiencyVerdict", "EsQkdRun",
+    "JointDistribution", "KeyMaterial", "KeyOrigin", "LeakageReport", "StateVector",
+    "SwapDistribution", "Transcript", "XorChainRun", "attack_es_qkd_keyset",
+    "attack_es_qkd_parity", "attack_otp_baseline", "attack_xor_chain", "bell_state_vector",
+    "ciphertext_joint", "conditional_entropy", "decrypt", "derived_correlated",
+    "efficiency_audit", "encrypt", "entropy", "enumerate_joint", "eve_view",
+    "leakage_report", "mutual_information", "posterior", "random_key", "run_es_qkd",
+    "run_otp_baseline", "run_xor_chain", "sample_swap", "shannon_audit",
+    "swap_distribution_oracle", "swap_distribution_rule",
+]
+
+
+def fresh_python(code: str) -> str:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_every_module_is_found():
+    assert set(NUMPY_FREE) | {"cli", "infotheory"} <= set(MODULES)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_each_module_imports_on_its_own(module):
+    out = fresh_python(f"import sys, otplab.{module}; print('numpy' in sys.modules)")
+    assert module not in NUMPY_FREE or out == "False\n"
+
+
+def test_the_root_exposes_only_the_version():
+    assert len(set(FORMER_REEXPORTS)) == 42
+    out = fresh_python(
+        "import otplab\n"
+        f"names = {FORMER_REEXPORTS!r}\n"
+        "print(otplab.__version__, [n for n in names if hasattr(otplab, n)])\n"
+        "import otplab.cli\n"  # binds every module on the package, and nothing else
+        "print([n for n in names if hasattr(otplab, n)])\n"
+    )
+    assert out == f"{otplab.__version__} []\n[]\n"
