@@ -3,9 +3,10 @@
 Three commands:
 
 * simulate -- run a scenario and report transcripts plus the exact leakage
-  accounting (the numbers never come from trial frequencies: xor-chain and
-  otp-baseline enumerate the full joint, es-qkd counts the key blocks the
-  exact swap-outcome support allows).
+  accounting (the numbers never come from trial frequencies: xor-chain
+  enumerates its joint, otp-baseline computes its joint from the one
+  plaintext slice every ciphertext shares, es-qkd counts the key blocks
+  the exact swap-outcome support allows).
 * attack -- simulate and additionally mount the eavesdropper attack that
   matches the scenario, reporting what Eve recovers.
 * audit -- print the claimed-vs-effective throughput table for the two
@@ -301,9 +302,9 @@ class Scenario:
     message_lengths: range | None
 
 
-# The length caps keep the analysis an exact enumeration: 2**16 messages
-# for the chain, 2**12 plaintexts x 2**12 pads (the 2**24 budget) for the
-# baseline.
+# The length caps keep each joint within the 2**24-entry budget: 2**16
+# messages for the chain, 2**12 plaintexts x 2**12 ciphertexts for the
+# baseline, whose joint stores one 2**12-entry slice.
 SCENARIOS = {
     "xor-chain": Scenario(
         analyze=_xor_chain_analysis,
@@ -376,21 +377,25 @@ def build_audit_rows() -> list:
     return table
 
 
-# Equal to `json.dumps(obj, sort_keys=True)`, without a new encoder per call.
-_compact_json = json.JSONEncoder(sort_keys=True).encode
-
-
 def render_json(payload: dict) -> str:
     """`json.dumps(payload, indent=2, sort_keys=True)` plus a newline, byte for byte.
 
     Sorted keys put a report's `trials` last, so the text is a header (the
     other keys, rendered as one object whose closing brace is cut off) and
     one body per trial.  Trials repeat: a 2-bit xor-chain run has 4
-    distinct ones.  Each trial is keyed by its compact rendering, and each
-    distinct one is rendered with indent=2 once and indented by four
-    spaces; a JSON string cannot hold a raw newline, so every newline in a
-    body starts a line.  Payloads without a nonempty `trials` list sorted
-    last, such as the audit table, are rendered in one call.
+    distinct ones.  Each trial is keyed by its `repr`, and each distinct
+    one is rendered with indent=2 once and indented by four spaces; a JSON
+    string cannot hold a raw newline, so every newline in a body starts a
+    line.  Payloads without a nonempty `trials` list sorted last, such as
+    the audit table, are rendered in one call.
+
+    Equal reprs imply equal JSON for the values a report holds (dicts,
+    lists, str, int, float, bool, None): their repr is a Python literal
+    that `ast.literal_eval` reads back as an equal value of the same types,
+    in the same order, so it tells True from 1 and 1.0, -0.0 from 0.0 and
+    "1" from 1; NaN and the infinities have one repr and one JSON form
+    each.  Unequal reprs of values with equal JSON, such as dicts in
+    different insertion orders, only render a body twice.
     """
     trials = payload.get("trials")
     keys = sorted(payload)
@@ -399,7 +404,7 @@ def render_json(payload: dict) -> str:
     header = json.dumps({k: payload[k] for k in keys[:-1]}, indent=2, sort_keys=True)
     bodies, parts = {}, []
     for trial in trials:
-        key = _compact_json(trial)
+        key = repr(trial)
         body = bodies.get(key)
         if body is None:
             body = bodies[key] = json.dumps(trial, indent=2, sort_keys=True).replace("\n", "\n    ")

@@ -1,8 +1,8 @@
 """Eavesdropper attacks and the leakage/efficiency accounting.
 
 For xor-chain and otp-baseline, leakage is measured in bits of mutual
-information between the secret and Eve's view, computed by exact
-enumeration.  The accounting per scheme:
+information between the secret and Eve's view, computed exactly from
+their joint.  The accounting per scheme:
 
 * xor-chain: each broadcast a' = a_odd XOR a_even hands Eve exactly one
   bit about the pair, so half the message leaks.  Effective throughput is
@@ -15,6 +15,8 @@ enumeration.  The accounting per scheme:
   a known-ciphertext parity attack recovers with certainty.  Effective
   throughput is 2 secure bits per swap, not the advertised 4.
 * otp-baseline: a correct pad leaks nothing; effective equals claimed.
+  Every ciphertext has the same plaintext slice, which the joint stores
+  once.
 
 `CARRIERS` states, once per scenario, what a carrier is, the bits the
 scheme claims per carrier and the qubits each carrier costs.  Every
@@ -172,8 +174,9 @@ def attack_otp_baseline(message_prior: Distribution, ciphertext: str):
     """Posterior over plaintexts given the broadcast ciphertext.
 
     With a fresh uniform pad the posterior equals the prior and Eve's
-    information gain is exactly zero; both come out of the enumeration
-    rather than being assumed.
+    information gain is exactly zero; both are computed from the exact
+    (plaintext, ciphertext) joint, whose one plaintext slice is shared by
+    every ciphertext, rather than being assumed.
     """
     joint = ciphertext_joint(message_prior)
     return posterior(joint, ciphertext), mutual_information(joint)

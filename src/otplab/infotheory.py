@@ -1,10 +1,10 @@
 """Exact discrete information theory over bitstring ensembles.
 
-Everything here is computed by full enumeration; there is no sampling and
-no estimation error.  Outcomes are fixed-width bitstrings.  All the
-ensembles this package produces are dyadic (probabilities are multiples of
-a power of 1/2), so float64 arithmetic is exact in practice; assertions
-still allow the tolerances in `tolerances`.
+Every figure is exact: there is no sampling and no estimation error.
+Outcomes are fixed-width bitstrings.  All the ensembles this package
+produces are dyadic (probabilities are multiples of a power of 1/2), so
+float64 arithmetic is exact in practice; assertions still allow the
+tolerances in `tolerances`.
 
 Logarithms are base 2 throughout, and 0 * log 0 is taken to be 0.
 
@@ -26,13 +26,18 @@ mapping the array of secret codes to one observation code per secret;
 `enumerate_joint` then builds the joint, one entry per secret, in one
 numpy call instead of one call of the view per secret.
 
+A `TiledJoint` is a joint whose observation is as wide as the secret,
+uniform and independent of it, as a ciphertext is under a fresh uniform
+pad.  Every observation has the same slice, so it stores that slice once
+and works out its marginals, entropies and posteriors from it; its
+columns are built only when read.
+
 Memory bound: the reductions over a joint's columns (the order check,
 the marginals and the entropies) hold at most one chunk of `_CHUNK`
-entries beyond the columns themselves and their result, so a 2**24-entry
-joint costs its 384 MB of columns and little more.  The one exception is
-a secret marginal wider than `_DENSE_MARGINAL_MAX_BITS`, which groups
-codes by a sort that copies the column.  Building a joint from an integer
-view holds the result's columns plus one sort order.
+entries beyond the columns themselves and their result.  The one
+exception is a secret marginal wider than `_DENSE_MARGINAL_MAX_BITS`,
+which groups codes by a sort that copies the column.  Building a joint
+from an integer view holds the result's columns plus one sort order.
 """
 
 from functools import cached_property
@@ -237,6 +242,20 @@ class JointDistribution:
     def secret_marginal(self) -> Distribution:
         return _marginal(self.secret_codes, self.probabilities, self.secret_bits)
 
+    def _slice(self, code: int):
+        """(secret codes, probabilities) of one observation's entries: views of the columns.
+
+        Two scalar searches: one array search costs about twice as much on
+        the tiny joints that are queried once per trial.
+        """
+        observations = self.observation_codes
+        lo, hi = observations.searchsorted(code), observations.searchsorted(code, "right")
+        return self.secret_codes[lo:hi], self.probabilities[lo:hi]
+
+    def _joint_entropy(self) -> float:
+        """H(secret, observation)."""
+        return _entropy(self.probabilities)
+
     def observation_marginal(self) -> Distribution:
         """Each observation's total, summed over its run of the stored order."""
         observations = self.observation_codes
@@ -250,6 +269,56 @@ class JointDistribution:
         starts = np.concatenate(starts)
         totals = np.add.reduceat(self.probabilities, starts)
         return Distribution._from_codes(observations[starts], totals, self.observation_bits)
+
+
+class TiledJoint(JointDistribution):
+    """Joint of a secret and an independent uniform observation of its width.
+
+    Each entry is p(s, o) = p(s) * 2**-width, so in the stored order every
+    observation's slice is the same, the prior's codes with
+    `probabilities / 2**width`, and only that slice is kept.  Both marginals, the joint entropy and every posterior
+    come from it.  The columns, the slice tiled once per observation, are
+    built and checked by `JointDistribution`'s routine when first read.
+    """
+
+    def __init__(self, secret_prior: Distribution):
+        self.secret_prior = secret_prior
+        self.secret_bits = self.observation_bits = secret_prior.bit_length
+        self._slice_probabilities = secret_prior.probabilities / float(1 << self.secret_bits)
+        self._slice_probabilities.setflags(write=False)
+        self._posteriors = {}
+
+    @cached_property
+    def _columns(self):
+        n, codes = 1 << self.observation_bits, self.secret_prior.codes
+        probabilities, columns = _validated(
+            np.tile(self._slice_probabilities, n),
+            [(np.repeat(np.arange(n, dtype=np.int64), codes.size), self.observation_bits),
+             (np.tile(codes, n), self.secret_bits)],
+        )
+        return probabilities, *columns
+
+    probabilities = property(lambda self: self._columns[0])
+    observation_codes = property(lambda self: self._columns[1])
+    secret_codes = property(lambda self: self._columns[2])
+
+    def __len__(self) -> int:
+        return self.secret_prior.codes.size << self.observation_bits
+
+    def secret_marginal(self) -> Distribution:
+        return self.secret_prior
+
+    def observation_marginal(self) -> Distribution:
+        n = 1 << self.observation_bits
+        total = float(self._slice_probabilities.sum())
+        return Distribution._from_codes(np.arange(n), np.full(n, total), self.observation_bits)
+
+    def _slice(self, code: int):
+        """Every observation's entries: the one stored slice."""
+        return self.secret_prior.codes, self._slice_probabilities
+
+    def _joint_entropy(self) -> float:
+        return (1 << self.observation_bits) * _entropy(self._slice_probabilities)
 
 
 def _marginal(codes: np.ndarray, probs: np.ndarray, width: int) -> Distribution:
@@ -285,13 +354,14 @@ def entropy(dist: Distribution) -> float:
 def posterior(joint: JointDistribution, observation: str) -> Distribution:
     """Bayes-normalized distribution over secrets given one observation.
 
-    The observation's entries are one slice of the joint's stored order.
-    Each joint keeps the posteriors it has returned, keyed by observation,
-    and returns the same read-only `Distribution` when asked again.  An
-    observation that raises is never stored, so it raises on every call.
-    The stored probabilities are at most one copy of the joint's
-    probability column (each entry belongs to one observation), and the
-    secret codes are views of the joint's column.
+    The observation's entries are one slice of the joint's stored order,
+    read through `joint._slice`.  Each joint keeps the posteriors it has
+    returned, keyed by observation, and returns the same read-only
+    `Distribution` when asked again.  An observation that raises is never
+    stored, so it raises on every call.  The stored probabilities are at
+    most one copy of the joint's probability column (each entry belongs to
+    one observation), and the secret codes are views of the joint's column
+    (of a `TiledJoint`'s prior).
     """
     if isinstance(observation, str):
         cached = joint._posteriors.get(observation)
@@ -302,24 +372,20 @@ def posterior(joint: JointDistribution, observation: str) -> Distribution:
         raise ValueError(
             f"observation width {len(observation)} != joint width {joint.observation_bits}"
         )
-    # Two scalar searches: one array search costs about twice as much on
-    # the tiny joints that are queried once per trial.
-    code, observations = bits_to_int(observation), joint.observation_codes
-    lo, hi = observations.searchsorted(code), observations.searchsorted(code, "right")
-    probs = joint.probabilities[lo:hi]
+    secrets, probs = joint._slice(bits_to_int(observation))
     total = float(probs.sum())
     if total <= 0.0:
         raise ZeroProbabilityObservationError(
             f"observation {observation!r} has zero marginal probability"
         )
-    result = Distribution._from_codes(joint.secret_codes[lo:hi], probs / total, joint.secret_bits)
+    result = Distribution._from_codes(secrets, probs / total, joint.secret_bits)
     joint._posteriors[observation] = result
     return result
 
 
 def conditional_entropy(joint: JointDistribution) -> float:
     """H(secret | observation) = H(secret, observation) - H(observation)."""
-    value = _entropy(joint.probabilities) - entropy(joint.observation_marginal())
+    value = joint._joint_entropy() - entropy(joint.observation_marginal())
     return max(value, 0.0)
 
 

@@ -16,10 +16,8 @@ entropy equals the key length.
 import random
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .bits import check_bits, random_bits, xor_bits
-from .infotheory import Distribution, JointDistribution, check_budget, entropy
+from .infotheory import Distribution, TiledJoint, check_budget, entropy
 from .tolerances import FLOAT_TOL
 
 
@@ -199,23 +197,15 @@ def shannon_audit(key: KeyMaterial, intended_message_len: int,
     )
 
 
-def ciphertext_joint(message_prior: Distribution) -> JointDistribution:
+def ciphertext_joint(message_prior: Distribution) -> TiledJoint:
     """Exact joint of (plaintext, ciphertext) under a fresh uniform pad.
 
-    Built directly in the joint's stored order, ciphertext-major: for each
-    ciphertext c and each plaintext s in the prior's support, the entry has
-    probability p(s) * 2**-width, the probability of the one key s XOR c.
+    The ciphertext c = s XOR k has probability p(s) * 2**-width for every
+    plaintext s and every c, the probability of the one key s XOR c, so c
+    is uniform and independent of s (Shannon's perfect secrecy).  The joint
+    is a `TiledJoint`: it stores that one slice, not a copy per ciphertext.
     Subject to the same 2**24-entry budget as `enumerate_joint`, which this
     matches entrywise wherever both are affordable.
     """
-    width = message_prior.bit_length
-    n_ciphertexts = 1 << width
-    plaintexts = message_prior.codes
-    check_budget(plaintexts.size * n_ciphertexts)
-    return JointDistribution(
-        np.tile(plaintexts, n_ciphertexts),
-        np.repeat(np.arange(n_ciphertexts, dtype=np.int64), plaintexts.size),
-        np.tile(message_prior.probabilities / float(n_ciphertexts), n_ciphertexts),
-        width,
-        width,
-    )
+    check_budget(message_prior.codes.size << message_prior.bit_length)
+    return TiledJoint(message_prior)

@@ -354,6 +354,19 @@ def stdlib_json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+# Scalars that compare equal, or render alike somewhere, but whose JSON differs.
+CONFUSABLE = st.sampled_from([True, 1, 1.0, False, 0, 0.0, -0.0, "1", "0"])
+
+
+@st.composite
+def confusable_trials(draw):
+    """Trials of one shape that differ only in which confusable scalar each leaf holds."""
+    fills = draw(st.lists(st.tuples(*[CONFUSABLE] * 4), min_size=2, max_size=4))
+    pool = [{"attack": {"eve_bits": a, "flags": [b, {"ok": c}]}, "key_or_message": d}
+            for a, b, c, d in fills]
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+
+
 class TestRenderJson:
     @settings(deadline=None)
     @given(payloads(keys=REPORT_KEYS))
@@ -372,6 +385,16 @@ class TestRenderJson:
     @given(payloads(keys=REPORT_KEYS))
     def test_empty_trials_match_stdlib(self, payload):
         payload["trials"] = []
+        assert render_json(payload) == stdlib_json(payload)
+
+    @given(confusable_trials())
+    def test_trials_that_differ_only_in_scalar_type_match_stdlib(self, trials):
+        payload = {"scenario": "s", "trials": trials}
+        assert render_json(payload) == stdlib_json(payload)
+
+    def test_trials_equal_in_python_render_apart(self):
+        payload = {"scenario": "s", "trials": [{"x": True}, {"x": 1}, {"x": 1.0}, {"x": -0.0},
+                                               {"x": 0.0}, {"x": "1"}, {"x": True}]}
         assert render_json(payload) == stdlib_json(payload)
 
     def test_repeated_trials_with_quotes_newlines_and_non_ascii(self):

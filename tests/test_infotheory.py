@@ -752,9 +752,17 @@ class TestMemoryBound:
     def test_reductions_hold_little_beyond_the_columns(self):
         mib = 1 << 20
         prior = Distribution.uniform_bits(10)
+        n = 1 << prior.bit_length
         tracemalloc.start()
         try:
-            joint = ciphertext_joint(prior)
+            # The uniform-pad joint's columns, stored explicitly.
+            joint = JointDistribution(
+                np.tile(prior.codes, n),
+                np.repeat(np.arange(n), prior.codes.size),
+                np.tile(prior.probabilities / n, n),
+                prior.bit_length,
+                prior.bit_length,
+            )
             columns, build_peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             assert mutual_information(joint) == 0.0
@@ -766,6 +774,24 @@ class TestMemoryBound:
         # columns and a full-size log2 array took 3 MiB and 16 MiB here.
         assert build_peak - columns <= 2 * mib
         assert reduce_peak - columns <= 4 * mib
+
+    def test_uniform_pad_joint_holds_one_slice(self):
+        prior = Distribution.uniform_bits(12)
+        ciphertexts = [int_to_bits(c, 12) for c in range(10)]
+        tracemalloc.start()
+        try:
+            joint = ciphertext_joint(prior)
+            assert mutual_information(joint) == 0.0
+            posteriors = [posterior(joint, ciphertext) for ciphertext in ciphertexts]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(joint) == 1 << 24
+        for result in posteriors:
+            assert np.array_equal(result.codes, prior.codes)
+            assert np.array_equal(result.probabilities, prior.probabilities)
+        # Its 2**24-entry columns would take 384 MiB.
+        assert peak < 1 << 20
 
     def test_integer_view_build_holds_one_column_beyond_the_result(self):
         mib = 1 << 20

@@ -6,12 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otplab.bits import int_to_bits, random_bits, xor_bits
+from otplab.cli import main
+from otplab.cryptanalysis import attack_otp_baseline
 from otplab.infotheory import (
     Distribution,
     EnumerationBudgetError,
+    JointDistribution,
+    TiledJoint,
+    conditional_entropy,
     entropy,
     enumerate_joint,
     mutual_information,
+    posterior,
 )
 from otplab.otp import (
     TRULY_RANDOM,
@@ -26,6 +32,7 @@ from otplab.otp import (
     random_key,
     shannon_audit,
 )
+from otplab.tolerances import FLOAT_TOL
 
 ES_QKD_KEY_BLOCKS = ["0010", "0111", "1000", "1101"]
 
@@ -40,15 +47,38 @@ def priors(draw, max_width):
     return Distribution({int_to_bits(c, width): w / total for c, w in zip(support, weights)})
 
 
-def assert_matches_generic_enumeration(prior):
-    """`ciphertext_joint` equals `enumerate_joint` with a uniform pad as the view."""
+@st.composite
+def dyadic_priors(draw, max_width):
+    """A prior of 1 to `max_width` bits whose every probability is a power of 1/2.
+
+    The probabilities are the leaves of a binary tree grown by splitting
+    leaves at most 8 deep, so every entropy term is a multiple of 2**-14
+    and every sum of them is exact in float64, in any order.
+    """
+    width = draw(st.integers(1, max_width))
+    support = draw(st.lists(st.integers(0, (1 << width) - 1), min_size=1, unique=True))
+    depths = [0]
+    while len(depths) < len(support):
+        splittable = [i for i, d in enumerate(depths) if d < 8]
+        depth = depths.pop(draw(st.sampled_from(splittable)))
+        depths += [depth + 1, depth + 1]
+    return Distribution({int_to_bits(c, width): 2.0 ** -d for c, d in zip(support, depths)})
+
+
+def uniform_pad_joint(prior):
+    """`enumerate_joint` of the prior with a uniform pad as the view."""
     keys = Distribution.uniform_bits(prior.bit_length).support
 
     def pad_view(plaintext):
         return Distribution.uniform(xor_bits(plaintext, key) for key in keys)
 
+    return enumerate_joint(prior, pad_view)
+
+
+def assert_matches_generic_enumeration(prior):
+    """`ciphertext_joint` equals `enumerate_joint` with a uniform pad as the view."""
     fast = ciphertext_joint(prior)
-    slow = enumerate_joint(prior, pad_view)
+    slow = uniform_pad_joint(prior)
     assert (fast.secret_bits, fast.observation_bits) == (slow.secret_bits, slow.observation_bits)
     assert np.array_equal(fast.secret_codes, slow.secret_codes)
     assert np.array_equal(fast.observation_codes, slow.observation_codes)
@@ -250,3 +280,69 @@ class TestPerfectSecrecy:
     def test_budget_guard(self):
         with pytest.raises(EnumerationBudgetError):
             ciphertext_joint(Distribution.uniform_bits(13))
+
+
+class TestTiledJoint:
+    """The one-slice uniform-pad joint against joints that store every entry."""
+
+    @staticmethod
+    def assert_same_figures(tiled, reference, exact):
+        def same(a, b):
+            if exact:
+                return np.array_equal(a, b)
+            return np.allclose(a, b, rtol=0, atol=FLOAT_TOL)
+
+        assert len(tiled) == len(reference)
+        for ours, theirs in ((tiled.secret_marginal(), reference.secret_marginal()),
+                             (tiled.observation_marginal(), reference.observation_marginal())):
+            assert ours.bit_length == theirs.bit_length
+            assert np.array_equal(ours.codes, theirs.codes)
+            assert same(ours.probabilities, theirs.probabilities)
+        assert same(conditional_entropy(tiled), conditional_entropy(reference))
+        assert same(mutual_information(tiled), mutual_information(reference))
+        for c in range(1 << tiled.observation_bits):
+            ciphertext = int_to_bits(c, tiled.observation_bits)
+            ours, theirs = posterior(tiled, ciphertext), posterior(reference, ciphertext)
+            assert np.array_equal(ours.codes, theirs.codes)
+            assert same(ours.probabilities, theirs.probabilities)
+
+    def check(self, prior, exact):
+        tiled = ciphertext_joint(prior)
+        assert isinstance(tiled, TiledJoint)
+        self.assert_same_figures(tiled, uniform_pad_joint(prior), exact)
+        # Reading the columns builds them; a plain joint of those columns
+        # has every figure the tiled joint derives from its one slice.
+        plain = JointDistribution(tiled.secret_codes, tiled.observation_codes,
+                                  tiled.probabilities, tiled.secret_bits, tiled.observation_bits)
+        self.assert_same_figures(ciphertext_joint(prior), plain, exact)
+
+    @settings(deadline=None)
+    @given(dyadic_priors(max_width=6))
+    def test_dyadic_priors_match_exactly(self, prior):
+        self.check(prior, exact=True)
+
+    @settings(deadline=None)
+    @given(priors(max_width=6))
+    def test_any_prior_matches_within_tolerance(self, prior):
+        self.check(prior, exact=False)
+
+    def test_columns_are_checked_and_read_only(self):
+        joint = ciphertext_joint(Distribution({"01": 0.25, "10": 0.75}))
+        assert joint.observation_codes.tolist() == [0, 0, 1, 1, 2, 2, 3, 3]
+        assert joint.secret_codes.tolist() == [1, 2] * 4
+        assert joint.probabilities.tolist() == [0.0625, 0.1875] * 4
+        for column in (joint.secret_codes, joint.observation_codes, joint.probabilities):
+            assert not column.flags.writeable
+
+    def test_attack_path_never_builds_the_columns(self, monkeypatch, capsys):
+        def refuse(joint):
+            raise AssertionError("the tiled joint's columns were built")
+
+        monkeypatch.setattr(TiledJoint, "_columns", property(refuse))
+        prior = Distribution.uniform_bits(12)
+        post, eve_bits = attack_otp_baseline(prior, "101101110001")
+        assert eve_bits == 0.0
+        assert np.array_equal(post.probabilities, prior.probabilities)
+        code = main(["attack", "--scenario", "otp-baseline", "--message-bits", "12",
+                     "--trials", "3", "--format", "json"])
+        assert code == 0, capsys.readouterr().err
