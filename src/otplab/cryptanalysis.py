@@ -7,13 +7,14 @@ their joint.  The accounting per scheme:
 * xor-chain: each broadcast a' = a_odd XOR a_even hands Eve exactly one
   bit about the pair, so half the message leaks.  Effective throughput is
   1 secure bit per carrier state, not the advertised 2.
-* es-qkd: the swap outcome pair is confined to 4 of 16 label combinations
-  once the initial states are known, so 4 key bits carry only 2 bits of
-  entropy.  The figure is the entropy of the key given the allowed key
-  sets, log2 of 4 equally likely blocks per swap, not a mutual
-  information computed from a joint.  Both key parities are public, which
-  a known-ciphertext parity attack recovers with certainty.  Effective
-  throughput is 2 secure bits per swap, not the advertised 4.
+* es-qkd: each swap's outcome is a distribution over its 4-bit key block,
+  confined to 4 of the 16 blocks once the initial states are known, so 4
+  key bits carry only 2 bits of entropy.  The figure is the entropy of
+  the key given the allowed key sets, log2 of 4 equally likely blocks per
+  swap, not a mutual information computed from a joint.  Both key
+  parities are public, which a known-ciphertext parity attack recovers
+  with certainty.  Effective throughput is 2 secure bits per swap, not
+  the advertised 4.
 * otp-baseline: a correct pad leaks nothing; effective equals claimed.
   Every ciphertext has the same plaintext slice, which the joint stores
   once.
@@ -145,8 +146,7 @@ def attack_es_qkd_keyset(initial_pairs):
     key_sets = []
     total_entropy = 0.0
     for pair in initial_pairs:
-        support = swap_distribution_oracle(*pair).support
-        blocks = tuple(sorted(x.bits + y.bits for x, y in support))
+        blocks = swap_distribution_oracle(*pair).support
         key_sets.append(blocks)
         total_entropy += math.log2(len(blocks))  # the blocks are equally likely
     return key_sets, total_entropy

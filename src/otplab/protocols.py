@@ -122,6 +122,8 @@ class EsQkdRun:
     particles_consumed: int
 
     def __post_init__(self):
+        if not len(self.alice_results) == len(self.bob_results) == len(self.initial_pairs):
+            raise ValueError("each swap has exactly one result per party")
         if self.particles_consumed != 4 * len(self.initial_pairs):
             raise ValueError("each swap consumes exactly 4 particles")
         blocks = "".join(

@@ -17,12 +17,16 @@ and Bell-measures the regrouped pairs (1,3) and (2,4).  The outcome pair
 
     label(x) XOR label(y) = label(initial 12) XOR label(initial 34)
 
-componentwise.  `swap_distribution_oracle` derives this by brute-force
-state-vector projection in the 16-dimensional space;
-`swap_distribution_rule` states the same distribution in closed form.  The
-two must agree entrywise, which the test suite checks for all 16 initial
-pairs.  The oracle's result is memoized per initial configuration, so each
-of the 16 is projected once per process; the tests compare the uncached
+componentwise.  Both parties write down the 4-bit key block
+`x.bits + y.bits`, so the swap's outcome is stated as an
+`infotheory.Distribution` over that block: uniform over 4 of the 16
+blocks, it carries 2 bits of entropy, not 4.  Ascending block code is the
+order of the label pairs, x first.  `swap_distribution_oracle` derives the
+distribution by brute-force state-vector projection in the 16-dimensional
+space; `swap_distribution_rule` states it in closed form.  The two must
+agree entrywise, which the test suite checks for all 16 initial pairs.
+The oracle's result is memoized per initial configuration, so each of the
+16 is projected once per process; the tests compare the uncached
 projection (`swap_distribution_oracle.__wrapped__`) with the rule.
 
 Basis-index convention: bit k of a basis index corresponds to the (k+1)-th
@@ -33,11 +37,11 @@ import functools
 import math
 import random
 from dataclasses import dataclass
-from types import MappingProxyType
 
 import numpy as np
 
-from .tolerances import FLOAT_TOL, PROB_CLAMP, PROB_SUM_TOL
+from .infotheory import Distribution
+from .tolerances import FLOAT_TOL, PROB_CLAMP
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -148,37 +152,6 @@ class StateVector:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
-@dataclass(frozen=True)
-class SwapDistribution:
-    """Probability map over ordered Bell-measurement outcome pairs.
-
-    Keys are (result on particles 1,3 ; result on particles 2,4).  Only
-    outcomes with nonzero probability are stored, so `support` is exact.
-    `entries` is a read-only mapping, so one instance can be shared.
-    """
-
-    entries: MappingProxyType
-
-    def __post_init__(self):
-        for (x, y), p in self.entries.items():
-            if not isinstance(x, BellLabel) or not isinstance(y, BellLabel):
-                raise ValueError(f"outcome keys must be BellLabel pairs, got {(x, y)!r}")
-            if p < 0.0:
-                raise ValueError(f"negative probability {p} for outcome ({x}, {y})")
-        total = math.fsum(self.entries.values())
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise ValueError(f"probabilities sum to {total}, not 1 within {PROB_SUM_TOL}")
-        entries = {pair: p for pair, p in sorted(self.entries.items()) if p > 0.0}
-        object.__setattr__(self, "entries", MappingProxyType(entries))
-
-    @property
-    def support(self) -> tuple:
-        return tuple(self.entries)
-
-    def probability(self, outcome) -> float:
-        return self.entries.get(outcome, 0.0)
-
-
 def bell_state_vector(label: BellLabel, particles=(1, 2)) -> StateVector:
     """The two-qubit Bell state for a label, on the given particle pair."""
     amps = np.zeros(4, dtype=complex)
@@ -188,13 +161,14 @@ def bell_state_vector(label: BellLabel, particles=(1, 2)) -> StateVector:
 
 
 @functools.cache
-def swap_distribution_oracle(initial_12: BellLabel, initial_34: BellLabel) -> SwapDistribution:
-    """Outcome distribution of entanglement swapping, by state-vector projection.
+def swap_distribution_oracle(initial_12: BellLabel, initial_34: BellLabel) -> Distribution:
+    """Key-block distribution of entanglement swapping, by state-vector projection.
 
     Builds the product state on particles (1,2,3,4), regroups to
-    (1,3),(2,4), and projects onto all 16 Bell x Bell basis states.  The
-    result is memoized per (initial_12, initial_34) and shared by every
-    caller; `__wrapped__` projects afresh.
+    (1,3),(2,4), and projects onto all 16 Bell x Bell basis states; outcome
+    (x, y) is the key block `x.bits + y.bits`.  The result is memoized per
+    (initial_12, initial_34) and shared by every caller; `__wrapped__`
+    projects afresh.
     """
     product = bell_state_vector(initial_12, (1, 2)).tensor(bell_state_vector(initial_34, (3, 4)))
     regrouped = product.permuted((1, 3, 2, 4))
@@ -204,28 +178,33 @@ def swap_distribution_oracle(initial_12: BellLabel, initial_34: BellLabel) -> Sw
             basis = bell_state_vector(x, (1, 3)).tensor(bell_state_vector(y, (2, 4)))
             p = abs(basis.inner(regrouped)) ** 2
             if p > PROB_CLAMP:
-                entries[(x, y)] = p
-    return SwapDistribution(entries)
+                entries[x.bits + y.bits] = p
+    return Distribution(entries)
 
 
-def swap_distribution_rule(initial_12: BellLabel, initial_34: BellLabel) -> SwapDistribution:
-    """Closed form of the swap outcome distribution.
+def swap_distribution_rule(initial_12: BellLabel, initial_34: BellLabel) -> Distribution:
+    """Closed form of the swap key-block distribution.
 
-    Uniform over the four ordered pairs (x, y) with
+    Uniform over the four blocks `x.bits + y.bits` with
     code(x) XOR code(y) = code(initial_12) XOR code(initial_34).
     """
     target = initial_12.code ^ initial_34.code
-    entries = {(x, BellLabel.from_code(x.code ^ target)): 0.25 for x in BELL_LABELS}
-    return SwapDistribution(entries)
+    return Distribution.uniform(
+        x.bits + BellLabel.from_code(x.code ^ target).bits for x in BELL_LABELS
+    )
 
 
-def sample_swap(dist: SwapDistribution, rng: random.Random):
-    """Draw one outcome pair; deterministic given the caller's seeded stream."""
+def sample_swap(dist: Distribution, rng: random.Random):
+    """Draw one outcome pair (x, y); deterministic given the caller's seeded stream.
+
+    Walks the key blocks in ascending code order, so the k-th block owns the
+    k-th interval of [0, 1); a draw past the last total lands on the last block.
+    """
     u = rng.random()
     acc = 0.0
-    items = list(dist.entries.items())
-    for pair, p in items:
+    for block, p in dist.entries.items():
         acc += p
         if u < acc:
-            return pair
-    return items[-1][0]
+            break
+    code = int(block, 2)
+    return BELL_LABELS[code >> 2], BELL_LABELS[code & 3]

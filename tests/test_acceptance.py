@@ -60,10 +60,13 @@ def test_criterion_01_swap_outcome_distribution():
     with _verdict(1, "swap oracle reproduces the four-outcome distribution"):
         dist = swap_distribution_oracle(PHI_PLUS, PSI_PLUS)
         expected = {
-            (PHI_PLUS, PSI_PLUS): 0.25,
-            (PHI_MINUS, PSI_MINUS): 0.25,
-            (PSI_PLUS, PHI_PLUS): 0.25,
-            (PSI_MINUS, PHI_MINUS): 0.25,
+            x.bits + y.bits: 0.25
+            for x, y in [
+                (PHI_PLUS, PSI_PLUS),
+                (PHI_MINUS, PSI_MINUS),
+                (PSI_PLUS, PHI_PLUS),
+                (PSI_MINUS, PHI_MINUS),
+            ]
         }
         assert set(dist.support) == set(expected)
         for outcome, p in expected.items():
@@ -129,8 +132,7 @@ def test_criterion_07_parity_attack_soundness():
         successes = 0
         total = 0
         for pair in ALL_PAIRS:
-            for x, y in swap_distribution_oracle(*pair).support:
-                key = x.bits + y.bits
+            for key in swap_distribution_oracle(*pair).support:
                 for plaintext in all_bitstrings(4):
                     ciphertext = xor_bits(plaintext, key)
                     p = [int(ch) for ch in plaintext]

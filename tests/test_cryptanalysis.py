@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import numpy as np
@@ -19,7 +20,7 @@ from otplab.cryptanalysis import (
     leakage_report,
     xor_chain_view,
 )
-from otplab.infotheory import Distribution, enumerate_joint, posterior
+from otplab.infotheory import Distribution, entropy, enumerate_joint, posterior
 from otplab.otp import random_key
 from otplab.protocols import eve_view, run_es_qkd, run_otp_baseline, run_xor_chain
 from otplab.quantum import (
@@ -29,6 +30,7 @@ from otplab.quantum import (
     swap_distribution_oracle,
     swap_distribution_rule,
 )
+from otplab.tolerances import FLOAT_TOL
 
 ALL_PAIRS = list(itertools.product(BELL_LABELS, BELL_LABELS))
 
@@ -116,6 +118,15 @@ class TestAttackEsQkdKeyset:
         assert len(key_sets[0]) == 4
         assert total == pytest.approx(2.0, abs=1e-9)
 
+    @pytest.mark.parametrize("pair", ALL_PAIRS)
+    def test_key_set_size_is_the_rule_entropy(self, pair):
+        # The figure assumes equally likely blocks: log2 of the set size is
+        # exactly the entropy of the dyadic rule.  The oracle's quarters are
+        # rounded, so its entropy only comes within FLOAT_TOL of 2 bits.
+        key_sets, total = attack_es_qkd_keyset([pair])
+        assert math.log2(len(key_sets[0])) == entropy(swap_distribution_rule(*pair)) == total
+        assert abs(entropy(swap_distribution_oracle(*pair)) - 2.0) <= FLOAT_TOL
+
     def test_residual_half_of_key_is_uniform(self):
         # What Eve cannot pin down -- Alice's result label -- runs over all
         # four values exactly once inside the reachable key set.
@@ -137,10 +148,7 @@ class TestAttackEsQkdKeyset:
            st.integers(0, 2**32 - 1))
     def test_key_sets_are_the_rule_blocks(self, pairs, seed):
         key_sets, _ = attack_es_qkd_keyset(pairs)
-        assert key_sets == [
-            tuple(sorted(x.bits + y.bits for x, y in swap_distribution_rule(*pair).support))
-            for pair in pairs
-        ]
+        assert key_sets == [swap_distribution_rule(*pair).support for pair in pairs]
         run = run_es_qkd(pairs, random.Random(seed))
         for i, blocks in enumerate(key_sets):
             assert run.key[4 * i:4 * i + 4] in blocks
@@ -161,8 +169,7 @@ class TestAttackEsQkdParity:
         failures = 0
         cases = 0
         for pair in ALL_PAIRS:
-            for x, y in swap_distribution_oracle(*pair).support:
-                key = x.bits + y.bits
+            for key in swap_distribution_oracle(*pair).support:
                 for plaintext in all_bitstrings(4):
                     ciphertext = xor_bits(plaintext, key)
                     recovered = attack_es_qkd_parity(ciphertext, pair)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -32,9 +33,10 @@ from otplab.otp import (
     random_key,
     shannon_audit,
 )
+from otplab.quantum import BELL_LABELS, PHI_PLUS, PSI_PLUS, swap_distribution_rule
 from otplab.tolerances import FLOAT_TOL
 
-ES_QKD_KEY_BLOCKS = ["0010", "0111", "1000", "1101"]
+ALL_PAIRS = list(itertools.product(BELL_LABELS, BELL_LABELS))
 
 
 @st.composite
@@ -197,13 +199,16 @@ class TestLedger:
 
 
 class TestShannonAudit:
-    def test_correlated_key_distribution_fails_randomness(self):
-        key = KeyMaterial("0010", derived_correlated("entanglement-swap outcomes"))
-        dist = Distribution.uniform(ES_QKD_KEY_BLOCKS)
+    @pytest.mark.parametrize("initial", ALL_PAIRS)
+    def test_correlated_key_distribution_fails_randomness(self, initial):
+        # A pad keyed by one swap's 4-bit block: the rule is dyadic, so its
+        # 2 bits of entropy, and the 2 missing, are exact.
+        dist = swap_distribution_rule(*initial)
+        key = KeyMaterial(dist.support[0], derived_correlated("entanglement-swap outcomes"))
         report = shannon_audit(key, 4, key_distribution=dist)
         assert not report.randomness_ok
-        assert report.key_entropy_bits == pytest.approx(2.0, abs=1e-9)
-        assert report.deficiency_bits == pytest.approx(2.0, abs=1e-9)
+        assert report.key_entropy_bits == 2.0
+        assert report.deficiency_bits == 2.0
 
     def test_uniform_key_distribution_passes_randomness(self):
         key = fresh_key("0110")
@@ -266,7 +271,7 @@ class TestPerfectSecrecy:
         # Keying a 4-bit pad from the constrained swap-outcome set leaves
         # only 2 bits of key entropy; the ciphertext then reveals the rest.
         prior = Distribution.uniform_bits(4)
-        key_dist = Distribution.uniform(ES_QKD_KEY_BLOCKS)
+        key_dist = swap_distribution_rule(PHI_PLUS, PSI_PLUS)
 
         def view(plaintext):
             return Distribution(

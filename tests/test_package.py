@@ -17,13 +17,14 @@ import otplab
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(info.name for info in pkgutil.iter_modules(otplab.__path__))
 NUMPY_FREE = ["bits", "tolerances"]
-# The names the package root re-exported before each name had one import path.
+# The names, still defined, that the package root re-exported before each
+# name had one import path.
 FORMER_REEXPORTS = [
     "AuditReport", "BELL_LABELS", "BellLabel", "Channel", "CipherBlock",
     "ConditionViolationError", "Distribution", "EfficiencyVerdict", "EsQkdRun",
     "JointDistribution", "KeyMaterial", "KeyOrigin", "LeakageReport", "StateVector",
-    "SwapDistribution", "Transcript", "XorChainRun", "attack_es_qkd_keyset",
-    "attack_es_qkd_parity", "attack_otp_baseline", "attack_xor_chain", "bell_state_vector",
+    "Transcript", "XorChainRun", "attack_es_qkd_keyset", "attack_es_qkd_parity",
+    "attack_otp_baseline", "attack_xor_chain", "bell_state_vector",
     "ciphertext_joint", "conditional_entropy", "decrypt", "derived_correlated",
     "efficiency_audit", "encrypt", "entropy", "enumerate_joint", "eve_view",
     "leakage_report", "mutual_information", "posterior", "random_key", "run_es_qkd",
@@ -52,7 +53,7 @@ def test_each_module_imports_on_its_own(module):
 
 
 def test_the_root_exposes_only_the_version():
-    assert len(set(FORMER_REEXPORTS)) == 42
+    assert len(set(FORMER_REEXPORTS)) == 41
     out = fresh_python(
         "import otplab\n"
         f"names = {FORMER_REEXPORTS!r}\n"

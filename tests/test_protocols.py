@@ -10,6 +10,7 @@ from otplab.otp import KeyMaterial, TRULY_RANDOM, derived_correlated, random_key
 from otplab.protocols import (
     Channel,
     ConditionViolationError,
+    EsQkdRun,
     Transcript,
     XorChainRun,
     deduce_partner_result,
@@ -159,12 +160,23 @@ class TestEsQkd:
         assert run.bob_results[0] == PHI_PLUS
         assert run.key == "0000"
 
+    @pytest.mark.parametrize("alice, bob", [
+        ([PSI_PLUS], [PHI_PLUS]),
+        ([PSI_PLUS, PHI_PLUS], [PHI_PLUS]),
+        ([PSI_PLUS], [PHI_PLUS, PHI_PLUS]),
+    ])
+    def test_results_must_cover_every_swap(self, alice, bob):
+        # The key "1000" concatenates the first result pair, so only the
+        # length check stands between this run and a 4-bit key claimed as 8.
+        with pytest.raises(ValueError, match="one result per party"):
+            EsQkdRun([(PHI_PLUS, PSI_PLUS)] * 2, alice, bob, key="1000", particles_consumed=8)
+
     @pytest.mark.parametrize("pair", ALL_PAIRS)
     def test_outcomes_stay_in_oracle_support(self, pair):
         support = set(swap_distribution_oracle(*pair).support)
         for seed in range(16):
             run = run_es_qkd([pair], random.Random(seed))
-            assert (run.alice_results[0], run.bob_results[0]) in support
+            assert run.alice_results[0].bits + run.bob_results[0].bits in support
 
     def test_deduction_matches_both_ways(self):
         rng = random.Random(8)
@@ -196,7 +208,7 @@ class TestEsQkd:
     def test_outcomes_stay_in_rule_support(self, pairs, seed):
         run = run_es_qkd(pairs, random.Random(seed))
         for pair, alice, bob in zip(pairs, run.alice_results, run.bob_results):
-            assert (alice, bob) in swap_distribution_rule(*pair).support
+            assert alice.bits + bob.bits in swap_distribution_rule(*pair).support
 
 
 class TestOtpBaseline:

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from otplab.infotheory import Distribution
 from otplab.quantum import (
     BELL_LABELS,
     PHI_MINUS,
@@ -13,7 +14,6 @@ from otplab.quantum import (
     PSI_PLUS,
     BellLabel,
     StateVector,
-    SwapDistribution,
     bell_state_vector,
     sample_swap,
     swap_distribution_oracle,
@@ -114,26 +114,44 @@ class TestStateVector:
             v.amplitudes[0] = 0.0
 
 
-class TestSwapDistributionOracle:
+def outcome_pair(block):
+    """The label pair (x on particles 1,3 ; y on 2,4) behind a 4-bit key block."""
+    return BellLabel.from_code(int(block[:2], 2)), BellLabel.from_code(int(block[2:], 2))
+
+
+class FixedDraws:
+    """A stand-in for `random.Random` whose `random()` returns the given values in turn."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
+
+
+class TestSwapOracle:
     def test_phi_plus_psi_plus_support(self):
         dist = swap_distribution_oracle(PHI_PLUS, PSI_PLUS)
-        expected = {
+        assert isinstance(dist, Distribution)
+        assert dist.bit_length == 4
+        assert dist.support == ("0010", "0111", "1000", "1101")
+        assert [outcome_pair(block) for block in dist.support] == [
             (PHI_PLUS, PSI_PLUS),
             (PHI_MINUS, PSI_MINUS),
             (PSI_PLUS, PHI_PLUS),
             (PSI_MINUS, PHI_MINUS),
-        }
-        assert set(dist.support) == expected
+        ]
         for p in dist.entries.values():
             assert abs(p - 0.25) < 1e-9
 
     def test_equal_initial_labels(self):
         dist = swap_distribution_oracle(PHI_PLUS, PHI_PLUS)
-        assert set(dist.support) == {(x, x) for x in BELL_LABELS}
+        assert set(dist.support) == {x.bits + x.bits for x in BELL_LABELS}
 
     def test_psi_minus_psi_minus_xor_zero(self):
         dist = swap_distribution_oracle(PSI_MINUS, PSI_MINUS)
-        for x, y in dist.support:
+        for block in dist.support:
+            x, y = outcome_pair(block)
             assert x.code ^ y.code == 0
 
     @pytest.mark.parametrize("initial", ALL_PAIRS)
@@ -147,20 +165,22 @@ class TestSwapDistributionOracle:
     @pytest.mark.parametrize("initial", ALL_PAIRS)
     def test_parity_conservation(self, initial):
         a, b = initial
-        for x, y in swap_distribution_oracle(a, b).support:
+        for block in swap_distribution_oracle(a, b).support:
+            x, y = outcome_pair(block)
             assert x.code ^ y.code == a.code ^ b.code
 
 
-class TestSwapDistributionRule:
+class TestSwapRule:
     def test_phi_plus_psi_plus_target(self):
         dist = swap_distribution_rule(PHI_PLUS, PSI_PLUS)
-        for x, y in dist.support:
+        for block in dist.support:
+            x, y = outcome_pair(block)
             assert x.code ^ y.code == 0b10
 
     def test_equal_labels_contain_identity_outcome(self):
         for label in BELL_LABELS:
             dist = swap_distribution_rule(label, label)
-            assert (PHI_PLUS, PHI_PLUS) in dist.entries
+            assert PHI_PLUS.bits + PHI_PLUS.bits in dist.entries
 
     @pytest.mark.parametrize("initial", ALL_PAIRS)
     def test_matches_oracle_entrywise(self, initial):
@@ -193,32 +213,42 @@ class TestSwapOracleCache:
     def test_shared_entries_are_read_only(self, initial):
         dist = swap_distribution_oracle(*initial)
         with pytest.raises(TypeError):
-            dist.entries[(PHI_PLUS, PHI_PLUS)] = 1.0
-
-
-class TestSwapDistributionType:
-    def test_rejects_negative_probability(self):
+            dist.entries["0000"] = 1.0
         with pytest.raises(ValueError):
-            SwapDistribution({(PHI_PLUS, PHI_PLUS): -0.5, (PHI_MINUS, PHI_MINUS): 1.5})
+            dist.probabilities[0] = 1.0
 
-    def test_rejects_bad_total(self):
-        with pytest.raises(ValueError):
-            SwapDistribution({(PHI_PLUS, PHI_PLUS): 0.5})
 
-    def test_dump_is_label_sorted(self):
+class TestSwapKeyBlocks:
+    def test_support_ascends_by_block(self):
         dist = swap_distribution_rule(PHI_PLUS, PSI_PLUS)
-        assert [(str(x), str(y)) for x, y in dist.support] == [
-            ("phi+", "psi+"),
-            ("phi-", "psi-"),
-            ("psi+", "phi+"),
-            ("psi-", "phi-"),
-        ]
+        assert dist.support == ("0010", "0111", "1000", "1101")
+
+    @pytest.mark.parametrize("initial", ALL_PAIRS)
+    def test_block_order_is_label_pair_order(self, initial):
+        # Ascending block code is the (bitflip, phase) order of x, then of y.
+        for dist in (swap_distribution_oracle(*initial), swap_distribution_rule(*initial)):
+            pairs = [outcome_pair(block) for block in dist.support]
+            assert list(dist.support) == sorted(dist.support)
+            assert pairs == sorted(pairs)
 
 
 class TestSampleSwap:
     def test_point_mass(self):
-        dist = SwapDistribution({(PSI_PLUS, PHI_PLUS): 1.0})
+        dist = Distribution.point("1000")
         assert sample_swap(dist, random.Random(3)) == (PSI_PLUS, PHI_PLUS)
+
+    @pytest.mark.parametrize("initial", ALL_PAIRS)
+    def test_kth_quarter_draws_kth_block(self, initial):
+        rule = swap_distribution_rule(*initial)
+        oracle = swap_distribution_oracle(*initial)
+        for k, block in enumerate(rule.support):
+            expected = outcome_pair(block)
+            for u in (k / 4, (k + 0.5) / 4, math.nextafter((k + 1) / 4, 0.0)):
+                assert sample_swap(rule, FixedDraws(u)) == expected
+            # The oracle's quarters fall short of 0.25 by rounding, so probe
+            # well inside each one, and past its total on the last block.
+            assert sample_swap(oracle, FixedDraws((k + 0.5) / 4)) == expected
+        assert sample_swap(oracle, FixedDraws(math.nextafter(1.0, 0.0))) == expected
 
     def test_frequencies_near_quarter(self):
         dist = swap_distribution_oracle(PHI_PLUS, PSI_PLUS)
@@ -226,8 +256,8 @@ class TestSampleSwap:
         counts = {}
         n = 40000
         for _ in range(n):
-            outcome = sample_swap(dist, rng)
-            counts[outcome] = counts.get(outcome, 0) + 1
+            x, y = sample_swap(dist, rng)
+            counts[x.bits + y.bits] = counts.get(x.bits + y.bits, 0) + 1
         assert set(counts) == set(dist.support)
         for c in counts.values():
             assert abs(c / n - 0.25) < 0.01
