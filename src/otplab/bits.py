@@ -41,5 +41,19 @@ def all_bitstrings(width: int):
 
 
 def random_bits(width: int, rng: random.Random) -> str:
-    """A uniformly random bitstring drawn from the caller's stream."""
-    return "".join(rng.choice("01") for _ in range(width))
+    """A uniformly random bitstring drawn from the caller's stream.
+
+    Each bit is `getrandbits(2)`, drawn again while it is 2 or more: the
+    draws `rng.choice("01")` makes, so the bits and the stream's final
+    state are the same as one `choice` call per bit.
+    """
+    if width < 0:
+        raise ValueError(f"bit width must be >= 0, got {width}")
+    getrandbits = rng.getrandbits
+    bits = []
+    for _ in range(width):
+        r = getrandbits(2)
+        while r > 1:
+            r = getrandbits(2)
+        bits.append("01"[r])
+    return "".join(bits)

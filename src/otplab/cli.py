@@ -54,9 +54,10 @@ from .protocols import eve_view, run_es_qkd, run_otp_baseline, run_xor_chain
 from .quantum import BellLabel
 from .tolerances import FLOAT_TOL
 
-# The whole report is built in memory before it is written.  Its size per
+# The whole report is built in memory before it is written.  Its text per
 # trial depends on the scenario and its size: about 0.3 KB for 2-bit
 # xor-chain, 10 KB for 16-bit xor-chain and 45 KB for 200 es-qkd pairs.
+# Xor-chain trials that repeat a message share one trial dict.
 MAX_TRIALS = 100_000
 DEFAULT_MESSAGE_BITS = 2
 DEFAULT_PAIRS = "phi+:psi+"
@@ -217,20 +218,26 @@ def _distributions_match(a: Distribution, b: Distribution) -> bool:
 
 def _xor_chain_analysis(config: ScenarioConfig):
     joint = enumerate_joint(Distribution.uniform_bits(config.message_bits), xor_chain_view)
-    return joint, mutual_information(joint)
+    # Beside the joint: the report's trial dict per distinct message.
+    return (joint, {}), mutual_information(joint)
 
 
 def _xor_chain_trial(config: ScenarioConfig, analysis, rng, with_attack: bool):
-    joint, eve_bits = analysis
+    (joint, trials), eve_bits = analysis
     run = run_xor_chain(random_bits(config.message_bits, rng))
     view = eve_view(run.transcript)
     # Computed in every trial, attack or not: perfbench's expected call
     # counts pin one posterior per xor-chain trial.
     post = posterior(joint, view)
-    attack = None
-    if with_attack:
-        attack = {"view": view, "posterior_support": list(post.support), "eve_bits": eve_bits}
-    return run, run.transcript.to_records(), run.message, attack
+    # A trial's records and attack block depend only on its message, so
+    # trials that repeat a message share one dict.
+    trial = trials.get(run.message)
+    if trial is None:
+        attack = None
+        if with_attack:
+            attack = {"view": view, "posterior_support": list(post.support), "eve_bits": eve_bits}
+        trial = trials[run.message] = _trial(run.transcript.to_records(), run.message, attack)
+    return run, trial
 
 
 def _es_qkd_trial(config: ScenarioConfig, analysis, rng, with_attack: bool):
@@ -257,7 +264,7 @@ def _es_qkd_trial(config: ScenarioConfig, analysis, rng, with_attack: bool):
                 "true_parities": true,
                 "parities_match": recovered == true,
             })
-    return run, [], run.key, attack
+    return run, _trial([], run.key, attack)
 
 
 def _otp_baseline_analysis(config: ScenarioConfig):
@@ -278,7 +285,12 @@ def _otp_baseline_trial(config: ScenarioConfig, analysis, rng, with_attack: bool
             "eve_bits": eve_bits,
             "posterior_equals_prior": _distributions_match(posterior(joint, ciphertext), prior),
         }
-    return transcript, transcript.to_records(), plaintext, attack
+    return transcript, _trial(transcript.to_records(), plaintext, attack)
+
+
+def _trial(transcript: list, key_or_message: str, attack) -> dict:
+    """One entry of a report's `trials` list."""
+    return {"transcript": transcript, "key_or_message": key_or_message, "attack": attack}
 
 
 @dataclass(frozen=True)
@@ -288,7 +300,9 @@ class Scenario:
     `analyze(config)` is the exact analysis, run once per report; its
     result is the second argument of `leakage_report`.
     `trial(config, analysis, rng, with_attack)` runs one seeded trial and
-    returns (run, transcript records, key_or_message, attack).
+    returns (run, trial), where `trial` is the report's trial dict.  A
+    scenario may return one dict object for several trials; the report
+    lists it once per trial.
     `message_lengths` is the range of message lengths the scheme accepts, or
     None for es-qkd, which is sized by its Bell pairs.
 
@@ -332,16 +346,10 @@ def build_report(config: ScenarioConfig, with_attack: bool) -> dict:
     base = random.Random(config.seed)
     for _ in range(config.trials):
         rng = random.Random(base.getrandbits(64))
-        run, transcript, key_or_message, attack = scenario.trial(
-            config, analysis, rng, with_attack
-        )
+        run, trial = scenario.trial(config, analysis, rng, with_attack)
         if leakage is None:
             leakage = leakage_report(run, analysis)
-        trials.append({
-            "transcript": transcript,
-            "key_or_message": key_or_message,
-            "attack": attack,
-        })
+        trials.append(trial)
     return {
         "scenario": config.scenario,
         "config": config.to_dict(),
@@ -382,20 +390,13 @@ def render_json(payload: dict) -> str:
 
     Sorted keys put a report's `trials` last, so the text is a header (the
     other keys, rendered as one object whose closing brace is cut off) and
-    one body per trial.  Trials repeat: a 2-bit xor-chain run has 4
-    distinct ones.  Each trial is keyed by its `repr`, and each distinct
-    one is rendered with indent=2 once and indented by four spaces; a JSON
-    string cannot hold a raw newline, so every newline in a body starts a
-    line.  Payloads without a nonempty `trials` list sorted last, such as
-    the audit table, are rendered in one call.
-
-    Equal reprs imply equal JSON for the values a report holds (dicts,
-    lists, str, int, float, bool, None): their repr is a Python literal
-    that `ast.literal_eval` reads back as an equal value of the same types,
-    in the same order, so it tells True from 1 and 1.0, -0.0 from 0.0 and
-    "1" from 1; NaN and the infinities have one repr and one JSON form
-    each.  Unequal reprs of values with equal JSON, such as dicts in
-    different insertion orders, only render a body twice.
+    one body per trial.  Trials repeat: a 2-bit xor-chain report holds at
+    most 4 distinct trial objects.  Each trial is keyed by its identity
+    (the list keeps every trial alive, so no identity is reused), and
+    each distinct object is rendered with indent=2 once and indented
+    by four spaces; a JSON string cannot hold a raw newline, so every
+    newline in a body starts a line.  Payloads without a nonempty `trials`
+    list sorted last, such as the audit table, are rendered in one call.
     """
     trials = payload.get("trials")
     keys = sorted(payload)
@@ -404,10 +405,10 @@ def render_json(payload: dict) -> str:
     header = json.dumps({k: payload[k] for k in keys[:-1]}, indent=2, sort_keys=True)
     bodies, parts = {}, []
     for trial in trials:
-        key = repr(trial)
-        body = bodies.get(key)
+        body = bodies.get(id(trial))
         if body is None:
-            body = bodies[key] = json.dumps(trial, indent=2, sort_keys=True).replace("\n", "\n    ")
+            body = json.dumps(trial, indent=2, sort_keys=True).replace("\n", "\n    ")
+            bodies[id(trial)] = body
         parts.append(body)
     return f'{header[:-2]},\n  "trials": [\n    ' + ",\n    ".join(parts) + "\n  ]\n}\n"
 

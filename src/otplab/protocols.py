@@ -1,9 +1,10 @@
 """Party/channel simulation and the three concrete messaging schemes.
 
-Every run produces a `Transcript`: the ordered record of channel events.
-Events on the public-broadcast channel are exactly what an eavesdropper
-sees; events on the secure-bit primitive are delivered only to authorized
-receivers.
+Every run produces a `Transcript`: the ordered record of channel events,
+stored as three columns (senders, channels, payloads) and read-only once
+frozen.  Events on the public-broadcast channel are exactly what an
+eavesdropper sees; events on the secure-bit primitive are delivered only
+to authorized receivers.
 
 Three schemes are modeled:
 
@@ -25,9 +26,11 @@ their bit without leakage, so the analysis isolates the classical misuse.
 
 import enum
 import random
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
+from types import MappingProxyType
 
-from .bits import check_bits, xor_bits
+from .bits import check_bits
 from .otp import AuditReport, KeyMaterial, decrypt, encrypt, shannon_audit
 from .quantum import BellLabel, sample_swap, swap_distribution_oracle
 
@@ -48,40 +51,68 @@ class Event:
     payload: str
 
 
-@dataclass
 class Transcript:
-    """Append-only ordered record of channel events.
+    """Append-only ordered record of channel events, stored as three columns.
 
-    Frozen once its protocol run completes; a frozen transcript is
-    immutable and safe to share.
+    Event i is (senders[i], channels[i], payloads[i]).  Frozen once its
+    protocol run completes; a frozen transcript is immutable and safe to
+    share, and `events` is a tuple built when it is read.  `run_xor_chain`
+    writes its columns whole, with one bit check for all broadcasts.
     """
 
-    events: list = field(default_factory=list)
-    _frozen: bool = field(default=False, repr=False)
+    __slots__ = ("_senders", "_channels", "_payloads", "_frozen")
+
+    def __init__(self):
+        self._senders = []
+        self._channels = []
+        self._payloads = []
+        self._frozen = False
 
     def append(self, sender: str, channel: Channel, payload: str) -> None:
         if self._frozen:
             raise RuntimeError("transcript is frozen; runs own it only while executing")
-        self.events.append(Event(sender, channel, check_bits(payload, "payload")))
+        self._payloads.append(check_bits(payload, "payload"))
+        self._senders.append(sender)
+        self._channels.append(channel)
 
     def freeze(self) -> "Transcript":
         self._frozen = True
         return self
 
+    @property
+    def events(self) -> tuple:
+        return tuple(map(Event, self._senders, self._channels, self._payloads))
+
+    def __repr__(self) -> str:
+        return f"Transcript(events={list(self.events)!r})"
+
+    def __eq__(self, other):
+        if not isinstance(other, Transcript):
+            return NotImplemented
+        return (self.events, self._frozen) == (other.events, other._frozen)
+
     def public_events(self) -> tuple:
-        return tuple(e for e in self.events if e.channel is Channel.PUBLIC_BROADCAST)
+        return tuple(
+            Event(sender, channel, payload)
+            for sender, channel, payload in zip(self._senders, self._channels, self._payloads)
+            if channel is Channel.PUBLIC_BROADCAST
+        )
 
     def to_records(self) -> list:
         """JSON-ready records, one {sender, channel, payload} per event."""
         return [
-            {"sender": e.sender, "channel": e.channel.value, "payload": e.payload}
-            for e in self.events
+            {"sender": sender, "channel": channel.value, "payload": payload}
+            for sender, channel, payload in zip(self._senders, self._channels, self._payloads)
         ]
+
+    def payloads_on(self, channel: Channel) -> str:
+        """The payloads sent on one channel, concatenated in order."""
+        return "".join([p for c, p in zip(self._channels, self._payloads) if c is channel])
 
 
 def eve_view(transcript: Transcript) -> str:
     """Everything the eavesdropper sees: public payloads concatenated in order."""
-    return "".join(e.payload for e in transcript.public_events())
+    return transcript.payloads_on(Channel.PUBLIC_BROADCAST)
 
 
 class ConditionViolationError(Exception):
@@ -96,14 +127,15 @@ class ConditionViolationError(Exception):
 
 @dataclass(frozen=True)
 class XorChainRun:
-    """One execution of the xor-chain scheme."""
+    """One execution of the xor-chain scheme; `receiver_outputs` is read-only."""
 
     message: str
     transcript: Transcript
-    receiver_outputs: dict
+    receiver_outputs: Mapping
     ghz_states_consumed: int
 
     def __post_init__(self):
+        object.__setattr__(self, "receiver_outputs", MappingProxyType(dict(self.receiver_outputs)))
         if 2 * self.ghz_states_consumed != len(self.message):
             raise ValueError("carrier count must be half the message length")
         for name, output in self.receiver_outputs.items():
@@ -138,29 +170,35 @@ def run_xor_chain(message: str) -> XorChainRun:
 
     Per bit pair: the odd-numbered bit rides the secure primitive (one
     carrier state), then the XOR of the pair is broadcast publicly.
-    Receivers rebuild the even bits from the broadcasts.
+    Receivers rebuild the even bits from the broadcasts.  All pairs are
+    XORed at once, as integer codes, and the transcript's columns are
+    written whole.
     """
     check_bits(message, "message")
     if len(message) < 2 or len(message) % 2 != 0:
         raise ValueError(f"message length must be even and >= 2, got {len(message)}")
+    pairs = len(message) // 2
+    secure = message[0::2]
+    broadcast = format(int(secure, 2) ^ int(message[1::2], 2), f"0{pairs}b")
     transcript = Transcript()
-    for i in range(0, len(message), 2):
-        transcript.append(XOR_CHAIN_SENDER, Channel.SECURE_PRIMITIVE, message[i])
-        transcript.append(
-            XOR_CHAIN_SENDER, Channel.PUBLIC_BROADCAST, xor_bits(message[i], message[i + 1])
-        )
+    transcript._senders = [XOR_CHAIN_SENDER] * (2 * pairs)
+    transcript._channels = [Channel.SECURE_PRIMITIVE, Channel.PUBLIC_BROADCAST] * pairs
+    payloads = transcript._payloads = [""] * (2 * pairs)
+    payloads[0::2] = secure  # bits of the checked message
+    payloads[1::2] = check_bits(broadcast, "payload")
     transcript.freeze()
 
     # Receivers decode from the transcript alone: secure bits are delivered
     # to them, even bits come from broadcast XOR secure bit.
-    secure = [e.payload for e in transcript.events if e.channel is Channel.SECURE_PRIMITIVE]
-    broadcast = [e.payload for e in transcript.events if e.channel is Channel.PUBLIC_BROADCAST]
-    decoded = "".join(odd + xor_bits(bcast, odd) for odd, bcast in zip(secure, broadcast))
+    received = transcript.payloads_on(Channel.SECURE_PRIMITIVE)
+    broadcasts = transcript.payloads_on(Channel.PUBLIC_BROADCAST)
+    even = format(int(received, 2) ^ int(broadcasts, 2), f"0{pairs}b")
+    decoded = "".join(map(str.__add__, received, even))
     return XorChainRun(
         message=message,
         transcript=transcript,
-        receiver_outputs={name: decoded for name in XOR_CHAIN_RECEIVERS},
-        ghz_states_consumed=len(message) // 2,
+        receiver_outputs=dict.fromkeys(XOR_CHAIN_RECEIVERS, decoded),
+        ghz_states_consumed=pairs,
     )
 
 
@@ -190,10 +228,12 @@ def run_es_qkd(initial_pairs, rng: random.Random) -> EsQkdRun:
     for pair in initial_pairs:
         dist = swap_distribution_oracle(*pair)
         alice, bob = sample_swap(dist, rng)
-        if deduce_partner_result(alice, pair) != bob or deduce_partner_result(bob, pair) != alice:
+        bob_per_alice = deduce_partner_result(alice, pair)
+        alice_per_bob = deduce_partner_result(bob, pair)
+        if bob_per_alice != bob or alice_per_bob != alice:
             raise AssertionError("sampled outcome pair escaped the swap support")
-        alice_key_block = alice.bits + deduce_partner_result(alice, pair).bits
-        bob_key_block = deduce_partner_result(bob, pair).bits + bob.bits
+        alice_key_block = alice.bits + bob_per_alice.bits
+        bob_key_block = alice_per_bob.bits + bob.bits
         if alice_key_block != bob_key_block:
             raise AssertionError("parties derived different key blocks")
         alice_results.append(alice)

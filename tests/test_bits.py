@@ -1,8 +1,11 @@
+import random
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from otplab.bits import check_bits
+from otplab.bits import check_bits, random_bits
+from otplab.otp import random_key
 
 
 def old_verdict(s) -> bool:
@@ -39,3 +42,38 @@ class TestCheckBits:
             assert str(caught.value) == f"key must be a string of 0/1 characters, got {s!r}"
         else:
             assert check_bits(s, "key") is s
+
+
+def choice_bits(width: int, rng: random.Random) -> str:
+    """The per-bit `choice` draw `random_bits` replaced."""
+    return "".join(rng.choice("01") for _ in range(width))
+
+
+class TestRandomBits:
+    """`random_bits` against one `rng.choice("01")` call per bit."""
+
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 128))
+    @example(0, 0)
+    @example(1, 1)
+    def test_same_bits_and_final_state_as_choice(self, seed, width):
+        fast, reference = random.Random(seed), random.Random(seed)
+        assert random_bits(width, fast) == choice_bits(width, reference)
+        assert fast.getstate() == reference.getstate()
+
+    def test_successive_draws_stay_in_step(self):
+        fast, reference = random.Random(3), random.Random(3)
+        for width in (5, 0, 17, 2, 64):
+            assert random_bits(width, fast) == choice_bits(width, reference)
+        assert fast.getstate() == reference.getstate()
+
+    @pytest.mark.parametrize("width", [-1, -3])
+    def test_negative_width_rejected(self, width):
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match="bit width"):
+            random_bits(width, rng)
+        assert rng.getstate() == state
+
+    def test_random_key_rejects_negative_width(self):
+        with pytest.raises(ValueError, match="bit width"):
+            random_key(-1, random.Random(0))

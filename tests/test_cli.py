@@ -12,7 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otplab.cli import build_audit_rows, build_parser, config_from_args, main, render_json
+from otplab.cli import (
+    ScenarioConfig,
+    build_audit_rows,
+    build_parser,
+    build_report,
+    config_from_args,
+    main,
+    render_json,
+)
 from otplab.cryptanalysis import CARRIERS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -403,3 +411,29 @@ class TestRenderJson:
         payload = {"scenario": "s", "trials": [trial, [], trial, {"a": [1, 2.5]}, trial]}
         assert render_json(payload) == stdlib_json(payload)
         assert render_json({"trials": [trial]}) == stdlib_json({"trials": [trial]})
+
+    def test_one_shared_trial_object_matches_stdlib(self):
+        trial = {"attack": None, "key_or_message": "10",
+                 "transcript": [{"channel": "public-broadcast", "payload": "1", "sender": "alice"}]}
+        payload = {"scenario": "xor-chain", "trials": [trial] * 5}
+        assert render_json(payload) == stdlib_json(payload)
+
+    def test_equal_but_distinct_trial_objects_match_stdlib(self):
+        def trial():
+            return {"attack": {"eve_bits": 1.0, "view": "0"}, "key_or_message": "11",
+                    "transcript": [{"channel": "secure-primitive", "payload": "1"}]}
+        payload = {"scenario": "xor-chain", "trials": [trial() for _ in range(5)]}
+        assert render_json(payload) == stdlib_json(payload)
+
+
+class TestRepeatedTrials:
+    def config(self, trials):
+        return ScenarioConfig("xor-chain", seed=3, trials=trials, fmt="json", message_bits=2)
+
+    def test_two_bit_attack_holds_at_most_four_trial_objects(self):
+        report = build_report(self.config(64), with_attack=True)
+        assert len(report["trials"]) == 64
+        assert len({id(trial) for trial in report["trials"]}) <= 4
+        by_message = {}
+        for trial in report["trials"]:
+            assert by_message.setdefault(trial["key_or_message"], trial) is trial

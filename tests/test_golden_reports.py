@@ -7,7 +7,9 @@ scenario registry, with no source file yet edited, so they pin the
 reports the earlier code wrote.  The two es-qkd attacks over all sixteen
 initial configurations, each listed twice so the memoized swap oracle
 answers from its cache, were recorded the same way before the oracle was
-memoized.  A change that alters a report on purpose must re-record the
+memoized.  The 2-bit xor-chain attack over 40 trials, whose trials repeat
+the same four messages, was recorded before a report kept one trial dict
+per distinct message.  A change that alters a report on purpose must re-record the
 affected hash and say why.
 
 The benchmark's workload command lines, at the benchmark seed and the
@@ -59,6 +61,11 @@ COMMANDS = [
          "--plaintext", ES_ALL_PLAINTEXT, "--seed", "13", "--trials", "2", "--format", fmt)
         for fmt in ("json", "text")
     ],
+    *[
+        ("attack", "--scenario", "xor-chain", "--message-bits", "2", "--seed", "5",
+         "--trials", "40", "--format", fmt)
+        for fmt in ("json", "text")
+    ],
     ("simulate", "--scenario", "xor-chain", "--format", "json"),
     ("simulate", "--scenario", "es-qkd", "--format", "json"),
     ("simulate", "--scenario", "otp-baseline", "--format", "json"),
@@ -83,6 +90,8 @@ GOLDEN = {
     "attack --scenario es-qkd --pairs phi+:psi+,psi-:phi+,phi-:phi- --plaintext 101001101100 --seed 11 --trials 2 --format text": "91f81c67f786c20d0c77005a765b4014a1280d27948426e525a56d087a22de7b",
     f"attack --scenario es-qkd --pairs {ES_ALL_PAIRS_TWICE} --plaintext {ES_ALL_PLAINTEXT} --seed 13 --trials 2 --format json": "eb3d65a36b3c8d069e8356025a221074cbb852899a38d2899cc4933ab7ca57f1",
     f"attack --scenario es-qkd --pairs {ES_ALL_PAIRS_TWICE} --plaintext {ES_ALL_PLAINTEXT} --seed 13 --trials 2 --format text": "c0ea83f68f25f5d7594e6342526292c4ee5102c7ed6d7977c02651bd8d42e7f3",
+    "attack --scenario xor-chain --message-bits 2 --seed 5 --trials 40 --format json": "81ec4efdfcda8c77f19fd8ef12c9c2c6e1174ced37b88abc895b75497381dcef",
+    "attack --scenario xor-chain --message-bits 2 --seed 5 --trials 40 --format text": "8d60c3bbee76f7f4002d2edbe1947799bfceb94e1bb1fa1f87e8b34f620f41ed",
     "simulate --scenario xor-chain --format json": "0d76938d6b364640f59648939491bda44ff6ef7b09daefdfd71d3bf49ddc67a7",
     "simulate --scenario es-qkd --format json": "08524b7d1cc8d9db50dbd7ee940d69aa64a11eef4820e1704f9a01b864a66de6",
     "simulate --scenario otp-baseline --format json": "3e0ab47a5b5261b5c25e036dab3c5d3f80c96e0dd56d2fe36b4cb026c5bd1894",

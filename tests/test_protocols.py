@@ -1,16 +1,21 @@
 import itertools
 import random
+from dataclasses import dataclass, field
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otplab.bits import random_bits
+from otplab import protocols
+from otplab.bits import check_bits, random_bits, xor_bits
 from otplab.otp import KeyMaterial, TRULY_RANDOM, derived_correlated, random_key
 from otplab.protocols import (
+    XOR_CHAIN_RECEIVERS,
+    XOR_CHAIN_SENDER,
     Channel,
     ConditionViolationError,
     EsQkdRun,
+    Event,
     Transcript,
     XorChainRun,
     deduce_partner_result,
@@ -50,6 +55,35 @@ class TestTranscript:
             {"sender": "alice", "channel": "secure-primitive", "payload": "1"},
             {"sender": "alice", "channel": "public-broadcast", "payload": "0"},
         ]
+
+
+class TestFrozenRun:
+    """A finished run cannot be changed through its transcript or its outputs."""
+
+    def test_events_cannot_be_appended(self):
+        run = run_xor_chain("10")
+        with pytest.raises(AttributeError):
+            run.transcript.events.append(Event("mallory", Channel.PUBLIC_BROADCAST, "x2"))
+        with pytest.raises(AttributeError):
+            run.transcript.events = []
+        assert eve_view(run.transcript) == "1"
+        assert len(run.transcript.events) == 2
+
+    def test_receiver_outputs_are_read_only(self):
+        run = run_xor_chain("10")
+        with pytest.raises(TypeError):
+            run.receiver_outputs["bob"] = "00"
+        assert run.receiver_outputs == {"bob": "10", "charlie": "10"}
+
+    def test_receiver_outputs_do_not_follow_the_callers_dict(self):
+        outputs = {"bob": "10"}
+        run = XorChainRun("10", run_xor_chain("10").transcript, outputs, ghz_states_consumed=1)
+        outputs["bob"] = "00"
+        assert run.receiver_outputs == {"bob": "10"}
+
+    def test_runs_of_one_message_compare_equal(self):
+        assert run_xor_chain("0110") == run_xor_chain("0110")
+        assert run_xor_chain("0110").transcript != run_xor_chain("0111").transcript
 
 
 class TestEveView:
@@ -128,6 +162,84 @@ class TestXorChain:
         ]
 
 
+@dataclass
+class ListTranscript:
+    """The list-of-events transcript the columnar one replaced."""
+
+    events: list = field(default_factory=list)
+    _frozen: bool = field(default=False, repr=False)
+
+    def append(self, sender, channel, payload):
+        if self._frozen:
+            raise RuntimeError("transcript is frozen")
+        self.events.append(Event(sender, channel, check_bits(payload, "payload")))
+
+    def freeze(self):
+        self._frozen = True
+        return self
+
+    def public_events(self):
+        return tuple(e for e in self.events if e.channel is Channel.PUBLIC_BROADCAST)
+
+    def to_records(self):
+        return [
+            {"sender": e.sender, "channel": e.channel.value, "payload": e.payload}
+            for e in self.events
+        ]
+
+
+def list_eve_view(transcript: ListTranscript) -> str:
+    return "".join(e.payload for e in transcript.public_events())
+
+
+def string_run_xor_chain(message: str):
+    """The per-pair string runner the integer one replaced: (transcript, receiver outputs)."""
+    transcript = ListTranscript()
+    for i in range(0, len(message), 2):
+        transcript.append(XOR_CHAIN_SENDER, Channel.SECURE_PRIMITIVE, message[i])
+        transcript.append(
+            XOR_CHAIN_SENDER, Channel.PUBLIC_BROADCAST, xor_bits(message[i], message[i + 1])
+        )
+    transcript.freeze()
+    secure = [e.payload for e in transcript.events if e.channel is Channel.SECURE_PRIMITIVE]
+    broadcast = [e.payload for e in transcript.events if e.channel is Channel.PUBLIC_BROADCAST]
+    decoded = "".join(odd + xor_bits(bcast, odd) for odd, bcast in zip(secure, broadcast))
+    return transcript, {name: decoded for name in XOR_CHAIN_RECEIVERS}
+
+
+EVEN_MESSAGES = st.integers(1, 128).flatmap(
+    lambda pairs: st.text(alphabet="01", min_size=2 * pairs, max_size=2 * pairs)
+)
+
+
+class TestXorChainAgainstStringRunner:
+    @settings(deadline=None)
+    @given(EVEN_MESSAGES)
+    def test_same_transcript_view_and_outputs(self, message):
+        run = run_xor_chain(message)
+        reference, outputs = string_run_xor_chain(message)
+        assert run.transcript.events == tuple(reference.events)
+        assert run.transcript.to_records() == reference.to_records()
+        assert run.transcript.public_events() == reference.public_events()
+        assert eve_view(run.transcript) == list_eve_view(reference)
+        assert dict(run.receiver_outputs) == outputs
+        assert run.ghz_states_consumed == len(message) // 2
+
+    def test_appended_transcript_matches_the_list_transcript(self):
+        columns, reference = Transcript(), ListTranscript()
+        for sender, channel, payload in [
+            ("alice", Channel.SECURE_PRIMITIVE, "101"),
+            ("bob", Channel.PUBLIC_BROADCAST, ""),
+            ("alice", Channel.PUBLIC_BROADCAST, "0"),
+        ]:
+            columns.append(sender, channel, payload)
+            reference.append(sender, channel, payload)
+        assert columns.events == tuple(reference.events)
+        assert columns.to_records() == reference.to_records()
+        assert columns.public_events() == reference.public_events()
+        assert eve_view(columns) == list_eve_view(reference) == "0"
+
+
 class TestEsQkd:
     def test_worked_key_block(self):
         # Initial (phi+, psi+) with Alice measuring psi+ pins Bob at phi+
@@ -185,6 +297,12 @@ class TestEsQkd:
         for pair, alice, bob in zip(pairs, run.alice_results, run.bob_results):
             assert deduce_partner_result(alice, pair) == bob
             assert deduce_partner_result(bob, pair) == alice
+
+    def test_off_support_outcome_pair_is_caught(self, monkeypatch):
+        # (phi+, psi+) never yields phi+ on both sides.
+        monkeypatch.setattr(protocols, "sample_swap", lambda dist, rng: (PHI_PLUS, PHI_PLUS))
+        with pytest.raises(AssertionError, match="escaped the swap support"):
+            run_es_qkd([(PHI_PLUS, PSI_PLUS)], random.Random(0))
 
     def test_particles_consumed(self):
         run = run_es_qkd([(PHI_PLUS, PSI_PLUS)] * 5, random.Random(0))
