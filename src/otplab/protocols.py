@@ -12,7 +12,8 @@ Three schemes are modeled:
   primitive (one three-qubit carrier state each) and each even-numbered
   bit is "encrypted" with the preceding odd bit and broadcast publicly.
   The broadcast a' = a_odd XOR a_even is keyed by a message bit, not a key
-  bit, which is what leaks.
+  bit, which is what leaks.  Each distinct message's run is built once
+  per process and shared; `_xor_chain_run.__wrapped__` builds afresh.
 * es-qkd: both parties hold Bell pairs in publicly known states and derive
   four key bits per entanglement swapping from their correlated
   measurement outcomes.  Nothing is broadcast; the flaw is that the
@@ -25,6 +26,7 @@ their bit without leakage, so the analysis isolates the classical misuse.
 """
 
 import enum
+import functools
 import random
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -170,13 +172,23 @@ def run_xor_chain(message: str) -> XorChainRun:
 
     Per bit pair: the odd-numbered bit rides the secure primitive (one
     carrier state), then the XOR of the pair is broadcast publicly.
-    Receivers rebuild the even bits from the broadcasts.  All pairs are
-    XORed at once, as integer codes, and the transcript's columns are
-    written whole.
+    Receivers rebuild the even bits from the broadcasts.  The message is
+    checked on every call; the run is memoized per message.
     """
     check_bits(message, "message")
     if len(message) < 2 or len(message) % 2 != 0:
         raise ValueError(f"message length must be even and >= 2, got {len(message)}")
+    # Keyed on a plain str, so a subclass neither keys the cache nor becomes run.message.
+    return _xor_chain_run(str.__str__(message))
+
+
+@functools.cache
+def _xor_chain_run(message: str) -> XorChainRun:
+    """One checked message's run, shared by every caller: it is immutable.
+
+    All pairs are XORed at once, as integer codes, and the transcript's
+    columns are written whole.
+    """
     pairs = len(message) // 2
     secure = message[0::2]
     broadcast = format(int(secure, 2) ^ int(message[1::2], 2), f"0{pairs}b")
@@ -228,17 +240,14 @@ def run_es_qkd(initial_pairs, rng: random.Random) -> EsQkdRun:
     for pair in initial_pairs:
         dist = swap_distribution_oracle(*pair)
         alice, bob = sample_swap(dist, rng)
-        bob_per_alice = deduce_partner_result(alice, pair)
-        alice_per_bob = deduce_partner_result(bob, pair)
-        if bob_per_alice != bob or alice_per_bob != alice:
+        # The support pairs outcomes bijectively, so when Alice's deduction
+        # is Bob's result, Bob's deduction is hers: both write down the
+        # block alice.bits + bob.bits.
+        if deduce_partner_result(alice, pair) != bob:
             raise AssertionError("sampled outcome pair escaped the swap support")
-        alice_key_block = alice.bits + bob_per_alice.bits
-        bob_key_block = alice_per_bob.bits + bob.bits
-        if alice_key_block != bob_key_block:
-            raise AssertionError("parties derived different key blocks")
         alice_results.append(alice)
         bob_results.append(bob)
-        key_parts.append(alice_key_block)
+        key_parts.append(alice.bits + bob.bits)
     return EsQkdRun(
         initial_pairs=initial_pairs,
         alice_results=alice_results,

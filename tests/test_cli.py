@@ -1,8 +1,11 @@
+import collections
 import dataclasses
 import errno
+import functools
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from otplab import cli, protocols
 from otplab.cli import (
     ScenarioConfig,
     build_audit_rows,
@@ -21,7 +25,7 @@ from otplab.cli import (
     main,
     render_json,
 )
-from otplab.cryptanalysis import CARRIERS
+from otplab.cryptanalysis import CARRIERS, leakage_report
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = json.loads((ROOT / "docs" / "report.schema.json").read_text())
@@ -437,3 +441,54 @@ class TestRepeatedTrials:
         by_message = {}
         for trial in report["trials"]:
             assert by_message.setdefault(trial["key_or_message"], trial) is trial
+
+    def test_repeated_messages_reuse_the_run_and_the_view(self, monkeypatch):
+        calls = collections.Counter()
+
+        def counting(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            return counted
+
+        build = counting("build", protocols._xor_chain_run.__wrapped__)
+        monkeypatch.setattr(protocols, "_xor_chain_run", functools.cache(build))
+        for name in ("run_xor_chain", "posterior", "eve_view"):
+            monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+        report = build_report(self.config(64), with_attack=True)
+        messages = {trial["key_or_message"] for trial in report["trials"]}
+        assert calls["run_xor_chain"] == calls["posterior"] == 64
+        assert calls["build"] == calls["eve_view"] == len(messages) <= 4
+
+
+def fresh_generator_trials(config, with_attack):
+    """`build_report`'s trials and leakage, with a new Random(base.getrandbits(64)) per trial."""
+    scenario = cli.SCENARIOS[config.scenario]
+    analysis = scenario.analyze(config)
+    base = random.Random(config.seed)
+    runs, trials = [], []
+    for _ in range(config.trials):
+        run, trial = scenario.trial(config, analysis, random.Random(base.getrandbits(64)),
+                                    with_attack)
+        runs.append(run)
+        trials.append(trial)
+    return trials, dataclasses.asdict(leakage_report(runs[0], analysis))
+
+
+class TestReseededGenerator:
+    """One reseeded trial generator gives the streams of a fresh one per trial."""
+
+    CONFIGS = {
+        "xor-chain": {"message_bits": 4},
+        "es-qkd": {"pairs": cli.parse_pairs("phi+:psi+,psi-:phi-"), "plaintext": "10110010"},
+        "otp-baseline": {"message_bits": 3},
+    }
+
+    @pytest.mark.parametrize("with_attack", [False, True])
+    @pytest.mark.parametrize("trials", range(1, 6))
+    @pytest.mark.parametrize("scenario", sorted(CONFIGS))
+    def test_report_matches_a_fresh_generator_per_trial(self, scenario, trials, with_attack):
+        config = ScenarioConfig(scenario, seed=11, trials=trials, fmt="json",
+                                **self.CONFIGS[scenario])
+        report = build_report(config, with_attack)
+        assert (report["trials"], report["leakage"]) == fresh_generator_trials(config, with_attack)

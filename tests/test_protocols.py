@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -240,6 +241,44 @@ class TestXorChainAgainstStringRunner:
         assert eve_view(columns) == list_eve_view(reference) == "0"
 
 
+class TestXorChainMemo:
+    """`run_xor_chain` checks every call and shares one run per distinct message."""
+
+    @settings(deadline=None)
+    @given(EVEN_MESSAGES)
+    def test_cached_run_matches_a_fresh_build_and_the_string_runner(self, message):
+        run_xor_chain(message)
+        run = run_xor_chain(message)
+        assert run == protocols._xor_chain_run.__wrapped__(message)
+        reference, outputs = string_run_xor_chain(message)
+        assert run.transcript.events == tuple(reference.events)
+        assert dict(run.receiver_outputs) == outputs
+
+    def test_repeated_call_returns_the_same_frozen_run(self):
+        run = run_xor_chain("0110")
+        assert run_xor_chain("0110") is run
+        with pytest.raises(RuntimeError):
+            run.transcript.append("mallory", Channel.PUBLIC_BROADCAST, "1")
+        assert eve_view(run_xor_chain("0110").transcript) == "11"
+
+    @pytest.mark.parametrize("message", [["0", "1"], 10, "101", "0121"])
+    def test_invalid_message_raises_value_error(self, message):
+        # A list would reach the cache as an unhashable key (TypeError)
+        # if the checks did not come first.
+        with pytest.raises(ValueError):
+            run_xor_chain(message)
+
+    def test_str_subclass_message_becomes_a_plain_str(self, monkeypatch):
+        class Bits(str):
+            pass
+
+        fresh = functools.cache(protocols._xor_chain_run.__wrapped__)
+        monkeypatch.setattr(protocols, "_xor_chain_run", fresh)
+        run = run_xor_chain(Bits("0110"))
+        assert type(run.message) is str
+        assert run_xor_chain("0110") is run
+
+
 class TestEsQkd:
     def test_worked_key_block(self):
         # Initial (phi+, psi+) with Alice measuring psi+ pins Bob at phi+
@@ -303,6 +342,26 @@ class TestEsQkd:
         monkeypatch.setattr(protocols, "sample_swap", lambda dist, rng: (PHI_PLUS, PHI_PLUS))
         with pytest.raises(AssertionError, match="escaped the swap support"):
             run_es_qkd([(PHI_PLUS, PSI_PLUS)], random.Random(0))
+
+    def test_support_check_over_every_outcome_pair(self, monkeypatch):
+        # All 16 initial configurations x all 16 outcome pairs: the check
+        # rejects exactly the pairs outside the swap support, and in the
+        # rest both parties' block is alice.bits + bob.bits.
+        rejected = []
+        for pair in ALL_PAIRS:
+            support = swap_distribution_rule(*pair).support
+            for alice, bob in ALL_PAIRS:
+                monkeypatch.setattr(protocols, "sample_swap", lambda dist, rng: (alice, bob))
+                try:
+                    run = run_es_qkd([pair], random.Random(0))
+                except AssertionError as exc:
+                    assert "escaped the swap support" in str(exc)
+                    assert alice.bits + bob.bits not in support
+                    rejected.append((pair, alice, bob))
+                    continue
+                assert run.key == alice.bits + bob.bits
+                assert run.key in support
+        assert len(rejected) == 192
 
     def test_particles_consumed(self):
         run = run_es_qkd([(PHI_PLUS, PSI_PLUS)] * 5, random.Random(0))
