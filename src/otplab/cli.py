@@ -28,12 +28,14 @@ joined by ':' within a pair and ',' between pairs, e.g.
 """
 
 import argparse
+import itertools
 import json
 import os
 import random
 import sys
 import traceback
 from dataclasses import asdict, dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Callable
 
 import numpy as np
@@ -391,30 +393,72 @@ def build_audit_rows() -> list:
     return table
 
 
+# The exact types `_indented` hands to the C encoder; others take `json.dumps`.
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def _encode(obj, depth: int) -> str:
+    """`obj` by the C encoder (`indent` is None), each item starting a line `depth` deep."""
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * depth, ": ")).encode(obj)
+
+
+def _only(types, values) -> bool:
+    return types.issuperset(map(type, values))
+
+
+def _indented(obj, depth: int) -> str:
+    """`json.dumps(obj, indent=2, sort_keys=True)` with `depth` more indents after each newline.
+
+    A container of scalars is one `_encode` call; a list of non-empty
+    scalar-only lists, or of such dicts, is one call plus one `replace` where
+    the items meet, exact as a JSON string holds no raw newline and no scalar
+    starts or ends with a bracket.  Other containers recurse; non-str keys
+    and other types take `json.dumps`.
+    """
+    kind, pad, inner = type(obj), "\n" + "  " * depth, "\n" + "  " * (depth + 1)
+    if kind in _SCALARS:
+        return _encode(obj, depth)
+    if kind not in (dict, list, tuple) or kind is dict and not _only({str}, obj):
+        return json.dumps(obj, indent=2, sort_keys=True).replace("\n", pad)
+    if _only(_SCALARS, obj.values() if kind is dict else obj):
+        text = _encode(obj, depth + 1)
+        return text[0] + inner + text[1:-1] + pad + text[-1] if obj else text
+    if kind is dict:
+        items = [encode_basestring_ascii(k) + ": " + _indented(obj[k], depth + 1)
+                 for k in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    kinds, flat = set(map(type, obj)), itertools.chain.from_iterable
+    if all(obj) and (kinds <= {list, tuple} and _only(_SCALARS, flat(obj)) or kinds == {dict}
+                     and _only({str}, flat(obj)) and _only(_SCALARS, flat(map(dict.values, obj)))):
+        (opening, closing), innermost = "{}" if dict in kinds else "[]", inner + "  "
+        text = _encode(obj, depth + 2).replace(closing + "," + innermost + opening,
+                                               inner + closing + "," + inner + opening + innermost)
+        return "[" + inner + opening + innermost + text[2:-2] + inner + closing + pad + "]"
+    return "[" + inner + ("," + inner).join([_indented(v, depth + 1) for v in obj]) + pad + "]"
+
+
 def render_json(payload: dict) -> str:
     """`json.dumps(payload, indent=2, sort_keys=True)` plus a newline, byte for byte.
 
     Sorted keys put a report's `trials` last, so the text is a header (the
-    other keys, rendered as one object whose closing brace is cut off) and
-    one body per trial.  Trials repeat: a 2-bit xor-chain report holds at
-    most 4 distinct trial objects.  Each trial is keyed by its identity
-    (the list keeps every trial alive, so no identity is reused), and
-    each distinct object is rendered with indent=2 once and indented
-    by four spaces; a JSON string cannot hold a raw newline, so every
-    newline in a body starts a line.  Payloads without a nonempty `trials`
-    list sorted last, such as the audit table, are rendered in one call.
+    other keys, as one object whose closing brace is cut off) and one body
+    per trial.  Trials repeat, so each distinct trial object, keyed by its
+    identity (the list keeps every trial alive), is rendered once, four
+    spaces deep.  Payloads without a nonempty `trials` list sorted last,
+    such as the audit table, are rendered whole.  Every piece is `_indented`
+    text: batched C-encoder calls, or `json.dumps` for non-str keys and
+    values of types other than dict, list, tuple and the JSON scalars.
     """
     trials = payload.get("trials")
     keys = sorted(payload)
     if not (isinstance(trials, list) and trials and len(keys) > 1 and keys[-1] == "trials"):
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    header = json.dumps({k: payload[k] for k in keys[:-1]}, indent=2, sort_keys=True)
+        return _indented(payload, 0) + "\n"
+    header = _indented({k: payload[k] for k in keys[:-1]}, 0)
     bodies, parts = {}, []
     for trial in trials:
         body = bodies.get(id(trial))
         if body is None:
-            body = json.dumps(trial, indent=2, sort_keys=True).replace("\n", "\n    ")
-            bodies[id(trial)] = body
+            body = bodies[id(trial)] = _indented(trial, 2)
         parts.append(body)
     return f'{header[:-2]},\n  "trials": [\n    ' + ",\n    ".join(parts) + "\n  ]\n}\n"
 

@@ -40,6 +40,7 @@ which groups codes by a sort that copies the column.  Building a joint
 from an integer view holds the result's columns plus one sort order.
 """
 
+import itertools
 from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Union
@@ -182,11 +183,9 @@ class Distribution:
     @cached_property
     def entries(self) -> MappingProxyType:
         """Read-only {bitstring: probability} view, in ascending outcome order."""
-        width = self.bit_length
-        return MappingProxyType({
-            int_to_bits(c, width): p
-            for c, p in zip(self.codes.tolist(), self.probabilities.tolist())
-        })
+        width, codes = self.bit_length, self.codes.tolist()
+        keys = map(format, codes, itertools.repeat(f"0{width}b")) if width else [""] * len(codes)
+        return MappingProxyType(dict(zip(keys, self.probabilities.tolist())))
 
     @property
     def support(self) -> tuple:

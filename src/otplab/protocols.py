@@ -12,8 +12,8 @@ Three schemes are modeled:
   primitive (one three-qubit carrier state each) and each even-numbered
   bit is "encrypted" with the preceding odd bit and broadcast publicly.
   The broadcast a' = a_odd XOR a_even is keyed by a message bit, not a key
-  bit, which is what leaks.  Each distinct message's run is built once
-  per process and shared; `_xor_chain_run.__wrapped__` builds afresh.
+  bit, which is what leaks.  The run of each message of up to
+  `XOR_CHAIN_MEMO_BITS` bits is built once per process and shared.
 * es-qkd: both parties hold Bell pairs in publicly known states and derive
   four key bits per entanglement swapping from their correlated
   measurement outcomes.  Nothing is broadcast; the flaw is that the
@@ -173,13 +173,19 @@ def run_xor_chain(message: str) -> XorChainRun:
     Per bit pair: the odd-numbered bit rides the secure primitive (one
     carrier state), then the XOR of the pair is broadcast publicly.
     Receivers rebuild the even bits from the broadcasts.  The message is
-    checked on every call; the run is memoized per message.
+    checked on every call; runs of up to `XOR_CHAIN_MEMO_BITS` bits are memoized.
     """
     check_bits(message, "message")
     if len(message) < 2 or len(message) % 2 != 0:
         raise ValueError(f"message length must be even and >= 2, got {len(message)}")
     # Keyed on a plain str, so a subclass neither keys the cache nor becomes run.message.
-    return _xor_chain_run(str.__str__(message))
+    build = _xor_chain_run if len(message) <= XOR_CHAIN_MEMO_BITS else _xor_chain_run.__wrapped__
+    return build(str.__str__(message))
+
+
+# The longest memoized message: the CLI's cap, the last of
+# `cli.SCENARIOS["xor-chain"].message_lengths`.  Longer runs are built per call.
+XOR_CHAIN_MEMO_BITS = 16
 
 
 @functools.cache

@@ -25,9 +25,9 @@ order of the label pairs, x first.  `swap_distribution_oracle` derives the
 distribution by brute-force state-vector projection in the 16-dimensional
 space; `swap_distribution_rule` states it in closed form.  The two must
 agree entrywise, which the test suite checks for all 16 initial pairs.
-The oracle's result is memoized per initial configuration, so each of the
-16 is projected once per process; the tests compare the uncached
-projection (`swap_distribution_oracle.__wrapped__`) with the rule.
+The basis is built, and each configuration projected, once per process;
+the tests compare the uncached projection (`swap_distribution_oracle.__wrapped__`)
+with the rule, and with a projection onto basis states built afresh.
 
 Basis-index convention: bit k of a basis index corresponds to the (k+1)-th
 entry of `qubit_order`, most significant bit first.
@@ -36,7 +36,7 @@ entry of `qubit_order`, most significant bit first.
 import functools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,20 +52,14 @@ class BellLabel:
 
     bitflip: int
     phase: int
+    code: int = field(init=False, repr=False, compare=False)  # 0..3, bitflip bit first
+    bits: str = field(init=False, repr=False, compare=False)  # e.g. psi+ -> "10"
 
     def __post_init__(self):
         if self.bitflip not in (0, 1) or self.phase not in (0, 1):
             raise ValueError(f"Bell label bits must be 0 or 1, got {(self.bitflip, self.phase)}")
-
-    @property
-    def code(self) -> int:
-        """Integer encoding 0..3, bitflip bit first."""
-        return 2 * self.bitflip + self.phase
-
-    @property
-    def bits(self) -> str:
-        """Two-bit string form, e.g. psi+ -> "10"."""
-        return f"{self.bitflip}{self.phase}"
+        object.__setattr__(self, "code", 2 * self.bitflip + self.phase)
+        object.__setattr__(self, "bits", f"{self.bitflip}{self.phase}")
 
     @property
     def token(self) -> str:
@@ -161,24 +155,31 @@ def bell_state_vector(label: BellLabel, particles=(1, 2)) -> StateVector:
 
 
 @functools.cache
+def _bell_basis() -> tuple:
+    """The 16 (key block, Bell x Bell basis state on (1,3),(2,4)) pairs, x major."""
+    return tuple(
+        (x.bits + y.bits, bell_state_vector(x, (1, 3)).tensor(bell_state_vector(y, (2, 4))))
+        for x in BELL_LABELS for y in BELL_LABELS
+    )
+
+
+@functools.cache
 def swap_distribution_oracle(initial_12: BellLabel, initial_34: BellLabel) -> Distribution:
     """Key-block distribution of entanglement swapping, by state-vector projection.
 
     Builds the product state on particles (1,2,3,4), regroups to
-    (1,3),(2,4), and projects onto all 16 Bell x Bell basis states; outcome
-    (x, y) is the key block `x.bits + y.bits`.  The result is memoized per
-    (initial_12, initial_34) and shared by every caller; `__wrapped__`
-    projects afresh.
+    (1,3),(2,4), and projects onto all 16 Bell x Bell basis states (built
+    once per process by `_bell_basis`); outcome (x, y) is the key block
+    `x.bits + y.bits`.  The result is memoized per (initial_12, initial_34)
+    and shared by every caller; `__wrapped__` projects afresh.
     """
     product = bell_state_vector(initial_12, (1, 2)).tensor(bell_state_vector(initial_34, (3, 4)))
     regrouped = product.permuted((1, 3, 2, 4))
     entries = {}
-    for x in BELL_LABELS:
-        for y in BELL_LABELS:
-            basis = bell_state_vector(x, (1, 3)).tensor(bell_state_vector(y, (2, 4)))
-            p = abs(basis.inner(regrouped)) ** 2
-            if p > PROB_CLAMP:
-                entries[x.bits + y.bits] = p
+    for block, basis in _bell_basis():
+        p = abs(basis.inner(regrouped)) ** 2
+        if p > PROB_CLAMP:
+            entries[block] = p
     return Distribution(entries)
 
 

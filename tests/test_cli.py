@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -377,6 +378,80 @@ def confusable_trials(draw):
     pool = [{"attack": {"eve_bits": a, "flags": [b, {"ok": c}]}, "key_or_message": d}
             for a, b, c, d in fills]
     return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+
+
+# Strings that look like the text where two batched items meet, or like a
+# bracket, quote or escape; the renderer's boundary `replace` must not touch them.
+BOUNDARY_TEXT = st.sampled_from(
+    ["],\n  [", "},\n    {", "]", "}", "[", "{", '"]', "\n", "\u00e9\U0001f512"]
+) | TRICKY_TEXT
+BATCH_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | BOUNDARY_TEXT
+SCALAR_LISTS = st.lists(BATCH_SCALARS, min_size=1, max_size=4)
+SCALAR_DICTS = st.dictionaries(BOUNDARY_TEXT, BATCH_SCALARS, min_size=1, max_size=4)
+EMPTY_CONTAINERS = st.sampled_from([[], (), {}])
+# Lists of non-empty scalar-only lists (some of them tuples) or dicts, the
+# shapes rendered by one encoder call, and lists that mix in empty inner
+# containers or the other shape, which are rendered item by item.
+BATCHED_LISTS = st.one_of(
+    st.lists(SCALAR_LISTS | SCALAR_LISTS.map(tuple), min_size=1, max_size=5),
+    st.lists(SCALAR_DICTS, min_size=1, max_size=5),
+    st.lists(SCALAR_LISTS | SCALAR_LISTS.map(tuple) | SCALAR_DICTS | EMPTY_CONTAINERS,
+             min_size=1, max_size=5),
+)
+
+
+def workload_shaped_reports():
+    """Reports shaped like the benchmark's, at a few trials, and the audit table."""
+    tokens = ("phi+", "phi-", "psi+", "psi-")
+    pairs = ",".join(f"{a}:{b}" for a in tokens for b in tokens)
+    command_lines = [
+        ["--scenario", "es-qkd", "--pairs", pairs, "--plaintext", "0110" * 16],
+        ["--scenario", "xor-chain", "--message-bits", "16"],
+        ["--scenario", "otp-baseline", "--message-bits", "6"],
+    ]
+    for argv in command_lines:
+        args = build_parser().parse_args(
+            ["attack", *argv, "--seed", "1", "--trials", "3", "--format", "json"]
+        )
+        yield build_report(config_from_args(args), with_attack=True)
+    yield {"rows": build_audit_rows(), "tool_version": "0"}
+
+
+class TestBatchedRender:
+    @settings(deadline=None)
+    @given(BATCHED_LISTS)
+    def test_batched_list_as_a_trial_body_matches_stdlib(self, items):
+        trial = {"attack": {"key_sets": items, "ok": True}, "transcript": items}
+        for payload in ({"scenario": "s", "trials": [trial, items, trial]},
+                        {"trials": [items]}):
+            assert render_json(payload) == stdlib_json(payload)
+
+    @settings(deadline=None)
+    @given(BATCHED_LISTS)
+    def test_batched_list_in_the_header_matches_stdlib(self, items):
+        for payload in ({"config": {"pairs": items}, "leakage": items, "trials": [1]},
+                        {"rows": items}):
+            assert render_json(payload) == stdlib_json(payload)
+
+    def test_workload_shaped_reports_match_stdlib_without_json_dumps(self, monkeypatch):
+        reports = list(workload_shaped_reports())
+
+        def no_fallback(*args, **kwargs):
+            raise AssertionError("a report value fell back to json.dumps")
+
+        monkeypatch.setattr(cli.json, "dumps", no_fallback)
+        rendered = [render_json(report) for report in reports]
+        monkeypatch.undo()
+        for report, text in zip(reports, rendered):
+            assert text == stdlib_json(report)
+
+    def test_values_of_other_types_fall_back_to_json_dumps(self):
+        class Bits(str):
+            pass
+
+        for value in (np.float64(0.5), Bits("01"), {1: "a", 2: [2]}, {"x": {2: [{}]}}):
+            payload = {"scenario": [value, {"v": value}], "trials": [[value], value]}
+            assert render_json(payload) == stdlib_json(payload)
 
 
 class TestRenderJson:

@@ -423,6 +423,16 @@ class TestBoundaryRoundTrip:
         assert list(dist.entries) == sorted(nonzero)
 
     @settings(deadline=None)
+    @given(st.integers(0, 16).flatmap(
+        lambda width: st.sets(st.integers(0, (1 << width) - 1), min_size=1, max_size=64)
+        .map(lambda codes: (width, sorted(codes)))
+    ))
+    def test_entries_keys_are_int_to_bits(self, width_codes):
+        width, codes = width_codes
+        dist = Distribution._from_codes(codes, [1.0 / len(codes)] * len(codes), width)
+        assert list(dist.entries) == [int_to_bits(code, width) for code in codes]
+
+    @settings(deadline=None)
     @given(bit_mappings(), st.randoms(use_true_random=False))
     def test_code_order_does_not_matter(self, mapping, rnd):
         dist = Distribution(mapping)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from otplab import protocols
 from otplab.bits import check_bits, random_bits, xor_bits
+from otplab.cli import SCENARIOS
 from otplab.otp import KeyMaterial, TRULY_RANDOM, derived_correlated, random_key
 from otplab.protocols import (
     XOR_CHAIN_RECEIVERS,
@@ -267,6 +268,22 @@ class TestXorChainMemo:
         # if the checks did not come first.
         with pytest.raises(ValueError):
             run_xor_chain(message)
+
+    def test_memo_cap_is_the_cli_cap(self):
+        assert max(SCENARIOS["xor-chain"].message_lengths) == protocols.XOR_CHAIN_MEMO_BITS
+
+    def test_runs_within_the_cap_are_shared(self):
+        message = "0110" * (protocols.XOR_CHAIN_MEMO_BITS // 4)
+        assert run_xor_chain(message) is run_xor_chain(message)
+
+    def test_long_message_is_run_uncached(self):
+        message = random_bits(10_000, random.Random(5))
+        size = protocols._xor_chain_run.cache_info().currsize
+        run = run_xor_chain(message)
+        assert protocols._xor_chain_run.cache_info().currsize == size
+        assert run == protocols._xor_chain_run.__wrapped__(message)
+        assert run_xor_chain(message) is not run
+        assert dict(run.receiver_outputs) == dict.fromkeys(XOR_CHAIN_RECEIVERS, message)
 
     def test_str_subclass_message_becomes_a_plain_str(self, monkeypatch):
         class Bits(str):

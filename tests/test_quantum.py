@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from otplab import quantum
 from otplab.infotheory import Distribution
 from otplab.quantum import (
     BELL_LABELS,
@@ -19,7 +20,7 @@ from otplab.quantum import (
     swap_distribution_oracle,
     swap_distribution_rule,
 )
-from otplab.tolerances import FLOAT_TOL
+from otplab.tolerances import FLOAT_TOL, PROB_CLAMP
 
 SQ = 1.0 / math.sqrt(2.0)
 ALL_PAIRS = list(itertools.product(BELL_LABELS, BELL_LABELS))
@@ -49,6 +50,14 @@ class TestBellLabel:
     def test_rejects_non_bits(self, bad):
         with pytest.raises(ValueError):
             BellLabel(*bad)
+
+    def test_code_and_bits_are_fixed_when_the_label_is_made(self):
+        label = BellLabel(1, 0)
+        assert (label.code, label.bits) == (PSI_PLUS.code, PSI_PLUS.bits) == (2, "10")
+        assert label == PSI_PLUS and hash(label) == hash(PSI_PLUS)
+        assert repr(label) == "BellLabel(bitflip=1, phase=0)"
+        with pytest.raises(AttributeError):
+            label.code = 3
 
     def test_rejects_bad_code_and_token(self):
         with pytest.raises(ValueError):
@@ -204,6 +213,31 @@ class TestSwapOracleCache:
         assert cached.support == rule.support
         for outcome in rule.support:
             assert abs(cached.probability(outcome) - rule.probability(outcome)) < FLOAT_TOL
+
+    @pytest.mark.parametrize("initial", ALL_PAIRS)
+    def test_projection_equals_one_onto_freshly_built_basis_states(self, initial):
+        # Independent of the cached basis: every basis state is built afresh
+        # for every configuration.
+        regrouped = (
+            bell_state_vector(initial[0], (1, 2))
+            .tensor(bell_state_vector(initial[1], (3, 4)))
+            .permuted((1, 3, 2, 4))
+        )
+        entries = {}
+        for x in BELL_LABELS:
+            for y in BELL_LABELS:
+                basis = bell_state_vector(x, (1, 3)).tensor(bell_state_vector(y, (2, 4)))
+                p = abs(basis.inner(regrouped)) ** 2
+                if p > PROB_CLAMP:
+                    entries[x.bits + y.bits] = p
+        assert dict(swap_distribution_oracle.__wrapped__(*initial).entries) == entries
+
+    def test_cached_basis_is_read_only(self):
+        basis = quantum._bell_basis()
+        assert [block for block, _ in basis] == [format(code, "04b") for code in range(16)]
+        for _, state in basis:
+            with pytest.raises(ValueError):
+                state.amplitudes[0] = 1.0
 
     @pytest.mark.parametrize("initial", ALL_PAIRS)
     def test_second_call_returns_the_same_object(self, initial):
