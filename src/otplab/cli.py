@@ -17,7 +17,8 @@ are loops over that registry.
 
 Reports go to standard output (or --out PATH, written whole or not at
 all); diagnostics to standard error.  Exit codes: 0 success, 1 internal
-failure, 2 configuration error (an unwritable --out or stdout included).
+failure, 2 configuration error (a bad command line or an unwritable --out
+or stdout included: one `error:` line).
 Identical command lines, including the seed, produce byte-identical JSON.
 The default seed can be overridden with the OTPLAB_SEED environment
 variable.
@@ -68,7 +69,14 @@ DEFAULT_PAIRS = "phi+:psi+"
 
 
 class ConfigError(Exception):
-    """Invalid scenario configuration; maps to exit code 2."""
+    """Invalid command line or scenario configuration; maps to exit code 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises a bad command line as a `ConfigError`, so it prints one `error:` line."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 @dataclass
@@ -98,7 +106,7 @@ def parse_pairs(text: str) -> list:
     """Parse "phi+:psi+,phi-:phi-" into a list of Bell label pairs."""
     pairs = []
     for chunk in text.split(","):
-        parts = chunk.strip().split(":")
+        parts = [part.strip() for part in chunk.split(":")]
         if len(parts) != 2:
             raise ConfigError(f"pair {chunk!r} must be two labels joined by ':'")
         try:
@@ -121,7 +129,7 @@ def default_seed() -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="otplab",
         description="Simulate flawed quantum-communication pads and measure their leakage.",
     )
@@ -549,15 +557,11 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        if code is None:
-            return 0
-        return code if isinstance(code, int) else 2
-    try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # --help; a bad command line raises ConfigError
+            return exc.code
         if args.command == "audit":
             rows = build_audit_rows()
             if args.fmt == "json":

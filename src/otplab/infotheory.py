@@ -18,7 +18,7 @@ and a posterior is one contiguous slice.  Each joint keeps the posteriors
 it has returned, one per distinct observation queried, so a repeated
 observation is a dict lookup; their probabilities total at most one copy
 of the joint's probability column.  Bitstrings appear only at the
-API boundary: the mapping constructors, `entries`, `support`,
+API boundary: the `Distribution` constructor, `entries`, `support`,
 `probability`, and the secret handed to an `enumerate_joint` view.
 
 A deterministic view may also carry an integer form, a `codes` attribute
@@ -28,9 +28,9 @@ numpy call instead of one call of the view per secret.
 
 A `TiledJoint` is a joint whose observation is as wide as the secret,
 uniform and independent of it, as a ciphertext is under a fresh uniform
-pad.  Every observation has the same slice, so it stores that slice once
-and works out its marginals, entropies and posteriors from it; its
-columns are built only when read.
+pad.  Every observation has the same slice, so it stores only that slice
+and works out its marginals, entropies and posteriors from it; it has no
+columns.
 
 Memory bound: the reductions over a joint's columns (the order check,
 the marginals and the entropies) hold at most one chunk of `_CHUNK`
@@ -131,14 +131,14 @@ def _validated(probabilities, columns):
     return probs, codes
 
 
-def _encode(outcomes, name: str):
+def _encode(outcomes):
     """Integer codes of equal-width bitstrings (at most 63 bits), and the width."""
     if not outcomes:
         raise ValueError("distribution has empty support")
-    codes = [bits_to_int(check_bits(outcome, name)) for outcome in outcomes]
+    codes = [bits_to_int(check_bits(outcome, "outcome")) for outcome in outcomes]
     widths = {len(outcome) for outcome in outcomes}
     if len(widths) > 1 or max(widths) > 63:
-        raise ValueError(f"{name}s must share one bit length of at most 63, got {sorted(widths)}")
+        raise ValueError(f"outcomes must share one bit length of at most 63, got {sorted(widths)}")
     return codes, widths.pop()
 
 
@@ -150,7 +150,7 @@ class Distribution:
     """
 
     def __init__(self, entries):
-        codes, width = _encode(list(entries), "outcome")
+        codes, width = _encode(list(entries))
         self._init(codes, list(entries.values()), width)
 
     def _init(self, codes, probabilities, bit_length: int) -> None:
@@ -166,7 +166,7 @@ class Distribution:
 
     @classmethod
     def uniform(cls, outcomes) -> "Distribution":
-        codes, width = _encode(list(outcomes), "outcome")
+        codes, width = _encode(list(outcomes))
         return cls._from_codes(codes, np.full(len(codes), 1.0 / len(codes)), width)
 
     @classmethod
@@ -175,10 +175,6 @@ class Distribution:
         n = 1 << width
         check_budget(n)
         return cls._from_codes(np.arange(n), np.full(n, 1.0 / n), width)
-
-    @classmethod
-    def point(cls, outcome: str) -> "Distribution":
-        return cls({outcome: 1.0})
 
     @cached_property
     def entries(self) -> MappingProxyType:
@@ -214,29 +210,8 @@ class JointDistribution:
         # `posterior`'s results, keyed by observation bitstring.
         self._posteriors = {}
 
-    @classmethod
-    def from_entries(cls, entries: dict) -> "JointDistribution":
-        """Build from a {(secret, observation): probability} mapping."""
-        secrets, secret_bits = _encode([s for s, _ in entries], "secret")
-        observations, observation_bits = _encode([o for _, o in entries], "observation")
-        return cls(secrets, observations, list(entries.values()), secret_bits, observation_bits)
-
     def __len__(self) -> int:
         return int(self.secret_codes.size)
-
-    def items(self):
-        """Iterate ((secret, observation), probability) in (observation, secret) order.
-
-        Renders strings lazily.
-        """
-        sb, ob = self.secret_bits, self.observation_bits
-        for s, o, p in zip(self.secret_codes, self.observation_codes, self.probabilities):
-            yield (int_to_bits(int(s), sb), int_to_bits(int(o), ob)), float(p)
-
-    @property
-    def entries(self) -> dict:
-        """Materialized mapping view; intended for small joints only."""
-        return {pair: p for pair, p in self.items()}
 
     def secret_marginal(self) -> Distribution:
         return _marginal(self.secret_codes, self.probabilities, self.secret_bits)
@@ -270,14 +245,14 @@ class JointDistribution:
         return Distribution._from_codes(observations[starts], totals, self.observation_bits)
 
 
-class TiledJoint(JointDistribution):
+class TiledJoint:
     """Joint of a secret and an independent uniform observation of its width.
 
-    Each entry is p(s, o) = p(s) * 2**-width, so in the stored order every
-    observation's slice is the same, the prior's codes with
-    `probabilities / 2**width`, and only that slice is kept.  Both marginals, the joint entropy and every posterior
-    come from it.  The columns, the slice tiled once per observation, are
-    built and checked by `JointDistribution`'s routine when first read.
+    Each entry is p(s, o) = p(s) * 2**-width, so every observation's slice
+    is the same, the prior's codes with `probabilities / 2**width`, and
+    only that slice is kept.  It has every member of a `JointDistribution`
+    that `posterior`, `conditional_entropy` and `mutual_information` read:
+    both marginals, the joint entropy and the slice all come from it.
     """
 
     def __init__(self, secret_prior: Distribution):
@@ -286,20 +261,6 @@ class TiledJoint(JointDistribution):
         self._slice_probabilities = secret_prior.probabilities / float(1 << self.secret_bits)
         self._slice_probabilities.setflags(write=False)
         self._posteriors = {}
-
-    @cached_property
-    def _columns(self):
-        n, codes = 1 << self.observation_bits, self.secret_prior.codes
-        probabilities, columns = _validated(
-            np.tile(self._slice_probabilities, n),
-            [(np.repeat(np.arange(n, dtype=np.int64), codes.size), self.observation_bits),
-             (np.tile(codes, n), self.secret_bits)],
-        )
-        return probabilities, *columns
-
-    probabilities = property(lambda self: self._columns[0])
-    observation_codes = property(lambda self: self._columns[1])
-    secret_codes = property(lambda self: self._columns[2])
 
     def __len__(self) -> int:
         return self.secret_prior.codes.size << self.observation_bits
@@ -350,7 +311,7 @@ def entropy(dist: Distribution) -> float:
     return _entropy(dist.probabilities)
 
 
-def posterior(joint: JointDistribution, observation: str) -> Distribution:
+def posterior(joint: JointDistribution | TiledJoint, observation: str) -> Distribution:
     """Bayes-normalized distribution over secrets given one observation.
 
     The observation's entries are one slice of the joint's stored order,
@@ -382,13 +343,13 @@ def posterior(joint: JointDistribution, observation: str) -> Distribution:
     return result
 
 
-def conditional_entropy(joint: JointDistribution) -> float:
+def conditional_entropy(joint: JointDistribution | TiledJoint) -> float:
     """H(secret | observation) = H(secret, observation) - H(observation)."""
     value = joint._joint_entropy() - entropy(joint.observation_marginal())
     return max(value, 0.0)
 
 
-def mutual_information(joint: JointDistribution) -> float:
+def mutual_information(joint: JointDistribution | TiledJoint) -> float:
     """I(secret; observation) = H(secret) - H(secret | observation)."""
     value = entropy(joint.secret_marginal()) - conditional_entropy(joint)
     if value < -FLOAT_TOL:

@@ -3,7 +3,7 @@
 A pad is information-theoretically secure only when all three of the
 classic conditions hold: (i) the key is truly random, (ii) the key is as
 long as the message, (iii) the key is never reused.  `KeyMaterial` keeps a
-per-bit usage ledger so condition (iii) is enforced mechanically, and
+usage ledger so condition (iii) is enforced mechanically, and
 `shannon_audit` checks all three before a pad is committed to a message.
 
 Randomness is audited without statistical tests, in one of two modes.  By
@@ -53,11 +53,12 @@ def derived_correlated(description: str) -> KeyOrigin:
 
 
 class KeyMaterial:
-    """A pad of key bits with a per-bit usage ledger.
+    """A pad of key bits with a usage ledger.
 
-    Bits are consumed as a strictly advancing prefix; a used flag never
-    reverts.  Single-writer: encryptions against one pad must be serialized
-    by the caller.  A pad is identified by the object itself, not its bits.
+    Bits are consumed as a strictly advancing prefix; a used bit never
+    becomes unused.  Single-writer: encryptions against one pad must be
+    serialized by the caller.  A pad is identified by the object itself,
+    not its bits.
     """
 
     def __init__(self, bits: str, origin: KeyOrigin):
@@ -72,11 +73,6 @@ class KeyMaterial:
     @property
     def origin(self) -> KeyOrigin:
         return self._origin
-
-    @property
-    def used_flags(self) -> tuple:
-        """Snapshot of the per-bit ledger."""
-        return tuple(i < self._cursor for i in range(len(self._bits)))
 
     @property
     def unused_count(self) -> int:

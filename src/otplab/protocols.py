@@ -1,8 +1,8 @@
 """Party/channel simulation and the three concrete messaging schemes.
 
 Every run produces a `Transcript`: the ordered record of channel events,
-stored as three columns (senders, channels, payloads) and read-only once
-frozen.  Events on the public-broadcast channel are exactly what an
+stored as three columns (senders, channels, payloads) and built whole, so
+it is immutable.  Events on the public-broadcast channel are exactly what an
 eavesdropper sees; events on the secure-bit primitive are delivered only
 to authorized receivers.
 
@@ -53,50 +53,40 @@ class Event:
     payload: str
 
 
+@dataclass(frozen=True)
 class Transcript:
-    """Append-only ordered record of channel events, stored as three columns.
+    """Immutable ordered record of channel events, stored as three columns.
 
-    Event i is (senders[i], channels[i], payloads[i]).  Frozen once its
-    protocol run completes; a frozen transcript is immutable and safe to
-    share, and `events` is a tuple built when it is read.  `run_xor_chain`
-    writes its columns whole, with one bit check for all broadcasts.
+    Event i is (senders[i], channels[i], payloads[i]).  A transcript is
+    built whole: the columns are stored as tuples of one length, and every
+    payload is checked at once, so it is safe to share.  `events` is a
+    tuple built when it is read.
     """
 
-    __slots__ = ("_senders", "_channels", "_payloads", "_frozen")
+    senders: tuple = ()
+    channels: tuple = ()
+    payloads: tuple = ()
 
-    def __init__(self):
-        self._senders = []
-        self._channels = []
-        self._payloads = []
-        self._frozen = False
-
-    def append(self, sender: str, channel: Channel, payload: str) -> None:
-        if self._frozen:
-            raise RuntimeError("transcript is frozen; runs own it only while executing")
-        self._payloads.append(check_bits(payload, "payload"))
-        self._senders.append(sender)
-        self._channels.append(channel)
-
-    def freeze(self) -> "Transcript":
-        self._frozen = True
-        return self
+    def __post_init__(self):
+        columns = tuple(self.senders), tuple(self.channels), tuple(self.payloads)
+        if len({len(column) for column in columns}) > 1:
+            raise ValueError(f"column lengths differ: {[len(column) for column in columns]}")
+        try:
+            check_bits("".join(columns[2]))
+        except (TypeError, ValueError):
+            for payload in columns[2]:  # one of them raises, naming itself
+                check_bits(payload, "payload")
+        for name, column in zip(("senders", "channels", "payloads"), columns):
+            object.__setattr__(self, name, column)
 
     @property
     def events(self) -> tuple:
-        return tuple(map(Event, self._senders, self._channels, self._payloads))
-
-    def __repr__(self) -> str:
-        return f"Transcript(events={list(self.events)!r})"
-
-    def __eq__(self, other):
-        if not isinstance(other, Transcript):
-            return NotImplemented
-        return (self.events, self._frozen) == (other.events, other._frozen)
+        return tuple(map(Event, self.senders, self.channels, self.payloads))
 
     def public_events(self) -> tuple:
         return tuple(
             Event(sender, channel, payload)
-            for sender, channel, payload in zip(self._senders, self._channels, self._payloads)
+            for sender, channel, payload in zip(self.senders, self.channels, self.payloads)
             if channel is Channel.PUBLIC_BROADCAST
         )
 
@@ -104,12 +94,12 @@ class Transcript:
         """JSON-ready records, one {sender, channel, payload} per event."""
         return [
             {"sender": sender, "channel": channel.value, "payload": payload}
-            for sender, channel, payload in zip(self._senders, self._channels, self._payloads)
+            for sender, channel, payload in zip(self.senders, self.channels, self.payloads)
         ]
 
     def payloads_on(self, channel: Channel) -> str:
         """The payloads sent on one channel, concatenated in order."""
-        return "".join([p for c, p in zip(self._channels, self._payloads) if c is channel])
+        return "".join([p for c, p in zip(self.channels, self.payloads) if c is channel])
 
 
 def eve_view(transcript: Transcript) -> str:
@@ -192,19 +182,19 @@ XOR_CHAIN_MEMO_BITS = 16
 def _xor_chain_run(message: str) -> XorChainRun:
     """One checked message's run, shared by every caller: it is immutable.
 
-    All pairs are XORed at once, as integer codes, and the transcript's
-    columns are written whole.
+    All pairs are XORed at once, as integer codes, and the transcript is
+    built from its three columns.
     """
     pairs = len(message) // 2
     secure = message[0::2]
-    broadcast = format(int(secure, 2) ^ int(message[1::2], 2), f"0{pairs}b")
-    transcript = Transcript()
-    transcript._senders = [XOR_CHAIN_SENDER] * (2 * pairs)
-    transcript._channels = [Channel.SECURE_PRIMITIVE, Channel.PUBLIC_BROADCAST] * pairs
-    payloads = transcript._payloads = [""] * (2 * pairs)
-    payloads[0::2] = secure  # bits of the checked message
-    payloads[1::2] = check_bits(broadcast, "payload")
-    transcript.freeze()
+    payloads = [""] * (2 * pairs)
+    payloads[0::2] = secure
+    payloads[1::2] = format(int(secure, 2) ^ int(message[1::2], 2), f"0{pairs}b")
+    transcript = Transcript(
+        senders=(XOR_CHAIN_SENDER,) * (2 * pairs),
+        channels=(Channel.SECURE_PRIMITIVE, Channel.PUBLIC_BROADCAST) * pairs,
+        payloads=payloads,
+    )
 
     # Receivers decode from the transcript alone: secure bits are delivered
     # to them, even bits come from broadcast XOR secure bit.
@@ -275,9 +265,7 @@ def run_otp_baseline(plaintext: str, key: KeyMaterial) -> Transcript:
     if not report.all_ok:
         raise ConditionViolationError(report)
     block = encrypt(plaintext, key)
-    transcript = Transcript()
-    transcript.append("alice", Channel.PUBLIC_BROADCAST, block.ciphertext)
-    transcript.freeze()
+    transcript = Transcript(("alice",), (Channel.PUBLIC_BROADCAST,), (block.ciphertext,))
     if decrypt(block, key) != plaintext:
         raise AssertionError("receiver decryption did not round-trip")
     return transcript

@@ -24,6 +24,7 @@ from otplab.cli import (
     build_report,
     config_from_args,
     main,
+    parse_pairs,
     render_json,
 )
 from otplab.cryptanalysis import CARRIERS, leakage_report
@@ -225,6 +226,24 @@ class TestConfigErrors:
         code, out, _ = run_cli(capsys, "--help")
         assert code == 0
         assert "simulate" in out and "attack" in out and "audit" in out
+
+    @pytest.mark.parametrize("args,message", [
+        (("simulate", "--scenario", "foo"), "invalid choice: 'foo'"),
+        (("simulate", "--scenario", "xor-chain", "--trials", "x"), "invalid int value: 'x'"),
+        (("attack", "--message-bits", "2"), "required: --scenario"),
+        ((), "required: command"),
+    ], ids=["invalid-choice", "non-integer", "missing-scenario", "missing-command"])
+    def test_bad_command_line_is_one_error_line(self, capsys, args, message):
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert message in err
+
+    def test_pair_labels_may_be_spaced(self):
+        tight = parse_pairs("phi+:psi+,phi-:phi-")
+        assert parse_pairs(" phi+ : psi+ , phi-:phi- ") == tight
+        assert parse_pairs("phi+ :psi+,  phi- :  phi-") == tight
 
 
 class TestOutput:

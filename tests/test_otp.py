@@ -7,12 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otplab.bits import int_to_bits, random_bits, xor_bits
-from otplab.cli import main
-from otplab.cryptanalysis import attack_otp_baseline
 from otplab.infotheory import (
     Distribution,
     EnumerationBudgetError,
-    JointDistribution,
     TiledJoint,
     conditional_entropy,
     entropy,
@@ -77,14 +74,34 @@ def uniform_pad_joint(prior):
     return enumerate_joint(prior, pad_view)
 
 
+def assert_same_figures(tiled, reference, atol):
+    """Equal widths and sizes, both marginals, the entropies and every posterior.
+
+    Codes must be equal; probabilities and bits may differ by `atol` (0 for exact).
+    """
+    def same(a, b):
+        return np.allclose(a, b, rtol=0, atol=atol)
+
+    assert (tiled.secret_bits, tiled.observation_bits) == (
+        reference.secret_bits, reference.observation_bits)
+    assert len(tiled) == len(reference)
+    for ours, theirs in ((tiled.secret_marginal(), reference.secret_marginal()),
+                         (tiled.observation_marginal(), reference.observation_marginal())):
+        assert ours.bit_length == theirs.bit_length
+        assert np.array_equal(ours.codes, theirs.codes)
+        assert same(ours.probabilities, theirs.probabilities)
+    assert same(conditional_entropy(tiled), conditional_entropy(reference))
+    assert same(mutual_information(tiled), mutual_information(reference))
+    for c in range(1 << tiled.observation_bits):
+        ciphertext = int_to_bits(c, tiled.observation_bits)
+        ours, theirs = posterior(tiled, ciphertext), posterior(reference, ciphertext)
+        assert np.array_equal(ours.codes, theirs.codes)
+        assert same(ours.probabilities, theirs.probabilities)
+
+
 def assert_matches_generic_enumeration(prior):
-    """`ciphertext_joint` equals `enumerate_joint` with a uniform pad as the view."""
-    fast = ciphertext_joint(prior)
-    slow = uniform_pad_joint(prior)
-    assert (fast.secret_bits, fast.observation_bits) == (slow.secret_bits, slow.observation_bits)
-    assert np.array_equal(fast.secret_codes, slow.secret_codes)
-    assert np.array_equal(fast.observation_codes, slow.observation_codes)
-    assert np.allclose(fast.probabilities, slow.probabilities, rtol=0, atol=1e-12)
+    """`ciphertext_joint` has the figures of `enumerate_joint` with a uniform pad as the view."""
+    assert_same_figures(ciphertext_joint(prior), uniform_pad_joint(prior), atol=1e-12)
 
 
 def fresh_key(bits: str) -> KeyMaterial:
@@ -177,18 +194,18 @@ class TestPadIdentity:
 class TestLedger:
     def test_flags_advance_monotonically(self):
         key = fresh_key("1101")
-        assert key.used_flags == (False,) * 4
+        assert (key.unused_count, key.is_fresh) == (4, True)
         encrypt("10", key)
-        assert key.used_flags == (True, True, False, False)
+        assert (key.unused_count, key.is_fresh) == (2, False)
         encrypt("01", key)
-        assert key.used_flags == (True, True, True, True)
+        assert (key.unused_count, key.is_fresh) == (0, False)
 
     def test_decrypt_does_not_touch_ledger(self):
         key = fresh_key("1101")
         block = encrypt("10", key)
-        before = key.used_flags
+        before = (key.unused_count, key.is_fresh)
         decrypt(block, key)
-        assert key.used_flags == before
+        assert (key.unused_count, key.is_fresh) == before
 
     def test_origin_is_immutable(self):
         key = fresh_key("01")
@@ -290,36 +307,10 @@ class TestPerfectSecrecy:
 class TestTiledJoint:
     """The one-slice uniform-pad joint against joints that store every entry."""
 
-    @staticmethod
-    def assert_same_figures(tiled, reference, exact):
-        def same(a, b):
-            if exact:
-                return np.array_equal(a, b)
-            return np.allclose(a, b, rtol=0, atol=FLOAT_TOL)
-
-        assert len(tiled) == len(reference)
-        for ours, theirs in ((tiled.secret_marginal(), reference.secret_marginal()),
-                             (tiled.observation_marginal(), reference.observation_marginal())):
-            assert ours.bit_length == theirs.bit_length
-            assert np.array_equal(ours.codes, theirs.codes)
-            assert same(ours.probabilities, theirs.probabilities)
-        assert same(conditional_entropy(tiled), conditional_entropy(reference))
-        assert same(mutual_information(tiled), mutual_information(reference))
-        for c in range(1 << tiled.observation_bits):
-            ciphertext = int_to_bits(c, tiled.observation_bits)
-            ours, theirs = posterior(tiled, ciphertext), posterior(reference, ciphertext)
-            assert np.array_equal(ours.codes, theirs.codes)
-            assert same(ours.probabilities, theirs.probabilities)
-
     def check(self, prior, exact):
         tiled = ciphertext_joint(prior)
         assert isinstance(tiled, TiledJoint)
-        self.assert_same_figures(tiled, uniform_pad_joint(prior), exact)
-        # Reading the columns builds them; a plain joint of those columns
-        # has every figure the tiled joint derives from its one slice.
-        plain = JointDistribution(tiled.secret_codes, tiled.observation_codes,
-                                  tiled.probabilities, tiled.secret_bits, tiled.observation_bits)
-        self.assert_same_figures(ciphertext_joint(prior), plain, exact)
+        assert_same_figures(tiled, uniform_pad_joint(prior), atol=0.0 if exact else FLOAT_TOL)
 
     @settings(deadline=None)
     @given(dyadic_priors(max_width=6))
@@ -331,23 +322,3 @@ class TestTiledJoint:
     def test_any_prior_matches_within_tolerance(self, prior):
         self.check(prior, exact=False)
 
-    def test_columns_are_checked_and_read_only(self):
-        joint = ciphertext_joint(Distribution({"01": 0.25, "10": 0.75}))
-        assert joint.observation_codes.tolist() == [0, 0, 1, 1, 2, 2, 3, 3]
-        assert joint.secret_codes.tolist() == [1, 2] * 4
-        assert joint.probabilities.tolist() == [0.0625, 0.1875] * 4
-        for column in (joint.secret_codes, joint.observation_codes, joint.probabilities):
-            assert not column.flags.writeable
-
-    def test_attack_path_never_builds_the_columns(self, monkeypatch, capsys):
-        def refuse(joint):
-            raise AssertionError("the tiled joint's columns were built")
-
-        monkeypatch.setattr(TiledJoint, "_columns", property(refuse))
-        prior = Distribution.uniform_bits(12)
-        post, eve_bits = attack_otp_baseline(prior, "101101110001")
-        assert eve_bits == 0.0
-        assert np.array_equal(post.probabilities, prior.probabilities)
-        code = main(["attack", "--scenario", "otp-baseline", "--message-bits", "12",
-                     "--trials", "3", "--format", "json"])
-        assert code == 0, capsys.readouterr().err

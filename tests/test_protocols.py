@@ -4,7 +4,7 @@ import random
 from dataclasses import dataclass, field
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from otplab import protocols
@@ -38,25 +38,45 @@ ALL_PAIRS = list(itertools.product(BELL_LABELS, BELL_LABELS))
 
 
 class TestTranscript:
-    def test_append_only_after_freeze(self):
-        t = Transcript()
-        t.append("alice", Channel.PUBLIC_BROADCAST, "1")
-        t.freeze()
-        with pytest.raises(RuntimeError):
-            t.append("alice", Channel.PUBLIC_BROADCAST, "0")
-
     def test_rejects_non_bit_payload(self):
         with pytest.raises(ValueError):
-            Transcript().append("alice", Channel.PUBLIC_BROADCAST, "2")
+            Transcript(("alice",), (Channel.PUBLIC_BROADCAST,), ("2",))
 
     def test_line_serialization(self):
-        t = Transcript()
-        t.append("alice", Channel.SECURE_PRIMITIVE, "1")
-        t.append("alice", Channel.PUBLIC_BROADCAST, "0")
+        t = Transcript(
+            ("alice", "alice"), (Channel.SECURE_PRIMITIVE, Channel.PUBLIC_BROADCAST), ("1", "0")
+        )
         assert t.to_records() == [
             {"sender": "alice", "channel": "secure-primitive", "payload": "1"},
             {"sender": "alice", "channel": "public-broadcast", "payload": "0"},
         ]
+
+    @pytest.mark.parametrize("lengths", [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 2, 1), (1, 2, 2)])
+    def test_unequal_column_lengths_raise(self, lengths):
+        senders, channels, payloads = (
+            ["alice"] * lengths[0], [Channel.PUBLIC_BROADCAST] * lengths[1], ["1"] * lengths[2]
+        )
+        with pytest.raises(ValueError):
+            Transcript(senders, channels, payloads)
+
+    @pytest.mark.parametrize("bad", ["2", "0x", " ", 1, None, b"01", ["0"]],
+                             ids=["digit", "letter", "space", "int", "none", "bytes", "list"])
+    @pytest.mark.parametrize("position", [0, 1, 3])
+    def test_bad_payload_raises_at_any_position(self, bad, position):
+        payloads = ["0", "", "11", "1"]
+        payloads[position] = bad
+        with pytest.raises(ValueError):
+            Transcript(["alice"] * 4, [Channel.PUBLIC_BROADCAST] * 4, payloads)
+        with pytest.raises(ValueError):
+            ListTranscript().append("alice", Channel.PUBLIC_BROADCAST, bad)
+
+    def test_columns_are_stored_as_tuples(self):
+        senders, channels, payloads = ["alice"], [Channel.PUBLIC_BROADCAST], ["1"]
+        t = Transcript(senders, channels, payloads)
+        payloads[0] = "0"
+        assert (t.senders, t.channels, t.payloads) == (
+            ("alice",), (Channel.PUBLIC_BROADCAST,), ("1",)
+        )
 
 
 class TestFrozenRun:
@@ -70,6 +90,12 @@ class TestFrozenRun:
             run.transcript.events = []
         assert eve_view(run.transcript) == "1"
         assert len(run.transcript.events) == 2
+
+    def test_transcript_columns_are_tuples(self):
+        key = KeyMaterial("11", TRULY_RANDOM)
+        for transcript in (run_xor_chain("0110").transcript, run_otp_baseline("10", key)):
+            for column in (transcript.senders, transcript.channels, transcript.payloads):
+                assert type(column) is tuple
 
     def test_receiver_outputs_are_read_only(self):
         run = run_xor_chain("10")
@@ -90,8 +116,7 @@ class TestFrozenRun:
 
 class TestEveView:
     def test_secure_only_transcript_is_invisible(self):
-        t = Transcript()
-        t.append("alice", Channel.SECURE_PRIMITIVE, "101")
+        t = Transcript(("alice",), (Channel.SECURE_PRIMITIVE,), ("101",))
         assert eve_view(t) == ""
 
     def test_xor_chain_view(self):
@@ -135,7 +160,7 @@ class TestXorChain:
         # The leakage accounting claims 2 bits per carrier, so a 3-bit
         # message on one carrier must not be a valid run.
         with pytest.raises(ValueError):
-            XorChainRun("101", Transcript().freeze(), {}, ghz_states_consumed=1)
+            XorChainRun("101", Transcript(), {}, ghz_states_consumed=1)
 
     @pytest.mark.parametrize("n_bits", [2, 4, 10, 16])
     def test_resource_counts(self, n_bits):
@@ -209,6 +234,13 @@ def string_run_xor_chain(message: str):
     return transcript, {name: decoded for name in XOR_CHAIN_RECEIVERS}
 
 
+EVENTS = st.lists(st.tuples(
+    st.sampled_from(["alice", "bob"]),
+    st.sampled_from(list(Channel)),
+    st.text(alphabet="01", max_size=3),
+))
+
+
 EVEN_MESSAGES = st.integers(1, 128).flatmap(
     lambda pairs: st.text(alphabet="01", min_size=2 * pairs, max_size=2 * pairs)
 )
@@ -227,19 +259,24 @@ class TestXorChainAgainstStringRunner:
         assert dict(run.receiver_outputs) == outputs
         assert run.ghz_states_consumed == len(message) // 2
 
-    def test_appended_transcript_matches_the_list_transcript(self):
-        columns, reference = Transcript(), ListTranscript()
-        for sender, channel, payload in [
-            ("alice", Channel.SECURE_PRIMITIVE, "101"),
-            ("bob", Channel.PUBLIC_BROADCAST, ""),
-            ("alice", Channel.PUBLIC_BROADCAST, "0"),
-        ]:
-            columns.append(sender, channel, payload)
-            reference.append(sender, channel, payload)
+    @settings(deadline=None)
+    @given(EVENTS)
+    @example([
+        ("alice", Channel.SECURE_PRIMITIVE, "101"),
+        ("bob", Channel.PUBLIC_BROADCAST, ""),
+        ("alice", Channel.PUBLIC_BROADCAST, "0"),
+    ])
+    def test_appended_transcript_matches_the_list_transcript(self, events):
+        # The columns built whole (none when there are no events) against
+        # the reference built event by event.
+        columns, reference = Transcript(*zip(*events)), ListTranscript()
+        for event in events:
+            reference.append(*event)
         assert columns.events == tuple(reference.events)
         assert columns.to_records() == reference.to_records()
         assert columns.public_events() == reference.public_events()
-        assert eve_view(columns) == list_eve_view(reference) == "0"
+        public = "".join(p for _, c, p in events if c is Channel.PUBLIC_BROADCAST)
+        assert eve_view(columns) == list_eve_view(reference) == public
 
 
 class TestXorChainMemo:
@@ -258,8 +295,10 @@ class TestXorChainMemo:
     def test_repeated_call_returns_the_same_frozen_run(self):
         run = run_xor_chain("0110")
         assert run_xor_chain("0110") is run
-        with pytest.raises(RuntimeError):
-            run.transcript.append("mallory", Channel.PUBLIC_BROADCAST, "1")
+        with pytest.raises(AttributeError):
+            run.transcript.payloads.append("1")
+        with pytest.raises(AttributeError):
+            run.transcript.payloads = ("1", "1", "1", "1")
         assert eve_view(run_xor_chain("0110").transcript) == "11"
 
     @pytest.mark.parametrize("message", [["0", "1"], 10, "101", "0121"])

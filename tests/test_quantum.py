@@ -268,7 +268,7 @@ class TestSwapKeyBlocks:
 
 class TestSampleSwap:
     def test_point_mass(self):
-        dist = Distribution.point("1000")
+        dist = Distribution({"1000": 1.0})
         assert sample_swap(dist, random.Random(3)) == (PSI_PLUS, PHI_PLUS)
 
     @pytest.mark.parametrize("initial", ALL_PAIRS)
