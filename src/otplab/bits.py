@@ -16,10 +16,12 @@ def check_bits(s: str, name: str = "bitstring") -> str:
 
 
 def xor_bits(a: str, b: str) -> str:
-    """Bitwise XOR of two equal-length bitstrings."""
+    """Bitwise XOR of two equal-length bitstrings, computed on their integer codes."""
+    check_bits(a)
+    check_bits(b)
     if len(a) != len(b):
         raise ValueError(f"bitstring length mismatch: {len(a)} vs {len(b)}")
-    return "".join("1" if x != y else "0" for x, y in zip(a, b))
+    return int_to_bits(bits_to_int(a) ^ bits_to_int(b), len(a))
 
 
 def bits_to_int(s: str) -> int:

@@ -57,12 +57,9 @@ from .protocols import eve_view, run_es_qkd, run_otp_baseline, run_xor_chain
 from .quantum import BellLabel
 from .tolerances import FLOAT_TOL
 
-# The whole report is built in memory before it is written.  Its text per
-# trial depends on the scenario and its size: about 0.3 KB for 2-bit
-# xor-chain, 10 KB for 16-bit xor-chain and 45 KB for 200 es-qkd pairs.
-# Xor-chain trials that repeat a message share one trial dict, and the
-# process keeps one cached run per distinct message: 100,000 16-bit trials
-# draw about 51,000, held in about 60 MB of a 507 MB peak (744 MB as JSON).
+# The whole report is built in memory before it is written.  README.md's
+# "Command line" section gives each scenario's text per trial, and the
+# peak and cached-run memory of 100,000 16-bit xor-chain trials.
 MAX_TRIALS = 100_000
 DEFAULT_MESSAGE_BITS = 2
 DEFAULT_PAIRS = "phi+:psi+"
@@ -113,8 +110,6 @@ def parse_pairs(text: str) -> list:
             pairs.append((BellLabel.from_token(parts[0]), BellLabel.from_token(parts[1])))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-    if not pairs:
-        raise ConfigError("at least one Bell pair is required")
     return pairs
 
 
@@ -253,24 +248,29 @@ def _xor_chain_trial(config: ScenarioConfig, analysis, rng, with_attack: bool):
     return run, seen[1]
 
 
+def _es_qkd_analysis(config: ScenarioConfig):
+    key_sets, key_entropy = attack_es_qkd_keyset(config.pairs)
+    # The key sets as report lists, and the true parities: shared by every trial.
+    true = None
+    if config.plaintext is not None:
+        p = [int(ch) for ch in config.plaintext]
+        true = [[p[i] ^ p[i + 2], p[i + 1] ^ p[i + 3]] for i in range(0, len(p), 4)]
+    return ([list(blocks) for blocks in key_sets], true), key_entropy
+
+
 def _es_qkd_trial(config: ScenarioConfig, analysis, rng, with_attack: bool):
-    key_sets, key_entropy = analysis
+    (key_sets, true), key_entropy = analysis
     run = run_es_qkd(config.pairs, rng)
     attack = None
     if with_attack:
-        attack = {
-            "key_sets": [list(blocks) for blocks in key_sets],
-            "key_entropy_given_eve": key_entropy,
-        }
-        if config.plaintext is not None:
+        attack = {"key_sets": key_sets, "key_entropy_given_eve": key_entropy}
+        if true is not None:
             pad = KeyMaterial(run.key, derived_correlated("entanglement-swap outcomes"))
             ciphertext = encrypt(config.plaintext, pad).ciphertext
             recovered = [
                 list(attack_es_qkd_parity(ciphertext[4 * i:4 * i + 4], pair))
                 for i, pair in enumerate(config.pairs)
             ]
-            p = [int(ch) for ch in config.plaintext]
-            true = [[p[i] ^ p[i + 2], p[i + 1] ^ p[i + 3]] for i in range(0, len(p), 4)]
             attack.update({
                 "ciphertext": ciphertext,
                 "recovered_parities": recovered,
@@ -339,7 +339,7 @@ SCENARIOS = {
         message_lengths=range(2, 17, 2),
     ),
     "es-qkd": Scenario(
-        analyze=lambda config: attack_es_qkd_keyset(config.pairs),
+        analyze=_es_qkd_analysis,
         trial=_es_qkd_trial,
         message_lengths=None,
     ),
@@ -551,8 +551,10 @@ def _emit(text: str, out: str | None) -> None:
         with handle:
             handle.write(text)
         os.replace(partial, out)
-    except OSError as exc:
+    except BaseException as exc:  # an interrupt too: remove the partial, then re-raise
         os.remove(partial)
+        if not isinstance(exc, OSError):
+            raise
         raise ConfigError(f"cannot write {out}: {exc.strerror or exc}") from None
 
 

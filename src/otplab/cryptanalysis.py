@@ -33,7 +33,7 @@ import numpy as np
 from .bits import check_bits, xor_bits
 from .infotheory import Distribution, enumerate_joint, mutual_information, posterior
 from .otp import ciphertext_joint
-from .protocols import EsQkdRun, Transcript, XorChainRun, eve_view
+from .protocols import Channel, EsQkdRun, Transcript, XorChainRun, eve_view
 from .quantum import swap_distribution_oracle
 from .tolerances import FLOAT_TOL
 
@@ -101,9 +101,7 @@ def _check_even(width: int) -> None:
 def xor_chain_view(message: str) -> str:
     """Eve's view of an xor-chain run: the broadcast XOR of each bit pair."""
     _check_even(len(message))
-    return "".join(
-        xor_bits(message[i], message[i + 1]) for i in range(0, len(message), 2)
-    )
+    return xor_bits(message[0::2], message[1::2])
 
 
 def _xor_chain_view_codes(codes: np.ndarray, width: int):
@@ -188,8 +186,8 @@ def leakage_report(run, attack_result) -> LeakageReport:
     Accepts an `XorChainRun` with (posterior, eve_bits), an `EsQkdRun` with
     (key_sets, key_entropy_given_eve), or an otp-baseline `Transcript` with
     (posterior, eve_bits).  Only the second element of the pair is read.
-    The run gives the scenario and its carrier count; `CARRIERS` gives
-    the rest.
+    The run gives the scenario and its carrier count (for the baseline, the
+    length of its one broadcast, `eve_view`); `CARRIERS` gives the rest.
     """
     _, figure = attack_result
     if isinstance(run, XorChainRun):
@@ -197,10 +195,9 @@ def leakage_report(run, attack_result) -> LeakageReport:
     elif isinstance(run, EsQkdRun):
         scenario, carriers = "es-qkd", len(run.initial_pairs)
     elif isinstance(run, Transcript):
-        broadcasts = run.public_events()
-        if len(broadcasts) != 1:
+        if run.channels.count(Channel.PUBLIC_BROADCAST) != 1:
             raise ValueError("an otp-baseline transcript carries exactly one broadcast")
-        scenario, carriers = "otp-baseline", len(broadcasts[0].payload)
+        scenario, carriers = "otp-baseline", len(eve_view(run))
     else:
         raise TypeError(f"no leakage accounting for run type {type(run)}")
     accounting = CARRIERS[scenario]

@@ -1,10 +1,9 @@
 """Party/channel simulation and the three concrete messaging schemes.
 
-Every run produces a `Transcript`: the ordered record of channel events,
-stored as three columns (senders, channels, payloads) and built whole, so
-it is immutable.  Events on the public-broadcast channel are exactly what an
-eavesdropper sees; events on the secure-bit primitive are delivered only
-to authorized receivers.
+A run record stores each fact once.  A `Transcript` is only its three
+tuple columns (senders, channels, payloads); its public-broadcast payloads
+are exactly what an eavesdropper sees (`eve_view`).  An es-qkd run stores
+its pairs and both parties' results, and derives its key from them.
 
 Three schemes are modeled:
 
@@ -32,7 +31,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .bits import check_bits
+from .bits import check_bits, xor_bits
 from .otp import AuditReport, KeyMaterial, decrypt, encrypt, shannon_audit
 from .quantum import BellLabel, sample_swap, swap_distribution_oracle
 
@@ -47,20 +46,12 @@ class Channel(enum.Enum):
 
 
 @dataclass(frozen=True)
-class Event:
-    sender: str
-    channel: Channel
-    payload: str
-
-
-@dataclass(frozen=True)
 class Transcript:
-    """Immutable ordered record of channel events, stored as three columns.
+    """Immutable ordered record of channel events: only its three columns.
 
     Event i is (senders[i], channels[i], payloads[i]).  A transcript is
     built whole: the columns are stored as tuples of one length, and every
-    payload is checked at once, so it is safe to share.  `events` is a
-    tuple built when it is read.
+    payload is checked at once, so it is safe to share.
     """
 
     senders: tuple = ()
@@ -78,17 +69,6 @@ class Transcript:
                 check_bits(payload, "payload")
         for name, column in zip(("senders", "channels", "payloads"), columns):
             object.__setattr__(self, name, column)
-
-    @property
-    def events(self) -> tuple:
-        return tuple(map(Event, self.senders, self.channels, self.payloads))
-
-    def public_events(self) -> tuple:
-        return tuple(
-            Event(sender, channel, payload)
-            for sender, channel, payload in zip(self.senders, self.channels, self.payloads)
-            if channel is Channel.PUBLIC_BROADCAST
-        )
 
     def to_records(self) -> list:
         """JSON-ready records, one {sender, channel, payload} per event."""
@@ -137,24 +117,31 @@ class XorChainRun:
 
 @dataclass(frozen=True)
 class EsQkdRun:
-    """One execution of the entanglement-swapping key scheme."""
+    """One execution of the entanglement-swapping key scheme.
 
-    initial_pairs: list
-    alice_results: list
-    bob_results: list
-    key: str
-    particles_consumed: int
+    Per swap, its initial Bell pairs and each party's outcome, as tuples of
+    one length; the key and the particle count are derived from them.
+    """
+
+    initial_pairs: tuple
+    alice_results: tuple
+    bob_results: tuple
 
     def __post_init__(self):
+        for name in ("initial_pairs", "alice_results", "bob_results"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if not len(self.alice_results) == len(self.bob_results) == len(self.initial_pairs):
             raise ValueError("each swap has exactly one result per party")
-        if self.particles_consumed != 4 * len(self.initial_pairs):
-            raise ValueError("each swap consumes exactly 4 particles")
-        blocks = "".join(
-            a.bits + b.bits for a, b in zip(self.alice_results, self.bob_results)
-        )
-        if blocks != self.key:
-            raise ValueError("key must concatenate the result labels, 4 bits per swap")
+
+    @property
+    def key(self) -> str:
+        """Both parties' key: one 4-bit block alice.bits + bob.bits per swap."""
+        return "".join([a.bits + b.bits for a, b in zip(self.alice_results, self.bob_results)])
+
+    @property
+    def particles_consumed(self) -> int:
+        """Each swap consumes two Bell pairs, 4 particles."""
+        return 4 * len(self.initial_pairs)
 
 
 def run_xor_chain(message: str) -> XorChainRun:
@@ -182,14 +169,14 @@ XOR_CHAIN_MEMO_BITS = 16
 def _xor_chain_run(message: str) -> XorChainRun:
     """One checked message's run, shared by every caller: it is immutable.
 
-    All pairs are XORed at once, as integer codes, and the transcript is
-    built from its three columns.
+    All pairs are XORed at once by `xor_bits`, and the transcript is built
+    from its three columns.
     """
     pairs = len(message) // 2
     secure = message[0::2]
     payloads = [""] * (2 * pairs)
     payloads[0::2] = secure
-    payloads[1::2] = format(int(secure, 2) ^ int(message[1::2], 2), f"0{pairs}b")
+    payloads[1::2] = xor_bits(secure, message[1::2])
     transcript = Transcript(
         senders=(XOR_CHAIN_SENDER,) * (2 * pairs),
         channels=(Channel.SECURE_PRIMITIVE, Channel.PUBLIC_BROADCAST) * pairs,
@@ -200,8 +187,7 @@ def _xor_chain_run(message: str) -> XorChainRun:
     # to them, even bits come from broadcast XOR secure bit.
     received = transcript.payloads_on(Channel.SECURE_PRIMITIVE)
     broadcasts = transcript.payloads_on(Channel.PUBLIC_BROADCAST)
-    even = format(int(received, 2) ^ int(broadcasts, 2), f"0{pairs}b")
-    decoded = "".join(map(str.__add__, received, even))
+    decoded = "".join(map(str.__add__, received, xor_bits(received, broadcasts)))
     return XorChainRun(
         message=message,
         transcript=transcript,
@@ -227,12 +213,11 @@ def run_es_qkd(initial_pairs, rng: random.Random) -> EsQkdRun:
     parties then deduce each other's result and write down the same 4-bit
     key block (Alice's label first).
     """
-    initial_pairs = list(initial_pairs)
+    initial_pairs = tuple(initial_pairs)
     if not initial_pairs:
         raise ValueError("at least one initial Bell pair is required")
     alice_results = []
     bob_results = []
-    key_parts = []
     for pair in initial_pairs:
         dist = swap_distribution_oracle(*pair)
         alice, bob = sample_swap(dist, rng)
@@ -243,14 +228,7 @@ def run_es_qkd(initial_pairs, rng: random.Random) -> EsQkdRun:
             raise AssertionError("sampled outcome pair escaped the swap support")
         alice_results.append(alice)
         bob_results.append(bob)
-        key_parts.append(alice.bits + bob.bits)
-    return EsQkdRun(
-        initial_pairs=initial_pairs,
-        alice_results=alice_results,
-        bob_results=bob_results,
-        key="".join(key_parts),
-        particles_consumed=4 * len(initial_pairs),
-    )
+    return EsQkdRun(initial_pairs, alice_results, bob_results)
 
 
 def run_otp_baseline(plaintext: str, key: KeyMaterial) -> Transcript:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from otplab.bits import check_bits, random_bits
+from otplab.bits import check_bits, random_bits, xor_bits
 from otplab.otp import random_key
 
 
@@ -42,6 +42,45 @@ class TestCheckBits:
             assert str(caught.value) == f"key must be a string of 0/1 characters, got {s!r}"
         else:
             assert check_bits(s, "key") is s
+
+
+def char_xor(a: str, b: str) -> str:
+    """The character-wise XOR `xor_bits` replaced."""
+    return "".join("1" if x != y else "0" for x, y in zip(a, b))
+
+
+EQUAL_LENGTH_BITS = st.integers(0, 200).flatmap(lambda width: st.tuples(
+    st.text(alphabet="01", min_size=width, max_size=width),
+    st.text(alphabet="01", min_size=width, max_size=width),
+))
+
+
+class TestXorBits:
+    """`xor_bits` on integer codes against the character-wise XOR, and its checks."""
+
+    @given(EQUAL_LENGTH_BITS)
+    @example(("", ""))  # the empty strings give the empty string
+    @example(("0", "1"))
+    @example(("0011", "0101"))
+    def test_same_result_as_the_character_wise_xor(self, pair):
+        a, b = pair
+        assert xor_bits(a, b) == char_xor(a, b)
+
+    # The bad payloads of tests/test_protocols.py, plus the cases the
+    # character-wise XOR accepted.
+    @pytest.mark.parametrize("bad", ["2", "0x", " ", 1, None, b"01", ["0"], "ab"],
+                             ids=["digit", "letter", "space", "int", "none", "bytes", "list",
+                                  "letters"])
+    def test_non_bits_raise_in_either_position(self, bad):
+        partner = "0" * len(bad) if isinstance(bad, (str, bytes, list)) else "0"
+        with pytest.raises(ValueError, match="0/1 characters"):
+            xor_bits(bad, partner)
+        with pytest.raises(ValueError, match="0/1 characters"):
+            xor_bits(partner, bad)
+
+    def test_length_mismatch_raises(self):
+        with pytest.raises(ValueError, match="length mismatch"):
+            xor_bits("01", "011")
 
 
 def choice_bits(width: int, rng: random.Random) -> str:

@@ -240,6 +240,14 @@ class TestConfigErrors:
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert message in err
 
+    @pytest.mark.parametrize("pairs", ["", ","], ids=["empty", "comma"])
+    def test_empty_pairs_are_one_error_line(self, capsys, pairs):
+        code, out, err = run_cli(capsys, "simulate", "--scenario", "es-qkd", "--pairs", pairs)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "two labels joined by ':'" in err
+
     def test_pair_labels_may_be_spaced(self):
         tight = parse_pairs("phi+:psi+,phi-:phi-")
         assert parse_pairs(" phi+ : psi+ , phi-:phi- ") == tight
@@ -276,6 +284,24 @@ class TestOutput:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert [p.name for p in tmp_path.iterdir()] == ["taken"]
         assert not any(target.iterdir())
+
+    def test_interrupted_out_write_propagates_and_leaves_no_partial(self, monkeypatch, tmp_path):
+        opened = []
+
+        def interrupt(text):
+            raise KeyboardInterrupt
+
+        def interrupted_open(path, mode):
+            handle = open(path, mode)
+            handle.write = interrupt
+            opened.append(path)
+            return handle
+
+        monkeypatch.setattr(cli, "open", interrupted_open, raising=False)
+        with pytest.raises(KeyboardInterrupt):
+            main(["audit", "--out", str(tmp_path / "r.json")])
+        assert opened == [f"{tmp_path / 'r.json'}.{os.getpid()}.partial"]
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("failing", ["write", "flush"])
     def test_failed_stdout_exits_2_with_one_line(self, capsys, monkeypatch, failing):
@@ -553,6 +579,14 @@ class TestRepeatedTrials:
         messages = {trial["key_or_message"] for trial in report["trials"]}
         assert calls["run_xor_chain"] == calls["posterior"] == 64
         assert calls["build"] == calls["eve_view"] == len(messages) <= 4
+
+    def test_es_qkd_trials_share_the_config_only_attack_fields(self):
+        config = ScenarioConfig("es-qkd", seed=3, trials=4, fmt="json",
+                                pairs=parse_pairs("phi+:psi+,psi-:phi-"), plaintext="10110010")
+        attacks = [trial["attack"] for trial in build_report(config, with_attack=True)["trials"]]
+        assert attacks[0]["true_parities"] == [[0, 1], [1, 0]]
+        for name in ("key_sets", "true_parities"):
+            assert all(attack[name] is attacks[0][name] for attack in attacks)
 
 
 def fresh_generator_trials(config, with_attack):

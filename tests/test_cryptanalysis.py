@@ -22,7 +22,14 @@ from otplab.cryptanalysis import (
 )
 from otplab.infotheory import Distribution, entropy, enumerate_joint, posterior
 from otplab.otp import random_key
-from otplab.protocols import eve_view, run_es_qkd, run_otp_baseline, run_xor_chain
+from otplab.protocols import (
+    Channel,
+    Transcript,
+    eve_view,
+    run_es_qkd,
+    run_otp_baseline,
+    run_xor_chain,
+)
 from otplab.quantum import (
     BELL_LABELS,
     PHI_PLUS,
@@ -218,6 +225,14 @@ class TestLeakageReport:
         report = leakage_report(transcript, attack_otp_baseline(prior, eve_view(transcript)))
         assert report.eve_bits == pytest.approx(0.0, abs=1e-9)
         assert report.secure_bits == pytest.approx(6.0, abs=1e-9)
+
+    @pytest.mark.parametrize("channels", [
+        (), (Channel.SECURE_PRIMITIVE,), (Channel.PUBLIC_BROADCAST,) * 2,
+    ], ids=["none", "secure-only", "two-broadcasts"])
+    def test_otp_baseline_needs_exactly_one_broadcast(self, channels):
+        transcript = Transcript(("alice",) * len(channels), channels, ("01",) * len(channels))
+        with pytest.raises(ValueError, match="exactly one broadcast"):
+            leakage_report(transcript, (None, 0.0))
 
     def test_unknown_run_type_raises(self):
         with pytest.raises(TypeError):

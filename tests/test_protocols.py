@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import random
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from otplab import protocols
 from otplab.bits import check_bits, random_bits, xor_bits
 from otplab.cli import SCENARIOS
+from otplab.cryptanalysis import attack_es_qkd_keyset, leakage_report
 from otplab.otp import KeyMaterial, TRULY_RANDOM, derived_correlated, random_key
 from otplab.protocols import (
     XOR_CHAIN_RECEIVERS,
@@ -17,7 +19,6 @@ from otplab.protocols import (
     Channel,
     ConditionViolationError,
     EsQkdRun,
-    Event,
     Transcript,
     XorChainRun,
     deduce_partner_result,
@@ -35,6 +36,29 @@ from otplab.quantum import (
 )
 
 ALL_PAIRS = list(itertools.product(BELL_LABELS, BELL_LABELS))
+
+
+@dataclass(frozen=True)
+class Event:
+    """One channel event, as the reference transcripts below record it."""
+
+    sender: str
+    channel: Channel
+    payload: str
+
+
+def events_of(transcript: Transcript) -> tuple:
+    """A columnar transcript read back as its events, in order."""
+    return tuple(map(Event, transcript.senders, transcript.channels, transcript.payloads))
+
+
+def public_events_of(transcript: Transcript) -> tuple:
+    return tuple(e for e in events_of(transcript) if e.channel is Channel.PUBLIC_BROADCAST)
+
+
+def payloads_on(transcript: Transcript, channel: Channel) -> list:
+    """The payloads sent on one channel, one per event, in order."""
+    return [e.payload for e in events_of(transcript) if e.channel is channel]
 
 
 class TestTranscript:
@@ -70,6 +94,13 @@ class TestTranscript:
         with pytest.raises(ValueError):
             ListTranscript().append("alice", Channel.PUBLIC_BROADCAST, bad)
 
+    def test_a_transcript_is_only_its_columns(self):
+        assert [f.name for f in dataclasses.fields(Transcript)] == [
+            "senders", "channels", "payloads"
+        ]
+        assert not hasattr(protocols, "Event")
+        assert not hasattr(Transcript(), "events") and not hasattr(Transcript, "public_events")
+
     def test_columns_are_stored_as_tuples(self):
         senders, channels, payloads = ["alice"], [Channel.PUBLIC_BROADCAST], ["1"]
         t = Transcript(senders, channels, payloads)
@@ -80,16 +111,17 @@ class TestTranscript:
 
 
 class TestFrozenRun:
-    """A finished run cannot be changed through its transcript or its outputs."""
+    """A finished run cannot be changed through its transcript, outputs or results."""
 
     def test_events_cannot_be_appended(self):
         run = run_xor_chain("10")
-        with pytest.raises(AttributeError):
-            run.transcript.events.append(Event("mallory", Channel.PUBLIC_BROADCAST, "x2"))
-        with pytest.raises(AttributeError):
-            run.transcript.events = []
+        for column in ("senders", "channels", "payloads"):
+            with pytest.raises(AttributeError):
+                getattr(run.transcript, column).append("x2")
+            with pytest.raises(AttributeError):
+                setattr(run.transcript, column, [])
         assert eve_view(run.transcript) == "1"
-        assert len(run.transcript.events) == 2
+        assert len(events_of(run.transcript)) == 2
 
     def test_transcript_columns_are_tuples(self):
         key = KeyMaterial("11", TRULY_RANDOM)
@@ -108,6 +140,38 @@ class TestFrozenRun:
         run = XorChainRun("10", run_xor_chain("10").transcript, outputs, ghz_states_consumed=1)
         outputs["bob"] = "00"
         assert run.receiver_outputs == {"bob": "10"}
+
+    @pytest.mark.parametrize("name", ["initial_pairs", "alice_results", "bob_results"])
+    def test_es_qkd_results_cannot_be_appended_or_assigned(self, name):
+        run = run_es_qkd([(PHI_PLUS, PSI_PLUS)], random.Random(1))
+        column = getattr(run, name)
+        with pytest.raises(AttributeError):
+            column.append(column[0])
+        with pytest.raises(AttributeError):
+            setattr(run, name, [])
+        # An appended pair used to make the report claim 8 bits for this 4-bit key.
+        report = leakage_report(run, attack_es_qkd_keyset(run.initial_pairs))
+        assert report.claimed_bits == len(run.key) == 4
+
+    def test_es_qkd_key_and_particle_count_are_read_only(self):
+        run = run_es_qkd([(PHI_PLUS, PSI_PLUS)], random.Random(1))
+        key = run.key
+        with pytest.raises(AttributeError):
+            run.key = "0000"
+        with pytest.raises(AttributeError):
+            run.particles_consumed = 8
+        assert (run.key, run.particles_consumed) == (key, 4)
+
+    def test_es_qkd_run_stores_three_tuples(self):
+        pairs, alice, bob = [(PHI_PLUS, PSI_PLUS)], [PSI_PLUS], [PHI_PLUS]
+        run = EsQkdRun(pairs, alice, bob)
+        names = [f.name for f in dataclasses.fields(EsQkdRun)]
+        assert names == ["initial_pairs", "alice_results", "bob_results"]
+        assert all(type(getattr(run, name)) is tuple for name in names)
+        pairs.append((PHI_PLUS, PHI_PLUS))
+        alice.append(PHI_PLUS)
+        bob.append(PHI_PLUS)
+        assert (run.key, run.particles_consumed) == ("1000", 4)
 
     def test_runs_of_one_message_compare_equal(self):
         assert run_xor_chain("0110") == run_xor_chain("0110")
@@ -132,8 +196,7 @@ class TestEveView:
 class TestXorChain:
     def test_message_11(self):
         run = run_xor_chain("11")
-        secure = [e for e in run.transcript.events if e.channel is Channel.SECURE_PRIMITIVE]
-        assert [e.payload for e in secure] == ["1"]
+        assert payloads_on(run.transcript, Channel.SECURE_PRIMITIVE) == ["1"]
         assert eve_view(run.transcript) == "0"
         assert run.receiver_outputs == {"bob": "11", "charlie": "11"}
 
@@ -144,7 +207,7 @@ class TestXorChain:
 
     def test_message_10110100(self):
         run = run_xor_chain("10110100")
-        secure = [e.payload for e in run.transcript.events if e.channel is Channel.SECURE_PRIMITIVE]
+        secure = payloads_on(run.transcript, Channel.SECURE_PRIMITIVE)
         assert secure == ["1", "1", "0", "0"]
         assert eve_view(run.transcript) == "1010"
         assert run.receiver_outputs["charlie"] == "10110100"
@@ -165,8 +228,8 @@ class TestXorChain:
     @pytest.mark.parametrize("n_bits", [2, 4, 10, 16])
     def test_resource_counts(self, n_bits):
         run = run_xor_chain(random_bits(n_bits, random.Random(n_bits)))
-        public = run.transcript.public_events()
-        secure = [e for e in run.transcript.events if e.channel is Channel.SECURE_PRIMITIVE]
+        public = public_events_of(run.transcript)
+        secure = payloads_on(run.transcript, Channel.SECURE_PRIMITIVE)
         assert len(public) == n_bits // 2
         assert len(secure) == n_bits // 2
         assert run.ghz_states_consumed == n_bits // 2
@@ -180,7 +243,7 @@ class TestXorChain:
 
     def test_transcript_interleaves_secure_then_broadcast(self):
         run = run_xor_chain("0110")
-        channels = [e.channel for e in run.transcript.events]
+        channels = [e.channel for e in events_of(run.transcript)]
         assert channels == [
             Channel.SECURE_PRIMITIVE,
             Channel.PUBLIC_BROADCAST,
@@ -252,9 +315,9 @@ class TestXorChainAgainstStringRunner:
     def test_same_transcript_view_and_outputs(self, message):
         run = run_xor_chain(message)
         reference, outputs = string_run_xor_chain(message)
-        assert run.transcript.events == tuple(reference.events)
+        assert events_of(run.transcript) == tuple(reference.events)
         assert run.transcript.to_records() == reference.to_records()
-        assert run.transcript.public_events() == reference.public_events()
+        assert public_events_of(run.transcript) == reference.public_events()
         assert eve_view(run.transcript) == list_eve_view(reference)
         assert dict(run.receiver_outputs) == outputs
         assert run.ghz_states_consumed == len(message) // 2
@@ -272,9 +335,9 @@ class TestXorChainAgainstStringRunner:
         columns, reference = Transcript(*zip(*events)), ListTranscript()
         for event in events:
             reference.append(*event)
-        assert columns.events == tuple(reference.events)
+        assert events_of(columns) == tuple(reference.events)
         assert columns.to_records() == reference.to_records()
-        assert columns.public_events() == reference.public_events()
+        assert public_events_of(columns) == reference.public_events()
         public = "".join(p for _, c, p in events if c is Channel.PUBLIC_BROADCAST)
         assert eve_view(columns) == list_eve_view(reference) == public
 
@@ -289,7 +352,7 @@ class TestXorChainMemo:
         run = run_xor_chain(message)
         assert run == protocols._xor_chain_run.__wrapped__(message)
         reference, outputs = string_run_xor_chain(message)
-        assert run.transcript.events == tuple(reference.events)
+        assert events_of(run.transcript) == tuple(reference.events)
         assert dict(run.receiver_outputs) == outputs
 
     def test_repeated_call_returns_the_same_frozen_run(self):
@@ -373,10 +436,11 @@ class TestEsQkd:
         ([PSI_PLUS], [PHI_PLUS, PHI_PLUS]),
     ])
     def test_results_must_cover_every_swap(self, alice, bob):
-        # The key "1000" concatenates the first result pair, so only the
-        # length check stands between this run and a 4-bit key claimed as 8.
+        # The key zips the results, so the first result pair alone gives
+        # "1000": only the length check stands between this run and a 4-bit
+        # key claimed as 8.
         with pytest.raises(ValueError, match="one result per party"):
-            EsQkdRun([(PHI_PLUS, PSI_PLUS)] * 2, alice, bob, key="1000", particles_consumed=8)
+            EsQkdRun([(PHI_PLUS, PSI_PLUS)] * 2, alice, bob)
 
     @pytest.mark.parametrize("pair", ALL_PAIRS)
     def test_outcomes_stay_in_oracle_support(self, pair):
@@ -424,6 +488,15 @@ class TestEsQkd:
         assert run.particles_consumed == 20
         assert len(run.key) == 20
 
+    @settings(deadline=None)
+    @given(st.lists(st.sampled_from(ALL_PAIRS), min_size=1, max_size=20),
+           st.integers(0, 2**32 - 1))
+    def test_key_concatenates_the_result_blocks(self, pairs, seed):
+        run = run_es_qkd(pairs, random.Random(seed))
+        assert run.key == "".join(a.bits + b.bits for a, b in zip(run.alice_results,
+                                                                 run.bob_results))
+        assert len(run.key) == run.particles_consumed == 4 * len(pairs)
+
     def test_same_seed_same_run(self):
         pairs = ALL_PAIRS[:6]
         a = run_es_qkd(pairs, random.Random(77))
@@ -447,7 +520,7 @@ class TestEsQkd:
 class TestOtpBaseline:
     def test_broadcast_is_the_ciphertext(self):
         transcript = run_otp_baseline("10", KeyMaterial("11", TRULY_RANDOM))
-        events = transcript.events
+        events = events_of(transcript)
         assert len(events) == 1
         assert events[0].channel is Channel.PUBLIC_BROADCAST
         assert events[0].payload == "01"
