@@ -4,6 +4,8 @@ Bitstrings are plain strings of '0'/'1' characters, most significant bit
 first, so a key written k1 k2 k3 k4 reads left to right.
 """
 
+import functools
+import itertools
 import random
 
 
@@ -36,10 +38,25 @@ def int_to_bits(code: int, width: int) -> str:
     return format(code, f"0{width}b")
 
 
-def all_bitstrings(width: int):
-    """All bitstrings of the given width in ascending numeric order."""
-    for code in range(1 << width):
-        yield int_to_bits(code, width)
+@functools.cache
+def _table(width: int) -> tuple:
+    """Every bitstring of `width` bits (at most 8), indexed by its code."""
+    return tuple(int_to_bits(code, width) for code in range(1 << width))
+
+
+def codes_to_bits(codes, width: int) -> list:
+    """`[int_to_bits(c, width) for c in codes]` for int codes in [0, 2**width), in bulk.
+
+    Up to 8 bits each code is one lookup in a cached table of every
+    string; up to 16 bits, two lookups joined, the high bits' string and
+    the low byte's; wider codes take `format`.
+    """
+    if width <= 8:
+        return list(map(_table(width).__getitem__, codes))
+    if width <= 16:
+        high, low = _table(width - 8), _table(8)
+        return [high[c >> 8] + low[c & 255] for c in codes]
+    return list(map(format, codes, itertools.repeat(f"0{width}b")))
 
 
 def random_bits(width: int, rng: random.Random) -> str:

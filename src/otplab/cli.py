@@ -225,12 +225,13 @@ def _distributions_match(a: Distribution, b: Distribution) -> bool:
 
 def _xor_chain_analysis(config: ScenarioConfig):
     joint = enumerate_joint(Distribution.uniform_bits(config.message_bits), xor_chain_view)
-    # Beside the joint: (Eve's view, the report's trial dict) per distinct message.
-    return (joint, {}), mutual_information(joint)
+    # Beside the joint: (Eve's view, the report's trial dict) per distinct
+    # message, and the report's posterior support list per distinct view.
+    return (joint, {}, {}), mutual_information(joint)
 
 
 def _xor_chain_trial(config: ScenarioConfig, analysis, rng, with_attack: bool):
-    (joint, trials), eve_bits = analysis
+    (joint, trials, supports), eve_bits = analysis
     run = run_xor_chain(random_bits(config.message_bits, rng))
     # A trial's view, records and attack block depend only on its message,
     # so trials that repeat a message share them.
@@ -242,7 +243,11 @@ def _xor_chain_trial(config: ScenarioConfig, analysis, rng, with_attack: bool):
     if seen is None:
         attack = None
         if with_attack:
-            attack = {"view": view, "posterior_support": list(post.support), "eve_bits": eve_bits}
+            # Messages with one view share its posterior, and so its list.
+            support = supports.get(view)
+            if support is None:
+                support = supports[view] = list(post.support)
+            attack = {"view": view, "posterior_support": support, "eve_bits": eve_bits}
         trial = _trial(run.transcript.to_records(), run.message, attack)
         seen = trials[run.message] = (view, trial)
     return run, seen[1]
@@ -414,7 +419,7 @@ def _only(types, values) -> bool:
     return types.issuperset(map(type, values))
 
 
-def _indented(obj, depth: int) -> str:
+def _indented(obj, depth: int, memo: dict) -> str:
     """`json.dumps(obj, indent=2, sort_keys=True)` with `depth` more indents after each newline.
 
     A container of scalars is one `_encode` call; a list of non-empty
@@ -422,7 +427,25 @@ def _indented(obj, depth: int) -> str:
     the items meet, exact as a JSON string holds no raw newline and no scalar
     starts or ends with a bracket.  Other containers recurse; non-str keys
     and other types take `json.dumps`.
+
+    `memo` holds list texts keyed by (identity, depth): a list is marked at
+    its first sight and its text kept from its second on, so a list that
+    several trial bodies share is rendered at most twice, and a list seen
+    once holds no text beyond its parent's.  The caller keeps the payload,
+    and so every keyed list, alive while the memo is in use.
     """
+    if type(obj) is not list:
+        return _fresh(obj, depth, memo)
+    key = (id(obj), depth)
+    text = memo.get(key)
+    if text is None:
+        text = _fresh(obj, depth, memo)
+        memo[key] = text if key in memo else None
+    return text
+
+
+def _fresh(obj, depth: int, memo: dict) -> str:
+    """`_indented` text of `obj`, built without reading its own memo entry."""
     kind, pad, inner = type(obj), "\n" + "  " * depth, "\n" + "  " * (depth + 1)
     if kind in _SCALARS:
         return _encode(obj, depth)
@@ -432,7 +455,7 @@ def _indented(obj, depth: int) -> str:
         text = _encode(obj, depth + 1)
         return text[0] + inner + text[1:-1] + pad + text[-1] if obj else text
     if kind is dict:
-        items = [encode_basestring_ascii(k) + ": " + _indented(obj[k], depth + 1)
+        items = [encode_basestring_ascii(k) + ": " + _indented(obj[k], depth + 1, memo)
                  for k in sorted(obj)]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
     kinds, flat = set(map(type, obj)), itertools.chain.from_iterable
@@ -442,7 +465,8 @@ def _indented(obj, depth: int) -> str:
         text = _encode(obj, depth + 2).replace(closing + "," + innermost + opening,
                                                inner + closing + "," + inner + opening + innermost)
         return "[" + inner + opening + innermost + text[2:-2] + inner + closing + pad + "]"
-    return "[" + inner + ("," + inner).join([_indented(v, depth + 1) for v in obj]) + pad + "]"
+    items = [_indented(v, depth + 1, memo) for v in obj]
+    return "[" + inner + ("," + inner).join(items) + pad + "]"
 
 
 def render_json(payload: dict) -> str:
@@ -452,21 +476,24 @@ def render_json(payload: dict) -> str:
     other keys, as one object whose closing brace is cut off) and one body
     per trial.  Trials repeat, so each distinct trial object, keyed by its
     identity (the list keeps every trial alive), is rendered once, four
-    spaces deep.  Payloads without a nonempty `trials` list sorted last,
-    such as the audit table, are rendered whole.  Every piece is `_indented`
-    text: batched C-encoder calls, or `json.dumps` for non-str keys and
-    values of types other than dict, list, tuple and the JSON scalars.
+    spaces deep, and a list that several bodies share is rendered at most
+    twice (`_indented`'s memo, kept for this call only).  Payloads without
+    a nonempty `trials` list sorted last, such as the audit table, are
+    rendered whole.  Every piece is `_indented` text: batched C-encoder
+    calls, or `json.dumps` for non-str keys and values of types other than
+    dict, list, tuple and the JSON scalars.
     """
     trials = payload.get("trials")
     keys = sorted(payload)
+    memo = {}
     if not (isinstance(trials, list) and trials and len(keys) > 1 and keys[-1] == "trials"):
-        return _indented(payload, 0) + "\n"
-    header = _indented({k: payload[k] for k in keys[:-1]}, 0)
+        return _indented(payload, 0, memo) + "\n"
+    header = _indented({k: payload[k] for k in keys[:-1]}, 0, memo)
     bodies, parts = {}, []
     for trial in trials:
         body = bodies.get(id(trial))
         if body is None:
-            body = bodies[id(trial)] = _indented(trial, 2)
+            body = bodies[id(trial)] = _indented(trial, 2, memo)
         parts.append(body)
     return f'{header[:-2]},\n  "trials": [\n    ' + ",\n    ".join(parts) + "\n  ]\n}\n"
 

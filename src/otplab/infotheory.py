@@ -19,7 +19,10 @@ it has returned, one per distinct observation queried, so a repeated
 observation is a dict lookup; their probabilities total at most one copy
 of the joint's probability column.  Bitstrings appear only at the
 API boundary: the `Distribution` constructor, `entries`, `support`,
-`probability`, and the secret handed to an `enumerate_joint` view.
+`probability`, and the secret handed to an `enumerate_joint` view.  A
+distribution formats its support once, in bulk from its codes
+(`bits.codes_to_bits`), when `support`, `entries` or `probability` is
+first read, and `entries` reuses those strings as its keys.
 
 A deterministic view may also carry an integer form, a `codes` attribute
 mapping the array of secret codes to one observation code per secret;
@@ -40,14 +43,13 @@ which groups codes by a sort that copies the column.  Building a joint
 from an integer view holds the result's columns plus one sort order.
 """
 
-import itertools
 from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Union
 
 import numpy as np
 
-from .bits import bits_to_int, check_bits, int_to_bits
+from .bits import bits_to_int, check_bits, codes_to_bits
 from .tolerances import FLOAT_TOL, PROB_SUM_TOL
 
 ENUMERATION_BUDGET = 1 << 24
@@ -177,15 +179,17 @@ class Distribution:
         return cls._from_codes(np.arange(n), np.full(n, 1.0 / n), width)
 
     @cached_property
-    def entries(self) -> MappingProxyType:
-        """Read-only {bitstring: probability} view, in ascending outcome order."""
-        width, codes = self.bit_length, self.codes.tolist()
-        keys = map(format, codes, itertools.repeat(f"0{width}b")) if width else [""] * len(codes)
-        return MappingProxyType(dict(zip(keys, self.probabilities.tolist())))
-
-    @property
     def support(self) -> tuple:
-        return tuple(self.entries)
+        """The outcome bitstrings in ascending order, formatted once, in bulk, from `codes`."""
+        return tuple(codes_to_bits(self.codes.tolist(), self.bit_length))
+
+    @cached_property
+    def entries(self) -> MappingProxyType:
+        """Read-only {bitstring: probability} view, in ascending outcome order.
+
+        Its keys are `support`, so the outcomes are formatted only once.
+        """
+        return MappingProxyType(dict(zip(self.support, self.probabilities.tolist())))
 
     def probability(self, outcome: str) -> float:
         return self.entries.get(outcome, 0.0)
@@ -386,8 +390,9 @@ def enumerate_joint(secret_prior: Distribution, view_fn: ViewFn) -> JointDistrib
     else:
         observation_chunks, probability_chunks = [], []
         observation_bits, total_entries = None, 0
-        for code, p_secret in zip(secret_prior.codes.tolist(), secret_prior.probabilities.tolist()):
-            view = view_fn(int_to_bits(code, secret_bits))
+        secret_strings = codes_to_bits(secret_prior.codes.tolist(), secret_bits)
+        for secret, p_secret in zip(secret_strings, secret_prior.probabilities.tolist()):
+            view = view_fn(secret)
             if isinstance(view, str):
                 width = len(check_bits(view, "observation"))
                 codes = [bits_to_int(view)]

@@ -120,7 +120,10 @@ class EsQkdRun:
     """One execution of the entanglement-swapping key scheme.
 
     Per swap, its initial Bell pairs and each party's outcome, as tuples of
-    one length; the key and the particle count are derived from them.
+    one length; the key and the particle count are derived from them.  Each
+    swap's outcome pair must lie in the swap support: the support pairs
+    outcomes bijectively, so when Alice's deduction is Bob's result, Bob's
+    deduction is hers, and both write down the block alice.bits + bob.bits.
     """
 
     initial_pairs: tuple
@@ -132,6 +135,12 @@ class EsQkdRun:
             object.__setattr__(self, name, tuple(getattr(self, name)))
         if not len(self.alice_results) == len(self.bob_results) == len(self.initial_pairs):
             raise ValueError("each swap has exactly one result per party")
+        for pair, alice, bob in zip(self.initial_pairs, self.alice_results, self.bob_results):
+            if deduce_partner_result(alice, pair) != bob:
+                raise ValueError(
+                    f"outcome pair {alice}:{bob} lies outside the swap support "
+                    f"of {pair[0]}:{pair[1]}"
+                )
 
     @property
     def key(self) -> str:
@@ -211,7 +220,8 @@ def run_es_qkd(initial_pairs, rng: random.Random) -> EsQkdRun:
 
     Each swap samples an outcome pair from the state-vector oracle; both
     parties then deduce each other's result and write down the same 4-bit
-    key block (Alice's label first).
+    key block (Alice's label first).  `EsQkdRun` checks each pair against
+    the swap support.
     """
     initial_pairs = tuple(initial_pairs)
     if not initial_pairs:
@@ -219,13 +229,7 @@ def run_es_qkd(initial_pairs, rng: random.Random) -> EsQkdRun:
     alice_results = []
     bob_results = []
     for pair in initial_pairs:
-        dist = swap_distribution_oracle(*pair)
-        alice, bob = sample_swap(dist, rng)
-        # The support pairs outcomes bijectively, so when Alice's deduction
-        # is Bob's result, Bob's deduction is hers: both write down the
-        # block alice.bits + bob.bits.
-        if deduce_partner_result(alice, pair) != bob:
-            raise AssertionError("sampled outcome pair escaped the swap support")
+        alice, bob = sample_swap(swap_distribution_oracle(*pair), rng)
         alice_results.append(alice)
         bob_results.append(bob)
     return EsQkdRun(initial_pairs, alice_results, bob_results)

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from otplab.bits import all_bitstrings, xor_bits
+from otplab.bits import codes_to_bits, xor_bits
 from otplab.cli import build_audit_rows, main
 from otplab.cryptanalysis import (
     attack_es_qkd_keyset,
@@ -133,7 +133,7 @@ def test_criterion_07_parity_attack_soundness():
         total = 0
         for pair in ALL_PAIRS:
             for key in swap_distribution_oracle(*pair).support:
-                for plaintext in all_bitstrings(4):
+                for plaintext in codes_to_bits(range(1 << 4), 4):
                     ciphertext = xor_bits(plaintext, key)
                     p = [int(ch) for ch in plaintext]
                     truth = (p[0] ^ p[2], p[1] ^ p[3])

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from otplab.bits import check_bits, random_bits, xor_bits
+from otplab.bits import check_bits, codes_to_bits, int_to_bits, random_bits, xor_bits
 from otplab.otp import random_key
 
 
@@ -116,3 +116,41 @@ class TestRandomBits:
     def test_random_key_rejects_negative_width(self):
         with pytest.raises(ValueError, match="bit width"):
             random_key(-1, random.Random(0))
+
+
+def ends(width: int) -> list:
+    """The two lowest and two highest codes of a width (one code at width 0)."""
+    top = (1 << width) - 1
+    return sorted({0, min(1, top), max(top - 1, 0), top})
+
+
+WIDTH_AND_CODES = st.integers(0, 63).flatmap(lambda width: st.tuples(
+    st.just(width),
+    st.lists(st.integers(0, (1 << width) - 1) | st.sampled_from(ends(width)), max_size=40),
+))
+
+
+class TestCodesToBits:
+    """`codes_to_bits`'s table lookups against `int_to_bits`, code for code."""
+
+    @given(WIDTH_AND_CODES)
+    @example((0, [0, 0]))
+    @example((8, [0, 1, 254, 255]))
+    @example((9, [0, 1, 255, 256, 510, 511]))
+    @example((16, [0, 1, 255, 256, 65534, 65535]))
+    @example((17, [0, 1, 65535, 65536, 131070, 131071]))
+    @example((63, [0, 2**63 - 1]))
+    @example((5, []))
+    def test_same_strings_as_int_to_bits(self, case):
+        width, codes = case
+        assert codes_to_bits(codes, width) == [int_to_bits(c, width) for c in codes]
+
+    @pytest.mark.parametrize("width", range(64))
+    def test_every_width_at_both_ends(self, width):
+        codes = ends(width)
+        assert codes_to_bits(iter(codes), width) == [int_to_bits(c, width) for c in codes]
+
+    @pytest.mark.parametrize("width", [0, 3, 8, 12])
+    def test_every_code_of_a_table_width(self, width):
+        codes = range(1 << width)
+        assert codes_to_bits(codes, width) == [int_to_bits(c, width) for c in codes]

@@ -549,6 +549,32 @@ class TestRenderJson:
         payload = {"scenario": "xor-chain", "trials": [trial() for _ in range(5)]}
         assert render_json(payload) == stdlib_json(payload)
 
+    def test_a_list_shared_at_several_depths_matches_stdlib(self):
+        shared = [["00", "01"], ["10"]]
+        trial = {"attack": {"key_sets": shared}, "transcript": shared}
+        payload = {"config": {"pairs": shared}, "trials": [trial, shared, {"x": trial}, trial]}
+        assert render_json(payload) == stdlib_json(payload)
+
+    def test_a_list_shared_by_trial_bodies_is_rendered_at_most_twice(self, monkeypatch):
+        shared, once = [["00", "01"], ["10", "11"]], [[1, 2], [3]]
+        payload = {"scenario": "s", "trials": [
+            {"attack": {"key_sets": shared}, "transcript": once if i == 0 else [[i]]}
+            for i in range(6)
+        ]}
+        rendered = collections.Counter()
+        fresh = cli._fresh
+
+        def counted(obj, depth, memo):
+            rendered[id(obj)] += 1
+            return fresh(obj, depth, memo)
+
+        monkeypatch.setattr(cli, "_fresh", counted)
+        text = render_json(payload)
+        monkeypatch.undo()
+        assert text == stdlib_json(payload)
+        assert rendered[id(shared)] == 2
+        assert rendered[id(once)] == 1
+
 
 class TestRepeatedTrials:
     def config(self, trials):
@@ -587,6 +613,15 @@ class TestRepeatedTrials:
         assert attacks[0]["true_parities"] == [[0, 1], [1, 0]]
         for name in ("key_sets", "true_parities"):
             assert all(attack[name] is attacks[0][name] for attack in attacks)
+
+    def test_xor_chain_trials_with_one_view_share_one_support_list(self):
+        config = ScenarioConfig("xor-chain", seed=3, trials=64, fmt="json", message_bits=4)
+        trials = build_report(config, with_attack=True)["trials"]
+        by_view = {}
+        for attack in [trial["attack"] for trial in trials]:
+            support = attack["posterior_support"]
+            assert by_view.setdefault(attack["view"], support) is support
+        assert len(by_view) < len({trial["key_or_message"] for trial in trials})
 
 
 def fresh_generator_trials(config, with_attack):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otplab.bits import all_bitstrings, bits_to_int, int_to_bits, xor_bits
+from otplab.bits import bits_to_int, codes_to_bits, int_to_bits, xor_bits
 from otplab.cryptanalysis import (
     EfficiencyVerdict,
     LeakageReport,
@@ -70,7 +70,7 @@ class TestAttackXorChain:
         assert eve_bits == pytest.approx(n_bits / 2, abs=1e-9)
 
     def test_view_function_matches_protocol(self):
-        for message in all_bitstrings(6):
+        for message in codes_to_bits(range(1 << 6), 6):
             assert xor_chain_view(message) == eve_view(run_xor_chain(message).transcript)
 
     def test_posterior_is_consistent_with_view(self):
@@ -177,7 +177,7 @@ class TestAttackEsQkdParity:
         cases = 0
         for pair in ALL_PAIRS:
             for key in swap_distribution_oracle(*pair).support:
-                for plaintext in all_bitstrings(4):
+                for plaintext in codes_to_bits(range(1 << 4), 4):
                     ciphertext = xor_bits(plaintext, key)
                     recovered = attack_es_qkd_parity(ciphertext, pair)
                     p = [int(ch) for ch in plaintext]

@@ -9,8 +9,10 @@ initial configurations, each listed twice so the memoized swap oracle
 answers from its cache, were recorded the same way before the oracle was
 memoized.  The 2-bit xor-chain attack over 40 trials, whose trials repeat
 the same four messages, was recorded before a report kept one trial dict
-per distinct message.  A change that alters a report on purpose must re-record the
-affected hash and say why.
+per distinct message.  The 10- and 14-bit xor-chain attacks, whose
+posterior supports are formatted by two table lookups per outcome, were
+recorded before supports were formatted in bulk.  A change that alters a
+report on purpose must re-record the affected hash and say why.
 
 The benchmark's workload command lines, at the benchmark seed and the
 held-out seed, are pinned the same way; their hashes were recorded before
@@ -66,6 +68,12 @@ COMMANDS = [
          "--trials", "40", "--format", fmt)
         for fmt in ("json", "text")
     ],
+    *[
+        ("attack", "--scenario", "xor-chain", "--message-bits", bits, "--seed", "3",
+         "--trials", "5", "--format", fmt)
+        for bits in ("10", "14")
+        for fmt in ("json", "text")
+    ],
     ("simulate", "--scenario", "xor-chain", "--format", "json"),
     ("simulate", "--scenario", "es-qkd", "--format", "json"),
     ("simulate", "--scenario", "otp-baseline", "--format", "json"),
@@ -92,6 +100,10 @@ GOLDEN = {
     f"attack --scenario es-qkd --pairs {ES_ALL_PAIRS_TWICE} --plaintext {ES_ALL_PLAINTEXT} --seed 13 --trials 2 --format text": "c0ea83f68f25f5d7594e6342526292c4ee5102c7ed6d7977c02651bd8d42e7f3",
     "attack --scenario xor-chain --message-bits 2 --seed 5 --trials 40 --format json": "81ec4efdfcda8c77f19fd8ef12c9c2c6e1174ced37b88abc895b75497381dcef",
     "attack --scenario xor-chain --message-bits 2 --seed 5 --trials 40 --format text": "8d60c3bbee76f7f4002d2edbe1947799bfceb94e1bb1fa1f87e8b34f620f41ed",
+    "attack --scenario xor-chain --message-bits 10 --seed 3 --trials 5 --format json": "4baea582c5b7ad076a48b5426bde0566943d55578b2bcb7c799735937da6fb53",
+    "attack --scenario xor-chain --message-bits 10 --seed 3 --trials 5 --format text": "267418a8043553e44c018d7b5e09585df7a8c42f1731be1339ad81df7d3bbd29",
+    "attack --scenario xor-chain --message-bits 14 --seed 3 --trials 5 --format json": "2f0075f568cdfe144ee68c3f71bb3e763211ac1a850a3a4da04c41cfd76aaa28",
+    "attack --scenario xor-chain --message-bits 14 --seed 3 --trials 5 --format text": "ffcfe352c3ab7501f759edf5e773b29b3ffa888db58023f66fe7a80a64368d46",
     "simulate --scenario xor-chain --format json": "0d76938d6b364640f59648939491bda44ff6ef7b09daefdfd71d3bf49ddc67a7",
     "simulate --scenario es-qkd --format json": "08524b7d1cc8d9db50dbd7ee940d69aa64a11eef4820e1704f9a01b864a66de6",
     "simulate --scenario otp-baseline --format json": "3e0ab47a5b5261b5c25e036dab3c5d3f80c96e0dd56d2fe36b4cb026c5bd1894",

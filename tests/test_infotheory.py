@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from otplab import cryptanalysis, infotheory
-from otplab.bits import all_bitstrings, bits_to_int, int_to_bits, xor_bits
+from otplab.bits import bits_to_int, codes_to_bits, int_to_bits, xor_bits
 from otplab.infotheory import (
     Distribution,
     EnumerationBudgetError,
@@ -63,7 +63,8 @@ class TestDistribution:
 
     @pytest.mark.parametrize("width", [1, 2, 3, 6])
     def test_entropy_bounds(self, width):
-        skewed = {o: 2.0 ** -(i + 1) for i, o in enumerate(all_bitstrings(width))}
+        outcomes = codes_to_bits(range(1 << width), width)
+        skewed = {o: 2.0 ** -(i + 1) for i, o in enumerate(outcomes)}
         last = format((1 << width) - 1, f"0{width}b")
         skewed[last] = skewed[last] * 2  # top up so the tail sums to 1
         d = Distribution(skewed)
@@ -439,14 +440,22 @@ class TestBoundaryRoundTrip:
         assert list(dist.entries) == sorted(nonzero)
 
     @settings(deadline=None)
-    @given(st.integers(0, 16).flatmap(
-        lambda width: st.sets(st.integers(0, (1 << width) - 1), min_size=1, max_size=64)
-        .map(lambda codes: (width, sorted(codes)))
+    @given(st.integers(0, 63).flatmap(
+        lambda width: st.sets(
+            st.integers(0, (1 << width) - 1) | st.sampled_from([0, (1 << width) - 1]),
+            min_size=1, max_size=64,
+        ).map(lambda codes: (width, sorted(codes)))
     ))
     def test_entries_keys_are_int_to_bits(self, width_codes):
+        # The support is formatted once: a second read is the same tuple,
+        # and the entries' keys are its strings.
         width, codes = width_codes
         dist = Distribution._from_codes(codes, [1.0 / len(codes)] * len(codes), width)
-        assert list(dist.entries) == [int_to_bits(code, width) for code in codes]
+        reference = [format(code, f"0{width}b") if width else "" for code in codes]
+        assert dist.support == tuple(reference) == tuple(int_to_bits(c, width) for c in codes)
+        assert dist.entries == dict.fromkeys(reference, 1.0 / len(codes))
+        assert dist.support is dist.support
+        assert all(key is outcome for key, outcome in zip(dist.entries, dist.support))
 
     @settings(deadline=None)
     @given(bit_mappings(), st.randoms(use_true_random=False))

@@ -460,8 +460,17 @@ class TestEsQkd:
     def test_off_support_outcome_pair_is_caught(self, monkeypatch):
         # (phi+, psi+) never yields phi+ on both sides.
         monkeypatch.setattr(protocols, "sample_swap", lambda dist, rng: (PHI_PLUS, PHI_PLUS))
-        with pytest.raises(AssertionError, match="escaped the swap support"):
+        with pytest.raises(ValueError, match="outside the swap support"):
             run_es_qkd([(PHI_PLUS, PSI_PLUS)], random.Random(0))
+
+    def test_run_record_rejects_an_off_support_outcome_pair(self):
+        # Built directly, this run would have key 0000, and the leakage
+        # report would credit it with 2 secure bits.
+        with pytest.raises(ValueError, match=r"phi\+:phi\+ lies outside the swap support "
+                                             r"of phi\+:psi\+"):
+            EsQkdRun([(PHI_PLUS, PSI_PLUS)], [PHI_PLUS], [PHI_PLUS])
+        with pytest.raises(ValueError, match="outside the swap support"):
+            EsQkdRun([(PHI_PLUS, PSI_PLUS)] * 2, [PSI_PLUS, PHI_PLUS], [PHI_PLUS, PHI_PLUS])
 
     def test_support_check_over_every_outcome_pair(self, monkeypatch):
         # All 16 initial configurations x all 16 outcome pairs: the check
@@ -474,8 +483,8 @@ class TestEsQkd:
                 monkeypatch.setattr(protocols, "sample_swap", lambda dist, rng: (alice, bob))
                 try:
                     run = run_es_qkd([pair], random.Random(0))
-                except AssertionError as exc:
-                    assert "escaped the swap support" in str(exc)
+                except ValueError as exc:
+                    assert "outside the swap support" in str(exc)
                     assert alice.bits + bob.bits not in support
                     rejected.append((pair, alice, bob))
                     continue
