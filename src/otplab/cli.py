@@ -334,9 +334,9 @@ class Scenario:
     message_lengths: range | None
 
 
-# The length caps keep each joint within the 2**24-entry budget: 2**16
-# messages for the chain, 2**12 plaintexts x 2**12 ciphertexts for the
-# baseline, whose joint stores one 2**12-entry slice.
+# The 2**24-entry budget sets the baseline's cap: 2**12 plaintexts x 2**12
+# ciphertexts, stored as one 2**12-entry slice.  The chain's 16 bits is a
+# chosen cap; its 2**16-message joint is well within the budget.
 SCENARIOS = {
     "xor-chain": Scenario(
         analyze=_xor_chain_analysis,

@@ -27,10 +27,12 @@ space; `swap_distribution_rule` states it in closed form.  The two must
 agree entrywise, which the test suite checks for all 16 initial pairs.
 The basis is built, and each configuration projected, once per process;
 the tests compare the uncached projection (`swap_distribution_oracle.__wrapped__`)
-with the rule, and with a projection onto basis states built afresh.
+with the rule, and with a projection whose amplitudes are built afresh by
+index arithmetic.
 
-Basis-index convention: bit k of a basis index corresponds to the (k+1)-th
-entry of `qubit_order`, most significant bit first.
+Basis-index convention: a state on particles (p1, ..., pn) is an array of
+2**n complex amplitudes whose index holds p1's bit most significant.  The
+product state is on (1,2,3,4); the measured basis is on (1,3,2,4).
 """
 
 import functools
@@ -41,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .infotheory import Distribution
-from .tolerances import FLOAT_TOL, PROB_CLAMP
+from .tolerances import PROB_CLAMP
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -56,7 +58,7 @@ class BellLabel:
     bits: str = field(init=False, repr=False, compare=False)  # e.g. psi+ -> "10"
 
     def __post_init__(self):
-        if self.bitflip not in (0, 1) or self.phase not in (0, 1):
+        if not all(type(bit) is int and bit in (0, 1) for bit in (self.bitflip, self.phase)):
             raise ValueError(f"Bell label bits must be 0 or 1, got {(self.bitflip, self.phase)}")
         object.__setattr__(self, "code", 2 * self.bitflip + self.phase)
         object.__setattr__(self, "bits", f"{self.bitflip}{self.phase}")
@@ -92,73 +94,24 @@ BELL_LABELS = (PHI_PLUS, PHI_MINUS, PSI_PLUS, PSI_MINUS)
 _TOKEN_TO_LABEL = {label.token: label for label in BELL_LABELS}
 
 
-@dataclass(frozen=True)
-class StateVector:
-    """Normalized complex amplitudes over the computational basis.
-
-    `qubit_order` declares which particle each basis-index bit belongs to,
-    most significant bit first.  Instances are immutable; the amplitude
-    array is marked read-only.
-    """
-
-    amplitudes: np.ndarray
-    qubit_order: tuple
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "qubit_order", tuple(self.qubit_order))
-        n = len(self.qubit_order)
-        if amps.ndim != 1 or amps.size != (1 << n):
-            raise ValueError(f"expected 2**{n} amplitudes, got shape {amps.shape}")
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > FLOAT_TOL:
-            raise ValueError(f"state vector norm {norm} deviates from 1 beyond {FLOAT_TOL}")
-
-    @property
-    def n_qubits(self) -> int:
-        return len(self.qubit_order)
-
-    def tensor(self, other: "StateVector") -> "StateVector":
-        """Tensor product; this state's qubits become the more significant bits."""
-        if set(self.qubit_order) & set(other.qubit_order):
-            raise ValueError("tensor factors must act on disjoint particles")
-        return StateVector(
-            np.kron(self.amplitudes, other.amplitudes),
-            self.qubit_order + other.qubit_order,
-        )
-
-    def permuted(self, new_order) -> "StateVector":
-        """Same state re-indexed so basis bits follow `new_order`."""
-        new_order = tuple(new_order)
-        if sorted(new_order) != sorted(self.qubit_order):
-            raise ValueError(f"{new_order} is not a permutation of {self.qubit_order}")
-        axes = [self.qubit_order.index(q) for q in new_order]
-        tensor = self.amplitudes.reshape((2,) * self.n_qubits)
-        amps = np.ascontiguousarray(tensor.transpose(axes)).reshape(-1)
-        return StateVector(amps, new_order)
-
-    def inner(self, other: "StateVector") -> complex:
-        """<self|other>; both states must use the same qubit order."""
-        if self.qubit_order != other.qubit_order:
-            raise ValueError("inner product requires identical qubit orders")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
+def _read_only(amplitudes: np.ndarray) -> np.ndarray:
+    amplitudes.setflags(write=False)
+    return amplitudes
 
 
-def bell_state_vector(label: BellLabel, particles=(1, 2)) -> StateVector:
-    """The two-qubit Bell state for a label, on the given particle pair."""
+def bell_state_vector(label: BellLabel) -> np.ndarray:
+    """The Bell state's 4 read-only complex amplitudes, first qubit most significant."""
     amps = np.zeros(4, dtype=complex)
     amps[label.bitflip] = _SQRT_HALF  # |0, a>
     amps[2 + (1 - label.bitflip)] = (-1.0) ** label.phase * _SQRT_HALF  # +- |1, 1-a>
-    return StateVector(amps, tuple(particles))
+    return _read_only(amps)
 
 
 @functools.cache
 def _bell_basis() -> tuple:
     """The 16 (key block, Bell x Bell basis state on (1,3),(2,4)) pairs, x major."""
     return tuple(
-        (x.bits + y.bits, bell_state_vector(x, (1, 3)).tensor(bell_state_vector(y, (2, 4))))
+        (x.bits + y.bits, _read_only(np.kron(bell_state_vector(x), bell_state_vector(y))))
         for x in BELL_LABELS for y in BELL_LABELS
     )
 
@@ -167,17 +120,18 @@ def _bell_basis() -> tuple:
 def swap_distribution_oracle(initial_12: BellLabel, initial_34: BellLabel) -> Distribution:
     """Key-block distribution of entanglement swapping, by state-vector projection.
 
-    Builds the product state on particles (1,2,3,4), regroups to
-    (1,3),(2,4), and projects onto all 16 Bell x Bell basis states (built
-    once per process by `_bell_basis`); outcome (x, y) is the key block
-    `x.bits + y.bits`.  The result is memoized per (initial_12, initial_34)
-    and shared by every caller; `__wrapped__` projects afresh.
+    Builds the product state on particles (1,2,3,4), regroups its basis bits
+    to (1,3,2,4), and projects onto all 16 Bell x Bell basis states on
+    (1,3),(2,4) (built once per process by `_bell_basis`); outcome (x, y) is
+    the key block `x.bits + y.bits`.  The result is memoized per
+    (initial_12, initial_34) and shared by every caller; `__wrapped__`
+    projects afresh.
     """
-    product = bell_state_vector(initial_12, (1, 2)).tensor(bell_state_vector(initial_34, (3, 4)))
-    regrouped = product.permuted((1, 3, 2, 4))
+    product = np.kron(bell_state_vector(initial_12), bell_state_vector(initial_34))
+    regrouped = product.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(-1)
     entries = {}
     for block, basis in _bell_basis():
-        p = abs(basis.inner(regrouped)) ** 2
+        p = abs(complex(np.vdot(basis, regrouped))) ** 2
         if p > PROB_CLAMP:
             entries[block] = p
     return Distribution(entries)
@@ -201,6 +155,8 @@ def sample_swap(dist: Distribution, rng: random.Random):
     Walks the key blocks in ascending code order, so the k-th block owns the
     k-th interval of [0, 1); a draw past the last total lands on the last block.
     """
+    if dist.bit_length != 4:
+        raise ValueError(f"a swap outcome is a 4-bit key block, got {dist.bit_length} bits")
     u = rng.random()
     acc = 0.0
     for block, p in dist.entries.items():

@@ -6,5 +6,5 @@ PROB_SUM_TOL = 1e-12
 # support sizes are crisp; every true value there is a multiple of 1/4.
 PROB_CLAMP = 1e-12
 # Absolute slack when comparing derived floats: bits of information,
-# state norms, rates and posterior probabilities.
+# rates and posterior probabilities.
 FLOAT_TOL = 1e-9

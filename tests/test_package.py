@@ -22,7 +22,7 @@ NUMPY_FREE = ["bits", "tolerances"]
 FORMER_REEXPORTS = [
     "AuditReport", "BELL_LABELS", "BellLabel", "Channel", "CipherBlock",
     "ConditionViolationError", "Distribution", "EfficiencyVerdict", "EsQkdRun",
-    "JointDistribution", "KeyMaterial", "KeyOrigin", "LeakageReport", "StateVector",
+    "JointDistribution", "KeyMaterial", "KeyOrigin", "LeakageReport",
     "Transcript", "XorChainRun", "attack_es_qkd_keyset", "attack_es_qkd_parity",
     "attack_otp_baseline", "attack_xor_chain", "bell_state_vector",
     "ciphertext_joint", "conditional_entropy", "decrypt", "derived_correlated",
@@ -53,7 +53,7 @@ def test_each_module_imports_on_its_own(module):
 
 
 def test_the_root_exposes_only_the_version():
-    assert len(set(FORMER_REEXPORTS)) == 41
+    assert len(set(FORMER_REEXPORTS)) == 40
     out = fresh_python(
         "import otplab\n"
         f"names = {FORMER_REEXPORTS!r}\n"

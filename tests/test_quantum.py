@@ -14,7 +14,6 @@ from otplab.quantum import (
     PSI_MINUS,
     PSI_PLUS,
     BellLabel,
-    StateVector,
     bell_state_vector,
     sample_swap,
     swap_distribution_oracle,
@@ -46,7 +45,9 @@ class TestBellLabel:
     def test_from_code_returns_the_interned_label(self, code):
         assert BellLabel.from_code(code) is BELL_LABELS[code]
 
-    @pytest.mark.parametrize("bad", [(2, 0), (0, -1), (1, 2)])
+    @pytest.mark.parametrize(
+        "bad", [(2, 0), (0, -1), (1, 2), (True, False), (0, True), (1.0, 0), (0, 1.0)]
+    )
     def test_rejects_non_bits(self, bad):
         with pytest.raises(ValueError):
             BellLabel(*bad)
@@ -68,59 +69,56 @@ class TestBellLabel:
 
 class TestBellStateVectors:
     def test_phi_plus_amplitudes(self):
-        amps = bell_state_vector(PHI_PLUS).amplitudes
-        assert np.allclose(amps, [SQ, 0, 0, SQ], atol=1e-12)
+        assert np.allclose(bell_state_vector(PHI_PLUS), [SQ, 0, 0, SQ], atol=1e-12)
 
     def test_psi_plus_amplitudes(self):
-        amps = bell_state_vector(PSI_PLUS).amplitudes
-        assert np.allclose(amps, [0, SQ, SQ, 0], atol=1e-12)
+        assert np.allclose(bell_state_vector(PSI_PLUS), [0, SQ, SQ, 0], atol=1e-12)
 
     def test_phi_minus_amplitudes(self):
-        amps = bell_state_vector(PHI_MINUS).amplitudes
-        assert np.allclose(amps, [SQ, 0, 0, -SQ], atol=1e-12)
+        assert np.allclose(bell_state_vector(PHI_MINUS), [SQ, 0, 0, -SQ], atol=1e-12)
 
     def test_mutually_orthonormal(self):
         for a, b in ALL_PAIRS:
-            ip = bell_state_vector(a).inner(bell_state_vector(b))
+            ip = complex(np.vdot(bell_state_vector(a), bell_state_vector(b)))
             expected = 1.0 if a == b else 0.0
             assert abs(ip - expected) < 1e-12
 
-
-class TestStateVector:
-    def test_rejects_unnormalized(self):
+    @pytest.mark.parametrize("label", BELL_LABELS)
+    def test_amplitudes_read_only(self, label):
+        amps = bell_state_vector(label)
+        assert amps.shape == (4,) and amps.dtype == complex
         with pytest.raises(ValueError):
-            StateVector(np.array([1.0, 1.0]), (1,))
+            amps[0] = 0.0
 
-    def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            StateVector(np.array([1.0, 0.0, 0.0]), (1, 2))
 
-    def test_tensor_requires_disjoint_particles(self):
-        v = bell_state_vector(PHI_PLUS, (1, 2))
-        with pytest.raises(ValueError):
-            v.tensor(bell_state_vector(PHI_PLUS, (2, 3)))
+def bell_amplitude(label, first, second):
+    """<first second|label>: nonzero where the two bits differ by `bitflip`,
+    negative on the first-bit-1 term of a minus-phase state."""
+    if first ^ second != label.bitflip:
+        return 0.0
+    return -SQ if label.phase and first else SQ
 
-    def test_regrouping_permutation(self):
-        # |b1 b2 b3 b4> = |0100> (index 4) must land at (b1,b3,b2,b4) =
-        # (0,0,1,0), index 2, under the (1,3),(2,4) regrouping.
-        amps = np.zeros(16, dtype=complex)
-        amps[4] = 1.0
-        v = StateVector(amps, (1, 2, 3, 4)).permuted((1, 3, 2, 4))
-        assert v.amplitudes[2] == 1.0
-        assert np.count_nonzero(v.amplitudes) == 1
 
-    def test_permutation_roundtrip(self):
-        rng = np.random.default_rng(5)
-        amps = rng.normal(size=16) + 1j * rng.normal(size=16)
-        amps /= np.linalg.norm(amps)
-        v = StateVector(amps, (1, 2, 3, 4))
-        back = v.permuted((1, 3, 2, 4)).permuted((1, 2, 3, 4))
-        assert np.allclose(back.amplitudes, v.amplitudes, atol=1e-12)
+def regrouped_index(b1, b2, b3, b4):
+    """Basis index of |b1 b2 b3 b4> with its bits read in the order (1,3,2,4)."""
+    return 8 * b1 + 4 * b3 + 2 * b2 + b4
 
-    def test_amplitudes_read_only(self):
-        v = bell_state_vector(PHI_PLUS)
-        with pytest.raises(ValueError):
-            v.amplitudes[0] = 0.0
+
+def reference_projection(initial_12, initial_34):
+    """Swap key-block probabilities with every amplitude built by index arithmetic."""
+    regrouped = np.zeros(16, dtype=complex)
+    basis = {(x, y): np.zeros(16, dtype=complex) for x, y in ALL_PAIRS}
+    for b1, b2, b3, b4 in itertools.product((0, 1), repeat=4):
+        index = regrouped_index(b1, b2, b3, b4)
+        regrouped[index] = bell_amplitude(initial_12, b1, b2) * bell_amplitude(initial_34, b3, b4)
+        for (x, y), state in basis.items():
+            state[index] = bell_amplitude(x, b1, b3) * bell_amplitude(y, b2, b4)
+    entries = {}
+    for (x, y), state in basis.items():
+        p = abs(complex(np.vdot(state, regrouped))) ** 2
+        if p > PROB_CLAMP:
+            entries[x.bits + y.bits] = p
+    return entries
 
 
 def outcome_pair(block):
@@ -214,30 +212,28 @@ class TestSwapOracleCache:
         for outcome in rule.support:
             assert abs(cached.probability(outcome) - rule.probability(outcome)) < FLOAT_TOL
 
+    def test_reference_regroups_0100_to_index_2(self):
+        # |b1 b2 b3 b4> = |0100> (index 4) lands at (b1,b3,b2,b4) = (0,0,1,0).
+        assert regrouped_index(0, 1, 0, 0) == 2
+        assert regrouped_index(1, 0, 1, 1) == 0b1101
+        assert sorted(
+            regrouped_index(*bits) for bits in itertools.product((0, 1), repeat=4)
+        ) == list(range(16))
+
     @pytest.mark.parametrize("initial", ALL_PAIRS)
     def test_projection_equals_one_onto_freshly_built_basis_states(self, initial):
-        # Independent of the cached basis: every basis state is built afresh
-        # for every configuration.
-        regrouped = (
-            bell_state_vector(initial[0], (1, 2))
-            .tensor(bell_state_vector(initial[1], (3, 4)))
-            .permuted((1, 3, 2, 4))
+        # Independent of the cached basis and of kron/transpose: every
+        # amplitude is built afresh from its basis index for every configuration.
+        assert dict(swap_distribution_oracle.__wrapped__(*initial).entries) == (
+            reference_projection(*initial)
         )
-        entries = {}
-        for x in BELL_LABELS:
-            for y in BELL_LABELS:
-                basis = bell_state_vector(x, (1, 3)).tensor(bell_state_vector(y, (2, 4)))
-                p = abs(basis.inner(regrouped)) ** 2
-                if p > PROB_CLAMP:
-                    entries[x.bits + y.bits] = p
-        assert dict(swap_distribution_oracle.__wrapped__(*initial).entries) == entries
 
     def test_cached_basis_is_read_only(self):
         basis = quantum._bell_basis()
         assert [block for block, _ in basis] == [format(code, "04b") for code in range(16)]
         for _, state in basis:
             with pytest.raises(ValueError):
-                state.amplitudes[0] = 1.0
+                state[0] = 1.0
 
     @pytest.mark.parametrize("initial", ALL_PAIRS)
     def test_second_call_returns_the_same_object(self, initial):
@@ -283,6 +279,11 @@ class TestSampleSwap:
             # well inside each one, and past its total on the last block.
             assert sample_swap(oracle, FixedDraws((k + 0.5) / 4)) == expected
         assert sample_swap(oracle, FixedDraws(math.nextafter(1.0, 0.0))) == expected
+
+    @pytest.mark.parametrize("bits", [1, 2, 5])
+    def test_rejects_outcomes_not_over_four_bits(self, bits):
+        with pytest.raises(ValueError, match="4-bit"):
+            sample_swap(Distribution.uniform_bits(bits), FixedDraws(0.5))
 
     def test_frequencies_near_quarter(self):
         dist = swap_distribution_oracle(PHI_PLUS, PSI_PLUS)
