@@ -57,9 +57,10 @@ from .protocols import eve_view, run_es_qkd, run_otp_baseline, run_xor_chain
 from .quantum import BellLabel
 from .tolerances import FLOAT_TOL
 
-# The whole report is built in memory before it is written.  README.md's
-# "Command line" section gives each scenario's text per trial, and the
-# peak and cached-run memory of 100,000 16-bit xor-chain trials.
+# The whole report is built in memory, once, before it is written.
+# 100,000 16-bit xor-chain trials peak at about 359 MB resident as text
+# and 642 MB as JSON; README.md's "Command line" section gives each
+# scenario's text per trial and the cached runs' share.
 MAX_TRIALS = 100_000
 DEFAULT_MESSAGE_BITS = 2
 DEFAULT_PAIRS = "phi+:psi+"
@@ -419,14 +420,20 @@ def _only(types, values) -> bool:
     return types.issuperset(map(type, values))
 
 
+def _verbatim(text: str) -> bool:
+    """True if the C encoder writes `text` unescaped: printable ASCII without `"` or `\\`."""
+    return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
+
+
 def _indented(obj, depth: int, memo: dict) -> str:
     """`json.dumps(obj, indent=2, sort_keys=True)` with `depth` more indents after each newline.
 
-    A container of scalars is one `_encode` call; a list of non-empty
-    scalar-only lists, or of such dicts, is one call plus one `replace` where
-    the items meet, exact as a JSON string holds no raw newline and no scalar
-    starts or ends with a bracket.  Other containers recurse; non-str keys
-    and other types take `json.dumps`.
+    A non-empty list of exact `str` items that need no escaping is one
+    `str.join`; another container of scalars is one `_encode` call; a list
+    of non-empty scalar-only lists, or of such dicts, is one call plus one
+    `replace` where the items meet, exact as a JSON string holds no raw
+    newline and no scalar starts or ends with a bracket.  Other containers
+    recurse; non-str keys and other types take `json.dumps`.
 
     `memo` holds list texts keyed by (identity, depth): a list is marked at
     its first sight and its text kept from its second on, so a list that
@@ -451,6 +458,9 @@ def _fresh(obj, depth: int, memo: dict) -> str:
         return _encode(obj, depth)
     if kind not in (dict, list, tuple) or kind is dict and not _only({str}, obj):
         return json.dumps(obj, indent=2, sort_keys=True).replace("\n", pad)
+    if kind is list and obj and _only({str}, obj) and _verbatim("".join(obj)):
+        items = ('",' + inner + '"').join(obj)
+        return f'[{inner}"{items}"{pad}]'
     if _only(_SCALARS, obj.values() if kind is dict else obj):
         text = _encode(obj, depth + 1)
         return text[0] + inner + text[1:-1] + pad + text[-1] if obj else text
@@ -477,7 +487,9 @@ def render_json(payload: dict) -> str:
     per trial.  Trials repeat, so each distinct trial object, keyed by its
     identity (the list keeps every trial alive), is rendered once, four
     spaces deep, and a list that several bodies share is rendered at most
-    twice (`_indented`'s memo, kept for this call only).  Payloads without
+    twice (`_indented`'s memo, kept for this call only).  The header, the
+    bodies and the separators go into one list and the text is one join of
+    it, so the whole text is built once and never copied.  Payloads without
     a nonempty `trials` list sorted last, such as the audit table, are
     rendered whole.  Every piece is `_indented` text: batched C-encoder
     calls, or `json.dumps` for non-str keys and values of types other than
@@ -489,46 +501,65 @@ def render_json(payload: dict) -> str:
     if not (isinstance(trials, list) and trials and len(keys) > 1 and keys[-1] == "trials"):
         return _indented(payload, 0, memo) + "\n"
     header = _indented({k: payload[k] for k in keys[:-1]}, 0, memo)
-    bodies, parts = {}, []
+    bodies, parts = {}, [header[:-2], ',\n  "trials": [\n    ']
     for trial in trials:
         body = bodies.get(id(trial))
         if body is None:
             body = bodies[id(trial)] = _indented(trial, 2, memo)
-        parts.append(body)
-    return f'{header[:-2]},\n  "trials": [\n    ' + ",\n    ".join(parts) + "\n  ]\n}\n"
+        parts += (body, ",\n    ")
+    parts[-1] = "\n  ]\n}\n"
+    return "".join(parts)
+
+
+def _trial_text(trial: dict) -> str:
+    """The lines of a text report's trial after its `trial i:` line, each ending in a newline.
+
+    `render_report_text` calls this once per distinct trial object, keyed by
+    identity (the report's list keeps every trial alive), and lists the text
+    under each `trial i:` line that holds that object.
+    """
+    if trial["transcript"]:
+        lines = [f"  {event['sender']} {event['channel']} {event['payload']}\n"
+                 for event in trial["transcript"]]
+    else:
+        lines = ["  (no channel events)\n"]
+    lines.append(f"  key_or_message: {trial['key_or_message']}\n")
+    attack = trial["attack"]
+    if attack is not None:
+        lines += [f"  attack.{k}: {attack[k]}\n" for k in sorted(attack)]
+    return "".join(lines)
 
 
 def render_report_text(report: dict) -> str:
-    lines = [f"scenario: {report['scenario']}"]
+    """The human-readable report: one line per fact, each trial under its `trial i:` line.
+
+    Each distinct trial object is rendered once (`_trial_text`); its text and
+    every other piece go into one list, and the report is one join of it.
+    """
     cfg = report["config"]
-    lines.append("config: " + " ".join(f"{k}={cfg[k]}" for k in sorted(cfg)))
+    parts = [f"scenario: {report['scenario']}\n",
+             "config: " + " ".join(f"{k}={cfg[k]}" for k in sorted(cfg)) + "\n"]
+    bodies = {}
     for i, trial in enumerate(report["trials"], start=1):
-        lines.append(f"trial {i}:")
-        if trial["transcript"]:
-            for event in trial["transcript"]:
-                lines.append(f"  {event['sender']} {event['channel']} {event['payload']}")
-        else:
-            lines.append("  (no channel events)")
-        lines.append(f"  key_or_message: {trial['key_or_message']}")
-        attack = trial["attack"]
-        if attack is not None:
-            for k in sorted(attack):
-                lines.append(f"  attack.{k}: {attack[k]}")
+        body = bodies.get(id(trial))
+        if body is None:
+            body = bodies[id(trial)] = _trial_text(trial)
+        parts += (f"trial {i}:\n", body)
     leak = report["leakage"]
-    lines.append(
+    parts.append(
         "leakage: claimed={claimed_bits} receiver={receiver_bits} eve={eve_bits} "
-        "secure={secure_bits} carriers={c} qubits={q}".format(
+        "secure={secure_bits} carriers={c} qubits={q}\n".format(
             c=leak["resources"]["carrier_states"], q=leak["resources"]["qubits"], **leak
         )
     )
     eff = report["efficiency"]
-    lines.append(
+    parts.append(
         "efficiency: claimed/carrier={claimed_bits_per_carrier} "
         "effective/carrier={effective_bits_per_carrier} "
-        "effective/qubit={effective_bits_per_qubit} holevo_ok={holevo_ok}".format(**eff)
+        "effective/qubit={effective_bits_per_qubit} holevo_ok={holevo_ok}\n".format(**eff)
     )
-    lines.append(f"tool_version: {report['tool_version']}")
-    return "\n".join(lines) + "\n"
+    parts.append(f"tool_version: {report['tool_version']}\n")
+    return "".join(parts)
 
 
 def render_audit_text(rows: list) -> str:

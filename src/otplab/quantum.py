@@ -69,7 +69,7 @@ class BellLabel:
 
     @classmethod
     def from_code(cls, code: int) -> "BellLabel":
-        if code not in (0, 1, 2, 3):
+        if type(code) is not int or code not in (0, 1, 2, 3):
             raise ValueError(f"Bell label code must be in 0..3, got {code}")
         return BELL_LABELS[code]
 

@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -574,6 +575,139 @@ class TestRenderJson:
         assert text == stdlib_json(payload)
         assert rendered[id(shared)] == 2
         assert rendered[id(once)] == 1
+
+
+class BitString(str):
+    pass
+
+
+# Lists of strings: bitstrings, which take the renderer's one-join path, and
+# strings that must be escaped or are not exactly `str`, which must not.
+STRING_ITEMS = (
+    st.text(alphabet="01", max_size=16)
+    | st.sampled_from(['"', "\\", "\n", "\x7f", "\u00e9", "\u2028", "\ud800", "", " ~",
+                       "0\\1", 'a"b'])
+    | st.text(alphabet="01", max_size=4).map(BitString)
+)
+STRING_LISTS = st.lists(STRING_ITEMS, max_size=6)
+
+
+class TestStringListRender:
+    @settings(deadline=None)
+    @given(STRING_LISTS)
+    def test_string_list_as_a_trial_field_matches_stdlib(self, items):
+        trial = {"attack": {"posterior_support": items, "view": "01"}, "transcript": []}
+        for payload in ({"scenario": "s", "trials": [trial, trial, {"x": items}]},
+                        {"trials": [items]}):
+            assert render_json(payload) == stdlib_json(payload)
+
+    @settings(deadline=None)
+    @given(STRING_LISTS)
+    def test_string_list_in_the_header_matches_stdlib(self, items):
+        for payload in ({"config": {"pairs": items}, "leakage": items, "trials": [1]},
+                        {"rows": items}):
+            assert render_json(payload) == stdlib_json(payload)
+
+    def test_bitstring_lists_skip_the_encoder(self, monkeypatch):
+        support = [format(code, "016b") for code in range(256)]
+        payload = {"scenario": "s", "trials": [{"posterior_support": support}, support]}
+
+        def no_encoder(*args, **kwargs):
+            raise AssertionError("a list of bitstrings went through the C encoder")
+
+        monkeypatch.setattr(cli, "_encode", no_encoder)
+        text = cli._fresh(support, 3, {})
+        monkeypatch.undo()
+        assert text == json.dumps(support, indent=2).replace("\n", "\n" + "  " * 3)
+        assert render_json(payload) == stdlib_json(payload)
+
+
+def reference_text(report) -> str:
+    """The text report built line by line, each trial rendered where it is listed."""
+    cfg, leak, eff = report["config"], report["leakage"], report["efficiency"]
+    lines = [f"scenario: {report['scenario']}",
+             "config: " + " ".join(f"{k}={cfg[k]}" for k in sorted(cfg))]
+    for i, trial in enumerate(report["trials"], start=1):
+        lines.append(f"trial {i}:")
+        for event in trial["transcript"] or [None]:
+            lines.append("  (no channel events)" if event is None else
+                         f"  {event['sender']} {event['channel']} {event['payload']}")
+        lines.append(f"  key_or_message: {trial['key_or_message']}")
+        for k in sorted(trial["attack"] or {}):
+            lines.append(f"  attack.{k}: {trial['attack'][k]}")
+    resources = leak["resources"]
+    lines.append(f"leakage: claimed={leak['claimed_bits']} receiver={leak['receiver_bits']} "
+                 f"eve={leak['eve_bits']} secure={leak['secure_bits']} "
+                 f"carriers={resources['carrier_states']} qubits={resources['qubits']}")
+    lines.append(f"efficiency: claimed/carrier={eff['claimed_bits_per_carrier']} "
+                 f"effective/carrier={eff['effective_bits_per_carrier']} "
+                 f"effective/qubit={eff['effective_bits_per_qubit']} "
+                 f"holevo_ok={eff['holevo_ok']}")
+    lines.append(f"tool_version: {report['tool_version']}")
+    return "\n".join(lines) + "\n"
+
+
+class TestRenderText:
+    SIZES = {
+        "xor-chain": {"message_bits": 2},
+        "es-qkd": {"pairs": cli.parse_pairs("phi+:psi+,psi-:phi-"), "plaintext": "10110010"},
+        "otp-baseline": {"message_bits": 3},
+    }
+
+    @pytest.mark.parametrize("with_attack", [False, True])
+    @pytest.mark.parametrize("scenario", sorted(SIZES))
+    def test_reports_match_the_line_by_line_reference(self, scenario, with_attack):
+        config = ScenarioConfig(scenario, seed=5, trials=12, fmt="text", **self.SIZES[scenario])
+        report = build_report(config, with_attack)
+        assert cli.render_report_text(report) == reference_text(report)
+
+    def test_repeated_trial_objects_keep_their_numbering(self):
+        config = ScenarioConfig("xor-chain", seed=3, trials=40, fmt="text", message_bits=2)
+        report = build_report(config, with_attack=True)
+        assert len({id(trial) for trial in report["trials"]}) < len(report["trials"])
+        text = cli.render_report_text(report)
+        assert text == reference_text(report)
+        numbered = [line for line in text.splitlines() if line.startswith("trial ")]
+        assert numbered == [f"trial {i}:" for i in range(1, 41)]
+        a = {"transcript": [], "key_or_message": "01", "attack": None}
+        b = {"transcript": [{"sender": "alice", "channel": "c", "payload": "1"}],
+             "key_or_message": "10", "attack": {"view": "1"}}
+        report["trials"] = [a, b, a, a, b]
+        lines = cli.render_report_text(report).splitlines()
+        start = lines.index("trial 1:")
+        assert lines[start:start + 13] == [
+            "trial 1:", "  (no channel events)", "  key_or_message: 01",
+            "trial 2:", "  alice c 1", "  key_or_message: 10", "  attack.view: 1",
+            "trial 3:", "  (no channel events)", "  key_or_message: 01",
+            "trial 4:", "  (no channel events)", "  key_or_message: 01",
+        ]
+        assert lines[start + 13:start + 17] == [
+            "trial 5:", "  alice c 1", "  key_or_message: 10", "  attack.view: 1",
+        ]
+
+
+@pytest.fixture(scope="module")
+def twenty_thousand_trials():
+    config = ScenarioConfig("xor-chain", seed=3, trials=20_000, fmt="json", message_bits=2)
+    return build_report(config, with_attack=True)
+
+
+class TestRenderMemory:
+    """Each renderer builds its text once, not a second full copy."""
+
+    @pytest.mark.parametrize("render,bound", [
+        (render_json, 1.25),
+        (cli.render_report_text, 2.5),
+    ])
+    def test_traced_peak_is_bounded_by_the_text_length(self, twenty_thousand_trials,
+                                                        render, bound):
+        tracemalloc.start()
+        try:
+            text = render(twenty_thousand_trials)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * len(text), (peak, len(text))
 
 
 class TestRepeatedTrials:

@@ -66,6 +66,11 @@ class TestBellLabel:
         with pytest.raises(ValueError):
             BellLabel.from_token("phi*")
 
+    @pytest.mark.parametrize("code", [True, False, 1.0, -1, 4, "1"])
+    def test_from_code_accepts_only_an_int_0_to_3(self, code):
+        with pytest.raises(ValueError):
+            BellLabel.from_code(code)
+
 
 class TestBellStateVectors:
     def test_phi_plus_amplitudes(self):
