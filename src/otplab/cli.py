@@ -224,87 +224,89 @@ def _distributions_match(a: Distribution, b: Distribution) -> bool:
     return same and bool(np.abs(a.probabilities - b.probabilities).max() <= FLOAT_TOL)
 
 
-def _xor_chain_analysis(config: ScenarioConfig):
+def _xor_chain(config: ScenarioConfig, with_attack: bool):
     joint = enumerate_joint(Distribution.uniform_bits(config.message_bits), xor_chain_view)
-    # Beside the joint: (Eve's view, the report's trial dict) per distinct
-    # message, and the report's posterior support list per distinct view.
-    return (joint, {}, {}), mutual_information(joint)
+    eve_bits = mutual_information(joint)
+    # (Eve's view, the report's trial dict) per distinct message, and the
+    # report's posterior support list per distinct view.
+    seen_messages, supports = {}, {}
+
+    def trial(rng):
+        run = run_xor_chain(random_bits(config.message_bits, rng))
+        # A trial's view, records and attack block depend only on its message,
+        # so trials that repeat a message share them.
+        seen = seen_messages.get(run.message)
+        view = eve_view(run.transcript) if seen is None else seen[0]
+        # Computed in every trial, attack or not: perfbench's expected call
+        # counts pin one posterior per xor-chain trial.
+        post = posterior(joint, view)
+        if seen is None:
+            attack = None
+            if with_attack:
+                # Messages with one view share its posterior, and so its list.
+                support = supports.get(view)
+                if support is None:
+                    support = supports[view] = list(post.support)
+                attack = {"view": view, "posterior_support": support, "eve_bits": eve_bits}
+            body = _trial(run.transcript.to_records(), run.message, attack)
+            seen = seen_messages[run.message] = (view, body)
+        return run, seen[1]
+
+    return trial, eve_bits
 
 
-def _xor_chain_trial(config: ScenarioConfig, analysis, rng, with_attack: bool):
-    (joint, trials, supports), eve_bits = analysis
-    run = run_xor_chain(random_bits(config.message_bits, rng))
-    # A trial's view, records and attack block depend only on its message,
-    # so trials that repeat a message share them.
-    seen = trials.get(run.message)
-    view = eve_view(run.transcript) if seen is None else seen[0]
-    # Computed in every trial, attack or not: perfbench's expected call
-    # counts pin one posterior per xor-chain trial.
-    post = posterior(joint, view)
-    if seen is None:
-        attack = None
-        if with_attack:
-            # Messages with one view share its posterior, and so its list.
-            support = supports.get(view)
-            if support is None:
-                support = supports[view] = list(post.support)
-            attack = {"view": view, "posterior_support": support, "eve_bits": eve_bits}
-        trial = _trial(run.transcript.to_records(), run.message, attack)
-        seen = trials[run.message] = (view, trial)
-    return run, seen[1]
-
-
-def _es_qkd_analysis(config: ScenarioConfig):
+def _es_qkd(config: ScenarioConfig, with_attack: bool):
     key_sets, key_entropy = attack_es_qkd_keyset(config.pairs)
     # The key sets as report lists, and the true parities: shared by every trial.
+    key_sets = [list(blocks) for blocks in key_sets]
     true = None
     if config.plaintext is not None:
         p = [int(ch) for ch in config.plaintext]
         true = [[p[i] ^ p[i + 2], p[i + 1] ^ p[i + 3]] for i in range(0, len(p), 4)]
-    return ([list(blocks) for blocks in key_sets], true), key_entropy
+
+    def trial(rng):
+        run = run_es_qkd(config.pairs, rng)
+        attack = None
+        if with_attack:
+            attack = {"key_sets": key_sets, "key_entropy_given_eve": key_entropy}
+            if true is not None:
+                pad = KeyMaterial(run.key, derived_correlated("entanglement-swap outcomes"))
+                ciphertext = encrypt(config.plaintext, pad).ciphertext
+                recovered = [
+                    list(attack_es_qkd_parity(ciphertext[4 * i:4 * i + 4], pair))
+                    for i, pair in enumerate(config.pairs)
+                ]
+                attack.update({
+                    "ciphertext": ciphertext,
+                    "recovered_parities": recovered,
+                    "true_parities": true,
+                    "parities_match": recovered == true,
+                })
+        return run, _trial([], run.key, attack)
+
+    return trial, key_entropy
 
 
-def _es_qkd_trial(config: ScenarioConfig, analysis, rng, with_attack: bool):
-    (key_sets, true), key_entropy = analysis
-    run = run_es_qkd(config.pairs, rng)
-    attack = None
-    if with_attack:
-        attack = {"key_sets": key_sets, "key_entropy_given_eve": key_entropy}
-        if true is not None:
-            pad = KeyMaterial(run.key, derived_correlated("entanglement-swap outcomes"))
-            ciphertext = encrypt(config.plaintext, pad).ciphertext
-            recovered = [
-                list(attack_es_qkd_parity(ciphertext[4 * i:4 * i + 4], pair))
-                for i, pair in enumerate(config.pairs)
-            ]
-            attack.update({
-                "ciphertext": ciphertext,
-                "recovered_parities": recovered,
-                "true_parities": true,
-                "parities_match": recovered == true,
-            })
-    return run, _trial([], run.key, attack)
-
-
-def _otp_baseline_analysis(config: ScenarioConfig):
+def _otp_baseline(config: ScenarioConfig, with_attack: bool):
     prior = Distribution.uniform_bits(config.message_bits)
     joint = ciphertext_joint(prior)
-    return (prior, joint), mutual_information(joint)
+    eve_bits = mutual_information(joint)
 
+    def trial(rng):
+        plaintext = random_bits(config.message_bits, rng)
+        transcript = run_otp_baseline(plaintext, random_key(config.message_bits, rng))
+        attack = None
+        if with_attack:
+            ciphertext = eve_view(transcript)
+            attack = {
+                "ciphertext": ciphertext,
+                "eve_bits": eve_bits,
+                "posterior_equals_prior": _distributions_match(posterior(joint, ciphertext),
+                                                               prior),
+            }
+        return transcript, _trial(transcript.to_records(), plaintext, attack)
 
-def _otp_baseline_trial(config: ScenarioConfig, analysis, rng, with_attack: bool):
-    (prior, joint), eve_bits = analysis
-    plaintext = random_bits(config.message_bits, rng)
-    transcript = run_otp_baseline(plaintext, random_key(config.message_bits, rng))
-    attack = None
-    if with_attack:
-        ciphertext = eve_view(transcript)
-        attack = {
-            "ciphertext": ciphertext,
-            "eve_bits": eve_bits,
-            "posterior_equals_prior": _distributions_match(posterior(joint, ciphertext), prior),
-        }
-    return transcript, _trial(transcript.to_records(), plaintext, attack)
+    return trial, eve_bits
 
 
 def _trial(transcript: list, key_or_message: str, attack) -> dict:
@@ -316,22 +318,20 @@ def _trial(transcript: list, key_or_message: str, attack) -> dict:
 class Scenario:
     """One scheme as the CLI runs it.
 
-    `analyze(config)` is the exact analysis, run once per report; its
-    result is the second argument of `leakage_report`.
-    `trial(config, analysis, rng, with_attack)` runs one seeded trial and
-    returns (run, trial), where `trial` is the report's trial dict.  A
-    scenario may return one dict object for several trials; the report
-    lists it once per trial.
+    `start(config, with_attack)` runs the exact analysis, once per report,
+    and returns (trial, figure): `figure` is the second element of
+    `leakage_report`'s pair, and `trial(rng)` runs one seeded trial over
+    the report's analysis and memos, returning (run, trial dict).  One
+    dict object may serve several trials; the report lists it per trial.
     `message_lengths` is the range of message lengths the scheme accepts, or
     None for es-qkd, which is sized by its Bell pairs.
 
-    Both callables look up the protocol, attack and enumeration functions
-    as module globals at call time, so patching a module binding (as
-    perfbench's tracer does) reaches every call.
+    Both look up the protocol, attack and enumeration functions as module
+    globals at call time, so patching a module binding (as perfbench's
+    tracer does) reaches every call.
     """
 
-    analyze: Callable
-    trial: Callable
+    start: Callable
     message_lengths: range | None
 
 
@@ -339,39 +339,25 @@ class Scenario:
 # ciphertexts, stored as one 2**12-entry slice.  The chain's 16 bits is a
 # chosen cap; its 2**16-message joint is well within the budget.
 SCENARIOS = {
-    "xor-chain": Scenario(
-        analyze=_xor_chain_analysis,
-        trial=_xor_chain_trial,
-        message_lengths=range(2, 17, 2),
-    ),
-    "es-qkd": Scenario(
-        analyze=_es_qkd_analysis,
-        trial=_es_qkd_trial,
-        message_lengths=None,
-    ),
-    "otp-baseline": Scenario(
-        analyze=_otp_baseline_analysis,
-        trial=_otp_baseline_trial,
-        message_lengths=range(1, 13),
-    ),
+    "xor-chain": Scenario(start=_xor_chain, message_lengths=range(2, 17, 2)),
+    "es-qkd": Scenario(start=_es_qkd, message_lengths=None),
+    "otp-baseline": Scenario(start=_otp_baseline, message_lengths=range(1, 13)),
 }
 
 
 def build_report(config: ScenarioConfig, with_attack: bool) -> dict:
-    scenario = SCENARIOS[config.scenario]
-    analysis = scenario.analyze(config)
+    trial, figure = SCENARIOS[config.scenario].start(config, with_attack)
     trials = []
-    leakage = None
     base = random.Random(config.seed)
     # One generator, reseeded per trial: `seed` resets the whole state, so
     # each trial's stream is that of a fresh Random(base.getrandbits(64)).
     rng = random.Random()
     for _ in range(config.trials):
         rng.seed(base.getrandbits(64))
-        run, trial = scenario.trial(config, analysis, rng, with_attack)
-        if leakage is None:
-            leakage = leakage_report(run, analysis)
-        trials.append(trial)
+        run, body = trial(rng)
+        trials.append(body)
+    # Every run of one config has the same scheme and carrier count.
+    leakage = leakage_report(run, (None, figure))
     return {
         "scenario": config.scenario,
         "config": config.to_dict(),

@@ -26,7 +26,7 @@ ceiling (one secure bit per qubit at best).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,13 +65,16 @@ class ResourceCount:
 
 @dataclass(frozen=True)
 class LeakageReport:
-    """Claimed vs. delivered vs. leaked bits for one scenario."""
+    """Claimed vs. delivered vs. leaked bits for one scenario.
+
+    `secure_bits` is derived: `receiver_bits - eve_bits`.
+    """
 
     scenario: str
     claimed_bits: int
     receiver_bits: float
     eve_bits: float
-    secure_bits: float
+    secure_bits: float = field(init=False)
     resources: ResourceCount
 
     def __post_init__(self):
@@ -79,8 +82,7 @@ class LeakageReport:
             raise ValueError(
                 f"eve_bits {self.eve_bits} outside [0, receiver_bits={self.receiver_bits}]"
             )
-        if abs(self.secure_bits - (self.receiver_bits - self.eve_bits)) > FLOAT_TOL:
-            raise ValueError("secure_bits must equal receiver_bits - eve_bits")
+        object.__setattr__(self, "secure_bits", self.receiver_bits - self.eve_bits)
 
 
 @dataclass(frozen=True)
@@ -209,7 +211,6 @@ def leakage_report(run, attack_result) -> LeakageReport:
         claimed_bits=claimed,
         receiver_bits=float(claimed),
         eve_bits=eve_bits,
-        secure_bits=float(claimed) - eve_bits,
         resources=ResourceCount(carriers, accounting.qubits * carriers),
     )
 

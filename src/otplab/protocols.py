@@ -50,8 +50,9 @@ class Transcript:
     """Immutable ordered record of channel events: only its three columns.
 
     Event i is (senders[i], channels[i], payloads[i]).  A transcript is
-    built whole: the columns are stored as tuples of one length, and every
-    payload is checked at once, so it is safe to share.
+    built whole: the columns are stored as tuples of one length, every
+    channel must be a `Channel` member and every payload is checked at
+    once, so it is safe to share.
     """
 
     senders: tuple = ()
@@ -62,6 +63,9 @@ class Transcript:
         columns = tuple(self.senders), tuple(self.channels), tuple(self.payloads)
         if len({len(column) for column in columns}) > 1:
             raise ValueError(f"column lengths differ: {[len(column) for column in columns]}")
+        for channel in columns[1]:
+            if not isinstance(channel, Channel):
+                raise ValueError(f"channel {channel!r} is not a Channel member")
         try:
             check_bits("".join(columns[2]))
         except (TypeError, ValueError):
@@ -99,7 +103,12 @@ class ConditionViolationError(Exception):
 
 @dataclass(frozen=True)
 class XorChainRun:
-    """One execution of the xor-chain scheme; `receiver_outputs` is read-only."""
+    """One execution of the xor-chain scheme; `receiver_outputs` is read-only.
+
+    The transcript must decode to the message (`xor_chain_decode`), so
+    Eve's view of it is the message's, and at least one receiver must
+    have rebuilt the message.
+    """
 
     message: str
     transcript: Transcript
@@ -110,6 +119,11 @@ class XorChainRun:
         object.__setattr__(self, "receiver_outputs", MappingProxyType(dict(self.receiver_outputs)))
         if 2 * self.ghz_states_consumed != len(self.message):
             raise ValueError("carrier count must be half the message length")
+        decoded = xor_chain_decode(self.transcript)
+        if decoded != self.message:
+            raise ValueError(f"transcript decodes to {decoded!r}, not the message")
+        if not self.receiver_outputs:
+            raise ValueError("at least one receiver is required")
         for name, output in self.receiver_outputs.items():
             if output != self.message:
                 raise ValueError(f"receiver {name} reconstructed {output}, not the message")
@@ -191,18 +205,25 @@ def _xor_chain_run(message: str) -> XorChainRun:
         channels=(Channel.SECURE_PRIMITIVE, Channel.PUBLIC_BROADCAST) * pairs,
         payloads=payloads,
     )
-
-    # Receivers decode from the transcript alone: secure bits are delivered
-    # to them, even bits come from broadcast XOR secure bit.
-    received = transcript.payloads_on(Channel.SECURE_PRIMITIVE)
-    broadcasts = transcript.payloads_on(Channel.PUBLIC_BROADCAST)
-    decoded = "".join(map(str.__add__, received, xor_bits(received, broadcasts)))
+    # Each receiver rebuilds the message; `XorChainRun` checks that the
+    # transcript decodes to it.
     return XorChainRun(
         message=message,
         transcript=transcript,
-        receiver_outputs=dict.fromkeys(XOR_CHAIN_RECEIVERS, decoded),
+        receiver_outputs=dict.fromkeys(XOR_CHAIN_RECEIVERS, message),
         ghz_states_consumed=pairs,
     )
+
+
+def xor_chain_decode(transcript: Transcript) -> str:
+    """The message a receiver rebuilds from an xor-chain transcript alone.
+
+    Secure bits are delivered to the receiver; each even bit is its
+    broadcast XOR the secure bit before it.
+    """
+    received = transcript.payloads_on(Channel.SECURE_PRIMITIVE)
+    broadcasts = transcript.payloads_on(Channel.PUBLIC_BROADCAST)
+    return "".join(map(str.__add__, received, xor_bits(received, broadcasts)))
 
 
 def deduce_partner_result(result: BellLabel, initial_pair) -> BellLabel:

@@ -214,10 +214,10 @@ class TestConfigErrors:
     def test_internal_failure_exits_1(self, capsys, monkeypatch):
         import otplab.cli as cli
 
-        def boom(config, analysis, rng, with_attack):
+        def boom(config, with_attack):
             raise RuntimeError("forced failure")
 
-        record = dataclasses.replace(cli.SCENARIOS["xor-chain"], trial=boom)
+        record = dataclasses.replace(cli.SCENARIOS["xor-chain"], start=boom)
         monkeypatch.setitem(cli.SCENARIOS, "xor-chain", record)
         code, _, err = run_cli(capsys, "simulate", "--scenario", "xor-chain")
         assert code == 1
@@ -760,16 +760,14 @@ class TestRepeatedTrials:
 
 def fresh_generator_trials(config, with_attack):
     """`build_report`'s trials and leakage, with a new Random(base.getrandbits(64)) per trial."""
-    scenario = cli.SCENARIOS[config.scenario]
-    analysis = scenario.analyze(config)
+    trial, figure = cli.SCENARIOS[config.scenario].start(config, with_attack)
     base = random.Random(config.seed)
     runs, trials = [], []
     for _ in range(config.trials):
-        run, trial = scenario.trial(config, analysis, random.Random(base.getrandbits(64)),
-                                    with_attack)
+        run, body = trial(random.Random(base.getrandbits(64)))
         runs.append(run)
-        trials.append(trial)
-    return trials, dataclasses.asdict(leakage_report(runs[0], analysis))
+        trials.append(body)
+    return trials, dataclasses.asdict(leakage_report(runs[0], (None, figure)))
 
 
 class TestReseededGenerator:

@@ -240,9 +240,7 @@ class TestLeakageReport:
 
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
-            LeakageReport("x", 2, 1.0, 2.0, -1.0, ResourceCount(1, 3))
-        with pytest.raises(ValueError):
-            LeakageReport("x", 2, 2.0, 1.0, 0.5, ResourceCount(1, 3))
+            LeakageReport("x", 2, 1.0, 2.0, ResourceCount(1, 3))
 
 
 class TestEfficiencyAudit:
@@ -265,13 +263,13 @@ class TestEfficiencyAudit:
         assert verdict.holevo_ok
 
     def test_ceiling_violation_is_flagged(self):
-        impossible = LeakageReport("x", 8, 8.0, 0.0, 8.0, ResourceCount(1, 4))
+        impossible = LeakageReport("x", 8, 8.0, 0.0, ResourceCount(1, 4))
         verdict = efficiency_audit(impossible)
         assert not verdict.holevo_ok
 
     def test_rejects_empty_resources(self):
-        report = LeakageReport("x", 2, 2.0, 1.0, 1.0, ResourceCount(1, 3))
-        broken = LeakageReport("x", 2, 2.0, 1.0, 1.0, ResourceCount(0, 0))
+        report = LeakageReport("x", 2, 2.0, 1.0, ResourceCount(1, 3))
+        broken = LeakageReport("x", 2, 2.0, 1.0, ResourceCount(0, 0))
         assert isinstance(efficiency_audit(report), EfficiencyVerdict)
         with pytest.raises(ValueError):
             efficiency_audit(broken)

@@ -16,19 +16,23 @@ report on purpose must re-record the affected hash and say why.
 
 The benchmark's workload command lines, at the benchmark seed and the
 held-out seed, are pinned the same way; their hashes were recorded before
-the carrier accounting moved into one table.
+the carrier accounting moved into one table.  The same command lines with
+`--format text` were recorded before each scheme's analysis and trial
+became one closure and the leakage was built once per report.
 """
 
 import contextlib
 import hashlib
 import io
 import itertools
+import random
 import sys
 from pathlib import Path
 
 import pytest
 
-from otplab.cli import main
+from otplab.cli import SCENARIOS, build_parser, config_from_args, main
+from otplab.cryptanalysis import leakage_report
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402  (perfbench/workloads.py imports its sibling `tracer`)
@@ -145,3 +149,36 @@ WORKLOAD_GOLDEN = {
 @pytest.mark.parametrize("name,seed", list(WORKLOAD_GOLDEN))
 def test_workload_report_bytes_match_recorded_hash(name, seed):
     assert stdout_sha256(workloads.command_line(name, seed)) == WORKLOAD_GOLDEN[name, seed]
+
+
+WORKLOAD_TEXT_GOLDEN = {
+    ("xor-chain-16", 1): "cb99584e28055699222c1496026585d750a1a91727fe2ccf4cb985c3bd4a7f07",
+    ("otp-baseline-12", 1): "3923395b4988a56c9ad9b02131ffb0055cf5c3db2fc875cc412eff96713d24d7",
+    ("es-qkd-200", 1): "f4e12b8067f89da4e4800d8dd3493bf15e233541cf85f480a296b51ed818aa30",
+    ("xor-chain-trials", 1): "0e0bf6ee70db5dafb6f40681ef4a5983d7bb6d9170acf03a1d00a28a7b3775a3",
+    ("xor-chain-16", 7919): "094f3fcd67d6607947f5c7cc9e12ae8fb0b8c478e9e89d13d09872efe165cb62",
+    ("otp-baseline-12", 7919): "592a364d2861d7e82b3c0910db320753a3fbeb49a4c92777abefdf950e5568ff",
+    ("es-qkd-200", 7919): "26abfd53dd2477b87ca83d90eb9eae0bb739d4268906680cca0317d527eba4c7",
+    ("xor-chain-trials", 7919): "0cf6784b92e9e694c4bd730202cccafe2dd7a378da7be1aad3e60ed397531c2e",
+}
+
+
+def text_command_line(name, seed):
+    return ["text" if arg == "json" else arg for arg in workloads.command_line(name, seed)]
+
+
+@pytest.mark.parametrize("name,seed", list(WORKLOAD_TEXT_GOLDEN))
+def test_workload_text_report_bytes_match_recorded_hash(name, seed):
+    assert stdout_sha256(text_command_line(name, seed)) == WORKLOAD_TEXT_GOLDEN[name, seed]
+
+
+@pytest.mark.parametrize("name,seed", list(WORKLOAD_GOLDEN))
+def test_every_workload_run_gives_the_same_leakage(name, seed):
+    # A report builds its leakage from one run, so every run must give it.
+    args = build_parser().parse_args(workloads.command_line(name, seed))
+    config = config_from_args(args)
+    trial, figure = SCENARIOS[config.scenario].start(config, args.command == "attack")
+    base = random.Random(config.seed)
+    leakages = {leakage_report(trial(random.Random(base.getrandbits(64)))[0], (None, figure))
+                for _ in range(config.trials)}
+    assert len(leakages) == 1

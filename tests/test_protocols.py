@@ -101,6 +101,13 @@ class TestTranscript:
         assert not hasattr(protocols, "Event")
         assert not hasattr(Transcript(), "events") and not hasattr(Transcript, "public_events")
 
+    @pytest.mark.parametrize("channel", ["public-broadcast", None, 1],
+                             ids=["value-string", "none", "int"])
+    def test_non_channel_member_raises(self, channel):
+        # A channel that is not a member would hide a public payload from Eve.
+        with pytest.raises(ValueError, match="is not a Channel member"):
+            Transcript(("alice", "alice"), (Channel.PUBLIC_BROADCAST, channel), ("1", "0"))
+
     def test_columns_are_stored_as_tuples(self):
         senders, channels, payloads = ["alice"], [Channel.PUBLIC_BROADCAST], ["1"]
         t = Transcript(senders, channels, payloads)
@@ -224,6 +231,17 @@ class TestXorChain:
         # message on one carrier must not be a valid run.
         with pytest.raises(ValueError):
             XorChainRun("101", Transcript(), {}, ghz_states_consumed=1)
+
+    @pytest.mark.parametrize("transcript", [Transcript(), run_xor_chain("11").transcript],
+                             ids=["empty", "another-message"])
+    def test_run_record_rejects_a_transcript_of_another_message(self, transcript):
+        # Eve's view of the run must be the message's: "11" broadcasts "0", "10" "1".
+        with pytest.raises(ValueError, match="decodes to"):
+            XorChainRun("10", transcript, {"bob": "10"}, ghz_states_consumed=1)
+
+    def test_run_record_needs_a_receiver(self):
+        with pytest.raises(ValueError, match="at least one receiver"):
+            XorChainRun("10", run_xor_chain("10").transcript, {}, ghz_states_consumed=1)
 
     @pytest.mark.parametrize("n_bits", [2, 4, 10, 16])
     def test_resource_counts(self, n_bits):
