@@ -58,8 +58,8 @@ from .quantum import BellLabel
 from .tolerances import FLOAT_TOL
 
 # The whole report is built in memory, once, before it is written.
-# 100,000 16-bit xor-chain trials peak at about 359 MB resident as text
-# and 642 MB as JSON; README.md's "Command line" section gives each
+# 100,000 16-bit xor-chain trials peak at about 344 MB resident as text
+# and 627 MB as JSON; README.md's "Command line" section gives each
 # scenario's text per trial and the cached runs' share.
 MAX_TRIALS = 100_000
 DEFAULT_MESSAGE_BITS = 2
@@ -77,7 +77,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     scenario: str
     seed: int
@@ -87,6 +87,12 @@ class ScenarioConfig:
     pairs: list | None = None
     out: str | None = None
     plaintext: str | None = None
+
+    def __post_init__(self):
+        if not 0 <= self.seed < (1 << 64):
+            raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise ConfigError(f"trials must be between 1 and {MAX_TRIALS}, got {self.trials}")
 
     def to_dict(self) -> dict:
         return {
@@ -164,10 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args) -> ScenarioConfig:
     seed = args.seed if args.seed is not None else default_seed()
-    if not 0 <= seed < (1 << 64):
-        raise ConfigError(f"seed must be an unsigned 64-bit integer, got {seed}")
-    if not 1 <= args.trials <= MAX_TRIALS:
-        raise ConfigError(f"trials must be between 1 and {MAX_TRIALS}, got {args.trials}")
     plaintext = getattr(args, "plaintext", None)
     sizes = scenario_sizes(args.scenario, args.message_bits, args.pairs)
 

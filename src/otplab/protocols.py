@@ -2,8 +2,11 @@
 
 A run record stores each fact once.  A `Transcript` is only its three
 tuple columns (senders, channels, payloads); its public-broadcast payloads
-are exactly what an eavesdropper sees (`eve_view`).  An es-qkd run stores
-its pairs and both parties' results, and derives its key from them.
+are exactly what an eavesdropper sees (`eve_view`).  An xor-chain run is
+its message: it checks it, builds the transcript from it and derives the
+receivers' outputs and the carrier count.  An es-qkd run stores its pairs
+and both parties' results, checks that they are `BellLabel`s of at least
+one swap, and derives its key from them.
 
 Three schemes are modeled:
 
@@ -28,7 +31,7 @@ import enum
 import functools
 import random
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from .bits import check_bits, xor_bits
@@ -103,38 +106,53 @@ class ConditionViolationError(Exception):
 
 @dataclass(frozen=True)
 class XorChainRun:
-    """One execution of the xor-chain scheme; `receiver_outputs` is read-only.
+    """One execution of the xor-chain scheme: bits of even length >= 2.
 
-    The transcript must decode to the message (`xor_chain_decode`), so
-    Eve's view of it is the message's, and at least one receiver must
-    have rebuilt the message.
+    Per bit pair, the odd-numbered bit rides the secure primitive (one
+    carrier state), then the pair's XOR (`xor_bits`, all pairs at once) is
+    broadcast publicly.  The build checks that the receivers' round trip
+    (`xor_chain_decode`) gives back the message.
     """
 
     message: str
-    transcript: Transcript
-    receiver_outputs: Mapping
-    ghz_states_consumed: int
+    transcript: Transcript = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "receiver_outputs", MappingProxyType(dict(self.receiver_outputs)))
-        if 2 * self.ghz_states_consumed != len(self.message):
-            raise ValueError("carrier count must be half the message length")
+        message = check_bits(self.message, "message")
+        if len(message) < 2 or len(message) % 2 != 0:
+            raise ValueError(f"message length must be even and >= 2, got {len(message)}")
+        pairs = len(message) // 2
+        secure = message[0::2]
+        payloads = [""] * (2 * pairs)
+        payloads[0::2] = secure
+        payloads[1::2] = xor_bits(secure, message[1::2])
+        transcript = Transcript(
+            senders=(XOR_CHAIN_SENDER,) * (2 * pairs),
+            channels=(Channel.SECURE_PRIMITIVE, Channel.PUBLIC_BROADCAST) * pairs,
+            payloads=payloads,
+        )
+        if xor_chain_decode(transcript) != message:
+            raise AssertionError("receivers did not rebuild the message")
+        object.__setattr__(self, "transcript", transcript)
+
+    @property
+    def receiver_outputs(self) -> Mapping:
+        """Each receiver's rebuild of the message from the transcript alone, read-only."""
         decoded = xor_chain_decode(self.transcript)
-        if decoded != self.message:
-            raise ValueError(f"transcript decodes to {decoded!r}, not the message")
-        if not self.receiver_outputs:
-            raise ValueError("at least one receiver is required")
-        for name, output in self.receiver_outputs.items():
-            if output != self.message:
-                raise ValueError(f"receiver {name} reconstructed {output}, not the message")
+        return MappingProxyType(dict.fromkeys(XOR_CHAIN_RECEIVERS, decoded))
+
+    @property
+    def ghz_states_consumed(self) -> int:
+        """One three-qubit carrier state per bit pair."""
+        return len(self.message) // 2
 
 
 @dataclass(frozen=True)
 class EsQkdRun:
     """One execution of the entanglement-swapping key scheme.
 
-    Per swap, its initial Bell pairs and each party's outcome, as tuples of
-    one length; the key and the particle count are derived from them.  Each
+    Per swap, at least one, its initial pair of two `BellLabel`s and each
+    party's `BellLabel` outcome, as tuples of one length; the key and the particle count are derived from them.  Each
     swap's outcome pair must lie in the swap support: the support pairs
     outcomes bijectively, so when Alice's deduction is Bob's result, Bob's
     deduction is hers, and both write down the block alice.bits + bob.bits.
@@ -147,9 +165,18 @@ class EsQkdRun:
     def __post_init__(self):
         for name in ("initial_pairs", "alice_results", "bob_results"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
+        if not self.initial_pairs:
+            raise ValueError("at least one initial Bell pair is required")
         if not len(self.alice_results) == len(self.bob_results) == len(self.initial_pairs):
             raise ValueError("each swap has exactly one result per party")
-        for pair, alice, bob in zip(self.initial_pairs, self.alice_results, self.bob_results):
+        swaps = zip(self.initial_pairs, self.alice_results, self.bob_results)
+        for swap, (pair, alice, bob) in enumerate(swaps):
+            labels = (*pair, alice, bob) if type(pair) is tuple else ()
+            if len(labels) != 4 or not all(isinstance(label, BellLabel) for label in labels):
+                raise ValueError(
+                    f"swap {swap} must hold two initial BellLabels and one per party, "
+                    f"got {pair!r}, {alice!r}, {bob!r}"
+                )
             if deduce_partner_result(alice, pair) != bob:
                 raise ValueError(
                     f"outcome pair {alice}:{bob} lies outside the swap support "
@@ -168,18 +195,14 @@ class EsQkdRun:
 
 
 def run_xor_chain(message: str) -> XorChainRun:
-    """Run the xor-chain scheme on an even-length message.
+    """Run the xor-chain scheme on an even-length message (see `XorChainRun`).
 
-    Per bit pair: the odd-numbered bit rides the secure primitive (one
-    carrier state), then the XOR of the pair is broadcast publicly.
-    Receivers rebuild the even bits from the broadcasts.  The message is
-    checked on every call; runs of up to `XOR_CHAIN_MEMO_BITS` bits are memoized.
+    The message is checked on every call; runs of up to
+    `XOR_CHAIN_MEMO_BITS` bits are memoized.
     """
-    check_bits(message, "message")
-    if len(message) < 2 or len(message) % 2 != 0:
-        raise ValueError(f"message length must be even and >= 2, got {len(message)}")
+    check_bits(message, "message")  # before the cache: a list is unhashable
     # Keyed on a plain str, so a subclass neither keys the cache nor becomes run.message.
-    build = _xor_chain_run if len(message) <= XOR_CHAIN_MEMO_BITS else _xor_chain_run.__wrapped__
+    build = _xor_chain_run if len(message) <= XOR_CHAIN_MEMO_BITS else XorChainRun
     return build(str.__str__(message))
 
 
@@ -187,32 +210,8 @@ def run_xor_chain(message: str) -> XorChainRun:
 # `cli.SCENARIOS["xor-chain"].message_lengths`.  Longer runs are built per call.
 XOR_CHAIN_MEMO_BITS = 16
 
-
-@functools.cache
-def _xor_chain_run(message: str) -> XorChainRun:
-    """One checked message's run, shared by every caller: it is immutable.
-
-    All pairs are XORed at once by `xor_bits`, and the transcript is built
-    from its three columns.
-    """
-    pairs = len(message) // 2
-    secure = message[0::2]
-    payloads = [""] * (2 * pairs)
-    payloads[0::2] = secure
-    payloads[1::2] = xor_bits(secure, message[1::2])
-    transcript = Transcript(
-        senders=(XOR_CHAIN_SENDER,) * (2 * pairs),
-        channels=(Channel.SECURE_PRIMITIVE, Channel.PUBLIC_BROADCAST) * pairs,
-        payloads=payloads,
-    )
-    # Each receiver rebuilds the message; `XorChainRun` checks that the
-    # transcript decodes to it.
-    return XorChainRun(
-        message=message,
-        transcript=transcript,
-        receiver_outputs=dict.fromkeys(XOR_CHAIN_RECEIVERS, message),
-        ghz_states_consumed=pairs,
-    )
+# One run per distinct message, shared by every caller: it is immutable.
+_xor_chain_run = functools.cache(XorChainRun)
 
 
 def xor_chain_decode(transcript: Transcript) -> str:
@@ -241,12 +240,10 @@ def run_es_qkd(initial_pairs, rng: random.Random) -> EsQkdRun:
 
     Each swap samples an outcome pair from the state-vector oracle; both
     parties then deduce each other's result and write down the same 4-bit
-    key block (Alice's label first).  `EsQkdRun` checks each pair against
-    the swap support.
+    key block (Alice's label first).  `EsQkdRun` checks that there is a
+    swap, and each pair against the swap support.
     """
     initial_pairs = tuple(initial_pairs)
-    if not initial_pairs:
-        raise ValueError("at least one initial Bell pair is required")
     alice_results = []
     bob_results = []
     for pair in initial_pairs:

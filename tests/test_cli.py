@@ -194,6 +194,26 @@ class TestConfigErrors:
         assert code == 2
         assert err.strip()
 
+    @pytest.mark.parametrize("name,value,message", [
+        ("trials", 0, "trials must be between 1 and 100000, got 0"),
+        ("trials", 100_001, "trials must be between 1 and 100000, got 100001"),
+        ("seed", -1, "seed must be an unsigned 64-bit integer, got -1"),
+        ("seed", 2**64, f"seed must be an unsigned 64-bit integer, got {2**64}"),
+    ])
+    def test_direct_config_checks_seed_and_trials(self, capsys, name, value, message):
+        # `build_report` on a directly built trials=0 config used to raise UnboundLocalError.
+        with pytest.raises(cli.ConfigError) as err:
+            ScenarioConfig("xor-chain", **{"seed": 3, "trials": 1, name: value},
+                           fmt="json", message_bits=2)
+        assert str(err.value) == message
+        assert run_cli(capsys, "simulate", "--scenario", "xor-chain", f"--{name}", str(value)) == (
+            2, "", f"error: {message}\n")
+
+    def test_config_cannot_be_changed_past_its_checks(self):
+        config = ScenarioConfig("xor-chain", seed=3, trials=1, fmt="json", message_bits=2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.trials = 0
+
     @pytest.mark.parametrize("scenario,bits", [("xor-chain", 16), ("otp-baseline", 12)])
     def test_largest_message_lengths_accepted(self, scenario, bits):
         args = build_parser().parse_args(

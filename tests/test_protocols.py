@@ -142,11 +142,15 @@ class TestFrozenRun:
             run.receiver_outputs["bob"] = "00"
         assert run.receiver_outputs == {"bob": "10", "charlie": "10"}
 
-    def test_receiver_outputs_do_not_follow_the_callers_dict(self):
-        outputs = {"bob": "10"}
-        run = XorChainRun("10", run_xor_chain("10").transcript, outputs, ghz_states_consumed=1)
-        outputs["bob"] = "00"
-        assert run.receiver_outputs == {"bob": "10"}
+    def test_xor_chain_run_is_its_message(self):
+        assert [f.name for f in dataclasses.fields(XorChainRun) if f.init] == ["message"]
+        run = run_xor_chain("0110")
+        with pytest.raises(AttributeError):
+            run.receiver_outputs = {}
+        with pytest.raises(AttributeError):
+            run.ghz_states_consumed = 3
+        assert (dict(run.receiver_outputs), run.ghz_states_consumed) == (
+            dict.fromkeys(XOR_CHAIN_RECEIVERS, "0110"), 2)
 
     @pytest.mark.parametrize("name", ["initial_pairs", "alice_results", "bob_results"])
     def test_es_qkd_results_cannot_be_appended_or_assigned(self, name):
@@ -226,22 +230,24 @@ class TestXorChain:
         with pytest.raises(ValueError):
             run_xor_chain("")
 
-    def test_run_record_rejects_odd_length(self):
+    @pytest.mark.parametrize("message", ["101", "", "1a", ["1", "0"]])
+    def test_run_record_rejects_an_invalid_message(self, message):
         # The leakage accounting claims 2 bits per carrier, so a 3-bit
         # message on one carrier must not be a valid run.
         with pytest.raises(ValueError):
-            XorChainRun("101", Transcript(), {}, ghz_states_consumed=1)
+            XorChainRun(message)
 
-    @pytest.mark.parametrize("transcript", [Transcript(), run_xor_chain("11").transcript],
-                             ids=["empty", "another-message"])
-    def test_run_record_rejects_a_transcript_of_another_message(self, transcript):
-        # Eve's view of the run must be the message's: "11" broadcasts "0", "10" "1".
-        with pytest.raises(ValueError, match="decodes to"):
-            XorChainRun("10", transcript, {"bob": "10"}, ghz_states_consumed=1)
+    @pytest.mark.parametrize("message", ["10", "0110", "10110100", "1" * 18])
+    def test_run_record_is_the_runners_run(self, message):
+        run = XorChainRun(message)
+        assert run == run_xor_chain(message)
+        assert run.transcript == run_xor_chain(message).transcript
+        assert run.receiver_outputs == run_xor_chain(message).receiver_outputs
 
-    def test_run_record_needs_a_receiver(self):
-        with pytest.raises(ValueError, match="at least one receiver"):
-            XorChainRun("10", run_xor_chain("10").transcript, {}, ghz_states_consumed=1)
+    def test_receivers_round_trip_is_checked(self, monkeypatch):
+        monkeypatch.setattr(protocols, "xor_chain_decode", lambda transcript: "00")
+        with pytest.raises(AssertionError, match="did not rebuild the message"):
+            XorChainRun("10")
 
     @pytest.mark.parametrize("n_bits", [2, 4, 10, 16])
     def test_resource_counts(self, n_bits):
@@ -459,6 +465,28 @@ class TestEsQkd:
         # key claimed as 8.
         with pytest.raises(ValueError, match="one result per party"):
             EsQkdRun([(PHI_PLUS, PSI_PLUS)] * 2, alice, bob)
+
+    def test_run_record_needs_a_swap(self):
+        # An empty run used to claim 0 bits and fail the efficiency audit.
+        with pytest.raises(ValueError, match="at least one initial Bell pair"):
+            EsQkdRun((), (), ())
+
+    @pytest.mark.parametrize("pairs, alice, bob", [
+        ([(PHI_PLUS, PSI_PLUS)], ["psi+"], [PHI_PLUS]),
+        ([(PHI_PLUS, PSI_PLUS)], [PSI_PLUS], [None]),
+        ([(PHI_PLUS,)], [PSI_PLUS], [PHI_PLUS]),
+        ([(PHI_PLUS, PSI_PLUS, PHI_PLUS)], [PSI_PLUS], [PHI_PLUS]),
+        ([(PHI_PLUS, "psi+")], [PSI_PLUS], [PHI_PLUS]),
+        ([[PHI_PLUS, PSI_PLUS]], [PSI_PLUS], [PHI_PLUS]),
+        ([PHI_PLUS], [PSI_PLUS], [PHI_PLUS]),
+    ], ids=["str-result", "none-result", "one-label-pair", "three-label-pair", "str-label",
+            "list-pair", "bare-label"])
+    def test_run_record_rejects_a_swap_that_is_not_bell_labels(self, pairs, alice, bob):
+        with pytest.raises(ValueError, match="swap 0 must hold two initial BellLabels"):
+            EsQkdRun(pairs, alice, bob)
+        # After a valid swap, the malformed one is named by its index.
+        with pytest.raises(ValueError, match="swap 1 must hold two initial BellLabels"):
+            EsQkdRun([(PHI_PLUS, PSI_PLUS), *pairs], [PSI_PLUS, *alice], [PHI_PLUS, *bob])
 
     @pytest.mark.parametrize("pair", ALL_PAIRS)
     def test_outcomes_stay_in_oracle_support(self, pair):
