@@ -13,7 +13,9 @@ Three commands:
   flawed schemes and the correct baseline.
 
 Every scheme is one `Scenario` record in `SCENARIOS`; the three commands
-are loops over that registry.
+are loops over that registry.  A `ScenarioConfig` checks and completes its
+own settings, so a config built directly is refused where the command line
+would be; where the report goes is not part of it.
 
 Reports go to standard output (or --out PATH, written whole or not at
 all); diagnostics to standard error.  Exit codes: 0 success, 1 internal
@@ -79,19 +81,61 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """One scenario's settings, checked and completed however the config is built.
+
+    A scheme with `message_lengths` takes `message_bits` (default
+    `DEFAULT_MESSAGE_BITS`); es-qkd takes `pairs`, a non-empty sequence of
+    (BellLabel, BellLabel) tuples stored as a tuple (default `DEFAULT_PAIRS`),
+    and, for `attack`, a `plaintext` of 4 bits per pair.  The checks run in
+    the command line's order, so both give the same first error.
+    """
+
     scenario: str
     seed: int
     trials: int
     fmt: str
     message_bits: int | None = None
-    pairs: list | None = None
-    out: str | None = None
+    pairs: tuple | None = None
     plaintext: str | None = None
 
     def __post_init__(self):
-        if not 0 <= self.seed < (1 << 64):
+        name = self.scenario
+        if not (isinstance(name, str) and name in SCENARIOS):
+            raise ConfigError(f"scenario must be one of {', '.join(SCENARIOS)}, got {name!r}")
+        if self.fmt not in ("json", "text"):
+            raise ConfigError(f"format must be json or text, got {self.fmt!r}")
+        accepted = SCENARIOS[name].message_lengths
+        if accepted is None:
+            if self.message_bits is not None:
+                raise ConfigError(f"--message-bits does not apply to the {name} scenario")
+            pairs = parse_pairs(DEFAULT_PAIRS) if self.pairs is None else self.pairs
+            pairs = tuple(pairs) if isinstance(pairs, (list, tuple)) else ()
+            if not pairs or not all(type(pair) is tuple and len(pair) == 2 and all(
+                    isinstance(label, BellLabel) for label in pair) for pair in pairs):
+                raise ConfigError("pairs must be a non-empty sequence of (BellLabel, BellLabel) "
+                                  f"tuples, got {self.pairs!r}")
+            object.__setattr__(self, "pairs", pairs)
+        else:
+            if self.pairs is not None:
+                raise ConfigError("--pairs applies to the es-qkd scenario only")
+            bits = DEFAULT_MESSAGE_BITS if self.message_bits is None else self.message_bits
+            if type(bits) is not int or bits not in accepted:
+                raise ConfigError(f"{name} message length must be one of {accepted[0]}, "
+                                  f"{accepted[1]}, ..., {accepted[-1]}, got {bits}")
+            object.__setattr__(self, "message_bits", bits)
+        if self.plaintext is not None:
+            if name != "es-qkd":
+                raise ConfigError("--plaintext applies to the es-qkd scenario only")
+            try:
+                check_bits(self.plaintext, "plaintext")
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
+            if len(self.plaintext) != 4 * len(self.pairs):
+                raise ConfigError(f"plaintext must cover 4 bits per pair ({4 * len(self.pairs)}), "
+                                  f"got {len(self.plaintext)}")
+        if type(self.seed) is not int or not 0 <= self.seed < (1 << 64):
             raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
-        if not 1 <= self.trials <= MAX_TRIALS:
+        if type(self.trials) is not int or not 1 <= self.trials <= MAX_TRIALS:
             raise ConfigError(f"trials must be between 1 and {MAX_TRIALS}, got {self.trials}")
 
     def to_dict(self) -> dict:
@@ -121,9 +165,7 @@ def parse_pairs(text: str) -> list:
 
 
 def default_seed() -> int:
-    raw = os.environ.get("OTPLAB_SEED")
-    if raw is None:
-        return 0
+    raw = os.environ.get("OTPLAB_SEED", "0")
     try:
         return int(raw)
     except ValueError:
@@ -169,55 +211,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args) -> ScenarioConfig:
-    seed = args.seed if args.seed is not None else default_seed()
-    plaintext = getattr(args, "plaintext", None)
-    sizes = scenario_sizes(args.scenario, args.message_bits, args.pairs)
-
-    if plaintext is not None:
-        if args.scenario != "es-qkd":
-            raise ConfigError("--plaintext applies to the es-qkd scenario only")
-        try:
-            check_bits(plaintext, "plaintext")
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        bits = 4 * len(sizes["pairs"])
-        if len(plaintext) != bits:
-            raise ConfigError(
-                f"plaintext must cover 4 bits per pair ({bits}), got {len(plaintext)}"
-            )
-
+    """The config of parsed `simulate` or `attack` arguments; the config checks them."""
     return ScenarioConfig(
         scenario=args.scenario,
-        seed=seed,
+        seed=default_seed() if args.seed is None else args.seed,
         trials=args.trials,
         fmt=args.fmt,
-        out=args.out,
-        plaintext=plaintext,
-        **sizes,
+        message_bits=args.message_bits,
+        pairs=None if args.pairs is None else parse_pairs(args.pairs),
+        plaintext=getattr(args, "plaintext", None),
     )
-
-
-def scenario_sizes(name: str, message_bits: int | None = None,
-                   pairs: str | None = None) -> dict:
-    """The scenario's size fields of `ScenarioConfig`, defaults filled in and checked.
-
-    A scenario with `message_lengths` takes a message length; the other,
-    es-qkd, takes Bell pairs instead.
-    """
-    accepted = SCENARIOS[name].message_lengths
-    if accepted is None:
-        if message_bits is not None:
-            raise ConfigError(f"--message-bits does not apply to the {name} scenario")
-        return {"pairs": parse_pairs(DEFAULT_PAIRS if pairs is None else pairs)}
-    if pairs is not None:
-        raise ConfigError("--pairs applies to the es-qkd scenario only")
-    message_bits = DEFAULT_MESSAGE_BITS if message_bits is None else message_bits
-    if message_bits not in accepted:
-        raise ConfigError(
-            f"{name} message length must be one of {accepted[0]}, {accepted[1]}, ..., "
-            f"{accepted[-1]}, got {message_bits}"
-        )
-    return {"message_bits": message_bits}
 
 
 def _distributions_match(a: Distribution, b: Distribution) -> bool:
@@ -378,7 +381,7 @@ def build_audit_rows() -> list:
     """
     table = []
     for name in SCENARIOS:
-        config = ScenarioConfig(name, seed=0, trials=1, fmt="json", **scenario_sizes(name))
+        config = ScenarioConfig(name, seed=0, trials=1, fmt="json")
         verdict = build_report(config, with_attack=False)["efficiency"]
         claimed = verdict["claimed_bits_per_carrier"]
         effective = verdict["effective_bits_per_carrier"]
@@ -610,18 +613,14 @@ def main(argv=None) -> int:
             args = build_parser().parse_args(argv)
         except SystemExit as exc:  # --help; a bad command line raises ConfigError
             return exc.code
-        if args.command == "audit":
-            rows = build_audit_rows()
-            if args.fmt == "json":
-                text = render_json({"rows": rows, "tool_version": __version__})
-            else:
-                text = render_audit_text(rows)
-            _emit(text, args.out)
-            return 0
-        config = config_from_args(args)
-        report = build_report(config, with_attack=args.command == "attack")
-        text = render_json(report) if config.fmt == "json" else render_report_text(report)
-        _emit(text, config.out)
+        if args.command != "audit":
+            report = build_report(config_from_args(args), with_attack=args.command == "attack")
+            text = render_json(report) if args.fmt == "json" else render_report_text(report)
+        elif args.fmt == "json":
+            text = render_json({"rows": build_audit_rows(), "tool_version": __version__})
+        else:
+            text = render_audit_text(build_audit_rows())
+        _emit(text, args.out)
         return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

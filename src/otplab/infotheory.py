@@ -307,7 +307,7 @@ def _entropy(probs: np.ndarray) -> float:
     for start in range(0, probs.size, _CHUNK):
         chunk = probs[start:start + _CHUNK]
         total += float(np.dot(chunk, np.log2(chunk, out=logs[:chunk.size])))
-    return -total
+    return 0.0 - total  # not -total: a point mass gives 0.0, not -0.0
 
 
 def entropy(dist: Distribution) -> float:

@@ -152,10 +152,11 @@ class EsQkdRun:
     """One execution of the entanglement-swapping key scheme.
 
     Per swap, at least one, its initial pair of two `BellLabel`s and each
-    party's `BellLabel` outcome, as tuples of one length; the key and the particle count are derived from them.  Each
-    swap's outcome pair must lie in the swap support: the support pairs
-    outcomes bijectively, so when Alice's deduction is Bob's result, Bob's
-    deduction is hers, and both write down the block alice.bits + bob.bits.
+    party's `BellLabel` outcome, as tuples of one length; the key and the
+    particle count are derived from them.  Each swap's outcome pair must lie
+    in the swap support: the support pairs outcomes bijectively, so when
+    Alice's deduction is Bob's result, Bob's deduction is hers, and both
+    write down the block alice.bits + bob.bits.
     """
 
     initial_pairs: tuple
@@ -254,13 +255,14 @@ def run_es_qkd(initial_pairs, rng: random.Random) -> EsQkdRun:
 
 
 def run_otp_baseline(plaintext: str, key: KeyMaterial) -> Transcript:
-    """Correct one-time pad over the public channel.
+    """Correct one-time pad over the public channel, on a plaintext of at least 1 bit.
 
     Refuses to run unless the pad passes all three secrecy conditions,
     randomness audited by the pad's origin; otherwise broadcasts the
     ciphertext and checks the receiver's decryption round-trips.
     """
-    check_bits(plaintext, "plaintext")
+    if not check_bits(plaintext, "plaintext"):
+        raise ValueError("plaintext must hold at least 1 bit")
     report = shannon_audit(key, len(plaintext))
     if not report.all_ok:
         raise ConditionViolationError(report)

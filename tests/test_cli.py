@@ -29,6 +29,7 @@ from otplab.cli import (
     render_json,
 )
 from otplab.cryptanalysis import CARRIERS, leakage_report
+from otplab.quantum import PHI_PLUS
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = json.loads((ROOT / "docs" / "report.schema.json").read_text())
@@ -213,6 +214,67 @@ class TestConfigErrors:
         config = ScenarioConfig("xor-chain", seed=3, trials=1, fmt="json", message_bits=2)
         with pytest.raises(dataclasses.FrozenInstanceError):
             config.trials = 0
+
+    @pytest.mark.parametrize("args,settings,message", [
+        (("--message-bits", "3"), {"message_bits": 3},
+         "xor-chain message length must be one of 2, 4, ..., 16, got 3"),
+        (("--message-bits", "18"), {"message_bits": 18},
+         "xor-chain message length must be one of 2, 4, ..., 16, got 18"),
+        (("--scenario", "otp-baseline", "--message-bits", "13"),
+         {"scenario": "otp-baseline", "message_bits": 13},
+         "otp-baseline message length must be one of 1, 2, ..., 12, got 13"),
+        (("--scenario", "es-qkd", "--message-bits", "4"), {"scenario": "es-qkd", "message_bits": 4},
+         "--message-bits does not apply to the es-qkd scenario"),
+        (("--pairs", "phi+:psi+"), {"pairs": [(PHI_PLUS, PHI_PLUS)]},
+         "--pairs applies to the es-qkd scenario only"),
+        (("--plaintext", "1010"), {"plaintext": "1010"},
+         "--plaintext applies to the es-qkd scenario only"),
+        (("--scenario", "es-qkd", "--plaintext", "101"), {"scenario": "es-qkd", "plaintext": "101"},
+         "plaintext must cover 4 bits per pair (4), got 3"),
+        (("--scenario", "es-qkd", "--plaintext", "102x"),
+         {"scenario": "es-qkd", "plaintext": "102x"},
+         "plaintext must be a string of 0/1 characters, got '102x'"),
+    ])
+    def test_direct_config_refuses_what_the_command_line_refuses(self, capsys, args, settings,
+                                                                 message):
+        # A directly built config used to accept these sizes, or fail later with a traceback.
+        with pytest.raises(cli.ConfigError) as err:
+            ScenarioConfig(**{"scenario": "xor-chain", "seed": 3, "trials": 1, "fmt": "json",
+                              **settings})
+        assert str(err.value) == message
+        assert run_cli(capsys, "attack", "--scenario", "xor-chain", *args) == (
+            2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("settings,message", [
+        ({"scenario": "nope"}, "scenario must be one of xor-chain, es-qkd, otp-baseline"),
+        ({"fmt": "xml"}, "format must be json or text, got 'xml'"),
+        ({"seed": True}, "seed must be an unsigned 64-bit integer, got True"),
+        ({"trials": True}, "trials must be between 1 and 100000, got True"),
+        ({"trials": 1.5}, "trials must be between 1 and 100000, got 1.5"),
+        ({"message_bits": 2.0}, "xor-chain message length must be one of 2, 4, ..., 16, got 2.0"),
+        ({"message_bits": True}, "xor-chain message length must be one of 2, 4, ..., 16, got True"),
+        ({"scenario": "es-qkd", "pairs": []}, "pairs must be a non-empty sequence"),
+        ({"scenario": "es-qkd", "pairs": [(PHI_PLUS,)]}, "pairs must be a non-empty sequence"),
+        ({"scenario": "es-qkd", "pairs": ["phi+:psi+"]}, "pairs must be a non-empty sequence"),
+        ({"scenario": "es-qkd", "pairs": "phi+:psi+"}, "pairs must be a non-empty sequence"),
+    ])
+    def test_direct_config_refuses_what_no_command_line_can_give(self, settings, message):
+        with pytest.raises(cli.ConfigError) as err:
+            ScenarioConfig(**{"scenario": "xor-chain", "seed": 3, "trials": 1, "fmt": "json",
+                              **settings})
+        assert str(err.value).startswith(message)
+
+    def test_config_completes_its_defaults_and_stores_pairs_as_a_tuple(self):
+        assert ScenarioConfig("xor-chain", seed=3, trials=1, fmt="json").message_bits == 2
+        default = ScenarioConfig("es-qkd", seed=3, trials=1, fmt="json")
+        assert (default.message_bits, default.pairs) == (None, tuple(parse_pairs("phi+:psi+")))
+        pairs = parse_pairs("phi+:psi+,phi-:phi-")
+        config = ScenarioConfig("es-qkd", seed=3, trials=1, fmt="json", pairs=pairs)
+        assert type(config.pairs) is tuple and config.pairs == tuple(pairs)
+        pairs.append(pairs[0])  # the caller's list is not the config's
+        assert len(config.pairs) == 2
+        with pytest.raises(AttributeError):
+            config.pairs.append(pairs[0])
 
     @pytest.mark.parametrize("scenario,bits", [("xor-chain", 16), ("otp-baseline", 12)])
     def test_largest_message_lengths_accepted(self, scenario, bits):

@@ -234,6 +234,16 @@ class TestLeakageReport:
         with pytest.raises(ValueError, match="exactly one broadcast"):
             leakage_report(transcript, (None, 0.0))
 
+    def test_point_mass_prior_reports_positive_zero_eve_bits(self):
+        # A point-mass prior used to give eve_bits -0.0, rendered as "-0.0" in a report.
+        prior = Distribution({"10": 1.0})
+        xor_run = run_xor_chain("10")
+        otp_run = run_otp_baseline("10", random_key(2, random.Random(1)))
+        for run, attack in ((xor_run, attack_xor_chain(xor_run, prior)),
+                            (otp_run, attack_otp_baseline(prior, eve_view(otp_run)))):
+            eve_bits = leakage_report(run, attack).eve_bits
+            assert eve_bits == 0.0 and math.copysign(1.0, eve_bits) == 1.0
+
     def test_unknown_run_type_raises(self):
         with pytest.raises(TypeError):
             leakage_report(object(), (None, 0.0))

@@ -169,6 +169,23 @@ class TestMutualInformation:
         assert mi <= entropy(joint.observation_marginal()) + 1e-9
 
 
+class TestPointMassGivesPositiveZero:
+    """A figure that is exactly zero is +0.0, never -0.0, which would render as `-0.0`."""
+
+    @pytest.mark.parametrize("width", range(5))
+    def test_entropies_of_a_point_mass_are_positive_zero(self, width):
+        prior = Distribution({"1" * width: 1.0})
+        figures = [entropy(prior)]
+        for joint in (enumerate_joint(prior, lambda s: s), enumerate_joint(prior, lambda s: "1"),
+                      ciphertext_joint(prior)):
+            figures += [conditional_entropy(joint), mutual_information(joint)]
+        assert figures == [0.0] * 7
+        assert [math.copysign(1.0, figure) for figure in figures] == [1.0] * 7
+
+    def test_zero_width_uniform_prior_has_positive_zero_entropy(self):
+        assert math.copysign(1.0, entropy(Distribution.uniform_bits(0))) == 1.0
+
+
 class TestEnumerateJoint:
     def test_parity_view_expands_to_four_pairs(self):
         joint = enumerate_joint(Distribution.uniform_bits(2), xor_chain_view)

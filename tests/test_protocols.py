@@ -610,3 +610,10 @@ class TestOtpBaseline:
         with pytest.raises(ConditionViolationError):
             run_otp_baseline("0101", key)
         assert key.is_fresh
+
+    def test_empty_plaintext_refused_before_the_key_is_used(self):
+        # An empty broadcast used to give a report of 0 carriers that the audit rejected.
+        key = KeyMaterial("", TRULY_RANDOM)
+        with pytest.raises(ValueError, match="at least 1 bit"):
+            run_otp_baseline("", key)
+        assert key.is_fresh
