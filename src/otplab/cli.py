@@ -165,11 +165,16 @@ def parse_pairs(text: str) -> list:
 
 
 def default_seed() -> int:
+    """$OTPLAB_SEED, default 0: ASCII digits only, an unsigned 64-bit integer.
+
+    `int` alone would take " 1_0 " as 10 and leave "-1" to a message that
+    does not name the variable.
+    """
     raw = os.environ.get("OTPLAB_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"OTPLAB_SEED must be an integer, got {raw!r}") from None
+    digits = raw.lstrip("0") or "0"
+    if not (raw.isascii() and raw.isdigit() and len(digits) <= 20 and int(digits) < 1 << 64):
+        raise ConfigError(f"OTPLAB_SEED must be an unsigned 64-bit integer, got {raw!r}")
+    return int(digits)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -271,11 +276,12 @@ def _es_qkd(config: ScenarioConfig, with_attack: bool):
 
     def trial(rng):
         run = run_es_qkd(config.pairs, rng)
+        key = run.key
         attack = None
         if with_attack:
             attack = {"key_sets": key_sets, "key_entropy_given_eve": key_entropy}
             if true is not None:
-                pad = KeyMaterial(run.key, derived_correlated("entanglement-swap outcomes"))
+                pad = KeyMaterial(key, derived_correlated("entanglement-swap outcomes"))
                 ciphertext = encrypt(config.plaintext, pad).ciphertext
                 recovered = [
                     list(attack_es_qkd_parity(ciphertext[4 * i:4 * i + 4], pair))
@@ -287,7 +293,7 @@ def _es_qkd(config: ScenarioConfig, with_attack: bool):
                     "true_parities": true,
                     "parities_match": recovered == true,
                 })
-        return run, _trial([], run.key, attack)
+        return run, _trial([], key, attack)
 
     return trial, key_entropy
 

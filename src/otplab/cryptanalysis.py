@@ -164,10 +164,11 @@ def attack_es_qkd_parity(ciphertext_block: str, initial_pair):
     if len(ciphertext_block) != 4:
         raise ValueError("a swap key block covers exactly 4 ciphertext bits")
     initial_12, initial_34 = initial_pair
-    key_parity_13 = initial_12.bitflip ^ initial_34.bitflip
-    key_parity_24 = initial_12.phase ^ initial_34.phase
-    c = [int(ch) for ch in ciphertext_block]
-    return (c[0] ^ c[2] ^ key_parity_13, c[1] ^ c[3] ^ key_parity_24)
+    # Bit 1 of the folded code is c1 ^ c3 ^ (k1 ^ k3), bit 0 is c2 ^ c4 ^ (k2 ^ k4):
+    # the key parities are the XOR of the initial label codes, bitflip bit first.
+    code = int(ciphertext_block, 2)
+    folded = (code >> 2) ^ code ^ initial_12.code ^ initial_34.code
+    return (folded >> 1 & 1, folded & 1)
 
 
 def attack_otp_baseline(message_prior: Distribution, ciphertext: str):

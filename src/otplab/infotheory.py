@@ -44,6 +44,7 @@ from an integer view holds the result's columns plus one sort order.
 """
 
 from functools import cached_property
+from itertools import accumulate
 from types import MappingProxyType
 from typing import Callable, Union
 
@@ -190,6 +191,16 @@ class Distribution:
         Its keys are `support`, so the outcomes are formatted only once.
         """
         return MappingProxyType(dict(zip(self.support, self.probabilities.tolist())))
+
+    @cached_property
+    def cumulative(self) -> tuple:
+        """Running totals of `probabilities` in stored order, as Python floats.
+
+        Summed one entry at a time, left to right, so each total equals
+        the `acc += p` of a walk over `entries`: the k-th outcome owns
+        [cumulative[k - 1], cumulative[k]).
+        """
+        return tuple(accumulate(self.probabilities.tolist()))
 
     def probability(self, outcome: str) -> float:
         return self.entries.get(outcome, 0.0)

@@ -5,8 +5,11 @@ tuple columns (senders, channels, payloads); its public-broadcast payloads
 are exactly what an eavesdropper sees (`eve_view`).  An xor-chain run is
 its message: it checks it, builds the transcript from it and derives the
 receivers' outputs and the carrier count.  An es-qkd run stores its pairs
-and both parties' results, checks that they are `BellLabel`s of at least
-one swap, and derives its key from them.
+and both parties' results and derives its key from them.  It checks each
+swap in one pass over the three columns: a 2-tuple initial pair, four
+`BellLabel`s (subclasses too), and the party codes XORing to the initial
+codes, the swap support; a message naming the failing swap is built only
+once a check has failed.
 
 Three schemes are modeled:
 
@@ -34,7 +37,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from .bits import check_bits, xor_bits
+from .bits import bits_to_int, check_bits, int_to_bits, xor_bits
 from .otp import AuditReport, KeyMaterial, decrypt, encrypt, shannon_audit
 from .quantum import BellLabel, sample_swap, swap_distribution_oracle
 
@@ -154,7 +157,8 @@ class EsQkdRun:
     Per swap, at least one, its initial pair of two `BellLabel`s and each
     party's `BellLabel` outcome, as tuples of one length; the key and the
     particle count are derived from them.  Each swap's outcome pair must lie
-    in the swap support: the support pairs outcomes bijectively, so when
+    in the swap support, alice.code ^ bob.code == a.code ^ b.code for the
+    initial pair (a, b): the support pairs outcomes bijectively, so when
     Alice's deduction is Bob's result, Bob's deduction is hers, and both
     write down the block alice.bits + bob.bits.
     """
@@ -172,13 +176,14 @@ class EsQkdRun:
             raise ValueError("each swap has exactly one result per party")
         swaps = zip(self.initial_pairs, self.alice_results, self.bob_results)
         for swap, (pair, alice, bob) in enumerate(swaps):
-            labels = (*pair, alice, bob) if type(pair) is tuple else ()
-            if len(labels) != 4 or not all(isinstance(label, BellLabel) for label in labels):
+            if not (type(pair) is tuple and len(pair) == 2 and isinstance(pair[0], BellLabel)
+                    and isinstance(pair[1], BellLabel) and isinstance(alice, BellLabel)
+                    and isinstance(bob, BellLabel)):
                 raise ValueError(
                     f"swap {swap} must hold two initial BellLabels and one per party, "
                     f"got {pair!r}, {alice!r}, {bob!r}"
                 )
-            if deduce_partner_result(alice, pair) != bob:
+            if alice.code ^ bob.code != pair[0].code ^ pair[1].code:
                 raise ValueError(
                     f"outcome pair {alice}:{bob} lies outside the swap support "
                     f"of {pair[0]}:{pair[1]}"
@@ -219,11 +224,19 @@ def xor_chain_decode(transcript: Transcript) -> str:
     """The message a receiver rebuilds from an xor-chain transcript alone.
 
     Secure bits are delivered to the receiver; each even bit is its
-    broadcast XOR the secure bit before it.
+    broadcast XOR the secure bit before it.  The transcript checked its
+    payloads when it was built, so one pass sorts them by channel and the
+    two strings are XORed as integer codes.
     """
-    received = transcript.payloads_on(Channel.SECURE_PRIMITIVE)
-    broadcasts = transcript.payloads_on(Channel.PUBLIC_BROADCAST)
-    return "".join(map(str.__add__, received, xor_bits(received, broadcasts)))
+    secure, public = [], []
+    secure_channel = Channel.SECURE_PRIMITIVE
+    for channel, payload in zip(transcript.channels, transcript.payloads):
+        (secure if channel is secure_channel else public).append(payload)
+    received, broadcasts = "".join(secure), "".join(public)
+    if len(received) != len(broadcasts):
+        raise ValueError(f"bitstring length mismatch: {len(received)} vs {len(broadcasts)}")
+    even = int_to_bits(bits_to_int(received) ^ bits_to_int(broadcasts), len(received))
+    return "".join(map(str.__add__, received, even))
 
 
 def deduce_partner_result(result: BellLabel, initial_pair) -> BellLabel:
@@ -245,12 +258,8 @@ def run_es_qkd(initial_pairs, rng: random.Random) -> EsQkdRun:
     swap, and each pair against the swap support.
     """
     initial_pairs = tuple(initial_pairs)
-    alice_results = []
-    bob_results = []
-    for pair in initial_pairs:
-        alice, bob = sample_swap(swap_distribution_oracle(*pair), rng)
-        alice_results.append(alice)
-        bob_results.append(bob)
+    outcomes = [sample_swap(swap_distribution_oracle(*pair), rng) for pair in initial_pairs]
+    alice_results, bob_results = zip(*outcomes) if outcomes else ((), ())
     return EsQkdRun(initial_pairs, alice_results, bob_results)
 
 

@@ -25,6 +25,9 @@ order of the label pairs, x first.  `swap_distribution_oracle` derives the
 distribution by brute-force state-vector projection in the 16-dimensional
 space; `swap_distribution_rule` states it in closed form.  The two must
 agree entrywise, which the test suite checks for all 16 initial pairs.
+`sample_swap` draws an outcome pair with one bisect over the
+distribution's running totals, so the k-th block in ascending code order
+owns the k-th interval of [0, 1).
 The basis is built, and each configuration projected, once per process;
 the tests compare the uncached projection (`swap_distribution_oracle.__wrapped__`)
 with the rule, and with a projection whose amplitudes are built afresh by
@@ -38,6 +41,7 @@ product state is on (1,2,3,4); the measured basis is on (1,3,2,4).
 import functools
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,6 +86,10 @@ class BellLabel:
                 f"unknown Bell label {token!r}; expected one of phi+, phi-, psi+, psi-"
             ) from None
 
+    def __hash__(self) -> int:
+        # Equal labels have equal codes; the generated hash would hash a tuple.
+        return self.code
+
     def __str__(self) -> str:
         return self.token
 
@@ -92,6 +100,8 @@ PSI_PLUS = BellLabel(1, 0)
 PSI_MINUS = BellLabel(1, 1)
 BELL_LABELS = (PHI_PLUS, PHI_MINUS, PSI_PLUS, PSI_MINUS)
 _TOKEN_TO_LABEL = {label.token: label for label in BELL_LABELS}
+# The outcome pair (x, y) of each 4-bit key block, indexed by the block's code.
+_SWAP_OUTCOMES = tuple((x, y) for x in BELL_LABELS for y in BELL_LABELS)
 
 
 def _read_only(amplitudes: np.ndarray) -> np.ndarray:
@@ -152,16 +162,12 @@ def swap_distribution_rule(initial_12: BellLabel, initial_34: BellLabel) -> Dist
 def sample_swap(dist: Distribution, rng: random.Random):
     """Draw one outcome pair (x, y); deterministic given the caller's seeded stream.
 
-    Walks the key blocks in ascending code order, so the k-th block owns the
-    k-th interval of [0, 1); a draw past the last total lands on the last block.
+    One bisect of the draw over the distribution's running totals: the k-th
+    block in ascending code order owns the k-th interval of [0, 1), and a
+    draw past the last total lands on the last block.
     """
     if dist.bit_length != 4:
         raise ValueError(f"a swap outcome is a 4-bit key block, got {dist.bit_length} bits")
-    u = rng.random()
-    acc = 0.0
-    for block, p in dist.entries.items():
-        acc += p
-        if u < acc:
-            break
-    code = int(block, 2)
-    return BELL_LABELS[code >> 2], BELL_LABELS[code & 3]
+    totals = dist.cumulative
+    k = bisect_right(totals, rng.random())
+    return _SWAP_OUTCOMES[dist.codes.item(k if k < len(totals) else k - 1)]

@@ -293,6 +293,29 @@ class TestConfigErrors:
         assert code == 2
         assert "OTPLAB_SEED" in err
 
+    @pytest.mark.parametrize("raw", ["not-a-number", " 1_0 ", "1_0", " 10", "-1", "+1",
+                                     str(2**64), "1" + "0" * 30, "1.0", "", "\u0661"])
+    def test_bad_env_seed_is_one_line_naming_the_variable(self, capsys, monkeypatch, raw):
+        # " 1_0 " used to run as seed 10, and "-1" failed without naming the variable.
+        monkeypatch.setenv("OTPLAB_SEED", raw)
+        code, out, err = run_cli(capsys, "simulate", "--scenario", "xor-chain")
+        assert (code, out) == (2, "")
+        assert err == f"error: OTPLAB_SEED must be an unsigned 64-bit integer, got {raw!r}\n"
+
+    @pytest.mark.parametrize("raw, seed", [("0", 0), ("007", 7), ("0" * 30 + "5", 5),
+                                           (str(2**64 - 1), 2**64 - 1)])
+    def test_env_seed_of_ascii_digits_is_taken(self, monkeypatch, raw, seed):
+        monkeypatch.setenv("OTPLAB_SEED", raw)
+        args = build_parser().parse_args(["simulate", "--scenario", "xor-chain"])
+        assert config_from_args(args).seed == seed
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_option_messages_are_unchanged(self, capsys, monkeypatch, seed):
+        monkeypatch.setenv("OTPLAB_SEED", "bad")  # not read once --seed is given
+        code, _, err = run_cli(capsys, "simulate", "--scenario", "xor-chain", "--seed", seed)
+        assert code == 2
+        assert err == f"error: seed must be an unsigned 64-bit integer, got {seed}\n"
+
     def test_internal_failure_exits_1(self, capsys, monkeypatch):
         import otplab.cli as cli
 

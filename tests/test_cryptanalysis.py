@@ -191,6 +191,32 @@ class TestAttackEsQkdParity:
         with pytest.raises(ValueError):
             attack_es_qkd_parity("00", (PHI_PLUS, PSI_PLUS))
 
+    @pytest.mark.parametrize("pair", ALL_PAIRS)
+    def test_integer_parities_equal_the_per_character_formula(self, pair):
+        # The attack folds the block's integer code; the reference reads its characters.
+        a, b = pair
+        for block in codes_to_bits(range(1 << 4), 4):
+            c = [int(ch) for ch in block]
+            expected = (c[0] ^ c[2] ^ a.bitflip ^ b.bitflip, c[1] ^ c[3] ^ a.phase ^ b.phase)
+            recovered = attack_es_qkd_parity(block, pair)
+            assert recovered == expected
+            assert type(recovered) is tuple and all(type(bit) is int for bit in recovered)
+
+    @pytest.mark.parametrize("block, message", [
+        ("01a1", "ciphertext block must be a string of 0/1 characters, got '01a1'"),
+        (" 0101", "ciphertext block must be a string of 0/1 characters, got ' 0101'"),
+        ("01_01", "ciphertext block must be a string of 0/1 characters, got '01_01'"),
+        (["0", "1", "0", "1"], "ciphertext block must be a string of 0/1 characters, "
+                               "got ['0', '1', '0', '1']"),
+        ("", "a swap key block covers exactly 4 ciphertext bits"),
+        ("010", "a swap key block covers exactly 4 ciphertext bits"),
+        ("01010", "a swap key block covers exactly 4 ciphertext bits"),
+    ])
+    def test_bad_blocks_keep_their_messages(self, block, message):
+        with pytest.raises(ValueError) as info:
+            attack_es_qkd_parity(block, (PHI_PLUS, PSI_PLUS))
+        assert str(info.value) == message
+
 
 class TestAttackOtpBaseline:
     def test_posterior_equals_prior(self):

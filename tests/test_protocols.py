@@ -31,6 +31,7 @@ from otplab.quantum import (
     BELL_LABELS,
     PHI_PLUS,
     PSI_PLUS,
+    BellLabel,
     swap_distribution_oracle,
     swap_distribution_rule,
 )
@@ -248,6 +249,35 @@ class TestXorChain:
         monkeypatch.setattr(protocols, "xor_chain_decode", lambda transcript: "00")
         with pytest.raises(AssertionError, match="did not rebuild the message"):
             XorChainRun("10")
+
+    def test_a_transcript_that_does_not_decode_trips_the_round_trip(self, monkeypatch):
+        # The builder broadcasts the wrong XOR; the real decoder then rebuilds
+        # another message from the transcript, and the build refuses it.
+        real_xor = protocols.xor_bits
+        monkeypatch.setattr(protocols, "xor_bits",
+                            lambda a, b: real_xor(real_xor(a, b), "1" * len(a)))
+        for message in ("10", "0110", "1" * 18):
+            with pytest.raises(AssertionError, match="did not rebuild the message"):
+                XorChainRun(message)
+
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(list(Channel)),
+                              st.text(alphabet="01", max_size=3)), max_size=12))
+    @example([(Channel.SECURE_PRIMITIVE, "1"), (Channel.PUBLIC_BROADCAST, "")])
+    def test_decode_equals_the_two_scan_reference(self, events):
+        # Reference: each channel's payloads joined by its own scan, then `xor_bits`.
+        transcript = Transcript(["alice"] * len(events), [channel for channel, _ in events],
+                                [payload for _, payload in events])
+        received = "".join(payloads_on(transcript, Channel.SECURE_PRIMITIVE))
+        broadcasts = "".join(payloads_on(transcript, Channel.PUBLIC_BROADCAST))
+        try:
+            expected = "".join(map(str.__add__, received, xor_bits(received, broadcasts)))
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                protocols.xor_chain_decode(transcript)
+            assert str(info.value) == str(exc)
+        else:
+            assert protocols.xor_chain_decode(transcript) == expected
 
     @pytest.mark.parametrize("n_bits", [2, 4, 10, 16])
     def test_resource_counts(self, n_bits):
@@ -487,6 +517,33 @@ class TestEsQkd:
         # After a valid swap, the malformed one is named by its index.
         with pytest.raises(ValueError, match="swap 1 must hold two initial BellLabels"):
             EsQkdRun([(PHI_PLUS, PSI_PLUS), *pairs], [PSI_PLUS, *alice], [PHI_PLUS, *bob])
+
+    @pytest.mark.parametrize("pairs, alice, bob, message", [
+        ([(PHI_PLUS, PSI_PLUS), (PHI_PLUS,), (PHI_PLUS, PHI_PLUS)],
+         [PSI_PLUS, PSI_PLUS, PHI_PLUS], [PHI_PLUS, PHI_PLUS, PSI_PLUS],
+         "swap 1 must hold two initial BellLabels and one per party, "
+         "got (BellLabel(bitflip=0, phase=0),), BellLabel(bitflip=1, phase=0), "
+         "BellLabel(bitflip=0, phase=0)"),
+        ([(PHI_PLUS, PSI_PLUS)] * 3, [PSI_PLUS, PSI_PLUS, "psi+"], [PHI_PLUS, PHI_PLUS, None],
+         "swap 2 must hold two initial BellLabels and one per party, "
+         "got (BellLabel(bitflip=0, phase=0), BellLabel(bitflip=1, phase=0)), 'psi+', None"),
+        ([(PHI_PLUS, PSI_PLUS)] * 3, [PSI_PLUS, PHI_PLUS, "psi+"], [PHI_PLUS, PHI_PLUS, None],
+         "outcome pair phi+:phi+ lies outside the swap support of phi+:psi+"),
+    ], ids=["one-label-pair", "str-and-none-results", "support-before-a-later-bad-swap"])
+    def test_the_first_failing_swap_gives_its_exact_message(self, pairs, alice, bob, message):
+        with pytest.raises(ValueError) as info:
+            EsQkdRun(pairs, alice, bob)
+        assert str(info.value) == message
+
+    def test_label_subclasses_are_accepted_and_checked_by_code(self):
+        class Label(BellLabel):
+            pass
+
+        psi_plus, phi_plus = Label(1, 0), Label(0, 0)
+        run = EsQkdRun([(phi_plus, PSI_PLUS)], [psi_plus], [phi_plus])
+        assert run.key == "1000"
+        with pytest.raises(ValueError, match="outside the swap support"):
+            EsQkdRun([(phi_plus, PSI_PLUS)], [psi_plus], [psi_plus])
 
     @pytest.mark.parametrize("pair", ALL_PAIRS)
     def test_outcomes_stay_in_oracle_support(self, pair):

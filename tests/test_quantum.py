@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from otplab import quantum
 from otplab.infotheory import Distribution
@@ -51,6 +53,17 @@ class TestBellLabel:
     def test_rejects_non_bits(self, bad):
         with pytest.raises(ValueError):
             BellLabel(*bad)
+
+    def test_a_fresh_label_keys_the_interned_labels_entry(self):
+        # The hash is the code; equal labels must still share one dict entry.
+        table = {PSI_PLUS: "psi+"}
+        assert table[BellLabel(1, 0)] == "psi+"
+        table[BellLabel(1, 0)] = "fresh"
+        assert table == {PSI_PLUS: "fresh"}
+        assert {BellLabel(b, p) for b in (0, 1) for p in (0, 1)} == set(BELL_LABELS)
+        assert [hash(label) for label in BELL_LABELS] == [0, 1, 2, 3]
+        fresh = swap_distribution_oracle(BellLabel(1, 0), BellLabel(0, 0))
+        assert fresh is swap_distribution_oracle(PSI_PLUS, PHI_PLUS)
 
     def test_code_and_bits_are_fixed_when_the_label_is_made(self):
         label = BellLabel(1, 0)
@@ -308,3 +321,66 @@ class TestSampleSwap:
         seq_a = [sample_swap(dist, rng_a) for _ in range(50)]
         seq_b = [sample_swap(dist, rng_b) for _ in range(50)]
         assert seq_a == seq_b
+
+
+def linear_walk(dist: Distribution, u: float):
+    """Reference draw: walk the blocks in stored order, `acc += p`, stop once u < acc."""
+    acc = 0.0
+    for block, p in dist.entries.items():
+        acc += p
+        if u < acc:
+            break
+    return outcome_pair(block)
+
+
+def walk_totals(dist: Distribution) -> list:
+    acc, totals = 0.0, []
+    for p in dist.entries.values():
+        acc += p
+        totals.append(acc)
+    return totals
+
+
+def probes(totals) -> list:
+    """Each running total, its neighbouring floats on both sides, and just below 1."""
+    near = [math.nextafter(1.0, 0.0)]
+    for total in totals:
+        near += [math.nextafter(total, 0.0), total, math.nextafter(total, 2.0)]
+    return [u for u in near if 0.0 <= u < 1.0]
+
+
+@st.composite
+def four_bit_distributions(draw):
+    """Any distribution over 4-bit blocks: 1 to 16 blocks with positive integer weights."""
+    codes = draw(st.lists(st.integers(0, 15), min_size=1, max_size=16, unique=True))
+    weights = draw(st.lists(st.integers(1, 1000), min_size=len(codes), max_size=len(codes)))
+    total = sum(weights)
+    return Distribution({format(c, "04b"): w / total for c, w in zip(codes, weights)})
+
+
+class TestSampleSwapAgainstLinearWalk:
+    """The bisect draw against the walk it replaced, at every interval edge."""
+
+    @pytest.mark.parametrize("initial", ALL_PAIRS)
+    def test_oracle_totals_are_the_walks_floats(self, initial):
+        oracle = swap_distribution_oracle(*initial)
+        assert list(oracle.cumulative) == walk_totals(oracle)
+        assert oracle.cumulative[-1] < 1.0  # so the cap on the last block is reachable
+
+    @pytest.mark.parametrize("initial", ALL_PAIRS)
+    def test_oracle_draws_at_every_total_and_its_neighbours(self, initial):
+        oracle = swap_distribution_oracle(*initial)
+        us = probes(walk_totals(oracle))
+        assert len(us) == 1 + 3 * 4  # the last total is below 1, so all 12 probes stay
+        for u in us:
+            assert sample_swap(oracle, FixedDraws(u)) == linear_walk(oracle, u), u
+
+    @settings(deadline=None)
+    @given(four_bit_distributions(), st.floats(0.0, 1.0, exclude_max=True))
+    @example(Distribution({"1011": 1.0}), 0.5)
+    @example(Distribution({"0011": 0.5, "1100": 0.5}), 0.5)
+    @example(Distribution({"0001": 1 / 3, "0100": 1 / 3, "1110": 1 / 3}), 2 / 3)
+    def test_any_distribution_any_draw(self, dist, u):
+        assert list(dist.cumulative) == walk_totals(dist)
+        for v in (u, *probes(walk_totals(dist))):
+            assert sample_swap(dist, FixedDraws(v)) == linear_walk(dist, v), v
