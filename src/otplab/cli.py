@@ -12,10 +12,12 @@ Three commands:
 * audit -- print the claimed-vs-effective throughput table for the two
   flawed schemes and the correct baseline.
 
-Every scheme is one `Scenario` record in `SCENARIOS`; the three commands
-are loops over that registry.  A `ScenarioConfig` checks and completes its
-own settings, so a config built directly is refused where the command line
-would be; where the report goes is not part of it.
+Every scheme is one `Scenario` named tuple in `SCENARIOS`; the three
+commands are loops over that registry.  A `ScenarioConfig`, an immutable
+`records.Record`, checks and completes its own settings, so a config built
+directly is refused where the command line would be; where the report goes
+is not part of it.  Integer options take ASCII digits only, after an
+optional '-'.
 
 Reports go to standard output (or --out PATH, written whole or not at
 all); diagnostics to standard error.  Exit codes: 0 success, 1 internal
@@ -31,15 +33,14 @@ joined by ':' within a pair and ',' between pairs, e.g.
 """
 
 import argparse
+import gc
 import itertools
 import json
 import os
 import random
 import sys
-import traceback
-from dataclasses import asdict, dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -57,6 +58,7 @@ from .infotheory import Distribution, enumerate_joint, mutual_information, poste
 from .otp import KeyMaterial, ciphertext_joint, derived_correlated, encrypt, random_key
 from .protocols import eve_view, run_es_qkd, run_otp_baseline, run_xor_chain
 from .quantum import BellLabel
+from .records import Record
 from .tolerances import FLOAT_TOL
 
 # The whole report is built in memory, once, before it is written.
@@ -79,8 +81,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(Record):
     """One scenario's settings, checked and completed however the config is built.
 
     A scheme with `message_lengths` takes `message_bits` (default
@@ -90,53 +91,48 @@ class ScenarioConfig:
     the command line's order, so both give the same first error.
     """
 
-    scenario: str
-    seed: int
-    trials: int
-    fmt: str
-    message_bits: int | None = None
-    pairs: tuple | None = None
-    plaintext: str | None = None
+    __slots__ = ("scenario", "seed", "trials", "fmt", "message_bits", "pairs", "plaintext")
 
-    def __post_init__(self):
-        name = self.scenario
-        if not (isinstance(name, str) and name in SCENARIOS):
-            raise ConfigError(f"scenario must be one of {', '.join(SCENARIOS)}, got {name!r}")
-        if self.fmt not in ("json", "text"):
-            raise ConfigError(f"format must be json or text, got {self.fmt!r}")
-        accepted = SCENARIOS[name].message_lengths
+    def __init__(self, scenario: str, seed: int, trials: int, fmt: str,
+                 message_bits: int | None = None, pairs: tuple | None = None,
+                 plaintext: str | None = None):
+        if not (isinstance(scenario, str) and scenario in SCENARIOS):
+            raise ConfigError(f"scenario must be one of {', '.join(SCENARIOS)}, got {scenario!r}")
+        if fmt not in ("json", "text"):
+            raise ConfigError(f"format must be json or text, got {fmt!r}")
+        accepted = SCENARIOS[scenario].message_lengths
         if accepted is None:
-            if self.message_bits is not None:
-                raise ConfigError(f"--message-bits does not apply to the {name} scenario")
-            pairs = parse_pairs(DEFAULT_PAIRS) if self.pairs is None else self.pairs
-            pairs = tuple(pairs) if isinstance(pairs, (list, tuple)) else ()
-            if not pairs or not all(type(pair) is tuple and len(pair) == 2 and all(
-                    isinstance(label, BellLabel) for label in pair) for pair in pairs):
+            if message_bits is not None:
+                raise ConfigError(f"--message-bits does not apply to the {scenario} scenario")
+            completed = parse_pairs(DEFAULT_PAIRS) if pairs is None else pairs
+            completed = tuple(completed) if isinstance(completed, (list, tuple)) else ()
+            if not completed or not all(type(pair) is tuple and len(pair) == 2 and all(
+                    isinstance(label, BellLabel) for label in pair) for pair in completed):
                 raise ConfigError("pairs must be a non-empty sequence of (BellLabel, BellLabel) "
-                                  f"tuples, got {self.pairs!r}")
-            object.__setattr__(self, "pairs", pairs)
+                                  f"tuples, got {pairs!r}")
+            pairs = completed
         else:
-            if self.pairs is not None:
+            if pairs is not None:
                 raise ConfigError("--pairs applies to the es-qkd scenario only")
-            bits = DEFAULT_MESSAGE_BITS if self.message_bits is None else self.message_bits
-            if type(bits) is not int or bits not in accepted:
-                raise ConfigError(f"{name} message length must be one of {accepted[0]}, "
-                                  f"{accepted[1]}, ..., {accepted[-1]}, got {bits}")
-            object.__setattr__(self, "message_bits", bits)
-        if self.plaintext is not None:
-            if name != "es-qkd":
+            message_bits = DEFAULT_MESSAGE_BITS if message_bits is None else message_bits
+            if type(message_bits) is not int or message_bits not in accepted:
+                raise ConfigError(f"{scenario} message length must be one of {accepted[0]}, "
+                                  f"{accepted[1]}, ..., {accepted[-1]}, got {message_bits}")
+        if plaintext is not None:
+            if scenario != "es-qkd":
                 raise ConfigError("--plaintext applies to the es-qkd scenario only")
             try:
-                check_bits(self.plaintext, "plaintext")
+                check_bits(plaintext, "plaintext")
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
-            if len(self.plaintext) != 4 * len(self.pairs):
-                raise ConfigError(f"plaintext must cover 4 bits per pair ({4 * len(self.pairs)}), "
-                                  f"got {len(self.plaintext)}")
-        if type(self.seed) is not int or not 0 <= self.seed < (1 << 64):
-            raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
-        if type(self.trials) is not int or not 1 <= self.trials <= MAX_TRIALS:
-            raise ConfigError(f"trials must be between 1 and {MAX_TRIALS}, got {self.trials}")
+            if len(plaintext) != 4 * len(pairs):
+                raise ConfigError(f"plaintext must cover 4 bits per pair ({4 * len(pairs)}), "
+                                  f"got {len(plaintext)}")
+        if type(seed) is not int or not 0 <= seed < (1 << 64):
+            raise ConfigError(f"seed must be an unsigned 64-bit integer, got {seed}")
+        if type(trials) is not int or not 1 <= trials <= MAX_TRIALS:
+            raise ConfigError(f"trials must be between 1 and {MAX_TRIALS}, got {trials}")
+        super().__init__(scenario, seed, trials, fmt, message_bits, pairs, plaintext)
 
     def to_dict(self) -> dict:
         return {
@@ -177,6 +173,20 @@ def default_seed() -> int:
     return int(digits)
 
 
+def _integer(text: str) -> int:
+    """ASCII digits, as `default_seed` takes them, after an optional '-' (for the range message).
+
+    Named `int`, so argparse refuses " 1_0 ", "+3" or "1e3" as "invalid int value: '...'".
+    """
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
+_integer.__name__ = "int"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="otplab",
@@ -187,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--scenario", choices=tuple(SCENARIOS), required=True)
         p.add_argument(
-            "--message-bits", type=int, default=None,
+            "--message-bits", type=_integer, default=None,
             help=f"xor-chain (even) and otp-baseline only: message length "
                  f"(default {DEFAULT_MESSAGE_BITS})",
         )
@@ -196,8 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
             help=f"es-qkd only: initial Bell pairs, e.g. phi+:psi+,phi-:phi- "
                  f"(default {DEFAULT_PAIRS})",
         )
-        p.add_argument("--seed", type=int, default=None, help="defaults to $OTPLAB_SEED or 0")
-        p.add_argument("--trials", type=int, default=1)
+        p.add_argument("--seed", type=_integer, default=None, help="defaults to $OTPLAB_SEED or 0")
+        p.add_argument("--trials", type=_integer, default=1)
         p.add_argument("--format", choices=("json", "text"), default="text", dest="fmt")
         p.add_argument("--out", default=None, help="write the report here instead of stdout")
 
@@ -325,8 +335,7 @@ def _trial(transcript: list, key_or_message: str, attack) -> dict:
     return {"transcript": transcript, "key_or_message": key_or_message, "attack": attack}
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     """One scheme as the CLI runs it.
 
     `start(config, with_attack)` runs the exact analysis, once per report,
@@ -373,8 +382,12 @@ def build_report(config: ScenarioConfig, with_attack: bool) -> dict:
         "scenario": config.scenario,
         "config": config.to_dict(),
         "trials": trials,
-        "leakage": asdict(leakage),
-        "efficiency": asdict(efficiency_audit(leakage)),
+        "leakage": {
+            "scenario": leakage.scenario, "claimed_bits": leakage.claimed_bits,
+            "receiver_bits": leakage.receiver_bits, "eve_bits": leakage.eve_bits,
+            "secure_bits": leakage.secure_bits, "resources": leakage.resources._asdict(),
+        },
+        "efficiency": efficiency_audit(leakage)._asdict(),
         "tool_version": __version__,
     }
 
@@ -614,6 +627,9 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def main(argv=None) -> int:
+    # What exists before the run (numpy, the modules, the caller's objects) outlives it:
+    # frozen, it is left out of the collector's passes, which then scan only the run's objects.
+    gc.freeze()
     try:
         try:
             args = build_parser().parse_args(argv)
@@ -632,8 +648,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:
+        import traceback  # only here: a run that succeeds never loads it
         traceback.print_exc(file=sys.stderr)
         return 1
+    finally:
+        gc.unfreeze()
 
 
 def console_main() -> None:

@@ -22,11 +22,12 @@ their joint.  The accounting per scheme:
 `CARRIERS` states, once per scenario, what a carrier is, the bits the
 scheme claims per carrier and the qubits each carrier costs.  Every
 verdict is sanity-checked against the n-qubits-carry-at-most-n-bits
-ceiling (one secure bit per qubit at best).
+ceiling (one secure bit per qubit at best).  The carrier, resource and
+verdict records are named tuples; a `LeakageReport` is a `records.Record`.
 """
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,11 +36,11 @@ from .infotheory import Distribution, enumerate_joint, mutual_information, poste
 from .otp import ciphertext_joint
 from .protocols import Channel, EsQkdRun, Transcript, XorChainRun, eve_view
 from .quantum import swap_distribution_oracle
+from .records import Record
 from .tolerances import FLOAT_TOL
 
 
-@dataclass(frozen=True)
-class CarrierAccounting:
+class CarrierAccounting(NamedTuple):
     """A scheme's carrier: its unit name, the bits claimed per carrier, its qubits."""
 
     unit: str
@@ -57,36 +58,29 @@ CARRIERS = {
 }
 
 
-@dataclass(frozen=True)
-class ResourceCount:
+class ResourceCount(NamedTuple):
     carrier_states: int
     qubits: int
 
 
-@dataclass(frozen=True)
-class LeakageReport:
+class LeakageReport(Record):
     """Claimed vs. delivered vs. leaked bits for one scenario.
 
     `secure_bits` is derived: `receiver_bits - eve_bits`.
     """
 
-    scenario: str
-    claimed_bits: int
-    receiver_bits: float
-    eve_bits: float
-    secure_bits: float = field(init=False)
-    resources: ResourceCount
+    __slots__ = ("scenario", "claimed_bits", "receiver_bits", "eve_bits", "secure_bits",
+                 "resources")
 
-    def __post_init__(self):
-        if not (-FLOAT_TOL <= self.eve_bits <= self.receiver_bits + FLOAT_TOL):
-            raise ValueError(
-                f"eve_bits {self.eve_bits} outside [0, receiver_bits={self.receiver_bits}]"
-            )
-        object.__setattr__(self, "secure_bits", self.receiver_bits - self.eve_bits)
+    def __init__(self, scenario: str, claimed_bits: int, receiver_bits: float, eve_bits: float,
+                 resources: ResourceCount):
+        if not (-FLOAT_TOL <= eve_bits <= receiver_bits + FLOAT_TOL):
+            raise ValueError(f"eve_bits {eve_bits} outside [0, receiver_bits={receiver_bits}]")
+        super().__init__(scenario, claimed_bits, receiver_bits, eve_bits,
+                         receiver_bits - eve_bits, resources)
 
 
-@dataclass(frozen=True)
-class EfficiencyVerdict:
+class EfficiencyVerdict(NamedTuple):
     """Per-resource throughput and the qubit-ceiling check."""
 
     claimed_bits_per_carrier: float

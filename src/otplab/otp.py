@@ -11,13 +11,17 @@ origin (what the protocol runners use): condition (i) holds iff the pad is
 marked truly random.  Analytically, when the distribution the key was
 drawn from is supplied: condition (i) holds iff that distribution's
 entropy equals the key length.
+
+`KeyOrigin` is a named tuple; `CipherBlock` (its repr leaves out the pad)
+and `AuditReport` are immutable `records.Record`s.
 """
 
 import random
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .bits import check_bits, random_bits, xor_bits
 from .infotheory import Distribution, TiledJoint, check_budget, entropy
+from .records import Record
 from .tolerances import FLOAT_TOL
 
 
@@ -37,8 +41,7 @@ class KeyMismatchError(OtpError):
     """A cipher block was presented against a pad it was not made from."""
 
 
-@dataclass(frozen=True)
-class KeyOrigin:
+class KeyOrigin(NamedTuple):
     """Provenance of key material; immutable after creation."""
 
     kind: str  # "truly-random" or "derived-correlated"
@@ -103,13 +106,16 @@ class KeyMaterial:
         return offset, self.bits[offset:offset + n]
 
 
-@dataclass(frozen=True)
-class CipherBlock:
+class CipherBlock(Record):
     """Ciphertext plus the pad object it was made from (not in the repr) and the bit offset."""
 
-    ciphertext: str
-    pad: KeyMaterial = field(repr=False)
-    key_offset: int
+    __slots__ = ("ciphertext", "pad", "key_offset")
+
+    def __init__(self, ciphertext: str, pad: KeyMaterial, key_offset: int):
+        super().__init__(ciphertext, pad, key_offset)
+
+    def __repr__(self) -> str:
+        return f"CipherBlock(ciphertext={self.ciphertext!r}, key_offset={self.key_offset!r})"
 
 
 def random_key(width: int, rng: random.Random) -> KeyMaterial:
@@ -132,8 +138,7 @@ def decrypt(block: CipherBlock, key: KeyMaterial) -> str:
     return xor_bits(block.ciphertext, pad)
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(Record):
     """Verdicts for the three pad conditions (randomness, length, reuse).
 
     `key_entropy_bits` and `deficiency_bits` are filled in analytic mode
@@ -141,11 +146,11 @@ class AuditReport:
     the entropy is unknown and reported as None.
     """
 
-    randomness_ok: bool
-    length_ok: bool
-    reuse_ok: bool
-    key_entropy_bits: float | None = None
-    deficiency_bits: float | None = None
+    __slots__ = ("randomness_ok", "length_ok", "reuse_ok", "key_entropy_bits", "deficiency_bits")
+
+    def __init__(self, randomness_ok: bool, length_ok: bool, reuse_ok: bool,
+                 key_entropy_bits: float | None = None, deficiency_bits: float | None = None):
+        super().__init__(randomness_ok, length_ok, reuse_ok, key_entropy_bits, deficiency_bits)
 
     @property
     def failures(self) -> tuple:

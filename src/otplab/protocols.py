@@ -1,15 +1,16 @@
 """Party/channel simulation and the three concrete messaging schemes.
 
-A run record stores each fact once.  A `Transcript` is only its three
-tuple columns (senders, channels, payloads); its public-broadcast payloads
-are exactly what an eavesdropper sees (`eve_view`).  An xor-chain run is
-its message: it checks it, builds the transcript from it and derives the
-receivers' outputs and the carrier count.  An es-qkd run stores its pairs
-and both parties' results and derives its key from them.  It checks each
-swap in one pass over the three columns: a 2-tuple initial pair, four
-`BellLabel`s (subclasses too), and the party codes XORing to the initial
-codes, the swap support; a message naming the failing swap is built only
-once a check has failed.
+A run record stores each fact once; transcripts and run records are
+immutable `records.Record`s, equal when their fields are.  A `Transcript`
+is only its three tuple columns (senders, channels, payloads); its
+public-broadcast payloads are exactly what an eavesdropper sees
+(`eve_view`).  An xor-chain run is its message: it checks it, builds the
+transcript from it and derives the receivers' outputs and the carrier
+count.  An es-qkd run stores its pairs and both parties' results and
+derives its key from them.  It checks each swap in one pass over the
+three columns: a 2-tuple initial pair, four `BellLabel`s (subclasses
+too), and the party codes XORing to the initial codes, the swap support;
+a message naming the failing swap is built only once a check has failed.
 
 Three schemes are modeled:
 
@@ -34,12 +35,12 @@ import enum
 import functools
 import random
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from .bits import bits_to_int, check_bits, int_to_bits, xor_bits
 from .otp import AuditReport, KeyMaterial, decrypt, encrypt, shannon_audit
 from .quantum import BellLabel, sample_swap, swap_distribution_oracle
+from .records import Record
 
 # The xor-chain's parties: one sender, two receivers who both rebuild the message.
 XOR_CHAIN_SENDER = "alice"
@@ -51,8 +52,7 @@ class Channel(enum.Enum):
     SECURE_PRIMITIVE = "secure-primitive"
 
 
-@dataclass(frozen=True)
-class Transcript:
+class Transcript(Record):
     """Immutable ordered record of channel events: only its three columns.
 
     Event i is (senders[i], channels[i], payloads[i]).  A transcript is
@@ -61,12 +61,10 @@ class Transcript:
     once, so it is safe to share.
     """
 
-    senders: tuple = ()
-    channels: tuple = ()
-    payloads: tuple = ()
+    __slots__ = ("senders", "channels", "payloads")
 
-    def __post_init__(self):
-        columns = tuple(self.senders), tuple(self.channels), tuple(self.payloads)
+    def __init__(self, senders=(), channels=(), payloads=()):
+        columns = tuple(senders), tuple(channels), tuple(payloads)
         if len({len(column) for column in columns}) > 1:
             raise ValueError(f"column lengths differ: {[len(column) for column in columns]}")
         for channel in columns[1]:
@@ -77,8 +75,7 @@ class Transcript:
         except (TypeError, ValueError):
             for payload in columns[2]:  # one of them raises, naming itself
                 check_bits(payload, "payload")
-        for name, column in zip(("senders", "channels", "payloads"), columns):
-            object.__setattr__(self, name, column)
+        super().__init__(*columns)
 
     def to_records(self) -> list:
         """JSON-ready records, one {sender, channel, payload} per event."""
@@ -107,21 +104,19 @@ class ConditionViolationError(Exception):
         )
 
 
-@dataclass(frozen=True)
-class XorChainRun:
+class XorChainRun(Record):
     """One execution of the xor-chain scheme: bits of even length >= 2.
 
     Per bit pair, the odd-numbered bit rides the secure primitive (one
     carrier state), then the pair's XOR (`xor_bits`, all pairs at once) is
     broadcast publicly.  The build checks that the receivers' round trip
-    (`xor_chain_decode`) gives back the message.
+    (`xor_chain_decode`) gives back the message, so runs of one message are equal.
     """
 
-    message: str
-    transcript: Transcript = field(init=False, repr=False, compare=False)
+    __slots__ = ("message", "transcript")
 
-    def __post_init__(self):
-        message = check_bits(self.message, "message")
+    def __init__(self, message: str):
+        check_bits(message, "message")
         if len(message) < 2 or len(message) % 2 != 0:
             raise ValueError(f"message length must be even and >= 2, got {len(message)}")
         pairs = len(message) // 2
@@ -136,7 +131,7 @@ class XorChainRun:
         )
         if xor_chain_decode(transcript) != message:
             raise AssertionError("receivers did not rebuild the message")
-        object.__setattr__(self, "transcript", transcript)
+        super().__init__(message, transcript)
 
     @property
     def receiver_outputs(self) -> Mapping:
@@ -150,8 +145,7 @@ class XorChainRun:
         return len(self.message) // 2
 
 
-@dataclass(frozen=True)
-class EsQkdRun:
+class EsQkdRun(Record):
     """One execution of the entanglement-swapping key scheme.
 
     Per swap, at least one, its initial pair of two `BellLabel`s and each
@@ -163,13 +157,10 @@ class EsQkdRun:
     write down the block alice.bits + bob.bits.
     """
 
-    initial_pairs: tuple
-    alice_results: tuple
-    bob_results: tuple
+    __slots__ = ("initial_pairs", "alice_results", "bob_results")
 
-    def __post_init__(self):
-        for name in ("initial_pairs", "alice_results", "bob_results"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+    def __init__(self, initial_pairs, alice_results, bob_results):
+        super().__init__(tuple(initial_pairs), tuple(alice_results), tuple(bob_results))
         if not self.initial_pairs:
             raise ValueError("at least one initial Bell pair is required")
         if not len(self.alice_results) == len(self.bob_results) == len(self.initial_pairs):
@@ -237,16 +228,6 @@ def xor_chain_decode(transcript: Transcript) -> str:
         raise ValueError(f"bitstring length mismatch: {len(received)} vs {len(broadcasts)}")
     even = int_to_bits(bits_to_int(received) ^ bits_to_int(broadcasts), len(received))
     return "".join(map(str.__add__, received, even))
-
-
-def deduce_partner_result(result: BellLabel, initial_pair) -> BellLabel:
-    """The counterpart's swap outcome implied by one party's outcome.
-
-    The swap support pairs outcomes bijectively: the two labels XOR to the
-    XOR of the initial labels.
-    """
-    initial_12, initial_34 = initial_pair
-    return BellLabel.from_code(result.code ^ initial_12.code ^ initial_34.code)
 
 
 def run_es_qkd(initial_pairs, rng: random.Random) -> EsQkdRun:

@@ -28,6 +28,8 @@ agree entrywise, which the test suite checks for all 16 initial pairs.
 `sample_swap` draws an outcome pair with one bisect over the
 distribution's running totals, so the k-th block in ascending code order
 owns the k-th interval of [0, 1).
+A `BellLabel` is an immutable `records.Record`, hashed and ordered by its
+code within its own class.
 The basis is built, and each configuration projected, once per process;
 the tests compare the uncached projection (`swap_distribution_oracle.__wrapped__`)
 with the rule, and with a projection whose amplitudes are built afresh by
@@ -42,30 +44,40 @@ import functools
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .infotheory import Distribution
+from .records import Record
 from .tolerances import PROB_CLAMP
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
-@dataclass(frozen=True, order=True)
-class BellLabel:
-    """Two-bit label of a Bell state: (bitflip, phase) with Phi+ = (0, 0)."""
+@functools.total_ordering
+class BellLabel(Record):
+    """Two-bit label of a Bell state: (bitflip, phase) with Phi+ = (0, 0).
 
-    bitflip: int
-    phase: int
-    code: int = field(init=False, repr=False, compare=False)  # 0..3, bitflip bit first
-    bits: str = field(init=False, repr=False, compare=False)  # e.g. psi+ -> "10"
+    Labels of one class order by their code, which is also the hash.  The
+    repr shows the two bits.
+    """
 
-    def __post_init__(self):
-        if not all(type(bit) is int and bit in (0, 1) for bit in (self.bitflip, self.phase)):
-            raise ValueError(f"Bell label bits must be 0 or 1, got {(self.bitflip, self.phase)}")
-        object.__setattr__(self, "code", 2 * self.bitflip + self.phase)
-        object.__setattr__(self, "bits", f"{self.bitflip}{self.phase}")
+    # code is 0..3, bitflip bit first; bits is e.g. "10" for psi+.
+    __slots__ = ("bitflip", "phase", "code", "bits")
+
+    def __init__(self, bitflip: int, phase: int):
+        if not all(type(bit) is int and bit in (0, 1) for bit in (bitflip, phase)):
+            raise ValueError(f"Bell label bits must be 0 or 1, got {(bitflip, phase)}")
+        super().__init__(bitflip, phase, 2 * bitflip + phase, f"{bitflip}{phase}")
+
+    def __lt__(self, other):
+        return self.code < other.code if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return self.code
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(bitflip={self.bitflip!r}, phase={self.phase!r})"
 
     @property
     def token(self) -> str:
@@ -85,10 +97,6 @@ class BellLabel:
             raise ValueError(
                 f"unknown Bell label {token!r}; expected one of phi+, phi-, psi+, psi-"
             ) from None
-
-    def __hash__(self) -> int:
-        # Equal labels have equal codes; the generated hash would hash a tuple.
-        return self.code
 
     def __str__(self) -> str:
         return self.token

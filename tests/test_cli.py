@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import errno
 import functools
 import io
@@ -212,8 +211,11 @@ class TestConfigErrors:
 
     def test_config_cannot_be_changed_past_its_checks(self):
         config = ScenarioConfig("xor-chain", seed=3, trials=1, fmt="json", message_bits=2)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             config.trials = 0
+        with pytest.raises(AttributeError):
+            del config.trials
+        assert config.trials == 1
 
     @pytest.mark.parametrize("args,settings,message", [
         (("--message-bits", "3"), {"message_bits": 3},
@@ -309,6 +311,31 @@ class TestConfigErrors:
         args = build_parser().parse_args(["simulate", "--scenario", "xor-chain"])
         assert config_from_args(args).seed == seed
 
+    @pytest.mark.parametrize("option", ["--seed", "--trials", "--message-bits"])
+    @pytest.mark.parametrize("raw", [" 1_0 ", "+3", "٣", "1e3"])
+    def test_integer_options_take_ascii_digits_only(self, capsys, option, raw):
+        # `type=int` ran " 1_0 " as 10, "+3" as 3 and an Arabic-Indic three as 3.
+        code, out, err = run_cli(capsys, "simulate", "--scenario", "xor-chain", option, raw)
+        assert (code, out) == (2, "")
+        assert err == f"error: argument {option}: invalid int value: {raw!r}\n"
+
+    @pytest.mark.parametrize("option, raw, value", [
+        ("--seed", "007", 7), ("--seed", str(2**64 - 1), 2**64 - 1),
+        ("--trials", "0020", 20), ("--message-bits", "04", 4),
+    ])
+    def test_integer_options_of_ascii_digits_are_taken(self, option, raw, value):
+        args = build_parser().parse_args(["simulate", "--scenario", "xor-chain", option, raw])
+        assert getattr(args, option[2:].replace("-", "_")) == value
+
+    @pytest.mark.parametrize("option, message", [
+        ("--seed", "seed must be an unsigned 64-bit integer, got -1"),
+        ("--trials", "trials must be between 1 and 100000, got -1"),
+        ("--message-bits", "xor-chain message length must be one of 2, 4, ..., 16, got -1"),
+    ])
+    def test_negative_integer_options_keep_the_range_message(self, capsys, option, message):
+        code, _, err = run_cli(capsys, "simulate", "--scenario", "xor-chain", option, "-1")
+        assert (code, err) == (2, f"error: {message}\n")
+
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_option_messages_are_unchanged(self, capsys, monkeypatch, seed):
         monkeypatch.setenv("OTPLAB_SEED", "bad")  # not read once --seed is given
@@ -322,11 +349,13 @@ class TestConfigErrors:
         def boom(config, with_attack):
             raise RuntimeError("forced failure")
 
-        record = dataclasses.replace(cli.SCENARIOS["xor-chain"], start=boom)
+        record = cli.SCENARIOS["xor-chain"]._replace(start=boom)
         monkeypatch.setitem(cli.SCENARIOS, "xor-chain", record)
         code, _, err = run_cli(capsys, "simulate", "--scenario", "xor-chain")
         assert code == 1
-        assert "forced failure" in err
+        # `traceback` is imported only on this path; it still prints the whole trace.
+        assert err.startswith("Traceback (most recent call last):\n")
+        assert err.endswith("RuntimeError: forced failure\n")
 
     def test_help_exits_0(self, capsys):
         code, out, _ = run_cli(capsys, "--help")
@@ -872,7 +901,9 @@ def fresh_generator_trials(config, with_attack):
         run, body = trial(random.Random(base.getrandbits(64)))
         runs.append(run)
         trials.append(body)
-    return trials, dataclasses.asdict(leakage_report(runs[0], (None, figure)))
+    leakage = leakage_report(runs[0], (None, figure))
+    fields = {name: getattr(leakage, name) for name in type(leakage).__slots__}
+    return trials, {**fields, "resources": leakage.resources._asdict()}
 
 
 class TestReseededGenerator:

@@ -16,7 +16,7 @@ import otplab
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(info.name for info in pkgutil.iter_modules(otplab.__path__))
-NUMPY_FREE = ["bits", "tolerances"]
+NUMPY_FREE = ["bits", "records", "tolerances"]
 # The names, still defined, that the package root re-exported before each
 # name had one import path.
 FORMER_REEXPORTS = [
@@ -62,3 +62,20 @@ def test_the_root_exposes_only_the_version():
         "print([n for n in names if hasattr(otplab, n)])\n"
     )
     assert out == f"{otplab.__version__} []\n[]\n"
+
+
+def test_start_up_generates_no_code():
+    # The records are plain classes: importing the CLI after what numpy and the
+    # standard library already load adds neither `dataclasses` nor `traceback`.
+    out = fresh_python(
+        "import sys, numpy, argparse, json\n"
+        "before = set(sys.modules)\n"
+        "import otplab.cli\n"
+        "added = set(sys.modules) - before\n"
+        "print(sorted(added & {'dataclasses', 'traceback'}))\n"
+        "print(sorted(name for name in added if name.startswith('otplab.')))\n"
+        f"modules = [sys.modules[f'otplab.{{name}}'] for name in {MODULES!r}]\n"
+        "print([f'{m.__name__}.{k}' for m in modules for k, v in vars(m).items()\n"
+        "       if isinstance(v, type) and hasattr(v, '__dataclass_fields__')])\n"
+    )
+    assert out == f"[]\n{[f'otplab.{name}' for name in MODULES]}\n[]\n"

@@ -1,5 +1,5 @@
-import dataclasses
 import functools
+import inspect
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -21,7 +21,6 @@ from otplab.protocols import (
     EsQkdRun,
     Transcript,
     XorChainRun,
-    deduce_partner_result,
     eve_view,
     run_es_qkd,
     run_otp_baseline,
@@ -37,6 +36,17 @@ from otplab.quantum import (
 )
 
 ALL_PAIRS = list(itertools.product(BELL_LABELS, BELL_LABELS))
+
+
+def deduce_partner_result(result: BellLabel, initial_pair) -> BellLabel:
+    """The counterpart's swap outcome implied by one party's outcome.
+
+    The reference statement of the parties' deduction: the swap support
+    pairs outcomes bijectively, so the two labels XOR to the XOR of the
+    initial labels.
+    """
+    initial_12, initial_34 = initial_pair
+    return BellLabel.from_code(result.code ^ initial_12.code ^ initial_34.code)
 
 
 @dataclass(frozen=True)
@@ -96,9 +106,7 @@ class TestTranscript:
             ListTranscript().append("alice", Channel.PUBLIC_BROADCAST, bad)
 
     def test_a_transcript_is_only_its_columns(self):
-        assert [f.name for f in dataclasses.fields(Transcript)] == [
-            "senders", "channels", "payloads"
-        ]
+        assert Transcript.__slots__ == ("senders", "channels", "payloads")
         assert not hasattr(protocols, "Event")
         assert not hasattr(Transcript(), "events") and not hasattr(Transcript, "public_events")
 
@@ -144,7 +152,8 @@ class TestFrozenRun:
         assert run.receiver_outputs == {"bob": "10", "charlie": "10"}
 
     def test_xor_chain_run_is_its_message(self):
-        assert [f.name for f in dataclasses.fields(XorChainRun) if f.init] == ["message"]
+        assert list(inspect.signature(XorChainRun).parameters) == ["message"]
+        assert XorChainRun.__slots__ == ("message", "transcript")
         run = run_xor_chain("0110")
         with pytest.raises(AttributeError):
             run.receiver_outputs = {}
@@ -177,8 +186,8 @@ class TestFrozenRun:
     def test_es_qkd_run_stores_three_tuples(self):
         pairs, alice, bob = [(PHI_PLUS, PSI_PLUS)], [PSI_PLUS], [PHI_PLUS]
         run = EsQkdRun(pairs, alice, bob)
-        names = [f.name for f in dataclasses.fields(EsQkdRun)]
-        assert names == ["initial_pairs", "alice_results", "bob_results"]
+        names = EsQkdRun.__slots__
+        assert names == ("initial_pairs", "alice_results", "bob_results")
         assert all(type(getattr(run, name)) is tuple for name in names)
         pairs.append((PHI_PLUS, PHI_PLUS))
         alice.append(PHI_PLUS)
