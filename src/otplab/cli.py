@@ -3,10 +3,10 @@
 Three commands:
 
 * simulate -- run a scenario and report transcripts plus the exact leakage
-  accounting (the numbers never come from trial frequencies: xor-chain
-  enumerates its joint, otp-baseline computes its joint from the one
-  plaintext slice every ciphertext shares, es-qkd counts the key blocks
-  the exact swap-outcome support allows).
+  accounting (never from trial frequencies: the scheme's `cryptanalysis`
+  attack, set up once per report, enumerates xor-chain's joint, computes
+  otp-baseline's from the one plaintext slice every ciphertext shares, and
+  counts the key blocks es-qkd's exact swap-outcome support allows).
 * attack -- simulate and additionally mount the eavesdropper attack that
   matches the scenario, reporting what Eve recovers.
 * audit -- print the claimed-vs-effective throughput table for the two
@@ -50,13 +50,14 @@ from .cryptanalysis import (
     CARRIERS,
     attack_es_qkd_keyset,
     attack_es_qkd_parity,
+    attack_otp_baseline,
+    attack_xor_chain,
     efficiency_audit,
     leakage_report,
-    xor_chain_view,
 )
-from .infotheory import Distribution, enumerate_joint, mutual_information, posterior
-from .otp import KeyMaterial, ciphertext_joint, derived_correlated, encrypt, random_key
-from .protocols import eve_view, run_es_qkd, run_otp_baseline, run_xor_chain
+from .infotheory import Distribution
+from .otp import KeyMaterial, derived_correlated, encrypt, random_key
+from .protocols import XOR_CHAIN_MEMO_BITS, eve_view, run_es_qkd, run_otp_baseline, run_xor_chain
 from .quantum import BellLabel
 from .records import Record
 from .tolerances import FLOAT_TOL
@@ -66,6 +67,8 @@ from .tolerances import FLOAT_TOL
 # and 627 MB as JSON; README.md's "Command line" section gives each
 # scenario's text per trial and the cached runs' share.
 MAX_TRIALS = 100_000
+# es-qkd's swaps (pairs x trials): the carriers of MAX_TRIALS 16-bit trials.
+MAX_SWAPS = 8 * MAX_TRIALS
 DEFAULT_MESSAGE_BITS = 2
 DEFAULT_PAIRS = "phi+:psi+"
 
@@ -87,8 +90,9 @@ class ScenarioConfig(Record):
     A scheme with `message_lengths` takes `message_bits` (default
     `DEFAULT_MESSAGE_BITS`); es-qkd takes `pairs`, a non-empty sequence of
     (BellLabel, BellLabel) tuples stored as a tuple (default `DEFAULT_PAIRS`),
-    and, for `attack`, a `plaintext` of 4 bits per pair.  The checks run in
-    the command line's order, so both give the same first error.
+    and, for `attack`, a `plaintext` of 4 bits per pair; its pairs x trials
+    are at most `MAX_SWAPS`.  The checks run in the command line's order, so
+    both give the same first error.
     """
 
     __slots__ = ("scenario", "seed", "trials", "fmt", "message_bits", "pairs", "plaintext")
@@ -132,6 +136,9 @@ class ScenarioConfig(Record):
             raise ConfigError(f"seed must be an unsigned 64-bit integer, got {seed}")
         if type(trials) is not int or not 1 <= trials <= MAX_TRIALS:
             raise ConfigError(f"trials must be between 1 and {MAX_TRIALS}, got {trials}")
+        if pairs is not None and len(pairs) * trials > MAX_SWAPS:
+            raise ConfigError(f"pairs x trials must be at most {MAX_SWAPS} swaps, "
+                              f"got {len(pairs)} x {trials}")
         super().__init__(scenario, seed, trials, fmt, message_bits, pairs, plaintext)
 
     def to_dict(self) -> dict:
@@ -245,8 +252,7 @@ def _distributions_match(a: Distribution, b: Distribution) -> bool:
 
 
 def _xor_chain(config: ScenarioConfig, with_attack: bool):
-    joint = enumerate_joint(Distribution.uniform_bits(config.message_bits), xor_chain_view)
-    eve_bits = mutual_information(joint)
+    attack, eve_bits = analysis = attack_xor_chain(Distribution.uniform_bits(config.message_bits))
     # (Eve's view, the report's trial dict) per distinct message, and the
     # report's posterior support list per distinct view.
     seen_messages, supports = {}, {}
@@ -259,24 +265,24 @@ def _xor_chain(config: ScenarioConfig, with_attack: bool):
         view = eve_view(run.transcript) if seen is None else seen[0]
         # Computed in every trial, attack or not: perfbench's expected call
         # counts pin one posterior per xor-chain trial.
-        post = posterior(joint, view)
+        post = attack(view)
         if seen is None:
-            attack = None
+            block = None
             if with_attack:
                 # Messages with one view share its posterior, and so its list.
                 support = supports.get(view)
                 if support is None:
                     support = supports[view] = list(post.support)
-                attack = {"view": view, "posterior_support": support, "eve_bits": eve_bits}
-            body = _trial(run.transcript.to_records(), run.message, attack)
+                block = {"view": view, "posterior_support": support, "eve_bits": eve_bits}
+            body = _trial(run.transcript.to_records(), run.message, block)
             seen = seen_messages[run.message] = (view, body)
         return run, seen[1]
 
-    return trial, eve_bits
+    return trial, analysis
 
 
 def _es_qkd(config: ScenarioConfig, with_attack: bool):
-    key_sets, key_entropy = attack_es_qkd_keyset(config.pairs)
+    key_sets, key_entropy = analysis = attack_es_qkd_keyset(config.pairs)
     # The key sets as report lists, and the true parities: shared by every trial.
     key_sets = [list(blocks) for blocks in key_sets]
     true = None
@@ -305,29 +311,27 @@ def _es_qkd(config: ScenarioConfig, with_attack: bool):
                 })
         return run, _trial([], key, attack)
 
-    return trial, key_entropy
+    return trial, analysis
 
 
 def _otp_baseline(config: ScenarioConfig, with_attack: bool):
     prior = Distribution.uniform_bits(config.message_bits)
-    joint = ciphertext_joint(prior)
-    eve_bits = mutual_information(joint)
+    attack, eve_bits = analysis = attack_otp_baseline(prior)
 
     def trial(rng):
         plaintext = random_bits(config.message_bits, rng)
         transcript = run_otp_baseline(plaintext, random_key(config.message_bits, rng))
-        attack = None
+        block = None
         if with_attack:
             ciphertext = eve_view(transcript)
-            attack = {
+            block = {
                 "ciphertext": ciphertext,
                 "eve_bits": eve_bits,
-                "posterior_equals_prior": _distributions_match(posterior(joint, ciphertext),
-                                                               prior),
+                "posterior_equals_prior": _distributions_match(attack(ciphertext), prior),
             }
-        return transcript, _trial(transcript.to_records(), plaintext, attack)
+        return transcript, _trial(transcript.to_records(), plaintext, block)
 
-    return trial, eve_bits
+    return trial, analysis
 
 
 def _trial(transcript: list, key_or_message: str, attack) -> dict:
@@ -338,17 +342,17 @@ def _trial(transcript: list, key_or_message: str, attack) -> dict:
 class Scenario(NamedTuple):
     """One scheme as the CLI runs it.
 
-    `start(config, with_attack)` runs the exact analysis, once per report,
-    and returns (trial, figure): `figure` is the second element of
-    `leakage_report`'s pair, and `trial(rng)` runs one seeded trial over
-    the report's analysis and memos, returning (run, trial dict).  One
-    dict object may serve several trials; the report lists it per trial.
+    `start(config, with_attack)` sets up the scheme's `cryptanalysis` attack
+    once per report and returns (trial, analysis): `analysis` is the attack
+    function's result, and `trial(rng)` runs one seeded trial over it and
+    the report's memos, returning (run, trial dict).  One dict object may
+    serve several trials; the report lists it per trial.
     `message_lengths` is the range of message lengths the scheme accepts, or
     None for es-qkd, which is sized by its Bell pairs.
 
-    Both look up the protocol, attack and enumeration functions as module
-    globals at call time, so patching a module binding (as perfbench's
-    tracer does) reaches every call.
+    Both look up the protocol and attack functions as module globals at
+    call time, and the attacks look up `posterior` in theirs, so patching a
+    module binding (as perfbench's tracer does) reaches every call.
     """
 
     start: Callable
@@ -356,17 +360,17 @@ class Scenario(NamedTuple):
 
 
 # The 2**24-entry budget sets the baseline's cap: 2**12 plaintexts x 2**12
-# ciphertexts, stored as one 2**12-entry slice.  The chain's 16 bits is a
-# chosen cap; its 2**16-message joint is well within the budget.
+# ciphertexts, stored as one 2**12-entry slice.  The chain's 16 bits, its
+# memo's, is a chosen cap; its 2**16-message joint is well within the budget.
 SCENARIOS = {
-    "xor-chain": Scenario(start=_xor_chain, message_lengths=range(2, 17, 2)),
+    "xor-chain": Scenario(start=_xor_chain, message_lengths=range(2, XOR_CHAIN_MEMO_BITS + 1, 2)),
     "es-qkd": Scenario(start=_es_qkd, message_lengths=None),
     "otp-baseline": Scenario(start=_otp_baseline, message_lengths=range(1, 13)),
 }
 
 
 def build_report(config: ScenarioConfig, with_attack: bool) -> dict:
-    trial, figure = SCENARIOS[config.scenario].start(config, with_attack)
+    trial, analysis = SCENARIOS[config.scenario].start(config, with_attack)
     trials = []
     base = random.Random(config.seed)
     # One generator, reseeded per trial: `seed` resets the whole state, so
@@ -377,7 +381,7 @@ def build_report(config: ScenarioConfig, with_attack: bool) -> dict:
         run, body = trial(rng)
         trials.append(body)
     # Every run of one config has the same scheme and carrier count.
-    leakage = leakage_report(run, (None, figure))
+    leakage = leakage_report(run, analysis)
     return {
         "scenario": config.scenario,
         "config": config.to_dict(),

@@ -19,6 +19,10 @@ their joint.  The accounting per scheme:
   Every ciphertext has the same plaintext slice, which the joint stores
   once.
 
+Each scheme's analysis is set up once (`attack_xor_chain` and
+`attack_otp_baseline` per message prior, `attack_es_qkd_keyset` per list of
+pairs) and returns the pair `leakage_report` takes; the CLI runs the same.
+
 `CARRIERS` states, once per scenario, what a carrier is, the bits the
 scheme claims per carrier and the qubits each carrier costs.  Every
 verdict is sanity-checked against the n-qubits-carry-at-most-n-bits
@@ -26,6 +30,7 @@ ceiling (one secure bit per qubit at best).  The carrier, resource and
 verdict records are named tuples; a `LeakageReport` is a `records.Record`.
 """
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -117,17 +122,15 @@ def _xor_chain_view_codes(codes: np.ndarray, width: int):
 xor_chain_view.codes = _xor_chain_view_codes
 
 
-def attack_xor_chain(run: XorChainRun, message_prior: Distribution):
-    """Exact posterior over messages given Eve's view, plus her information gain.
+def attack_xor_chain(message_prior: Distribution):
+    """Eve's exact attack on xor-chain runs: (attack, eve_bits), set up once per prior.
 
-    Returns (posterior, eve_bits) where eve_bits is the mutual information
-    between the message and the public broadcasts under the given prior.
+    `attack(view)` is the posterior over messages given an `eve_view`; a
+    view of the wrong width raises `ValueError`.  eve_bits is the mutual
+    information between the message and the public broadcasts.
     """
-    if message_prior.bit_length != len(run.message):
-        raise ValueError("prior must range over messages of the run's length")
     joint = enumerate_joint(message_prior, xor_chain_view)
-    eve_bits = mutual_information(joint)
-    return posterior(joint, eve_view(run.transcript)), eve_bits
+    return functools.partial(posterior, joint), mutual_information(joint)
 
 
 def attack_es_qkd_keyset(initial_pairs):
@@ -165,24 +168,24 @@ def attack_es_qkd_parity(ciphertext_block: str, initial_pair):
     return (folded >> 1 & 1, folded & 1)
 
 
-def attack_otp_baseline(message_prior: Distribution, ciphertext: str):
-    """Posterior over plaintexts given the broadcast ciphertext.
+def attack_otp_baseline(message_prior: Distribution):
+    """Eve's exact attack on the baseline: (attack, eve_bits), set up once per prior.
 
-    With a fresh uniform pad the posterior equals the prior and Eve's
-    information gain is exactly zero; both are computed from the exact
-    (plaintext, ciphertext) joint, whose one plaintext slice is shared by
-    every ciphertext, rather than being assumed.
+    `attack(ciphertext)` is the posterior over plaintexts.  With a fresh
+    uniform pad it equals the prior and eve_bits is exactly zero; both are
+    computed from the exact (plaintext, ciphertext) joint, whose one
+    plaintext slice is shared by every ciphertext, rather than assumed.
     """
     joint = ciphertext_joint(message_prior)
-    return posterior(joint, ciphertext), mutual_information(joint)
+    return functools.partial(posterior, joint), mutual_information(joint)
 
 
 def leakage_report(run, attack_result) -> LeakageReport:
     """Assemble the leakage accounting for a run and its attack output.
 
-    Accepts an `XorChainRun` with (posterior, eve_bits), an `EsQkdRun` with
-    (key_sets, key_entropy_given_eve), or an otp-baseline `Transcript` with
-    (posterior, eve_bits).  Only the second element of the pair is read.
+    Accepts an `XorChainRun` or an otp-baseline `Transcript` with its
+    attack's (attack, eve_bits), or an `EsQkdRun` with (key_sets,
+    key_entropy_given_eve).  Only the second element of the pair is read.
     The run gives the scenario and its carrier count (for the baseline, the
     length of its one broadcast, `eve_view`); `CARRIERS` gives the rest.
     """

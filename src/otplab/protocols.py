@@ -149,12 +149,12 @@ class EsQkdRun(Record):
     """One execution of the entanglement-swapping key scheme.
 
     Per swap, at least one, its initial pair of two `BellLabel`s and each
-    party's `BellLabel` outcome, as tuples of one length; the key and the
-    particle count are derived from them.  Each swap's outcome pair must lie
-    in the swap support, alice.code ^ bob.code == a.code ^ b.code for the
-    initial pair (a, b): the support pairs outcomes bijectively, so when
-    Alice's deduction is Bob's result, Bob's deduction is hers, and both
-    write down the block alice.bits + bob.bits.
+    party's `BellLabel` outcome, as tuples of one length; the key is derived
+    from them.  Each swap's outcome pair must lie in the swap support,
+    alice.code ^ bob.code == a.code ^ b.code for the initial pair (a, b):
+    the support pairs outcomes bijectively, so when Alice's deduction is
+    Bob's result, Bob's deduction is hers, and both write down the block
+    alice.bits + bob.bits.
     """
 
     __slots__ = ("initial_pairs", "alice_results", "bob_results")
@@ -185,11 +185,6 @@ class EsQkdRun(Record):
         """Both parties' key: one 4-bit block alice.bits + bob.bits per swap."""
         return "".join([a.bits + b.bits for a, b in zip(self.alice_results, self.bob_results)])
 
-    @property
-    def particles_consumed(self) -> int:
-        """Each swap consumes two Bell pairs, 4 particles."""
-        return 4 * len(self.initial_pairs)
-
 
 def run_xor_chain(message: str) -> XorChainRun:
     """Run the xor-chain scheme on an even-length message (see `XorChainRun`).
@@ -203,8 +198,8 @@ def run_xor_chain(message: str) -> XorChainRun:
     return build(str.__str__(message))
 
 
-# The longest memoized message: the CLI's cap, the last of
-# `cli.SCENARIOS["xor-chain"].message_lengths`.  Longer runs are built per call.
+# The longest memoized message, and the CLI's cap: `cli.SCENARIOS["xor-chain"]
+# .message_lengths` ends here.  Longer runs are built per call.
 XOR_CHAIN_MEMO_BITS = 16
 
 # One run per distinct message, shared by every caller: it is immutable.
@@ -216,14 +211,11 @@ def xor_chain_decode(transcript: Transcript) -> str:
 
     Secure bits are delivered to the receiver; each even bit is its
     broadcast XOR the secure bit before it.  The transcript checked its
-    payloads when it was built, so one pass sorts them by channel and the
-    two strings are XORed as integer codes.
+    payloads when it was built, so the two channels' strings are XORed as
+    integer codes.
     """
-    secure, public = [], []
-    secure_channel = Channel.SECURE_PRIMITIVE
-    for channel, payload in zip(transcript.channels, transcript.payloads):
-        (secure if channel is secure_channel else public).append(payload)
-    received, broadcasts = "".join(secure), "".join(public)
+    received = transcript.payloads_on(Channel.SECURE_PRIMITIVE)
+    broadcasts = eve_view(transcript)
     if len(received) != len(broadcasts):
         raise ValueError(f"bitstring length mismatch: {len(received)} vs {len(broadcasts)}")
     even = int_to_bits(bits_to_int(received) ^ bits_to_int(broadcasts), len(received))

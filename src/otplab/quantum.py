@@ -93,7 +93,7 @@ class BellLabel(Record):
     def from_token(cls, token: str) -> "BellLabel":
         try:
             return _TOKEN_TO_LABEL[token]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable token
             raise ValueError(
                 f"unknown Bell label {token!r}; expected one of phi+, phi-, psi+, psi-"
             ) from None

@@ -86,11 +86,11 @@ def test_criterion_02_rule_matches_oracle_everywhere():
 def test_criterion_03_xor_chain_leakage_law():
     with _verdict(3, "xor-chain leaks exactly half of a uniform message"):
         for n_bits in (2, 4, 8, 16):
-            run = run_xor_chain("0" * n_bits)
-            _, eve_bits = attack_xor_chain(run, Distribution.uniform_bits(n_bits))
+            _, eve_bits = attack_xor_chain(Distribution.uniform_bits(n_bits))
             assert abs(eve_bits - n_bits / 2) <= 1e-9
         run = run_xor_chain("11")  # broadcast 0
-        post, _ = attack_xor_chain(run, Distribution.uniform_bits(2))
+        attack, _ = attack_xor_chain(Distribution.uniform_bits(2))
+        post = attack(eve_view(run.transcript))
         assert eve_view(run.transcript) == "0"
         assert set(post.support) == {"00", "11"}
         for p in post.entries.values():
@@ -100,7 +100,7 @@ def test_criterion_03_xor_chain_leakage_law():
 def test_criterion_04_xor_chain_throughput_per_carrier():
     with _verdict(4, "xor-chain delivers 2.0 bits, leaks 1.0, secures 1.0 per carrier"):
         run = run_xor_chain("11")
-        report = leakage_report(run, attack_xor_chain(run, Distribution.uniform_bits(2)))
+        report = leakage_report(run, attack_xor_chain(Distribution.uniform_bits(2)))
         assert report.resources.carrier_states == 1
         assert abs(report.receiver_bits - 2.0) <= 1e-9
         assert abs(report.eve_bits - 1.0) <= 1e-9
@@ -175,7 +175,7 @@ def test_criterion_10_holevo_ceiling_everywhere():
 
         run = run_xor_chain("10110100")
         verdicts.append(efficiency_audit(
-            leakage_report(run, attack_xor_chain(run, Distribution.uniform_bits(8)))
+            leakage_report(run, attack_xor_chain(Distribution.uniform_bits(8)))
         ))
 
         es = run_es_qkd([(PHI_PLUS, PSI_PLUS), (PSI_MINUS, PSI_MINUS)], random.Random(3))
@@ -187,7 +187,7 @@ def test_criterion_10_holevo_ceiling_everywhere():
         transcript = run_otp_baseline("101101", random_key(6, rng))
         prior = Distribution.uniform_bits(6)
         verdicts.append(efficiency_audit(
-            leakage_report(transcript, attack_otp_baseline(prior, eve_view(transcript)))
+            leakage_report(transcript, attack_otp_baseline(prior))
         ))
 
         for verdict in verdicts:

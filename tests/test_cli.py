@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otplab import cli, protocols
+from otplab import cli, cryptanalysis, protocols
 from otplab.cli import (
     ScenarioConfig,
     build_audit_rows,
@@ -265,6 +265,29 @@ class TestConfigErrors:
             ScenarioConfig(**{"scenario": "xor-chain", "seed": 3, "trials": 1, "fmt": "json",
                               **settings})
         assert str(err.value).startswith(message)
+
+    def test_es_qkd_swaps_are_bounded_after_the_trials(self):
+        pairs = [(PHI_PLUS, PHI_PLUS)] * 200
+        assert cli.MAX_SWAPS == 8 * cli.MAX_TRIALS == 800_000
+        config = ScenarioConfig("es-qkd", seed=3, trials=4000, fmt="json", pairs=pairs)
+        assert len(config.pairs) * config.trials == cli.MAX_SWAPS
+        with pytest.raises(cli.ConfigError) as err:
+            ScenarioConfig("es-qkd", seed=3, trials=4001, fmt="json", pairs=pairs)
+        assert str(err.value) == "pairs x trials must be at most 800000 swaps, got 200 x 4001"
+        with pytest.raises(cli.ConfigError) as err:
+            ScenarioConfig("es-qkd", seed=3, trials=100_001, fmt="json", pairs=pairs)
+        assert str(err.value) == "trials must be between 1 and 100000, got 100001"
+
+    def test_too_many_swaps_are_refused_before_any_run(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an over-bound config ran")
+
+        for name in ("attack_es_qkd_keyset", "run_es_qkd"):
+            monkeypatch.setattr(cli, name, refuse)
+        pairs = ",".join(["phi+:psi+"] * 9)
+        assert run_cli(capsys, "simulate", "--scenario", "es-qkd", "--pairs", pairs,
+                       "--trials", "100000") == (
+            2, "", "error: pairs x trials must be at most 800000 swaps, got 9 x 100000\n")
 
     def test_config_completes_its_defaults_and_stores_pairs_as_a_tuple(self):
         assert ScenarioConfig("xor-chain", seed=3, trials=1, fmt="json").message_bits == 2
@@ -867,8 +890,10 @@ class TestRepeatedTrials:
 
         build = counting("build", protocols._xor_chain_run.__wrapped__)
         monkeypatch.setattr(protocols, "_xor_chain_run", functools.cache(build))
-        for name in ("run_xor_chain", "posterior", "eve_view"):
+        for name in ("run_xor_chain", "eve_view"):
             monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+        monkeypatch.setattr(cryptanalysis, "posterior",
+                            counting("posterior", cryptanalysis.posterior))
         report = build_report(self.config(64), with_attack=True)
         messages = {trial["key_or_message"] for trial in report["trials"]}
         assert calls["run_xor_chain"] == calls["posterior"] == 64
@@ -892,16 +917,47 @@ class TestRepeatedTrials:
         assert len(by_view) < len({trial["key_or_message"] for trial in trials})
 
 
+class TestAttacksAreTheOnlyPath:
+    """A report's analysis is its scheme's attack from `cryptanalysis`, set up once."""
+
+    ATTACKS = {"xor-chain": "attack_xor_chain", "es-qkd": "attack_es_qkd_keyset",
+               "otp-baseline": "attack_otp_baseline"}
+
+    @pytest.mark.parametrize("with_attack", [False, True])
+    @pytest.mark.parametrize("scenario", sorted(ATTACKS))
+    def test_one_attack_set_up_per_report(self, monkeypatch, scenario, with_attack):
+        calls = collections.Counter()
+
+        def counting(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            return counted
+
+        for name in self.ATTACKS.values():
+            counted = counting(name, getattr(cryptanalysis, name))
+            for module in (cli, cryptanalysis):
+                monkeypatch.setattr(module, name, counted)
+        report = build_report(ScenarioConfig(scenario, seed=3, trials=5, fmt="json"), with_attack)
+        assert len(report["trials"]) == 5
+        assert calls == {self.ATTACKS[scenario]: 1}
+
+    def test_cli_builds_no_joint_of_its_own(self):
+        names = ("enumerate_joint", "ciphertext_joint", "mutual_information", "posterior",
+                 "xor_chain_view")
+        assert [name for name in names if hasattr(cli, name)] == []
+
+
 def fresh_generator_trials(config, with_attack):
     """`build_report`'s trials and leakage, with a new Random(base.getrandbits(64)) per trial."""
-    trial, figure = cli.SCENARIOS[config.scenario].start(config, with_attack)
+    trial, analysis = cli.SCENARIOS[config.scenario].start(config, with_attack)
     base = random.Random(config.seed)
     runs, trials = [], []
     for _ in range(config.trials):
         run, body = trial(random.Random(base.getrandbits(64)))
         runs.append(run)
         trials.append(body)
-    leakage = leakage_report(runs[0], (None, figure))
+    leakage = leakage_report(runs[0], analysis)
     fields = {name: getattr(leakage, name) for name in type(leakage).__slots__}
     return trials, {**fields, "resources": leakage.resources._asdict()}
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from otplab import cryptanalysis
 from otplab.bits import bits_to_int, codes_to_bits, int_to_bits, xor_bits
 from otplab.cryptanalysis import (
     EfficiencyVerdict,
@@ -45,28 +46,27 @@ ALL_PAIRS = list(itertools.product(BELL_LABELS, BELL_LABELS))
 class TestAttackXorChain:
     def test_two_bit_posterior_and_gain(self):
         run = run_xor_chain("11")  # broadcast is 0
-        post, eve_bits = attack_xor_chain(run, Distribution.uniform_bits(2))
+        attack, eve_bits = attack_xor_chain(Distribution.uniform_bits(2))
+        post = attack(eve_view(run.transcript))
         assert set(post.support) == {"00", "11"}
         assert post.probability("00") == pytest.approx(0.5, abs=1e-9)
         assert eve_bits == pytest.approx(1.0, abs=1e-9)
 
     def test_two_bit_throughput(self):
         run = run_xor_chain("11")
-        result = attack_xor_chain(run, Distribution.uniform_bits(2))
+        result = attack_xor_chain(Distribution.uniform_bits(2))
         report = leakage_report(run, result)
         assert report.receiver_bits == pytest.approx(2.0, abs=1e-9)
         assert report.eve_bits == pytest.approx(1.0, abs=1e-9)
         assert report.secure_bits == pytest.approx(1.0, abs=1e-9)
 
     def test_eight_bit_gain(self):
-        run = run_xor_chain("10110100")
-        _, eve_bits = attack_xor_chain(run, Distribution.uniform_bits(8))
+        _, eve_bits = attack_xor_chain(Distribution.uniform_bits(8))
         assert eve_bits == pytest.approx(4.0, abs=1e-9)
 
     @pytest.mark.parametrize("n_bits", [2, 4, 6, 8, 10, 12, 14, 16])
     def test_leakage_is_half_the_message(self, n_bits):
-        run = run_xor_chain("01" * (n_bits // 2))
-        _, eve_bits = attack_xor_chain(run, Distribution.uniform_bits(n_bits))
+        _, eve_bits = attack_xor_chain(Distribution.uniform_bits(n_bits))
         assert eve_bits == pytest.approx(n_bits / 2, abs=1e-9)
 
     def test_view_function_matches_protocol(self):
@@ -75,14 +75,35 @@ class TestAttackXorChain:
 
     def test_posterior_is_consistent_with_view(self):
         run = run_xor_chain("0110")
-        post, _ = attack_xor_chain(run, Distribution.uniform_bits(4))
+        attack, _ = attack_xor_chain(Distribution.uniform_bits(4))
         view = eve_view(run.transcript)
+        post = attack(view)
         assert all(xor_chain_view(m) == view for m in post.support)
         assert run.message in post.support
 
     def test_prior_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            attack_xor_chain(run_xor_chain("11"), Distribution.uniform_bits(4))
+        # A 4-bit prior's attack takes 2-bit views; a 2-bit run's view has 1 bit.
+        attack, _ = attack_xor_chain(Distribution.uniform_bits(4))
+        with pytest.raises(ValueError, match="observation width 1 != joint width 2"):
+            attack(eve_view(run_xor_chain("11").transcript))
+        attack, _ = attack_otp_baseline(Distribution.uniform_bits(4))
+        with pytest.raises(ValueError, match="observation width 3 != joint width 4"):
+            attack("101")
+
+    def test_attack_reads_posterior_at_set_up(self, monkeypatch):
+        # The attacks bind `cryptanalysis.posterior` when they are set up, so
+        # patching that module global (as a tracer does) reaches every call.
+        seen = []
+
+        def counted(joint, view):
+            seen.append(view)
+            return posterior(joint, view)
+
+        monkeypatch.setattr(cryptanalysis, "posterior", counted)
+        for setup, view in ((attack_xor_chain, "01"), (attack_otp_baseline, "0110")):
+            attack, _ = setup(Distribution.uniform_bits(4))
+            attack(view)
+        assert seen == ["01", "0110"]
 
     @pytest.mark.parametrize("width", [1, 3, 5])
     def test_odd_length_messages_rejected(self, width):
@@ -221,7 +242,8 @@ class TestAttackEsQkdParity:
 class TestAttackOtpBaseline:
     def test_posterior_equals_prior(self):
         prior = Distribution.uniform_bits(4)
-        post, eve_bits = attack_otp_baseline(prior, "1011")
+        attack, eve_bits = attack_otp_baseline(prior)
+        post = attack("1011")
         assert eve_bits == pytest.approx(0.0, abs=1e-9)
         for outcome in prior.entries:
             assert post.probability(outcome) == pytest.approx(0.0625, abs=1e-9)
@@ -230,7 +252,7 @@ class TestAttackOtpBaseline:
 class TestLeakageReport:
     def test_xor_chain_accounting(self):
         run = run_xor_chain("11")
-        report = leakage_report(run, attack_xor_chain(run, Distribution.uniform_bits(2)))
+        report = leakage_report(run, attack_xor_chain(Distribution.uniform_bits(2)))
         assert report.scenario == "xor-chain"
         assert report.claimed_bits == 2
         assert report.secure_bits == pytest.approx(1.0, abs=1e-9)
@@ -248,7 +270,7 @@ class TestLeakageReport:
         rng = random.Random(9)
         transcript = run_otp_baseline("110100", random_key(6, rng))
         prior = Distribution.uniform_bits(6)
-        report = leakage_report(transcript, attack_otp_baseline(prior, eve_view(transcript)))
+        report = leakage_report(transcript, attack_otp_baseline(prior))
         assert report.eve_bits == pytest.approx(0.0, abs=1e-9)
         assert report.secure_bits == pytest.approx(6.0, abs=1e-9)
 
@@ -265,8 +287,8 @@ class TestLeakageReport:
         prior = Distribution({"10": 1.0})
         xor_run = run_xor_chain("10")
         otp_run = run_otp_baseline("10", random_key(2, random.Random(1)))
-        for run, attack in ((xor_run, attack_xor_chain(xor_run, prior)),
-                            (otp_run, attack_otp_baseline(prior, eve_view(otp_run)))):
+        for run, attack in ((xor_run, attack_xor_chain(prior)),
+                            (otp_run, attack_otp_baseline(prior))):
             eve_bits = leakage_report(run, attack).eve_bits
             assert eve_bits == 0.0 and math.copysign(1.0, eve_bits) == 1.0
 
@@ -282,7 +304,7 @@ class TestLeakageReport:
 class TestEfficiencyAudit:
     def test_xor_chain_rates(self):
         run = run_xor_chain("11")
-        report = leakage_report(run, attack_xor_chain(run, Distribution.uniform_bits(2)))
+        report = leakage_report(run, attack_xor_chain(Distribution.uniform_bits(2)))
         verdict = efficiency_audit(report)
         assert verdict.claimed_bits_per_carrier == pytest.approx(2.0, abs=1e-9)
         assert verdict.effective_bits_per_carrier == pytest.approx(1.0, abs=1e-9)

@@ -177,8 +177,8 @@ def test_every_workload_run_gives_the_same_leakage(name, seed):
     # A report builds its leakage from one run, so every run must give it.
     args = build_parser().parse_args(workloads.command_line(name, seed))
     config = config_from_args(args)
-    trial, figure = SCENARIOS[config.scenario].start(config, args.command == "attack")
+    trial, analysis = SCENARIOS[config.scenario].start(config, args.command == "attack")
     base = random.Random(config.seed)
-    leakages = {leakage_report(trial(random.Random(base.getrandbits(64)))[0], (None, figure))
+    leakages = {leakage_report(trial(random.Random(base.getrandbits(64)))[0], analysis)
                 for _ in range(config.trials)}
     assert len(leakages) == 1

@@ -38,6 +38,11 @@ from otplab.quantum import (
 ALL_PAIRS = list(itertools.product(BELL_LABELS, BELL_LABELS))
 
 
+def es_qkd_qubits(run: EsQkdRun) -> int:
+    """A run's qubit cost, as its leakage report counts it."""
+    return leakage_report(run, attack_es_qkd_keyset(run.initial_pairs)).resources.qubits
+
+
 def deduce_partner_result(result: BellLabel, initial_pair) -> BellLabel:
     """The counterpart's swap outcome implied by one party's outcome.
 
@@ -174,14 +179,12 @@ class TestFrozenRun:
         report = leakage_report(run, attack_es_qkd_keyset(run.initial_pairs))
         assert report.claimed_bits == len(run.key) == 4
 
-    def test_es_qkd_key_and_particle_count_are_read_only(self):
+    def test_es_qkd_key_is_read_only(self):
         run = run_es_qkd([(PHI_PLUS, PSI_PLUS)], random.Random(1))
         key = run.key
         with pytest.raises(AttributeError):
             run.key = "0000"
-        with pytest.raises(AttributeError):
-            run.particles_consumed = 8
-        assert (run.key, run.particles_consumed) == (key, 4)
+        assert (run.key, es_qkd_qubits(run)) == (key, 4)
 
     def test_es_qkd_run_stores_three_tuples(self):
         pairs, alice, bob = [(PHI_PLUS, PSI_PLUS)], [PSI_PLUS], [PHI_PLUS]
@@ -192,7 +195,7 @@ class TestFrozenRun:
         pairs.append((PHI_PLUS, PHI_PLUS))
         alice.append(PHI_PLUS)
         bob.append(PHI_PLUS)
-        assert (run.key, run.particles_consumed) == ("1000", 4)
+        assert (run.key, es_qkd_qubits(run)) == ("1000", 4)
 
     def test_runs_of_one_message_compare_equal(self):
         assert run_xor_chain("0110") == run_xor_chain("0110")
@@ -604,9 +607,9 @@ class TestEsQkd:
                 assert run.key in support
         assert len(rejected) == 192
 
-    def test_particles_consumed(self):
+    def test_four_qubits_per_swap(self):
         run = run_es_qkd([(PHI_PLUS, PSI_PLUS)] * 5, random.Random(0))
-        assert run.particles_consumed == 20
+        assert es_qkd_qubits(run) == 20
         assert len(run.key) == 20
 
     @settings(deadline=None)
@@ -616,7 +619,7 @@ class TestEsQkd:
         run = run_es_qkd(pairs, random.Random(seed))
         assert run.key == "".join(a.bits + b.bits for a, b in zip(run.alice_results,
                                                                  run.bob_results))
-        assert len(run.key) == run.particles_consumed == 4 * len(pairs)
+        assert len(run.key) == es_qkd_qubits(run) == 4 * len(pairs)
 
     def test_same_seed_same_run(self):
         pairs = ALL_PAIRS[:6]

@@ -79,6 +79,12 @@ class TestBellLabel:
         with pytest.raises(ValueError):
             BellLabel.from_token("phi*")
 
+    @pytest.mark.parametrize("token", [None, 3, [], {}, "PHI+"])
+    def test_from_token_refuses_any_other_object_with_value_error(self, token):
+        # An unhashable token, [] or {}, used to raise TypeError from the lookup.
+        with pytest.raises(ValueError, match="unknown Bell label"):
+            BellLabel.from_token(token)
+
     @pytest.mark.parametrize("code", [True, False, 1.0, -1, 4, "1"])
     def test_from_code_accepts_only_an_int_0_to_3(self, code):
         with pytest.raises(ValueError):
