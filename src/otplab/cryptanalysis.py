@@ -185,21 +185,35 @@ def leakage_report(run, attack_result) -> LeakageReport:
 
     Accepts an `XorChainRun` or an otp-baseline `Transcript` with its
     attack's (attack, eve_bits), or an `EsQkdRun` with (key_sets,
-    key_entropy_given_eve).  Only the second element of the pair is read.
-    The run gives the scenario and its carrier count (for the baseline, the
-    length of its one broadcast, `eve_view`); `CARRIERS` gives the rest.
+    key_entropy_given_eve).  The run gives the scenario and its carrier
+    count (for the baseline, the length of its one broadcast, `eve_view`);
+    `CARRIERS` gives the rest.  An analysis set up for another scheme or
+    size raises `ValueError`: the joint behind an attack (the first argument
+    of its `posterior` partial) must be as wide as the run's message and
+    Eve's view, and there must be one key set per swap, holding its block.
     """
-    _, figure = attack_result
+    first, figure = attack_result
     if isinstance(run, XorChainRun):
         scenario, carriers = "xor-chain", run.ghz_states_consumed
+        widths = (len(run.message), carriers)
     elif isinstance(run, EsQkdRun):
         scenario, carriers = "es-qkd", len(run.initial_pairs)
+        swaps = zip(run.alice_results, run.bob_results, first)
+        if len(first) != carriers or not all(a.bits + b.bits in keys for a, b, keys in swaps):
+            raise ValueError(f"the key sets do not hold this run's {carriers} key blocks")
     elif isinstance(run, Transcript):
         if run.channels.count(Channel.PUBLIC_BROADCAST) != 1:
             raise ValueError("an otp-baseline transcript carries exactly one broadcast")
         scenario, carriers = "otp-baseline", len(eve_view(run))
+        widths = (carriers, carriers)
     else:
         raise TypeError(f"no leakage accounting for run type {type(run)}")
+    if scenario != "es-qkd":
+        joint = first.args[0]
+        if (joint.secret_bits, joint.observation_bits) != widths:
+            raise ValueError(f"the analysis is for {joint.secret_bits}-bit secrets and "
+                             f"{joint.observation_bits}-bit views, not this {scenario} run's "
+                             f"{widths[0]} and {widths[1]}")
     accounting = CARRIERS[scenario]
     claimed = accounting.claimed_bits * carriers
     # es-qkd's figure is the key entropy Eve leaves; the others' is Eve's information.

@@ -18,11 +18,10 @@ and a posterior is one contiguous slice.  Each joint keeps the posteriors
 it has returned, one per distinct observation queried, so a repeated
 observation is a dict lookup; their probabilities total at most one copy
 of the joint's probability column.  Bitstrings appear only at the
-API boundary: the `Distribution` constructor, `entries`, `support`,
-`probability`, and the secret handed to an `enumerate_joint` view.  A
-distribution formats its support once, in bulk from its codes
-(`bits.codes_to_bits`), when `support`, `entries` or `probability` is
-first read, and `entries` reuses those strings as its keys.
+API boundary: the `Distribution` constructor, `support`, and the secret
+handed to an `enumerate_joint` view.  A distribution formats its support
+once, in bulk from its codes (`bits.codes_to_bits`), when `support` is
+first read; it is read beside `probabilities`, entry for entry.
 
 A deterministic view may also carry an integer form, a `codes` attribute
 mapping the array of secret codes to one observation code per secret;
@@ -45,7 +44,6 @@ from an integer view holds the result's columns plus one sort order.
 
 from functools import cached_property
 from itertools import accumulate
-from types import MappingProxyType
 from typing import Callable, Union
 
 import numpy as np
@@ -185,25 +183,14 @@ class Distribution:
         return tuple(codes_to_bits(self.codes.tolist(), self.bit_length))
 
     @cached_property
-    def entries(self) -> MappingProxyType:
-        """Read-only {bitstring: probability} view, in ascending outcome order.
-
-        Its keys are `support`, so the outcomes are formatted only once.
-        """
-        return MappingProxyType(dict(zip(self.support, self.probabilities.tolist())))
-
-    @cached_property
     def cumulative(self) -> tuple:
         """Running totals of `probabilities` in stored order, as Python floats.
 
         Summed one entry at a time, left to right, so each total equals
-        the `acc += p` of a walk over `entries`: the k-th outcome owns
+        the `acc += p` of a walk over `probabilities`: the k-th outcome owns
         [cumulative[k - 1], cumulative[k]).
         """
         return tuple(accumulate(self.probabilities.tolist()))
-
-    def probability(self, outcome: str) -> float:
-        return self.entries.get(outcome, 0.0)
 
 
 class JointDistribution:

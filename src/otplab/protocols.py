@@ -5,12 +5,13 @@ immutable `records.Record`s, equal when their fields are.  A `Transcript`
 is only its three tuple columns (senders, channels, payloads); its
 public-broadcast payloads are exactly what an eavesdropper sees
 (`eve_view`).  An xor-chain run is its message: it checks it, builds the
-transcript from it and derives the receivers' outputs and the carrier
-count.  An es-qkd run stores its pairs and both parties' results and
-derives its key from them.  It checks each swap in one pass over the
-three columns: a 2-tuple initial pair, four `BellLabel`s (subclasses
-too), and the party codes XORing to the initial codes, the swap support;
-a message naming the failing swap is built only once a check has failed.
+transcript from it, checks that a receiver rebuilds it (`xor_chain_decode`)
+and derives the carrier count.  An es-qkd run stores its pairs and both
+parties' results and derives its key from them.  It checks each swap in
+one pass over the three columns: a 2-tuple initial pair, four
+`BellLabel`s (subclasses too), and the party codes XORing to the initial
+codes, the swap support; a message naming the failing swap is built only
+once a check has failed.
 
 Three schemes are modeled:
 
@@ -34,17 +35,13 @@ their bit without leakage, so the analysis isolates the classical misuse.
 import enum
 import functools
 import random
-from collections.abc import Mapping
-from types import MappingProxyType
 
 from .bits import bits_to_int, check_bits, int_to_bits, xor_bits
 from .otp import AuditReport, KeyMaterial, decrypt, encrypt, shannon_audit
 from .quantum import BellLabel, sample_swap, swap_distribution_oracle
 from .records import Record
 
-# The xor-chain's parties: one sender, two receivers who both rebuild the message.
 XOR_CHAIN_SENDER = "alice"
-XOR_CHAIN_RECEIVERS = ("bob", "charlie")
 
 
 class Channel(enum.Enum):
@@ -132,12 +129,6 @@ class XorChainRun(Record):
         if xor_chain_decode(transcript) != message:
             raise AssertionError("receivers did not rebuild the message")
         super().__init__(message, transcript)
-
-    @property
-    def receiver_outputs(self) -> Mapping:
-        """Each receiver's rebuild of the message from the transcript alone, read-only."""
-        decoded = xor_chain_decode(self.transcript)
-        return MappingProxyType(dict.fromkeys(XOR_CHAIN_RECEIVERS, decoded))
 
     @property
     def ghz_states_consumed(self) -> int:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -43,13 +44,18 @@ from otplab.tolerances import FLOAT_TOL
 ALL_PAIRS = list(itertools.product(BELL_LABELS, BELL_LABELS))
 
 
+def as_dict(dist: Distribution) -> dict:
+    """{bitstring: probability} of a distribution: its support beside its probability column."""
+    return dict(zip(dist.support, dist.probabilities.tolist()))
+
+
 class TestAttackXorChain:
     def test_two_bit_posterior_and_gain(self):
         run = run_xor_chain("11")  # broadcast is 0
         attack, eve_bits = attack_xor_chain(Distribution.uniform_bits(2))
         post = attack(eve_view(run.transcript))
         assert set(post.support) == {"00", "11"}
-        assert post.probability("00") == pytest.approx(0.5, abs=1e-9)
+        assert as_dict(post).get("00", 0.0) == pytest.approx(0.5, abs=1e-9)
         assert eve_bits == pytest.approx(1.0, abs=1e-9)
 
     def test_two_bit_throughput(self):
@@ -166,7 +172,7 @@ class TestAttackEsQkdKeyset:
             first_halves = {key[:2] for key in post.support}
             assert first_halves == {"00", "01", "10", "11"}
             marginal = {}
-            for key, p in post.entries.items():
+            for key, p in as_dict(post).items():
                 marginal[key[:2]] = marginal.get(key[:2], 0.0) + p
             for p in marginal.values():
                 assert p == pytest.approx(0.25, abs=1e-9)
@@ -245,8 +251,8 @@ class TestAttackOtpBaseline:
         attack, eve_bits = attack_otp_baseline(prior)
         post = attack("1011")
         assert eve_bits == pytest.approx(0.0, abs=1e-9)
-        for outcome in prior.entries:
-            assert post.probability(outcome) == pytest.approx(0.0625, abs=1e-9)
+        for outcome in as_dict(prior):
+            assert as_dict(post).get(outcome, 0.0) == pytest.approx(0.0625, abs=1e-9)
 
 
 class TestLeakageReport:
@@ -295,6 +301,40 @@ class TestLeakageReport:
     def test_unknown_run_type_raises(self):
         with pytest.raises(TypeError):
             leakage_report(object(), (None, 0.0))
+
+    @pytest.mark.parametrize("make_run, make_analysis", [
+        (lambda: run_xor_chain("11"), lambda: attack_xor_chain(Distribution.uniform_bits(4))),
+        (lambda: run_xor_chain("1111"), lambda: attack_otp_baseline(Distribution.uniform_bits(4))),
+        (lambda: run_otp_baseline("1111", random_key(4, random.Random(1))),
+         lambda: attack_xor_chain(Distribution.uniform_bits(4))),
+        (lambda: run_otp_baseline("11", random_key(2, random.Random(1))),
+         lambda: attack_otp_baseline(Distribution.uniform_bits(4))),
+        (lambda: run_es_qkd([(PHI_PLUS, PSI_PLUS)] * 3, random.Random(1)),
+         lambda: attack_es_qkd_keyset([(PHI_PLUS, PSI_PLUS)])),
+        (lambda: run_es_qkd([(PHI_PLUS, PSI_PLUS)], random.Random(1)),
+         lambda: attack_es_qkd_keyset([(PHI_PLUS, PHI_PLUS)])),
+    ], ids=["xor-chain-2-bit-run-4-bit-analysis", "xor-chain-run-otp-analysis",
+            "otp-run-xor-chain-analysis", "otp-2-bit-run-4-bit-analysis",
+            "es-qkd-3-swaps-1-key-set", "es-qkd-other-pairs-key-sets"])
+    def test_an_analysis_for_another_scheme_or_size_is_refused(self, make_run, make_analysis):
+        # Priced, each pairing would misstate the run: the first, second and
+        # fifth give eve_bits 2.0, 0.0 and 10.0 where the run's are 1.0, 2.0 and 6.0.
+        with pytest.raises(ValueError):
+            leakage_report(make_run(), make_analysis())
+
+    def test_the_check_calls_neither_the_attack_nor_the_oracle(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("called")
+
+        _, eve_bits = analysis = attack_xor_chain(Distribution.uniform_bits(4))
+        joint = analysis[0].args[0]
+        report = leakage_report(run_xor_chain("0110"), (functools.partial(refuse, joint), eve_bits))
+        assert (report.eve_bits, report.secure_bits) == (2.0, 2.0)
+        pairs = [(PHI_PLUS, PSI_PLUS)] * 3
+        run, analysis = run_es_qkd(pairs, random.Random(1)), attack_es_qkd_keyset(pairs)
+        monkeypatch.setattr(cryptanalysis, "swap_distribution_oracle", refuse)
+        report = leakage_report(run, analysis)
+        assert (report.eve_bits, report.secure_bits) == (6.0, 6.0)
 
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):

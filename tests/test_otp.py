@@ -292,7 +292,8 @@ class TestPerfectSecrecy:
 
         def view(plaintext):
             return Distribution(
-                {xor_bits(plaintext, key): p for key, p in key_dist.entries.items()}
+                {xor_bits(plaintext, key): p
+                 for key, p in zip(key_dist.support, key_dist.probabilities.tolist())}
             )
 
         mi = mutual_information(enumerate_joint(prior, view))

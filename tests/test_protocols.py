@@ -14,7 +14,6 @@ from otplab.cli import SCENARIOS
 from otplab.cryptanalysis import attack_es_qkd_keyset, leakage_report
 from otplab.otp import KeyMaterial, TRULY_RANDOM, derived_correlated, random_key
 from otplab.protocols import (
-    XOR_CHAIN_RECEIVERS,
     XOR_CHAIN_SENDER,
     Channel,
     ConditionViolationError,
@@ -25,6 +24,7 @@ from otplab.protocols import (
     run_es_qkd,
     run_otp_baseline,
     run_xor_chain,
+    xor_chain_decode,
 )
 from otplab.quantum import (
     BELL_LABELS,
@@ -132,7 +132,7 @@ class TestTranscript:
 
 
 class TestFrozenRun:
-    """A finished run cannot be changed through its transcript, outputs or results."""
+    """A finished run cannot be changed through its transcript, fields or results."""
 
     def test_events_cannot_be_appended(self):
         run = run_xor_chain("10")
@@ -150,22 +150,15 @@ class TestFrozenRun:
             for column in (transcript.senders, transcript.channels, transcript.payloads):
                 assert type(column) is tuple
 
-    def test_receiver_outputs_are_read_only(self):
-        run = run_xor_chain("10")
-        with pytest.raises(TypeError):
-            run.receiver_outputs["bob"] = "00"
-        assert run.receiver_outputs == {"bob": "10", "charlie": "10"}
-
     def test_xor_chain_run_is_its_message(self):
         assert list(inspect.signature(XorChainRun).parameters) == ["message"]
         assert XorChainRun.__slots__ == ("message", "transcript")
         run = run_xor_chain("0110")
         with pytest.raises(AttributeError):
-            run.receiver_outputs = {}
+            run.message = "1001"
         with pytest.raises(AttributeError):
             run.ghz_states_consumed = 3
-        assert (dict(run.receiver_outputs), run.ghz_states_consumed) == (
-            dict.fromkeys(XOR_CHAIN_RECEIVERS, "0110"), 2)
+        assert (xor_chain_decode(run.transcript), run.ghz_states_consumed) == ("0110", 2)
 
     @pytest.mark.parametrize("name", ["initial_pairs", "alice_results", "bob_results"])
     def test_es_qkd_results_cannot_be_appended_or_assigned(self, name):
@@ -222,19 +215,19 @@ class TestXorChain:
         run = run_xor_chain("11")
         assert payloads_on(run.transcript, Channel.SECURE_PRIMITIVE) == ["1"]
         assert eve_view(run.transcript) == "0"
-        assert run.receiver_outputs == {"bob": "11", "charlie": "11"}
+        assert xor_chain_decode(run.transcript) == "11"
 
     def test_message_10(self):
         run = run_xor_chain("10")
         assert eve_view(run.transcript) == "1"
-        assert run.receiver_outputs["bob"] == "10"
+        assert xor_chain_decode(run.transcript) == "10"
 
     def test_message_10110100(self):
         run = run_xor_chain("10110100")
         secure = payloads_on(run.transcript, Channel.SECURE_PRIMITIVE)
         assert secure == ["1", "1", "0", "0"]
         assert eve_view(run.transcript) == "1010"
-        assert run.receiver_outputs["charlie"] == "10110100"
+        assert xor_chain_decode(run.transcript) == "10110100"
         assert run.ghz_states_consumed == 4
 
     def test_odd_length_rejected(self):
@@ -255,7 +248,7 @@ class TestXorChain:
         run = XorChainRun(message)
         assert run == run_xor_chain(message)
         assert run.transcript == run_xor_chain(message).transcript
-        assert run.receiver_outputs == run_xor_chain(message).receiver_outputs
+        assert xor_chain_decode(run.transcript) == message
 
     def test_receivers_round_trip_is_checked(self, monkeypatch):
         monkeypatch.setattr(protocols, "xor_chain_decode", lambda transcript: "00")
@@ -305,7 +298,7 @@ class TestXorChain:
         for _ in range(20):
             message = random_bits(12, rng)
             run = run_xor_chain(message)
-            assert all(out == message for out in run.receiver_outputs.values())
+            assert xor_chain_decode(run.transcript) == message
 
     def test_transcript_interleaves_secure_then_broadcast(self):
         run = run_xor_chain("0110")
@@ -349,7 +342,7 @@ def list_eve_view(transcript: ListTranscript) -> str:
 
 
 def string_run_xor_chain(message: str):
-    """The per-pair string runner the integer one replaced: (transcript, receiver outputs)."""
+    """The per-pair string runner the integer one replaced: (transcript, decoded message)."""
     transcript = ListTranscript()
     for i in range(0, len(message), 2):
         transcript.append(XOR_CHAIN_SENDER, Channel.SECURE_PRIMITIVE, message[i])
@@ -360,7 +353,7 @@ def string_run_xor_chain(message: str):
     secure = [e.payload for e in transcript.events if e.channel is Channel.SECURE_PRIMITIVE]
     broadcast = [e.payload for e in transcript.events if e.channel is Channel.PUBLIC_BROADCAST]
     decoded = "".join(odd + xor_bits(bcast, odd) for odd, bcast in zip(secure, broadcast))
-    return transcript, {name: decoded for name in XOR_CHAIN_RECEIVERS}
+    return transcript, decoded
 
 
 EVENTS = st.lists(st.tuples(
@@ -380,12 +373,12 @@ class TestXorChainAgainstStringRunner:
     @given(EVEN_MESSAGES)
     def test_same_transcript_view_and_outputs(self, message):
         run = run_xor_chain(message)
-        reference, outputs = string_run_xor_chain(message)
+        reference, decoded = string_run_xor_chain(message)
         assert events_of(run.transcript) == tuple(reference.events)
         assert run.transcript.to_records() == reference.to_records()
         assert public_events_of(run.transcript) == reference.public_events()
         assert eve_view(run.transcript) == list_eve_view(reference)
-        assert dict(run.receiver_outputs) == outputs
+        assert xor_chain_decode(run.transcript) == decoded
         assert run.ghz_states_consumed == len(message) // 2
 
     @settings(deadline=None)
@@ -417,9 +410,9 @@ class TestXorChainMemo:
         run_xor_chain(message)
         run = run_xor_chain(message)
         assert run == protocols._xor_chain_run.__wrapped__(message)
-        reference, outputs = string_run_xor_chain(message)
+        reference, decoded = string_run_xor_chain(message)
         assert events_of(run.transcript) == tuple(reference.events)
-        assert dict(run.receiver_outputs) == outputs
+        assert xor_chain_decode(run.transcript) == decoded
 
     def test_repeated_call_returns_the_same_frozen_run(self):
         run = run_xor_chain("0110")
@@ -451,7 +444,7 @@ class TestXorChainMemo:
         assert protocols._xor_chain_run.cache_info().currsize == size
         assert run == protocols._xor_chain_run.__wrapped__(message)
         assert run_xor_chain(message) is not run
-        assert dict(run.receiver_outputs) == dict.fromkeys(XOR_CHAIN_RECEIVERS, message)
+        assert xor_chain_decode(run.transcript) == message
 
     def test_str_subclass_message_becomes_a_plain_str(self, monkeypatch):
         class Bits(str):

@@ -27,6 +27,11 @@ SQ = 1.0 / math.sqrt(2.0)
 ALL_PAIRS = list(itertools.product(BELL_LABELS, BELL_LABELS))
 
 
+def as_dict(dist: Distribution) -> dict:
+    """{bitstring: probability} of a distribution: its support beside its probability column."""
+    return dict(zip(dist.support, dist.probabilities.tolist()))
+
+
 class TestBellLabel:
     def test_two_bit_encoding_convention(self):
         assert PHI_PLUS.bits == "00"
@@ -172,7 +177,7 @@ class TestSwapOracle:
             (PSI_PLUS, PHI_PLUS),
             (PSI_MINUS, PHI_MINUS),
         ]
-        for p in dist.entries.values():
+        for p in as_dict(dist).values():
             assert abs(p - 0.25) < 1e-9
 
     def test_equal_initial_labels(self):
@@ -189,8 +194,8 @@ class TestSwapOracle:
     def test_support_size_and_weights(self, initial):
         dist = swap_distribution_oracle(*initial)
         assert len(dist.support) == 4
-        assert abs(math.fsum(dist.entries.values()) - 1.0) < 1e-12
-        for p in dist.entries.values():
+        assert abs(math.fsum(as_dict(dist).values()) - 1.0) < 1e-12
+        for p in as_dict(dist).values():
             assert abs(p - 0.25) < 1e-9
 
     @pytest.mark.parametrize("initial", ALL_PAIRS)
@@ -211,15 +216,16 @@ class TestSwapRule:
     def test_equal_labels_contain_identity_outcome(self):
         for label in BELL_LABELS:
             dist = swap_distribution_rule(label, label)
-            assert PHI_PLUS.bits + PHI_PLUS.bits in dist.entries
+            assert PHI_PLUS.bits + PHI_PLUS.bits in dist.support
 
     @pytest.mark.parametrize("initial", ALL_PAIRS)
     def test_matches_oracle_entrywise(self, initial):
         oracle = swap_distribution_oracle(*initial)
         rule = swap_distribution_rule(*initial)
-        outcomes = set(oracle.entries) | set(rule.entries)
+        oracle, rule = as_dict(oracle), as_dict(rule)
+        outcomes = set(oracle) | set(rule)
         for outcome in outcomes:
-            assert abs(oracle.probability(outcome) - rule.probability(outcome)) < 1e-9
+            assert abs(oracle.get(outcome, 0.0) - rule.get(outcome, 0.0)) < 1e-9
 
 
 class TestSwapOracleCache:
@@ -230,11 +236,12 @@ class TestSwapOracleCache:
         assert cached is not fresh
         assert cached.support == fresh.support
         for outcome in fresh.support:
-            assert cached.probability(outcome) == fresh.probability(outcome)
+            assert as_dict(cached).get(outcome, 0.0) == as_dict(fresh).get(outcome, 0.0)
         rule = swap_distribution_rule(*initial)
         assert cached.support == rule.support
         for outcome in rule.support:
-            assert abs(cached.probability(outcome) - rule.probability(outcome)) < FLOAT_TOL
+            assert abs(as_dict(cached).get(outcome, 0.0)
+                       - as_dict(rule).get(outcome, 0.0)) < FLOAT_TOL
 
     def test_reference_regroups_0100_to_index_2(self):
         # |b1 b2 b3 b4> = |0100> (index 4) lands at (b1,b3,b2,b4) = (0,0,1,0).
@@ -248,7 +255,7 @@ class TestSwapOracleCache:
     def test_projection_equals_one_onto_freshly_built_basis_states(self, initial):
         # Independent of the cached basis and of kron/transpose: every
         # amplitude is built afresh from its basis index for every configuration.
-        assert dict(swap_distribution_oracle.__wrapped__(*initial).entries) == (
+        assert as_dict(swap_distribution_oracle.__wrapped__(*initial)) == (
             reference_projection(*initial)
         )
 
@@ -266,10 +273,11 @@ class TestSwapOracleCache:
     @pytest.mark.parametrize("initial", ALL_PAIRS)
     def test_shared_entries_are_read_only(self, initial):
         dist = swap_distribution_oracle(*initial)
-        with pytest.raises(TypeError):
-            dist.entries["0000"] = 1.0
+        with pytest.raises(ValueError):
+            dist.codes[0] = 0
         with pytest.raises(ValueError):
             dist.probabilities[0] = 1.0
+        assert type(dist.support) is tuple
 
 
 class TestSwapKeyBlocks:
@@ -332,7 +340,7 @@ class TestSampleSwap:
 def linear_walk(dist: Distribution, u: float):
     """Reference draw: walk the blocks in stored order, `acc += p`, stop once u < acc."""
     acc = 0.0
-    for block, p in dist.entries.items():
+    for block, p in as_dict(dist).items():
         acc += p
         if u < acc:
             break
@@ -341,7 +349,7 @@ def linear_walk(dist: Distribution, u: float):
 
 def walk_totals(dist: Distribution) -> list:
     acc, totals = 0.0, []
-    for p in dist.entries.values():
+    for p in as_dict(dist).values():
         acc += p
         totals.append(acc)
     return totals
