@@ -20,9 +20,12 @@ is not part of it.  Integer options take ASCII digits only, after an
 optional '-'.
 
 Reports go to standard output (or --out PATH, written whole or not at
-all); diagnostics to standard error.  Exit codes: 0 success, 1 internal
-failure, 2 configuration error (a bad command line or an unwritable --out
-or stdout included: one `error:` line).
+all), a text file in 2**20-character slices; diagnostics to standard
+error.  A JSON report is byte-identical to `json.dumps(report, indent=2,
+sort_keys=True)`: `json.dumps` writes its header, and each trial body is
+written directly from the one shape every report's trials have.  Exit
+codes: 0 success, 1 internal failure, 2 configuration error (a bad
+command line or an unwritable --out or stdout included: one `error:` line).
 Identical command lines, including the seed, produce byte-identical JSON.
 The default seed can be overridden with the OTPLAB_SEED environment
 variable.
@@ -34,12 +37,11 @@ joined by ':' within a pair and ',' between pairs, e.g.
 
 import argparse
 import gc
-import itertools
+import io
 import json
 import os
 import random
 import sys
-from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -63,8 +65,8 @@ from .records import Record
 from .tolerances import FLOAT_TOL
 
 # The whole report is built in memory, once, before it is written.
-# 100,000 16-bit xor-chain trials peak at about 344 MB resident as text
-# and 627 MB as JSON; README.md's "Command line" section gives each
+# 100,000 16-bit xor-chain trials peak at about 321 MB resident as text
+# and 535 MB as JSON; README.md's "Command line" section gives each
 # scenario's text per trial and the cached runs' share.
 MAX_TRIALS = 100_000
 # es-qkd's swaps (pairs x trials): the carriers of MAX_TRIALS 16-bit trials.
@@ -421,105 +423,87 @@ def build_audit_rows() -> list:
     return table
 
 
-# The exact types `_indented` hands to the C encoder; others take `json.dumps`.
-_SCALARS = frozenset((str, int, float, bool, type(None)))
+def _strings(items: list, depth: int) -> str:
+    """A non-empty list of strings JSON leaves unescaped, as `json.dumps` writes it `depth` deep."""
+    inner = "\n" + "  " * (depth + 1)
+    return f'[{inner}"' + f'",{inner}"'.join(items) + f'"\n{"  " * depth}]'
 
 
-def _encode(obj, depth: int) -> str:
-    """`obj` by the C encoder (`indent` is None), each item starting a line `depth` deep."""
-    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * depth, ": ")).encode(obj)
+def _pairs(pairs: list) -> str:
+    """A non-empty list of int pairs (es-qkd's parities) as an attack block's value."""
+    return "[\n          " + ",\n          ".join(
+        f"[\n            {a},\n            {b}\n          ]" for a, b in pairs) + "\n        ]"
 
 
-def _only(types, values) -> bool:
-    return types.issuperset(map(type, values))
+def _attack_value(value, lists: dict) -> str:
+    """A value of a trial's attack block as `json.dumps` writes it, four indents deep.
 
-
-def _verbatim(text: str) -> bool:
-    """True if the C encoder writes `text` unescaped: printable ASCII without `"` or `\\`."""
-    return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
-
-
-def _indented(obj, depth: int, memo: dict) -> str:
-    """`json.dumps(obj, indent=2, sort_keys=True)` with `depth` more indents after each newline.
-
-    A non-empty list of exact `str` items that need no escaping is one
-    `str.join`; another container of scalars is one `_encode` call; a list
-    of non-empty scalar-only lists, or of such dicts, is one call plus one
-    `replace` where the items meet, exact as a JSON string holds no raw
-    newline and no scalar starts or ends with a bracket.  Other containers
-    recurse; non-str keys and other types take `json.dumps`.
-
-    `memo` holds list texts keyed by (identity, depth): a list is marked at
-    its first sight and its text kept from its second on, so a list that
-    several trial bodies share is rendered at most twice, and a list seen
-    once holds no text beyond its parent's.  The caller keeps the payload,
-    and so every keyed list, alive while the memo is in use.
+    Attack values are bitstrings, floats, bools and non-empty lists: of
+    bitstrings, of such lists (es-qkd's key sets) or of int pairs.  `lists`
+    holds list texts keyed by identity, marked at a list's first sight and
+    kept from its second on: a list that several trial bodies share (a
+    posterior support, es-qkd's key sets and true parities) is written at
+    most twice, and a list seen once holds no text beyond its body's.
     """
-    if type(obj) is not list:
-        return _fresh(obj, depth, memo)
-    key = (id(obj), depth)
-    text = memo.get(key)
+    if type(value) is bool:
+        return "true" if value else "false"
+    if isinstance(value, str):
+        return f'"{value}"'
+    if isinstance(value, float):
+        return float.__repr__(value)
+    text = lists.get(id(value))
     if text is None:
-        text = _fresh(obj, depth, memo)
-        memo[key] = text if key in memo else None
+        if isinstance(value[0], str):
+            text = _strings(value, 4)
+        elif isinstance(value[0][0], str):
+            text = "[\n          " + ",\n          ".join(
+                _strings(blocks, 5) for blocks in value) + "\n        ]"
+        else:
+            text = _pairs(value)
+        lists[id(value)] = text if id(value) in lists else None
     return text
 
 
-def _fresh(obj, depth: int, memo: dict) -> str:
-    """`_indented` text of `obj`, built without reading its own memo entry."""
-    kind, pad, inner = type(obj), "\n" + "  " * depth, "\n" + "  " * (depth + 1)
-    if kind in _SCALARS:
-        return _encode(obj, depth)
-    if kind not in (dict, list, tuple) or kind is dict and not _only({str}, obj):
-        return json.dumps(obj, indent=2, sort_keys=True).replace("\n", pad)
-    if kind is list and obj and _only({str}, obj) and _verbatim("".join(obj)):
-        items = ('",' + inner + '"').join(obj)
-        return f'[{inner}"{items}"{pad}]'
-    if _only(_SCALARS, obj.values() if kind is dict else obj):
-        text = _encode(obj, depth + 1)
-        return text[0] + inner + text[1:-1] + pad + text[-1] if obj else text
-    if kind is dict:
-        items = [encode_basestring_ascii(k) + ": " + _indented(obj[k], depth + 1, memo)
-                 for k in sorted(obj)]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    kinds, flat = set(map(type, obj)), itertools.chain.from_iterable
-    if all(obj) and (kinds <= {list, tuple} and _only(_SCALARS, flat(obj)) or kinds == {dict}
-                     and _only({str}, flat(obj)) and _only(_SCALARS, flat(map(dict.values, obj)))):
-        (opening, closing), innermost = "{}" if dict in kinds else "[]", inner + "  "
-        text = _encode(obj, depth + 2).replace(closing + "," + innermost + opening,
-                                               inner + closing + "," + inner + opening + innermost)
-        return "[" + inner + opening + innermost + text[2:-2] + inner + closing + pad + "]"
-    items = [_indented(v, depth + 1, memo) for v in obj]
-    return "[" + inner + ("," + inner).join(items) + pad + "]"
+def _trial_json(trial: dict, lists: dict) -> str:
+    """One trial as `json.dumps(report, indent=2, sort_keys=True)` writes it in `trials`.
 
-
-def render_json(payload: dict) -> str:
-    """`json.dumps(payload, indent=2, sort_keys=True)` plus a newline, byte for byte.
-
-    Sorted keys put a report's `trials` last, so the text is a header (the
-    other keys, as one object whose closing brace is cut off) and one body
-    per trial.  Trials repeat, so each distinct trial object, keyed by its
-    identity (the list keeps every trial alive), is rendered once, four
-    spaces deep, and a list that several bodies share is rendered at most
-    twice (`_indented`'s memo, kept for this call only).  The header, the
-    bodies and the separators go into one list and the text is one join of
-    it, so the whole text is built once and never copied.  Payloads without
-    a nonempty `trials` list sorted last, such as the audit table, are
-    rendered whole.  Every piece is `_indented` text: batched C-encoder
-    calls, or `json.dumps` for non-str keys and values of types other than
-    dict, list, tuple and the JSON scalars.
+    Every string in a trial is a checked bitstring, a `Channel` value or the
+    sender constant, none of which JSON escapes, so each is written verbatim.
     """
-    trials = payload.get("trials")
-    keys = sorted(payload)
-    memo = {}
-    if not (isinstance(trials, list) and trials and len(keys) > 1 and keys[-1] == "trials"):
-        return _indented(payload, 0, memo) + "\n"
-    header = _indented({k: payload[k] for k in keys[:-1]}, 0, memo)
-    bodies, parts = {}, [header[:-2], ',\n  "trials": [\n    ']
-    for trial in trials:
+    events = trial["transcript"]
+    transcript = "[]" if not events else "[\n        " + ",\n        ".join(
+        f'{{\n          "channel": "{event["channel"]}",\n          "payload": '
+        f'"{event["payload"]}",\n          "sender": "{event["sender"]}"\n        }}'
+        for event in events) + "\n      ]"
+    attack = trial["attack"]
+    block = "null" if attack is None else "{\n        " + ",\n        ".join(
+        f'"{key}": {_attack_value(attack[key], lists)}' for key in sorted(attack)) + "\n      }"
+    return (f'{{\n      "attack": {block},\n      "key_or_message": "{trial["key_or_message"]}",'
+            f'\n      "transcript": {transcript}\n    }}')
+
+
+def render_json(report: dict) -> str:
+    """`json.dumps(report, indent=2, sort_keys=True)` plus a newline, byte for byte.
+
+    A `build_report` report sorts its `trials` last, so the text is a header
+    (the other keys, by `json.dumps`, as one object whose closing brace is
+    cut off) and one body per trial.  The header holds the report's only
+    outside input (es-qkd's pairs and plaintext), which `json.dumps` escapes.
+    Trials repeat, so each distinct trial object, keyed by its identity
+    (the list keeps every trial alive), is written once by `_trial_json`.
+    The header, the bodies and the separators go into one list and the text
+    is one join of it, so the whole text is built once and never copied.
+    """
+    header = json.dumps({k: v for k, v in report.items() if k != "trials"},
+                        indent=2, sort_keys=True)
+    if not report["trials"]:
+        return header[:-2] + ',\n  "trials": []\n}\n'
+    bodies, lists = {}, {}
+    parts = [header[:-2], ',\n  "trials": [\n    ']
+    for trial in report["trials"]:
         body = bodies.get(id(trial))
         if body is None:
-            body = bodies[id(trial)] = _indented(trial, 2, memo)
+            body = bodies[id(trial)] = _trial_json(trial, lists)
         parts += (body, ",\n    ")
     parts[-1] = "\n  ]\n}\n"
     return "".join(parts)
@@ -603,10 +587,27 @@ def _discard_stdout() -> None:
     os.close(devnull)
 
 
+# A text file encodes each write whole: slices bound the bytes it holds at once.
+WRITE_SLICE = 1 << 20
+
+
+def _write(stream, text: str) -> None:
+    """Write `text` to `stream`, in `WRITE_SLICE`-character slices if it is an `io.TextIOWrapper`.
+
+    A stream that does not encode, such as `io.StringIO`, gets one write: it
+    keeps a whole write without copying, but copies many small ones.
+    """
+    if not isinstance(stream, io.TextIOWrapper):
+        stream.write(text)
+        return
+    for start in range(0, len(text), WRITE_SLICE):
+        stream.write(text[start:start + WRITE_SLICE])
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         try:
-            sys.stdout.write(text)
+            _write(sys.stdout, text)
             sys.stdout.flush()
         except OSError as exc:
             _discard_stdout()
@@ -621,7 +622,7 @@ def _emit(text: str, out: str | None) -> None:
         raise ConfigError(f"cannot write {out}: {exc.strerror or exc}") from None
     try:
         with handle:
-            handle.write(text)
+            _write(handle, text)
         os.replace(partial, out)
     except BaseException as exc:  # an interrupt too: remove the partial, then re-raise
         os.remove(partial)
@@ -643,7 +644,8 @@ def main(argv=None) -> int:
             report = build_report(config_from_args(args), with_attack=args.command == "attack")
             text = render_json(report) if args.fmt == "json" else render_report_text(report)
         elif args.fmt == "json":
-            text = render_json({"rows": build_audit_rows(), "tool_version": __version__})
+            text = json.dumps({"rows": build_audit_rows(), "tool_version": __version__},
+                              indent=2, sort_keys=True) + "\n"
         else:
             text = render_audit_text(build_audit_rows())
         _emit(text, args.out)

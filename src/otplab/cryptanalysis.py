@@ -37,7 +37,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .bits import check_bits, xor_bits
-from .infotheory import Distribution, enumerate_joint, mutual_information, posterior
+from .infotheory import (Distribution, JointDistribution, TiledJoint, enumerate_joint,
+                         mutual_information, posterior)
 from .otp import ciphertext_joint
 from .protocols import Channel, EsQkdRun, Transcript, XorChainRun, eve_view
 from .quantum import swap_distribution_oracle
@@ -188,9 +189,10 @@ def leakage_report(run, attack_result) -> LeakageReport:
     key_entropy_given_eve).  The run gives the scenario and its carrier
     count (for the baseline, the length of its one broadcast, `eve_view`);
     `CARRIERS` gives the rest.  An analysis set up for another scheme or
-    size raises `ValueError`: the joint behind an attack (the first argument
-    of its `posterior` partial) must be as wide as the run's message and
-    Eve's view, and there must be one key set per swap, holding its block.
+    size raises `ValueError`: an xor-chain or baseline attack must be a
+    `functools.partial` whose first argument is a joint as wide as the run's
+    message and Eve's view, and there must be one key set per swap, holding
+    its block.
     """
     first, figure = attack_result
     if isinstance(run, XorChainRun):
@@ -209,7 +211,10 @@ def leakage_report(run, attack_result) -> LeakageReport:
     else:
         raise TypeError(f"no leakage accounting for run type {type(run)}")
     if scenario != "es-qkd":
-        joint = first.args[0]
+        joint = first.args[0] if isinstance(first, functools.partial) and first.args else None
+        if not isinstance(joint, (JointDistribution, TiledJoint)):
+            raise ValueError(f"the analysis is for no joint, not this {scenario} run's "
+                             f"{widths[0]}-bit secrets and {widths[1]}-bit views")
         if (joint.secret_bits, joint.observation_bits) != widths:
             raise ValueError(f"the analysis is for {joint.secret_bits}-bit secrets and "
                              f"{joint.observation_bits}-bit views, not this {scenario} run's "

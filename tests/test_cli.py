@@ -13,9 +13,10 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import otplab
 from otplab import cli, cryptanalysis, protocols
 from otplab.cli import (
     ScenarioConfig,
@@ -28,7 +29,7 @@ from otplab.cli import (
     render_json,
 )
 from otplab.cryptanalysis import CARRIERS, leakage_report
-from otplab.quantum import PHI_PLUS
+from otplab.quantum import PHI_MINUS, PHI_PLUS, PSI_MINUS, PSI_PLUS
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = json.loads((ROOT / "docs" / "report.schema.json").read_text())
@@ -541,70 +542,66 @@ class TestAudit:
         assert {row["scenario"] for row in payload["rows"]} == {
             "xor-chain", "es-qkd", "otp-baseline",
         }
+        assert out == stdlib_json({"rows": build_audit_rows(), "tool_version": otplab.__version__})
 
 
-# `render_json` renders each distinct trial once; the oracle is one
-# `json.dumps` of the whole payload.
-
-TRICKY_TEXT = st.text(alphabet='01ab "\\\n\t\u00e9\u2028\U0001f512{}[],:', max_size=8)
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | TRICKY_TEXT,
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TRICKY_TEXT, inner, max_size=3),
-    max_leaves=10,
-)
-# Report-like keys sort before "trials"; arbitrary keys may sort after it.
-REPORT_KEYS = TRICKY_TEXT.filter(lambda k: k < "trials")
-
-
-@st.composite
-def payloads(draw, keys=TRICKY_TEXT, trials=True):
-    payload = draw(st.dictionaries(keys, JSON_VALUES, max_size=4))
-    payload.pop("trials", None)
-    if trials:
-        pool = draw(st.lists(JSON_VALUES, min_size=1, max_size=4))
-        payload["trials"] = draw(st.lists(st.sampled_from(pool), max_size=12))
-    return payload
-
+# `render_json` writes each distinct trial once; the oracle is one
+# `json.dumps` of the whole report.
 
 def stdlib_json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-# Scalars that compare equal, or render alike somewhere, but whose JSON differs.
-CONFUSABLE = st.sampled_from([True, 1, 1.0, False, 0, 0.0, -0.0, "1", "0"])
+LABELS = st.sampled_from([PHI_PLUS, PHI_MINUS, PSI_PLUS, PSI_MINUS])
 
 
 @st.composite
-def confusable_trials(draw):
-    """Trials of one shape that differ only in which confusable scalar each leaf holds."""
-    fills = draw(st.lists(st.tuples(*[CONFUSABLE] * 4), min_size=2, max_size=4))
-    pool = [{"attack": {"eve_bits": a, "flags": [b, {"ok": c}]}, "key_or_message": d}
-            for a, b, c, d in fills]
-    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+def report_configs(draw):
+    """(config, with_attack): any scenario and size, 1-12 trials, es-qkd with 1-16 pairs."""
+    scenario = draw(st.sampled_from(sorted(cli.SCENARIOS)))
+    sizes = {}
+    if scenario == "es-qkd":
+        sizes["pairs"] = draw(st.lists(st.tuples(LABELS, LABELS), min_size=1, max_size=16))
+        bits = 4 * len(sizes["pairs"])
+        sizes["plaintext"] = draw(st.none() | st.text("01", min_size=bits, max_size=bits))
+    else:
+        sizes["message_bits"] = draw(st.sampled_from(cli.SCENARIOS[scenario].message_lengths))
+    config = ScenarioConfig(scenario, seed=draw(st.integers(0, (1 << 64) - 1)),
+                            trials=draw(st.integers(1, 12)), fmt="json", **sizes)
+    return config, draw(st.booleans())
 
 
-# Strings that look like the text where two batched items meet, or like a
-# bracket, quote or escape; the renderer's boundary `replace` must not touch them.
-BOUNDARY_TEXT = st.sampled_from(
-    ["],\n  [", "},\n    {", "]", "}", "[", "{", '"]', "\n", "\u00e9\U0001f512"]
-) | TRICKY_TEXT
-BATCH_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | BOUNDARY_TEXT
-SCALAR_LISTS = st.lists(BATCH_SCALARS, min_size=1, max_size=4)
-SCALAR_DICTS = st.dictionaries(BOUNDARY_TEXT, BATCH_SCALARS, min_size=1, max_size=4)
-EMPTY_CONTAINERS = st.sampled_from([[], (), {}])
-# Lists of non-empty scalar-only lists (some of them tuples) or dicts, the
-# shapes rendered by one encoder call, and lists that mix in empty inner
-# containers or the other shape, which are rendered item by item.
-BATCHED_LISTS = st.one_of(
-    st.lists(SCALAR_LISTS | SCALAR_LISTS.map(tuple), min_size=1, max_size=5),
-    st.lists(SCALAR_DICTS, min_size=1, max_size=5),
-    st.lists(SCALAR_LISTS | SCALAR_LISTS.map(tuple) | SCALAR_DICTS | EMPTY_CONTAINERS,
-             min_size=1, max_size=5),
+TRICKY_TEXT = st.text(alphabet='01ab "\\\n\t\u00e9\u2028\U0001f512{}[],:', max_size=8)
+# Scalars that compare equal, or render alike somewhere, but whose JSON differs.
+CONFUSABLE = st.sampled_from([True, 1, 1.0, False, 0, 0.0, -0.0, "1", "0"])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | TRICKY_TEXT | CONFUSABLE,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TRICKY_TEXT, inner, max_size=3),
+    max_leaves=10,
 )
+# Header keys: every report's, and any other key that sorts before "trials".
+HEADER_KEYS = ("config", "efficiency", "leakage", "scenario", "tool_version")
+REPORT_KEYS = st.sampled_from(HEADER_KEYS) | TRICKY_TEXT.filter(lambda k: k < "trials")
+# The values a trial's attack block holds: bitstrings, floats, bools, lists
+# of bitstrings, lists of such lists (es-qkd's key sets) and of int pairs.
+BITSTRINGS = st.text(alphabet="01", max_size=16)
+KEY_SETS = st.lists(st.lists(BITSTRINGS, min_size=1, max_size=4), min_size=1, max_size=4)
+PARITIES = st.lists(st.tuples(st.integers(), st.integers()).map(list), min_size=1, max_size=4)
+
+
+def small_report(scenario="xor-chain", trials=3, **sizes) -> dict:
+    """An attack report of a few trials, for a test to edit."""
+    config = ScenarioConfig(scenario, seed=1, trials=trials, fmt="json", **sizes)
+    return build_report(config, with_attack=True)
+
+
+def with_attack(trial: dict, **values) -> dict:
+    """A copy of `trial` whose attack block also holds `values`."""
+    return {**trial, "attack": {**trial["attack"], **values}}
 
 
 def workload_shaped_reports():
-    """Reports shaped like the benchmark's, at a few trials, and the audit table."""
+    """Reports shaped like the benchmark's, at a few trials."""
     tokens = ("phi+", "phi-", "psi+", "psi-")
     pairs = ",".join(f"{a}:{b}" for a in tokens for b in tokens)
     command_lines = [
@@ -617,34 +614,45 @@ def workload_shaped_reports():
             ["attack", *argv, "--seed", "1", "--trials", "3", "--format", "json"]
         )
         yield build_report(config_from_args(args), with_attack=True)
-    yield {"rows": build_audit_rows(), "tool_version": "0"}
 
 
 class TestBatchedRender:
-    @settings(deadline=None)
-    @given(BATCHED_LISTS)
-    def test_batched_list_as_a_trial_body_matches_stdlib(self, items):
-        trial = {"attack": {"key_sets": items, "ok": True}, "transcript": items}
-        for payload in ({"scenario": "s", "trials": [trial, items, trial]},
-                        {"trials": [items]}):
-            assert render_json(payload) == stdlib_json(payload)
+    """Lists of lists, in trial bodies (written directly) and in the header (`json.dumps`)."""
 
     @settings(deadline=None)
-    @given(BATCHED_LISTS)
+    @given(KEY_SETS, PARITIES, st.booleans())
+    def test_batched_list_as_a_trial_body_matches_stdlib(self, key_sets, parities, match):
+        report = small_report("es-qkd", plaintext="0110")
+        report["trials"] = [
+            with_attack(trial, key_sets=key_sets, true_parities=parities,
+                        recovered_parities=parities[::-1], parities_match=match)
+            for trial in report["trials"]
+        ]
+        assert render_json(report) == stdlib_json(report)
+
+    @settings(deadline=None)
+    @given(st.lists(st.lists(JSON_VALUES, min_size=1, max_size=4)
+                    | st.dictionaries(TRICKY_TEXT, JSON_VALUES, min_size=1, max_size=4),
+                    min_size=1, max_size=5))
     def test_batched_list_in_the_header_matches_stdlib(self, items):
-        for payload in ({"config": {"pairs": items}, "leakage": items, "trials": [1]},
-                        {"rows": items}):
-            assert render_json(payload) == stdlib_json(payload)
+        report = small_report()
+        report["config"] = {**report["config"], "pairs": items}
+        report["leakage"] = items
+        assert render_json(report) == stdlib_json(report)
 
     def test_workload_shaped_reports_match_stdlib_without_json_dumps(self, monkeypatch):
+        """Only each report's header goes to `json.dumps`; no trial body does."""
         reports = list(workload_shaped_reports())
+        dumps, dumped = json.dumps, []
 
-        def no_fallback(*args, **kwargs):
-            raise AssertionError("a report value fell back to json.dumps")
+        def counted(obj, **kwargs):
+            dumped.append(sorted(obj))
+            return dumps(obj, **kwargs)
 
-        monkeypatch.setattr(cli.json, "dumps", no_fallback)
+        monkeypatch.setattr(cli.json, "dumps", counted)
         rendered = [render_json(report) for report in reports]
         monkeypatch.undo()
+        assert dumped == [list(HEADER_KEYS)] * 3
         for report, text in zip(reports, rendered):
             assert text == stdlib_json(report)
 
@@ -652,47 +660,65 @@ class TestBatchedRender:
         class Bits(str):
             pass
 
+        report = small_report()
         for value in (np.float64(0.5), Bits("01"), {1: "a", 2: [2]}, {"x": {2: [{}]}}):
-            payload = {"scenario": [value, {"v": value}], "trials": [[value], value]}
-            assert render_json(payload) == stdlib_json(payload)
+            report["scenario"] = [value, {"v": value}]
+            assert render_json(report) == stdlib_json(report)
+
+
+# Trials of one shape whose attack leaves are equal in Python, or render
+# alike somewhere, but whose JSON differs.
+ATTACK_FILLS = st.tuples(st.sampled_from([True, False, 1.0, 0.0, -0.0, 0.5]),
+                         st.booleans(), st.sampled_from(["1", "0", "10"]))
+
+
+@st.composite
+def confusable_trials(draw):
+    fills = draw(st.lists(ATTACK_FILLS, min_size=2, max_size=4))
+    pool = [{"attack": {"eve_bits": a, "parities_match": b, "view": c},
+             "key_or_message": c, "transcript": []} for a, b, c in fills]
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
 
 
 class TestRenderJson:
-    @settings(deadline=None)
-    @given(payloads(keys=REPORT_KEYS))
-    def test_report_like_payloads_match_stdlib(self, payload):
-        assert render_json(payload) == stdlib_json(payload)
+    @settings(deadline=None, max_examples=60)
+    @given(report_configs())
+    @example((ScenarioConfig("xor-chain", seed=7, trials=12, fmt="json", message_bits=16), True))
+    @example((ScenarioConfig("otp-baseline", seed=7, trials=12, fmt="json", message_bits=12), True))
+    def test_report_like_payloads_match_stdlib(self, config_and_attack):
+        report = build_report(*config_and_attack)
+        assert render_json(report) == stdlib_json(report)
 
     @settings(deadline=None)
-    @given(payloads())
-    def test_any_keys_match_stdlib(self, payload):
-        assert render_json(payload) == stdlib_json(payload)
+    @given(st.dictionaries(REPORT_KEYS, JSON_VALUES, max_size=4))
+    def test_any_keys_match_stdlib(self, header):
+        report = {**small_report(), **header}
+        assert render_json(report) == stdlib_json(report)
 
-    @given(payloads(trials=False))
-    def test_payloads_without_trials_match_stdlib(self, payload):
-        assert render_json(payload) == stdlib_json(payload)
-
-    @given(payloads(keys=REPORT_KEYS))
-    def test_empty_trials_match_stdlib(self, payload):
-        payload["trials"] = []
-        assert render_json(payload) == stdlib_json(payload)
+    def test_empty_trials_match_stdlib(self):
+        for report in workload_shaped_reports():
+            report["trials"] = []
+            assert render_json(report) == stdlib_json(report)
 
     @given(confusable_trials())
     def test_trials_that_differ_only_in_scalar_type_match_stdlib(self, trials):
-        payload = {"scenario": "s", "trials": trials}
-        assert render_json(payload) == stdlib_json(payload)
+        report = {"scenario": "s", "trials": trials}
+        assert render_json(report) == stdlib_json(report)
 
     def test_trials_equal_in_python_render_apart(self):
-        payload = {"scenario": "s", "trials": [{"x": True}, {"x": 1}, {"x": 1.0}, {"x": -0.0},
-                                               {"x": 0.0}, {"x": "1"}, {"x": True}]}
-        assert render_json(payload) == stdlib_json(payload)
+        trial = small_report()["trials"][0]
+        trials = [with_attack(trial, eve_bits=x) for x in (True, 1.0, -0.0, 0.0, False, "1")]
+        report = {"scenario": "s", "trials": [*trials, trials[0]]}
+        assert render_json(report) == stdlib_json(report)
 
     def test_repeated_trials_with_quotes_newlines_and_non_ascii(self):
-        trial = {"attack": None, "key_or_message": 'a"\n\u00e9\U0001f512',
-                 "transcript": [{"payload": "1\n}", "sender": "alice"}], "x": {}}
-        payload = {"scenario": "s", "trials": [trial, [], trial, {"a": [1, 2.5]}, trial]}
-        assert render_json(payload) == stdlib_json(payload)
-        assert render_json({"trials": [trial]}) == stdlib_json({"trials": [trial]})
+        """Trial strings are checked bitstrings; only the header holds text to escape."""
+        report = small_report()
+        trial = report["trials"][0]
+        report["trials"] = [trial, report["trials"][1], trial, trial]
+        report["scenario"] = 'a"\n\u00e9\U0001f512'
+        report["config"] = {**report["config"], "pairs": ["1\n}", "\\", "\u2028"]}
+        assert render_json(report) == stdlib_json(report)
 
     def test_one_shared_trial_object_matches_stdlib(self):
         trial = {"attack": None, "key_or_message": "10",
@@ -703,80 +729,126 @@ class TestRenderJson:
     def test_equal_but_distinct_trial_objects_match_stdlib(self):
         def trial():
             return {"attack": {"eve_bits": 1.0, "view": "0"}, "key_or_message": "11",
-                    "transcript": [{"channel": "secure-primitive", "payload": "1"}]}
+                    "transcript": [{"channel": "secure-primitive", "payload": "1",
+                                    "sender": "alice"}]}
         payload = {"scenario": "xor-chain", "trials": [trial() for _ in range(5)]}
         assert render_json(payload) == stdlib_json(payload)
 
     def test_a_list_shared_at_several_depths_matches_stdlib(self):
-        shared = [["00", "01"], ["10"]]
-        trial = {"attack": {"key_sets": shared}, "transcript": shared}
-        payload = {"config": {"pairs": shared}, "trials": [trial, shared, {"x": trial}, trial]}
-        assert render_json(payload) == stdlib_json(payload)
+        report = small_report("es-qkd", pairs=parse_pairs("phi+:psi+,psi-:phi-"))
+        key_sets = report["trials"][0]["attack"]["key_sets"]
+        # One list as a key set (five indents deep), an attack value (four)
+        # and a header value.
+        report["config"] = {**report["config"], "pairs": key_sets}
+        first, *rest = report["trials"]
+        report["trials"] = [with_attack(first, posterior_support=key_sets[0]), *rest, first]
+        assert render_json(report) == stdlib_json(report)
 
     def test_a_list_shared_by_trial_bodies_is_rendered_at_most_twice(self, monkeypatch):
-        shared, once = [["00", "01"], ["10", "11"]], [[1, 2], [3]]
-        payload = {"scenario": "s", "trials": [
-            {"attack": {"key_sets": shared}, "transcript": once if i == 0 else [[i]]}
-            for i in range(6)
-        ]}
-        rendered = collections.Counter()
-        fresh = cli._fresh
+        es_qkd = ScenarioConfig("es-qkd", seed=1, trials=6, fmt="json",
+                                pairs=parse_pairs("phi+:psi+,psi-:phi-"), plaintext="10110010")
+        xor_chain = ScenarioConfig("xor-chain", seed=3, trials=40, fmt="json", message_bits=4)
+        reports = [build_report(es_qkd, with_attack=True), build_report(xor_chain, True)]
+        written = collections.Counter()
 
-        def counted(obj, depth, memo):
-            rendered[id(obj)] += 1
-            return fresh(obj, depth, memo)
+        def counted(write):
+            def count(items, *args):
+                written[id(items)] += 1
+                return write(items, *args)
+            return count
 
-        monkeypatch.setattr(cli, "_fresh", counted)
-        text = render_json(payload)
+        monkeypatch.setattr(cli, "_strings", counted(cli._strings))
+        monkeypatch.setattr(cli, "_pairs", counted(cli._pairs))
+        texts = [render_json(report) for report in reports]
         monkeypatch.undo()
-        assert text == stdlib_json(payload)
-        assert rendered[id(shared)] == 2
-        assert rendered[id(once)] == 1
+        assert texts == [stdlib_json(report) for report in reports]
+        attacks = [trial["attack"] for trial in reports[0]["trials"]]
+        assert [written[id(blocks)] for blocks in attacks[0]["key_sets"]] == [2, 2]
+        assert written[id(attacks[0]["true_parities"])] == 2
+        assert [written[id(attack["recovered_parities"])] for attack in attacks] == [1] * 6
+        bodies = {id(trial): trial for trial in reports[1]["trials"]}.values()
+        assert len(bodies) < 40
+        holders = collections.Counter(id(body["attack"]["posterior_support"]) for body in bodies)
+        assert max(holders.values()) > 1
+        assert {key: written[key] for key in holders} == {
+            key: min(count, 2) for key, count in holders.items()}
 
 
 class BitString(str):
     pass
 
 
-# Lists of strings: bitstrings, which take the renderer's one-join path, and
-# strings that must be escaped or are not exactly `str`, which must not.
+# Lists of strings for the header, which `json.dumps` writes: bitstrings,
+# strings that must be escaped and strings that are not exactly `str`.
 STRING_ITEMS = (
-    st.text(alphabet="01", max_size=16)
+    BITSTRINGS
     | st.sampled_from(['"', "\\", "\n", "\x7f", "\u00e9", "\u2028", "\ud800", "", " ~",
                        "0\\1", 'a"b'])
     | st.text(alphabet="01", max_size=4).map(BitString)
 )
-STRING_LISTS = st.lists(STRING_ITEMS, max_size=6)
 
 
 class TestStringListRender:
     @settings(deadline=None)
-    @given(STRING_LISTS)
+    @given(st.lists(BITSTRINGS, min_size=1, max_size=6))
     def test_string_list_as_a_trial_field_matches_stdlib(self, items):
-        trial = {"attack": {"posterior_support": items, "view": "01"}, "transcript": []}
-        for payload in ({"scenario": "s", "trials": [trial, trial, {"x": items}]},
-                        {"trials": [items]}):
-            assert render_json(payload) == stdlib_json(payload)
+        report = small_report()
+        trial = with_attack(report["trials"][0], posterior_support=items)
+        report["trials"] = [trial, report["trials"][1], trial]
+        assert render_json(report) == stdlib_json(report)
 
     @settings(deadline=None)
-    @given(STRING_LISTS)
+    @given(st.lists(STRING_ITEMS, max_size=6))
     def test_string_list_in_the_header_matches_stdlib(self, items):
-        for payload in ({"config": {"pairs": items}, "leakage": items, "trials": [1]},
-                        {"rows": items}):
-            assert render_json(payload) == stdlib_json(payload)
+        report = small_report()
+        report["config"] = {**report["config"], "pairs": items}
+        report["leakage"] = items
+        assert render_json(report) == stdlib_json(report)
 
     def test_bitstring_lists_skip_the_encoder(self, monkeypatch):
         support = [format(code, "016b") for code in range(256)]
-        payload = {"scenario": "s", "trials": [{"posterior_support": support}, support]}
+        expected = json.dumps(support, indent=2).replace("\n", "\n" + "  " * 4)
+        report = small_report()
+        report["trials"] = [with_attack(trial, posterior_support=support)
+                            for trial in report["trials"]]
 
         def no_encoder(*args, **kwargs):
-            raise AssertionError("a list of bitstrings went through the C encoder")
+            raise AssertionError("a list of bitstrings went through json.dumps")
 
-        monkeypatch.setattr(cli, "_encode", no_encoder)
-        text = cli._fresh(support, 3, {})
+        monkeypatch.setattr(cli.json, "dumps", no_encoder)
+        text = cli._attack_value(support, {})
         monkeypatch.undo()
-        assert text == json.dumps(support, indent=2).replace("\n", "\n" + "  " * 3)
-        assert render_json(payload) == stdlib_json(payload)
+        assert text == expected
+        assert render_json(report) == stdlib_json(report)
+
+
+class TestWriteSlices:
+    TEXT = "0123456789\n" * 300_000
+
+    def recorded_emit(self, monkeypatch, stream_type, *args) -> tuple:
+        """`_emit` of TEXT to a `stream_type` stdout: (stream, the length of each write)."""
+        sizes = []
+
+        class Recording(stream_type):
+            def write(self, piece):
+                sizes.append(len(piece))
+                return super().write(piece)
+
+        stream = Recording(*args)
+        monkeypatch.setattr(sys, "stdout", stream)
+        cli._emit(self.TEXT, None)
+        monkeypatch.undo()
+        return stream, sizes
+
+    def test_a_text_file_gets_slices_of_at_most_2_to_the_20_characters(self, monkeypatch):
+        stream, sizes = self.recorded_emit(monkeypatch, io.TextIOWrapper, io.BytesIO(), "ascii")
+        assert stream.buffer.getvalue().decode() == self.TEXT
+        assert len(sizes) > 1 and max(sizes) <= 1 << 20
+
+    def test_a_string_buffer_gets_one_write(self, monkeypatch):
+        stream, sizes = self.recorded_emit(monkeypatch, io.StringIO)
+        assert stream.getvalue() == self.TEXT
+        assert sizes == [len(self.TEXT)]
 
 
 def reference_text(report) -> str:

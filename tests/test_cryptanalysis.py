@@ -313,9 +313,12 @@ class TestLeakageReport:
          lambda: attack_es_qkd_keyset([(PHI_PLUS, PSI_PLUS)])),
         (lambda: run_es_qkd([(PHI_PLUS, PSI_PLUS)], random.Random(1)),
          lambda: attack_es_qkd_keyset([(PHI_PLUS, PHI_PLUS)])),
+        (lambda: run_xor_chain("11"), lambda: (None, 1.0)),
+        (lambda: run_otp_baseline("11", random_key(2, random.Random(1))), lambda: (None, 1.0)),
     ], ids=["xor-chain-2-bit-run-4-bit-analysis", "xor-chain-run-otp-analysis",
             "otp-run-xor-chain-analysis", "otp-2-bit-run-4-bit-analysis",
-            "es-qkd-3-swaps-1-key-set", "es-qkd-other-pairs-key-sets"])
+            "es-qkd-3-swaps-1-key-set", "es-qkd-other-pairs-key-sets",
+            "xor-chain-run-no-joint", "otp-run-no-joint"])
     def test_an_analysis_for_another_scheme_or_size_is_refused(self, make_run, make_analysis):
         # Priced, each pairing would misstate the run: the first, second and
         # fifth give eve_bits 2.0, 0.0 and 10.0 where the run's are 1.0, 2.0 and 6.0.
