@@ -16,8 +16,24 @@ Every scheme is one `Scenario` named tuple in `SCENARIOS`; the three
 commands are loops over that registry.  A `ScenarioConfig`, an immutable
 `records.Record`, checks and completes its own settings, so a config built
 directly is refused where the command line would be; where the report goes
-is not part of it.  Integer options take ASCII digits only, after an
-optional '-'.
+is not part of it.
+
+The command line is `otplab [-h] COMMAND [OPTION ...]`, read from one
+option table per command (`COMMANDS`) in the grammar and words of the
+argparse parser it replaced:
+
+* an option is `--name VALUE` or `--name=VALUE`; a unique prefix of its
+  name stands for it (`--scen`), and a later option overrides an earlier;
+* a separate value may not look like an option: a negative number
+  (`--seed -1`, left to the range check) or a token holding a space is a
+  value; attached with '=', any text is;
+* integer options take ASCII digits, after a '-' only for a negative
+  number ("-0" is refused);
+* an ambiguous prefix is refused before any token is taken; then tokens
+  are taken left to right, so -h/--help prints help (the command's, or
+  the top level's before the command) and exits 0 unless an earlier token
+  was refused; a missing --scenario is refused after the last token, and
+  tokens no option took (those after `--` included) last.
 
 Reports go to standard output (or --out PATH, written whole or not at
 all), a text file in 2**20-character slices; diagnostics to standard
@@ -35,13 +51,14 @@ joined by ':' within a pair and ',' between pairs, e.g.
 --pairs phi+:psi+,phi-:phi-.
 """
 
-import argparse
 import gc
 import io
 import json
 import os
 import random
+import re
 import sys
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -77,13 +94,6 @@ DEFAULT_PAIRS = "phi+:psi+"
 
 class ConfigError(Exception):
     """Invalid command line or scenario configuration; maps to exit code 2."""
-
-
-class _Parser(argparse.ArgumentParser):
-    """Raises a bad command line as a `ConfigError`, so it prints one `error:` line."""
-
-    def error(self, message):
-        raise ConfigError(message)
 
 
 class ScenarioConfig(Record):
@@ -183,55 +193,15 @@ def default_seed() -> int:
 
 
 def _integer(text: str) -> int:
-    """ASCII digits, as `default_seed` takes them, after an optional '-' (for the range message).
+    """ASCII digits, as `default_seed` takes them, after a '-' that makes them negative.
 
-    Named `int`, so argparse refuses " 1_0 ", "+3" or "1e3" as "invalid int value: '...'".
+    The '-' form reaches the range message; "-0", " 1_0 ", "+3" and "1e3" raise ValueError.
     """
-    digits = text[1:] if text.startswith("-") else text
-    if not (digits.isascii() and digits.isdigit()):
+    negative = text.startswith("-")
+    digits = text[1:] if negative else text
+    if not (digits.isascii() and digits.isdigit()) or negative and not digits.strip("0"):
         raise ValueError(text)
     return int(text)
-
-
-_integer.__name__ = "int"
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="otplab",
-        description="Simulate flawed quantum-communication pads and measure their leakage.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--scenario", choices=tuple(SCENARIOS), required=True)
-        p.add_argument(
-            "--message-bits", type=_integer, default=None,
-            help=f"xor-chain (even) and otp-baseline only: message length "
-                 f"(default {DEFAULT_MESSAGE_BITS})",
-        )
-        p.add_argument(
-            "--pairs", default=None,
-            help=f"es-qkd only: initial Bell pairs, e.g. phi+:psi+,phi-:phi- "
-                 f"(default {DEFAULT_PAIRS})",
-        )
-        p.add_argument("--seed", type=_integer, default=None, help="defaults to $OTPLAB_SEED or 0")
-        p.add_argument("--trials", type=_integer, default=1)
-        p.add_argument("--format", choices=("json", "text"), default="text", dest="fmt")
-        p.add_argument("--out", default=None, help="write the report here instead of stdout")
-
-    sim = sub.add_parser("simulate", help="run a scenario and report exact leakage")
-    add_common(sim)
-    atk = sub.add_parser("attack", help="run a scenario and mount Eve's attack")
-    add_common(atk)
-    atk.add_argument(
-        "--plaintext", default=None,
-        help="es-qkd only: plaintext to encrypt with the run's key (4 bits per pair)",
-    )
-    aud = sub.add_parser("audit", help="print the claimed-vs-effective table")
-    aud.add_argument("--format", choices=("json", "text"), default="text", dest="fmt")
-    aud.add_argument("--out", default=None)
-    return parser
 
 
 def config_from_args(args) -> ScenarioConfig:
@@ -369,6 +339,162 @@ SCENARIOS = {
     "es-qkd": Scenario(start=_es_qkd, message_lengths=None),
     "otp-baseline": Scenario(start=_otp_baseline, message_lengths=range(1, 13)),
 }
+
+
+class _Option(NamedTuple):
+    """One row of a command's option table: `name VALUE`, stored as `dest`.
+
+    `values` is `int` (`_integer`'s digits), a tuple of choices or `str` (any text).
+    """
+
+    name: str
+    dest: str
+    values: type | tuple
+    default: object
+    help: str
+    required: bool = False
+
+
+_OUTPUT_OPTIONS = (
+    _Option("--format", "fmt", ("json", "text"), "text", "report format (default text)"),
+    _Option("--out", "out", str, None, "write the report here instead of stdout"),
+)
+_SCENARIO_OPTIONS = (
+    _Option("--scenario", "scenario", tuple(SCENARIOS), None, "the scheme to run", required=True),
+    _Option("--message-bits", "message_bits", int, None,
+            f"xor-chain (even) and otp-baseline only: message length "
+            f"(default {DEFAULT_MESSAGE_BITS})"),
+    _Option("--pairs", "pairs", str, None,
+            f"es-qkd only: initial Bell pairs, e.g. phi+:psi+,phi-:phi- (default {DEFAULT_PAIRS})"),
+    _Option("--seed", "seed", int, None, "defaults to $OTPLAB_SEED or 0"),
+    _Option("--trials", "trials", int, 1, f"seeded trials, 1 to {MAX_TRIALS} (default 1)"),
+) + _OUTPUT_OPTIONS
+# Each command's help line and option table, in the order help lists them.
+COMMANDS = {
+    "simulate": ("run a scenario and report exact leakage", _SCENARIO_OPTIONS),
+    "attack": ("run a scenario and mount Eve's attack", _SCENARIO_OPTIONS + (
+        _Option("--plaintext", "plaintext", str, None,
+                "es-qkd only: plaintext to encrypt with the run's key (4 bits per pair)"),)),
+    "audit": ("print the claimed-vs-effective table", _OUTPUT_OPTIONS),
+}
+_HELP = ("-h", "--help")
+# A token that is no option but looks like this is a value, so `--seed -1` reaches the range check.
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _read_option(token: str, names: tuple):
+    """`token` read against option `names`: None for a value, else (name, attached value or None).
+
+    `name` is None for an option no name matches.  A unique prefix of a long
+    name stands for it; what follows "-h" is attached to it.
+    """
+    if not token.startswith("-") or len(token) == 1:
+        return None
+    head, equals, attached = token.partition("=")
+    if token in names:
+        found = [(token, None)]
+    elif equals and head in names:
+        found = [(head, attached)]
+    elif token[1] == "-":
+        found = [(name, attached if equals else None) for name in names if name.startswith(head)]
+    else:
+        found = [("-h", token[2:])] if token.startswith("-h") else []
+    if len(found) > 1:
+        raise ConfigError(f"ambiguous option: {token} could match "
+                          + ", ".join(name for name, _ in found))
+    if found:
+        return found[0]
+    return None if _NEGATIVE_NUMBER.match(token) or " " in token else (None, None)
+
+
+def _is_help(name: str | None, attached) -> bool:
+    """Whether option `name` is -h/--help, which takes no value: "-hx" and "--help=" are refused."""
+    if name == "-h" and attached:
+        attached = attached.lstrip("h") or None  # "-hh" is -h twice
+    if name in _HELP and attached is not None:
+        raise ConfigError(f"argument -h/--help: ignored explicit argument {attached!r}")
+    return name in _HELP
+
+
+def _help(command: str | None) -> str:
+    """The help text of `command`, or of the top level for None, built from the option tables."""
+    if command is None:
+        usage = f"[-h] {{{','.join(COMMANDS)}}} ..."
+        about = "Simulate flawed quantum-communication pads and measure their leakage."
+        rows = [(name, line) for name, (line, _) in COMMANDS.items()]
+    else:
+        usage, (about, options) = f"{command} [-h] [OPTION ...]", COMMANDS[command]
+        rows = [(f"{option.name} " + (f"{{{','.join(option.values)}}}"
+                                      if isinstance(option.values, tuple) else option.dest.upper()),
+                 option.help + " (required)" * option.required) for option in options]
+    return f"usage: otplab {usage}\n\n{about}\n\n" + "".join(
+        f"  {name}\n      {text}\n" for name, text in [("-h, --help", "print this help and exit"), *rows])
+
+
+def _parse_command(command: str, tokens: list, extras: list) -> SimpleNamespace | str:
+    """`command`'s options in `tokens`, as `parse_command_line` returns them.
+
+    `extras` are the tokens before the command that no option took.
+    """
+    options = {option.name: option for option in COMMANDS[command][1]}
+    end = tokens.index("--") if "--" in tokens else len(tokens)
+    # Every token is read before any is taken, so an ambiguous prefix is refused first.
+    read = [_read_option(token, _HELP + tuple(options)) for token in tokens[:end]]
+    values = {"command": command, **{option.dest: option.default for option in options.values()}}
+    i = 0
+    while i < end:
+        name, attached = read[i] or (None, None)
+        i += 1
+        if _is_help(name, attached):
+            return _help(command)
+        if name is None:
+            extras.append(tokens[i - 1])
+            continue
+        option = options[name]
+        if attached is None:
+            if i == end or read[i] is not None:
+                raise ConfigError(f"argument {name}: expected one argument")
+            attached, i = tokens[i], i + 1
+        if option.values is int:
+            try:
+                values[option.dest] = _integer(attached)
+            except ValueError:
+                raise ConfigError(f"argument {name}: invalid int value: {attached!r}") from None
+        elif option.values is str or attached in option.values:
+            values[option.dest] = attached
+        else:
+            raise ConfigError(f"argument {name}: invalid choice: {attached!r} "
+                              f"(choose from {', '.join(map(repr, option.values))})")
+    missing = [name for name, option in options.items()
+               if option.required and values[option.dest] is None]
+    if missing:
+        raise ConfigError(f"the following arguments are required: {', '.join(missing)}")
+    if extras + tokens[end:]:
+        raise ConfigError(f"unrecognized arguments: {' '.join(extras + tokens[end:])}")
+    return SimpleNamespace(**values)
+
+
+def parse_command_line(argv: list) -> SimpleNamespace | str:
+    """`argv` (without the program name) as the namespace `main` runs, or the help text asked for.
+
+    Options before the command are the top level's: -h/--help only.  The
+    first value names the command, and every token after it is the
+    command's.  A refusal raises `ConfigError` in argparse's words.
+    """
+    extras = []
+    for i, token in enumerate(argv):
+        if token == "--" and i + 1 == len(argv):
+            break
+        read = None if token == "--" else _read_option(token, _HELP)
+        if read is None:
+            if token not in COMMANDS:
+                raise ConfigError(f"argument command: invalid choice: {token!r} "
+                                  f"(choose from {', '.join(map(repr, COMMANDS))})")
+            return _parse_command(token, list(argv[i + 1:]), extras)
+        if _is_help(*read):
+            return _help(None)
+        extras.append(token)
+    raise ConfigError("the following arguments are required: command")
 
 
 def build_report(config: ScenarioConfig, with_attack: bool) -> dict:
@@ -636,10 +762,10 @@ def main(argv=None) -> int:
     # frozen, it is left out of the collector's passes, which then scan only the run's objects.
     gc.freeze()
     try:
-        try:
-            args = build_parser().parse_args(argv)
-        except SystemExit as exc:  # --help; a bad command line raises ConfigError
-            return exc.code
+        args = parse_command_line(sys.argv[1:] if argv is None else argv)
+        if isinstance(args, str):
+            _emit(args, None)
+            return 0
         if args.command != "audit":
             report = build_report(config_from_args(args), with_attack=args.command == "attack")
             text = render_json(report) if args.fmt == "json" else render_report_text(report)

@@ -1,4 +1,6 @@
+import argparse
 import collections
+import contextlib
 import errno
 import functools
 import io
@@ -21,10 +23,10 @@ from otplab import cli, cryptanalysis, protocols
 from otplab.cli import (
     ScenarioConfig,
     build_audit_rows,
-    build_parser,
     build_report,
     config_from_args,
     main,
+    parse_command_line,
     parse_pairs,
     render_json,
 )
@@ -304,7 +306,7 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("scenario,bits", [("xor-chain", 16), ("otp-baseline", 12)])
     def test_largest_message_lengths_accepted(self, scenario, bits):
-        args = build_parser().parse_args(
+        args = parse_command_line(
             ["simulate", "--scenario", scenario, "--message-bits", str(bits), "--seed", "0"]
         )
         assert config_from_args(args).message_bits == bits
@@ -332,13 +334,14 @@ class TestConfigErrors:
                                            (str(2**64 - 1), 2**64 - 1)])
     def test_env_seed_of_ascii_digits_is_taken(self, monkeypatch, raw, seed):
         monkeypatch.setenv("OTPLAB_SEED", raw)
-        args = build_parser().parse_args(["simulate", "--scenario", "xor-chain"])
+        args = parse_command_line(["simulate", "--scenario", "xor-chain"])
         assert config_from_args(args).seed == seed
 
     @pytest.mark.parametrize("option", ["--seed", "--trials", "--message-bits"])
-    @pytest.mark.parametrize("raw", [" 1_0 ", "+3", "٣", "1e3"])
+    @pytest.mark.parametrize("raw", [" 1_0 ", "+3", "٣", "1e3", "-0", "-00", "-", ""])
     def test_integer_options_take_ascii_digits_only(self, capsys, option, raw):
-        # `type=int` ran " 1_0 " as 10, "+3" as 3 and an Arabic-Indic three as 3.
+        # `type=int` ran " 1_0 " as 10, "+3" as 3 and an Arabic-Indic three as 3;
+        # "-0" ran as 0, though OTPLAB_SEED=-0 is refused.
         code, out, err = run_cli(capsys, "simulate", "--scenario", "xor-chain", option, raw)
         assert (code, out) == (2, "")
         assert err == f"error: argument {option}: invalid int value: {raw!r}\n"
@@ -348,7 +351,7 @@ class TestConfigErrors:
         ("--trials", "0020", 20), ("--message-bits", "04", 4),
     ])
     def test_integer_options_of_ascii_digits_are_taken(self, option, raw, value):
-        args = build_parser().parse_args(["simulate", "--scenario", "xor-chain", option, raw])
+        args = parse_command_line(["simulate", "--scenario", "xor-chain", option, raw])
         assert getattr(args, option[2:].replace("-", "_")) == value
 
     @pytest.mark.parametrize("option, message", [
@@ -391,13 +394,53 @@ class TestConfigErrors:
         (("simulate", "--scenario", "xor-chain", "--trials", "x"), "invalid int value: 'x'"),
         (("attack", "--message-bits", "2"), "required: --scenario"),
         ((), "required: command"),
-    ], ids=["invalid-choice", "non-integer", "missing-scenario", "missing-command"])
+        (("simulate", "--s", "xor-chain"), "ambiguous option: --s could match --scenario, --seed"),
+        (("simulate", "--scenario"), "argument --scenario: expected one argument"),
+        (("simulate", "--scenario", "xor-chain", "--seed", "--trials", "2"),
+         "argument --seed: expected one argument"),
+        (("simulate", "--scenario", "xor-chain", "--trials", "x", "-h"),
+         "argument --trials: invalid int value: 'x'"),
+        (("simulate", "--bogus"), "required: --scenario"),
+        (("--bogus", "simulate", "--scenario", "xor-chain", "x"), "unrecognized arguments: --bogus x"),
+        (("simulate", "--scenario", "xor-chain", "--", "--seed", "1"),
+         "unrecognized arguments: -- --seed 1"),
+        (("simulate", "--scenario", "xor-chain", "-hx"), "argument -h/--help: ignored explicit argument 'x'"),
+        (("bb84",), "argument command: invalid choice: 'bb84' (choose from 'simulate', 'attack', 'audit')"),
+    ], ids=["invalid-choice", "non-integer", "missing-scenario", "missing-command", "ambiguous",
+            "no-value", "option-for-value", "bad-value-before-help", "required-before-unrecognized",
+            "unrecognized-last", "after-double-dash", "help-with-a-value", "unknown-command"])
     def test_bad_command_line_is_one_error_line(self, capsys, args, message):
         code, out, err = run_cli(capsys, *args)
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert message in err
+
+    @pytest.mark.parametrize("option, value", [("--pairs", "--"), ("--trials", "--")])
+    def test_an_attached_double_dash_is_the_value(self, capsys, option, value):
+        # argparse before 3.13 dropped it and stored [], so `--pairs=--` failed with exit 1.
+        message = {"--pairs": "pair '--' must be two labels joined by ':'",
+                   "--trials": "argument --trials: invalid int value: '--'"}[option]
+        assert run_cli(capsys, "simulate", "--scenario", "es-qkd", f"{option}={value}") == (
+            2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv, values", [
+        (["simulate", "--scen", "xor-chain", "--seed=3"], {"scenario": "xor-chain", "seed": 3}),
+        (["attack", "--sc=es-qkd", "--pl", "0110", "--tr", "2", "--f", "json"],
+         {"scenario": "es-qkd", "plaintext": "0110", "trials": 2, "fmt": "json"}),
+        (["simulate", "--seed", "1", "--scenario", "otp-baseline", "--seed", "-5"],
+         {"scenario": "otp-baseline", "seed": -5}),
+        (["simulate", "--scenario", "es-qkd", "--pairs", "-x y", "--out=-"],
+         {"scenario": "es-qkd", "pairs": "-x y", "out": "-"}),
+        (["audit", "--out", "report.txt"], {"out": "report.txt"}),
+    ], ids=["prefix-and-equals", "prefixes", "last-wins", "dash-values", "audit"])
+    def test_accepted_command_lines(self, argv, values):
+        defaults = {"command": argv[0], "fmt": "text", "out": None}
+        if argv[0] != "audit":
+            defaults.update(message_bits=None, pairs=None, seed=None, trials=1)
+        if argv[0] == "attack":
+            defaults["plaintext"] = None
+        assert vars(parse_command_line(argv)) == {**defaults, **values}
 
     @pytest.mark.parametrize("pairs", ["", ","], ids=["empty", "comma"])
     def test_empty_pairs_are_one_error_line(self, capsys, pairs):
@@ -411,6 +454,153 @@ class TestConfigErrors:
         tight = parse_pairs("phi+:psi+,phi-:phi-")
         assert parse_pairs(" phi+ : psi+ , phi-:phi- ") == tight
         assert parse_pairs("phi+ :psi+,  phi- :  phi-") == tight
+
+
+def _argparse_int(text: str) -> int:
+    return cli._integer(text)
+
+
+_argparse_int.__name__ = "int"  # so argparse refuses a value as "invalid int value: '...'"
+
+
+class _ArgparseParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise cli.ConfigError(message)
+
+
+def argparse_parser() -> argparse.ArgumentParser:
+    """The command line as argparse read it: the table parser's oracle."""
+    parser = _ArgparseParser(prog="otplab")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_common(p):
+        p.add_argument("--scenario", choices=tuple(cli.SCENARIOS), required=True)
+        p.add_argument("--message-bits", type=_argparse_int, default=None)
+        p.add_argument("--pairs", default=None)
+        p.add_argument("--seed", type=_argparse_int, default=None)
+        p.add_argument("--trials", type=_argparse_int, default=1)
+        p.add_argument("--format", choices=("json", "text"), default="text", dest="fmt")
+        p.add_argument("--out", default=None)
+
+    add_common(sub.add_parser("simulate"))
+    atk = sub.add_parser("attack")
+    add_common(atk)
+    atk.add_argument("--plaintext", default=None)
+    aud = sub.add_parser("audit")
+    aud.add_argument("--format", choices=("json", "text"), default="text", dest="fmt")
+    aud.add_argument("--out", default=None)
+    return parser
+
+
+def argparse_reading(argv: list) -> tuple:
+    """("ok", namespace dict), ("help", the usage line's first three words) or ("error", message)."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return "ok", vars(argparse_parser().parse_args(argv))
+    except SystemExit as exc:
+        assert exc.code == 0
+        return "help", out.getvalue().split()[:3]
+    except cli.ConfigError as exc:
+        return "error", str(exc)
+
+
+def table_reading(argv: list) -> tuple:
+    """`argparse_reading`'s result for `parse_command_line`."""
+    try:
+        parsed = parse_command_line(argv)
+    except cli.ConfigError as exc:
+        return "error", str(exc)
+    if isinstance(parsed, str):
+        return "help", parsed.split()[:3]
+    return "ok", vars(parsed)
+
+
+# The wording argparse 3.10.13 to 3.12.1 give, which the table parser keeps.
+# argparse 3.13 words choices without quotes, reads "-hx" as help and
+# refuses an ambiguous prefix only when it reaches it.
+PINNED_REFUSALS = {
+    ("simulate", "--scenario", "x"):
+        "argument --scenario: invalid choice: 'x' (choose from 'xor-chain', 'es-qkd', 'otp-baseline')",
+    ("simulate", "-hx"): "argument -h/--help: ignored explicit argument 'x'",
+    ("simulate", "--trials", "x", "--s"): "ambiguous option: --s could match --scenario, --seed",
+}
+ARGPARSE_KEEPS_THE_WORDING = all(argparse_reading(list(argv)) == ("error", message)
+                                 for argv, message in PINNED_REFUSALS.items())
+
+COMMAND_WORDS = st.sampled_from(list(cli.COMMANDS))
+OPTION_NAMES = sorted({"--help", *(option.name for _, options in cli.COMMANDS.values()
+                                   for option in options)})
+VALUES = (
+    st.sampled_from([*cli.SCENARIOS, "json", "text", "phi+:psi+", "0110", *cli.COMMANDS])
+    | st.integers(-3, 2**64 + 3).map(str)
+    | st.sampled_from(["007", "-0", "-00", "-01", "", " 1", "1_0", "+3", "1e3", "٣",
+                       "-1.5", "-.5", "-1_0"])
+    # Not '\n': argparse lists unrecognized tokens verbatim, so a newline in one breaks the
+    # one-line refusal (see CHANGES.md).
+    | st.text(st.characters(exclude_characters="\n"), max_size=5)
+)
+
+
+@st.composite
+def option_tokens(draw):
+    name = draw(st.sampled_from(OPTION_NAMES))
+    name = name[:draw(st.integers(3, len(name)))]
+    if draw(st.booleans()):
+        # argparse before 3.13 stores [] for an attached '--' (test_an_attached_double_dash_is_the_value).
+        name += "=" + draw(VALUES.filter(lambda value: value != "--"))
+    return name
+
+
+TOKENS = (
+    COMMAND_WORDS
+    | option_tokens()
+    | VALUES
+    | st.sampled_from(["-h", "--help", "--", "-", "-x", "-s", "-hh", "-hx", "-hhx", "-h=", "-h=x", "-h=hx", "---",
+                       "--=x", "--bogus", "-a b"])
+)
+COMMAND_LINES = st.tuples(st.lists(COMMAND_WORDS, max_size=1), st.lists(TOKENS, max_size=7)).map(
+    lambda parts: parts[0] + parts[1])
+
+
+class TestCommandLine:
+    """`parse_command_line` reads every command line as the argparse parser it replaced did."""
+
+    @pytest.mark.parametrize("argv, message", list(PINNED_REFUSALS.items()))
+    def test_pinned_refusals(self, argv, message):
+        assert table_reading(list(argv)) == ("error", message)
+
+    @pytest.mark.skipif(not ARGPARSE_KEEPS_THE_WORDING,
+                        reason="this argparse words refusals unlike 3.10.13 to 3.12.1")
+    @settings(max_examples=400, deadline=None)
+    @given(COMMAND_LINES)
+    @example(["simulate", "-h", "--trials", "x"])
+    @example(["simulate", "--trials", "x", "-h"])
+    @example(["--", "simulate"])
+    @example(["simulate", "--f", "-hx"])
+    @example(["audit", "-h=hx"])
+    @example(["simulate", "--scenario", "xor-chain", "--seed", "-1"])
+    def test_the_table_parser_reads_as_argparse(self, argv):
+        expected = argparse_reading(argv)
+        assert table_reading(argv) == expected
+        if expected[0] == "error":
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert (code, out.getvalue(), err.getvalue()) == (2, "", f"error: {expected[1]}\n")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h", "simulate"], ["--he"], *(
+        [command, help_option] for command in cli.COMMANDS for help_option in ("-h", "--help"))])
+    def test_help_goes_to_stdout_with_exit_0(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        command = argv[0] if argv[0] in cli.COMMANDS else None
+        assert out.startswith(f"usage: otplab {command or '[-h]'} ")
+        if command is None:
+            assert all(f"\n  {name}\n" in out for name in cli.COMMANDS)
+        else:
+            # Help is built from the table, so it names every option in it.
+            assert all(f"\n  {option.name} " in out for option in cli.COMMANDS[command][1])
 
 
 class TestOutput:
@@ -610,7 +800,7 @@ def workload_shaped_reports():
         ["--scenario", "otp-baseline", "--message-bits", "6"],
     ]
     for argv in command_lines:
-        args = build_parser().parse_args(
+        args = parse_command_line(
             ["attack", *argv, "--seed", "1", "--trials", "3", "--format", "json"]
         )
         yield build_report(config_from_args(args), with_attack=True)

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import pytest
 
-from otplab.cli import SCENARIOS, build_parser, config_from_args, main
+from otplab.cli import SCENARIOS, config_from_args, main, parse_command_line
 from otplab.cryptanalysis import leakage_report
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -175,7 +175,7 @@ def test_workload_text_report_bytes_match_recorded_hash(name, seed):
 @pytest.mark.parametrize("name,seed", list(WORKLOAD_GOLDEN))
 def test_every_workload_run_gives_the_same_leakage(name, seed):
     # A report builds its leakage from one run, so every run must give it.
-    args = build_parser().parse_args(workloads.command_line(name, seed))
+    args = parse_command_line(workloads.command_line(name, seed))
     config = config_from_args(args)
     trial, analysis = SCENARIOS[config.scenario].start(config, args.command == "attack")
     base = random.Random(config.seed)

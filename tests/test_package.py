@@ -68,7 +68,7 @@ def test_start_up_generates_no_code():
     # The records are plain classes: importing the CLI after what numpy and the
     # standard library already load adds neither `dataclasses` nor `traceback`.
     out = fresh_python(
-        "import sys, numpy, argparse, json\n"
+        "import sys, numpy, json\n"
         "before = set(sys.modules)\n"
         "import otplab.cli\n"
         "added = set(sys.modules) - before\n"
@@ -79,3 +79,20 @@ def test_start_up_generates_no_code():
         "       if isinstance(v, type) and hasattr(v, '__dataclass_fields__')])\n"
     )
     assert out == f"[]\n{[f'otplab.{name}' for name in MODULES]}\n[]\n"
+
+
+def test_the_command_line_loads_no_argparse():
+    # The option tables replaced argparse, whose gettext import loads `locale`.
+    out = fresh_python(
+        "import contextlib, io, sys\n"
+        "import otplab.cli as cli\n"
+        "unwanted = ('argparse', 'gettext', 'locale')\n"
+        "print([name for name in unwanted if name in sys.modules])\n"
+        "for argv in (['simulate', '--scenario', 'xor-chain'],\n"
+        "             ['attack', '--scenario', 'es-qkd', '--plaintext', '0110'], ['audit'],\n"
+        "             ['--help'], ['simulate', '--scenario', 'xor-chain', '--bogus']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        code = cli.main(argv)\n"
+        "    print(code, [name for name in unwanted if name in sys.modules])\n"
+    )
+    assert out == "[]\n0 []\n0 []\n0 []\n0 []\n2 []\n"

@@ -43,6 +43,7 @@ def one_of_each() -> dict:
         efficiency_audit(report),
         ScenarioConfig("xor-chain", seed=3, trials=1, fmt="json"),
         SCENARIOS["xor-chain"],
+        cli.COMMANDS["simulate"][1][0],
     ]
     return {type(record).__name__: record for record in records}
 
@@ -59,7 +60,7 @@ def test_every_record_is_covered():
         if inspect.isclass(value) and value.__module__ == module.__name__
         and (issubclass(value, Record) or issubclass(value, tuple) and hasattr(value, "_fields"))
     }
-    assert defined == set(one_of_each()) and len(defined) == 13
+    assert defined == set(one_of_each()) and len(defined) == 14
 
 
 @pytest.mark.parametrize("name", sorted(one_of_each()))
