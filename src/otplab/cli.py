@@ -41,7 +41,8 @@ error.  A JSON report is byte-identical to `json.dumps(report, indent=2,
 sort_keys=True)`: `json.dumps` writes its header, and each trial body is
 written directly from the one shape every report's trials have.  Exit
 codes: 0 success, 1 internal failure, 2 configuration error (a bad
-command line or an unwritable --out or stdout included: one `error:` line).
+command line or an unwritable --out or stdout, closed included: one
+`error:` line, its non-printable characters escaped).
 Identical command lines, including the seed, produce byte-identical JSON.
 The default seed can be overridden with the OTPLAB_SEED environment
 variable.
@@ -51,6 +52,7 @@ joined by ':' within a pair and ',' between pairs, e.g.
 --pairs phi+:psi+,phi-:phi-.
 """
 
+import errno
 import gc
 import io
 import json
@@ -224,7 +226,7 @@ def _distributions_match(a: Distribution, b: Distribution) -> bool:
 
 
 def _xor_chain(config: ScenarioConfig, with_attack: bool):
-    attack, eve_bits = analysis = attack_xor_chain(Distribution.uniform_bits(config.message_bits))
+    analysis = attack_xor_chain(Distribution.uniform_bits(config.message_bits))
     # (Eve's view, the report's trial dict) per distinct message, and the
     # report's posterior support list per distinct view.
     seen_messages, supports = {}, {}
@@ -237,7 +239,7 @@ def _xor_chain(config: ScenarioConfig, with_attack: bool):
         view = eve_view(run.transcript) if seen is None else seen[0]
         # Computed in every trial, attack or not: perfbench's expected call
         # counts pin one posterior per xor-chain trial.
-        post = attack(view)
+        post = analysis.attack(view)
         if seen is None:
             block = None
             if with_attack:
@@ -245,7 +247,7 @@ def _xor_chain(config: ScenarioConfig, with_attack: bool):
                 support = supports.get(view)
                 if support is None:
                     support = supports[view] = list(post.support)
-                block = {"view": view, "posterior_support": support, "eve_bits": eve_bits}
+                block = {"view": view, "posterior_support": support, "eve_bits": analysis.eve_bits}
             body = _trial(run.transcript.to_records(), run.message, block)
             seen = seen_messages[run.message] = (view, body)
         return run, seen[1]
@@ -254,9 +256,10 @@ def _xor_chain(config: ScenarioConfig, with_attack: bool):
 
 
 def _es_qkd(config: ScenarioConfig, with_attack: bool):
-    key_sets, key_entropy = analysis = attack_es_qkd_keyset(config.pairs)
-    # The key sets as report lists, and the true parities: shared by every trial.
-    key_sets = [list(blocks) for blocks in key_sets]
+    analysis = attack_es_qkd_keyset(config.pairs)
+    # The key sets as report lists, the key's entropy and the true parities: shared by every trial.
+    key_sets = [list(blocks) for blocks in analysis.attack]
+    key_entropy = CARRIERS["es-qkd"].claimed_bits * analysis.carriers - analysis.eve_bits
     true = None
     if config.plaintext is not None:
         p = [int(ch) for ch in config.plaintext]
@@ -288,7 +291,7 @@ def _es_qkd(config: ScenarioConfig, with_attack: bool):
 
 def _otp_baseline(config: ScenarioConfig, with_attack: bool):
     prior = Distribution.uniform_bits(config.message_bits)
-    attack, eve_bits = analysis = attack_otp_baseline(prior)
+    analysis = attack_otp_baseline(prior)
 
     def trial(rng):
         plaintext = random_bits(config.message_bits, rng)
@@ -298,8 +301,8 @@ def _otp_baseline(config: ScenarioConfig, with_attack: bool):
             ciphertext = eve_view(transcript)
             block = {
                 "ciphertext": ciphertext,
-                "eve_bits": eve_bits,
-                "posterior_equals_prior": _distributions_match(attack(ciphertext), prior),
+                "eve_bits": analysis.eve_bits,
+                "posterior_equals_prior": _distributions_match(analysis.attack(ciphertext), prior),
             }
         return transcript, _trial(transcript.to_records(), plaintext, block)
 
@@ -316,7 +319,7 @@ class Scenario(NamedTuple):
 
     `start(config, with_attack)` sets up the scheme's `cryptanalysis` attack
     once per report and returns (trial, analysis): `analysis` is the attack
-    function's result, and `trial(rng)` runs one seeded trial over it and
+    function's `Analysis`, and `trial(rng)` runs one seeded trial over it and
     the report's memos, returning (run, trial dict).  One dict object may
     serve several trials; the report lists it per trial.
     `message_lengths` is the range of message lengths the scheme accepts, or
@@ -732,6 +735,8 @@ def _write(stream, text: str) -> None:
 
 def _emit(text: str, out: str | None) -> None:
     if out is None:
+        if sys.stdout is None:  # the interpreter started with its descriptor closed
+            raise ConfigError(f"cannot write standard output: {os.strerror(errno.EBADF)}")
         try:
             _write(sys.stdout, text)
             sys.stdout.flush()
@@ -757,6 +762,14 @@ def _emit(text: str, out: str | None) -> None:
         raise ConfigError(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
+def _one_line(text: str) -> str:
+    """`text` with each non-printable character escaped as `repr` does: a line break is `\\n`.
+
+    A message quotes user text (a token, an --out path), which may hold any character.
+    """
+    return "".join(ch if ch.isprintable() else repr(ch)[1:-1] for ch in text)
+
+
 def main(argv=None) -> int:
     # What exists before the run (numpy, the modules, the caller's objects) outlives it:
     # frozen, it is left out of the collector's passes, which then scan only the run's objects.
@@ -777,7 +790,7 @@ def main(argv=None) -> int:
         _emit(text, args.out)
         return 0
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_one_line(str(exc))}", file=sys.stderr)
         return 2
     except Exception:
         import traceback  # only here: a run that succeeds never loads it

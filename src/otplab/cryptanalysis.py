@@ -21,13 +21,16 @@ their joint.  The accounting per scheme:
 
 Each scheme's analysis is set up once (`attack_xor_chain` and
 `attack_otp_baseline` per message prior, `attack_es_qkd_keyset` per list of
-pairs) and returns the pair `leakage_report` takes; the CLI runs the same.
+pairs) and returns an `Analysis`: the scheme and carrier count it is for,
+Eve's attack and her bits.  `leakage_report` prices a run by comparing its
+scheme and carrier count with those two fields; the CLI runs the same.
 
 `CARRIERS` states, once per scenario, what a carrier is, the bits the
 scheme claims per carrier and the qubits each carrier costs.  Every
 verdict is sanity-checked against the n-qubits-carry-at-most-n-bits
 ceiling (one secure bit per qubit at best).  The carrier, resource and
-verdict records are named tuples; a `LeakageReport` is a `records.Record`.
+verdict records are named tuples; an `Analysis` and a `LeakageReport` are
+`records.Record`s.
 """
 
 import functools
@@ -37,8 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bits import check_bits, xor_bits
-from .infotheory import (Distribution, JointDistribution, TiledJoint, enumerate_joint,
-                         mutual_information, posterior)
+from .infotheory import Distribution, enumerate_joint, mutual_information, posterior
 from .otp import ciphertext_joint
 from .protocols import Channel, EsQkdRun, Transcript, XorChainRun, eve_view
 from .quantum import swap_distribution_oracle
@@ -86,6 +88,17 @@ class LeakageReport(Record):
                          receiver_bits - eve_bits, resources)
 
 
+class Analysis(Record):
+    """Eve's analysis of one scheme's runs of `carriers` carriers, set up once.
+
+    `attack` is the posterior over secrets given Eve's view (xor-chain,
+    otp-baseline) or each swap's allowed key blocks (es-qkd); `eve_bits` is
+    what she learns of such a run.
+    """
+
+    __slots__ = ("scenario", "carriers", "attack", "eve_bits")
+
+
 class EfficiencyVerdict(NamedTuple):
     """Per-resource throughput and the qubit-ceiling check."""
 
@@ -123,31 +136,29 @@ def _xor_chain_view_codes(codes: np.ndarray, width: int):
 xor_chain_view.codes = _xor_chain_view_codes
 
 
-def attack_xor_chain(message_prior: Distribution):
-    """Eve's exact attack on xor-chain runs: (attack, eve_bits), set up once per prior.
+def attack_xor_chain(message_prior: Distribution) -> Analysis:
+    """Eve's exact attack on xor-chain runs, set up once per prior.
 
     `attack(view)` is the posterior over messages given an `eve_view`; a
     view of the wrong width raises `ValueError`.  eve_bits is the mutual
     information between the message and the public broadcasts.
     """
     joint = enumerate_joint(message_prior, xor_chain_view)
-    return functools.partial(posterior, joint), mutual_information(joint)
+    return Analysis("xor-chain", joint.observation_bits, functools.partial(posterior, joint),
+                    mutual_information(joint))
 
 
-def attack_es_qkd_keyset(initial_pairs):
+def attack_es_qkd_keyset(initial_pairs) -> Analysis:
     """Eve's key-set analysis from the public initial states alone.
 
-    Returns (key_sets, key_entropy_given_eve): per swap, the 4 key blocks
-    the oracle support allows, and the total entropy of the key given that
+    `attack` lists, per swap, the 4 key blocks the oracle support allows.
+    eve_bits is the bits claimed less the entropy of the key given that
     knowledge (2 bits per swap; the blocks are independent across swaps).
     """
-    key_sets = []
-    total_entropy = 0.0
-    for pair in initial_pairs:
-        blocks = swap_distribution_oracle(*pair).support
-        key_sets.append(blocks)
-        total_entropy += math.log2(len(blocks))  # the blocks are equally likely
-    return key_sets, total_entropy
+    key_sets = [swap_distribution_oracle(*pair).support for pair in initial_pairs]
+    key_entropy = sum(math.log2(len(blocks)) for blocks in key_sets)  # equally likely blocks
+    claimed = CARRIERS["es-qkd"].claimed_bits * len(key_sets)
+    return Analysis("es-qkd", len(key_sets), key_sets, claimed - key_entropy)
 
 
 def attack_es_qkd_parity(ciphertext_block: str, initial_pair):
@@ -169,8 +180,8 @@ def attack_es_qkd_parity(ciphertext_block: str, initial_pair):
     return (folded >> 1 & 1, folded & 1)
 
 
-def attack_otp_baseline(message_prior: Distribution):
-    """Eve's exact attack on the baseline: (attack, eve_bits), set up once per prior.
+def attack_otp_baseline(message_prior: Distribution) -> Analysis:
+    """Eve's exact attack on the baseline, set up once per prior.
 
     `attack(ciphertext)` is the posterior over plaintexts.  With a fresh
     uniform pad it equals the prior and eve_bits is exactly zero; both are
@@ -178,56 +189,42 @@ def attack_otp_baseline(message_prior: Distribution):
     plaintext slice is shared by every ciphertext, rather than assumed.
     """
     joint = ciphertext_joint(message_prior)
-    return functools.partial(posterior, joint), mutual_information(joint)
+    return Analysis("otp-baseline", joint.observation_bits, functools.partial(posterior, joint),
+                    mutual_information(joint))
 
 
-def leakage_report(run, attack_result) -> LeakageReport:
-    """Assemble the leakage accounting for a run and its attack output.
+def leakage_report(run, analysis: Analysis) -> LeakageReport:
+    """Assemble the leakage accounting for a run and its scheme's `Analysis`.
 
-    Accepts an `XorChainRun` or an otp-baseline `Transcript` with its
-    attack's (attack, eve_bits), or an `EsQkdRun` with (key_sets,
-    key_entropy_given_eve).  The run gives the scenario and its carrier
-    count (for the baseline, the length of its one broadcast, `eve_view`);
-    `CARRIERS` gives the rest.  An analysis set up for another scheme or
-    size raises `ValueError`: an xor-chain or baseline attack must be a
-    `functools.partial` whose first argument is a joint as wide as the run's
-    message and Eve's view, and there must be one key set per swap, holding
-    its block.
+    Accepts an `XorChainRun`, an `EsQkdRun` or an otp-baseline `Transcript`.
+    The run gives the scenario and its carrier count (for the baseline, the
+    length of its one broadcast, `eve_view`), the analysis Eve's bits and
+    `CARRIERS` the rest.  An analysis for another scenario or carrier count
+    raises `ValueError`, and so do es-qkd key sets that miss a run's block.
     """
-    first, figure = attack_result
     if isinstance(run, XorChainRun):
         scenario, carriers = "xor-chain", run.ghz_states_consumed
-        widths = (len(run.message), carriers)
     elif isinstance(run, EsQkdRun):
         scenario, carriers = "es-qkd", len(run.initial_pairs)
-        swaps = zip(run.alice_results, run.bob_results, first)
-        if len(first) != carriers or not all(a.bits + b.bits in keys for a, b, keys in swaps):
-            raise ValueError(f"the key sets do not hold this run's {carriers} key blocks")
     elif isinstance(run, Transcript):
         if run.channels.count(Channel.PUBLIC_BROADCAST) != 1:
             raise ValueError("an otp-baseline transcript carries exactly one broadcast")
         scenario, carriers = "otp-baseline", len(eve_view(run))
-        widths = (carriers, carriers)
     else:
         raise TypeError(f"no leakage accounting for run type {type(run)}")
-    if scenario != "es-qkd":
-        joint = first.args[0] if isinstance(first, functools.partial) and first.args else None
-        if not isinstance(joint, (JointDistribution, TiledJoint)):
-            raise ValueError(f"the analysis is for no joint, not this {scenario} run's "
-                             f"{widths[0]}-bit secrets and {widths[1]}-bit views")
-        if (joint.secret_bits, joint.observation_bits) != widths:
-            raise ValueError(f"the analysis is for {joint.secret_bits}-bit secrets and "
-                             f"{joint.observation_bits}-bit views, not this {scenario} run's "
-                             f"{widths[0]} and {widths[1]}")
+    if (analysis.scenario, analysis.carriers) != (scenario, carriers):
+        raise ValueError(f"the analysis is for {analysis.scenario} runs of {analysis.carriers} "
+                         f"carriers, not this {scenario} run of {carriers}")
+    if scenario == "es-qkd" and not all(a.bits + b.bits in keys for a, b, keys in zip(
+            run.alice_results, run.bob_results, analysis.attack, strict=True)):
+        raise ValueError(f"the key sets do not hold this run's {carriers} key blocks")
     accounting = CARRIERS[scenario]
     claimed = accounting.claimed_bits * carriers
-    # es-qkd's figure is the key entropy Eve leaves; the others' is Eve's information.
-    eve_bits = claimed - figure if scenario == "es-qkd" else figure
     return LeakageReport(
         scenario=scenario,
         claimed_bits=claimed,
         receiver_bits=float(claimed),
-        eve_bits=eve_bits,
+        eve_bits=analysis.eve_bits,
         resources=ResourceCount(carriers, accounting.qubits * carriers),
     )
 

@@ -31,8 +31,8 @@ numpy call instead of one call of the view per secret.
 A `TiledJoint` is a joint whose observation is as wide as the secret,
 uniform and independent of it, as a ciphertext is under a fresh uniform
 pad.  Every observation has the same slice, so it stores only that slice
-and works out its marginals, entropies and posteriors from it; it has no
-columns.
+and works out its marginals, entropies and its one posterior, which every
+observation shares, from it; it has no columns.
 
 Memory bound: the reductions over a joint's columns (the order check,
 the marginals and the entropies) hold at most one chunk of `_CHUNK`
@@ -253,8 +253,9 @@ class TiledJoint:
     Each entry is p(s, o) = p(s) * 2**-width, so every observation's slice
     is the same, the prior's codes with `probabilities / 2**width`, and
     only that slice is kept.  It has every member of a `JointDistribution`
-    that `posterior`, `conditional_entropy` and `mutual_information` read:
-    both marginals, the joint entropy and the slice all come from it.
+    that `conditional_entropy` and `mutual_information` read: both
+    marginals and the joint entropy come from the slice, and so does the
+    one posterior that `posterior` returns for every observation.
     """
 
     def __init__(self, secret_prior: Distribution):
@@ -275,9 +276,12 @@ class TiledJoint:
         total = float(self._slice_probabilities.sum())
         return Distribution._from_codes(np.arange(n), np.full(n, total), self.observation_bits)
 
-    def _slice(self, code: int):
-        """Every observation's entries: the one stored slice."""
-        return self.secret_prior.codes, self._slice_probabilities
+    @cached_property
+    def _posterior(self) -> Distribution:
+        """Every observation's posterior: the one slice, normalized once."""
+        probs = self._slice_probabilities
+        return Distribution._from_codes(self.secret_prior.codes, probs / float(probs.sum()),
+                                        self.secret_bits)
 
     def _joint_entropy(self) -> float:
         return (1 << self.observation_bits) * _entropy(self._slice_probabilities)
@@ -317,13 +321,14 @@ def posterior(joint: JointDistribution | TiledJoint, observation: str) -> Distri
     """Bayes-normalized distribution over secrets given one observation.
 
     The observation's entries are one slice of the joint's stored order,
-    read through `joint._slice`.  Each joint keeps the posteriors it has
+    read through `joint._slice`; every observation of a `TiledJoint` has
+    its one `_posterior` object.  Each joint keeps the posteriors it has
     returned, keyed by observation, and returns the same read-only
     `Distribution` when asked again.  An observation that raises is never
     stored, so it raises on every call.  The stored probabilities are at
     most one copy of the joint's probability column (each entry belongs to
-    one observation), and the secret codes are views of the joint's column
-    (of a `TiledJoint`'s prior).
+    one observation; a `TiledJoint`'s are one slice), and the secret codes
+    are views of the joint's column (of a `TiledJoint`'s prior).
     """
     if isinstance(observation, str):
         cached = joint._posteriors.get(observation)
@@ -334,13 +339,16 @@ def posterior(joint: JointDistribution | TiledJoint, observation: str) -> Distri
         raise ValueError(
             f"observation width {len(observation)} != joint width {joint.observation_bits}"
         )
-    secrets, probs = joint._slice(bits_to_int(observation))
-    total = float(probs.sum())
-    if total <= 0.0:
-        raise ZeroProbabilityObservationError(
-            f"observation {observation!r} has zero marginal probability"
-        )
-    result = Distribution._from_codes(secrets, probs / total, joint.secret_bits)
+    if isinstance(joint, TiledJoint):
+        result = joint._posterior
+    else:
+        secrets, probs = joint._slice(bits_to_int(observation))
+        total = float(probs.sum())
+        if total <= 0.0:
+            raise ZeroProbabilityObservationError(
+                f"observation {observation!r} has zero marginal probability"
+            )
+        result = Distribution._from_codes(secrets, probs / total, joint.secret_bits)
     joint._posteriors[observation] = result
     return result
 

@@ -13,6 +13,7 @@ import pytest
 from otplab.bits import codes_to_bits, xor_bits
 from otplab.cli import build_audit_rows, main
 from otplab.cryptanalysis import (
+    CARRIERS,
     attack_es_qkd_keyset,
     attack_es_qkd_parity,
     attack_otp_baseline,
@@ -92,11 +93,10 @@ def test_criterion_02_rule_matches_oracle_everywhere():
 def test_criterion_03_xor_chain_leakage_law():
     with _verdict(3, "xor-chain leaks exactly half of a uniform message"):
         for n_bits in (2, 4, 8, 16):
-            _, eve_bits = attack_xor_chain(Distribution.uniform_bits(n_bits))
+            eve_bits = attack_xor_chain(Distribution.uniform_bits(n_bits)).eve_bits
             assert abs(eve_bits - n_bits / 2) <= 1e-9
         run = run_xor_chain("11")  # broadcast 0
-        attack, _ = attack_xor_chain(Distribution.uniform_bits(2))
-        post = attack(eve_view(run.transcript))
+        post = attack_xor_chain(Distribution.uniform_bits(2)).attack(eve_view(run.transcript))
         assert eve_view(run.transcript) == "0"
         assert set(post.support) == {"00", "11"}
         for p in as_dict(post).values():
@@ -115,8 +115,10 @@ def test_criterion_04_xor_chain_throughput_per_carrier():
 
 def test_criterion_05_es_qkd_reachable_key_set():
     with _verdict(5, "es-qkd key blocks are exactly {0010,0111,1000,1101}, entropy 2.0"):
-        key_sets, total_entropy = attack_es_qkd_keyset([(PHI_PLUS, PSI_PLUS)])
-        assert key_sets == [("0010", "0111", "1000", "1101")]
+        analysis = attack_es_qkd_keyset([(PHI_PLUS, PSI_PLUS)])
+        assert analysis.attack == [("0010", "0111", "1000", "1101")]
+        # The key entropy Eve leaves: the bits claimed less hers.
+        total_entropy = CARRIERS["es-qkd"].claimed_bits * analysis.carriers - analysis.eve_bits
         assert abs(total_entropy - 2.0) <= 1e-9
 
 

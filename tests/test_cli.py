@@ -43,6 +43,13 @@ def run_cli(capsys, *args):
     return code, captured.out, captured.err
 
 
+def child_env() -> dict:
+    """The environment of a fresh `python -m otplab.cli`: this source, stdout buffered."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
 def run_json(capsys, *args):
     code, out, err = run_cli(capsys, *args, "--format", "json")
     assert code == 0, err
@@ -406,9 +413,13 @@ class TestConfigErrors:
          "unrecognized arguments: -- --seed 1"),
         (("simulate", "--scenario", "xor-chain", "-hx"), "argument -h/--help: ignored explicit argument 'x'"),
         (("bb84",), "argument command: invalid choice: 'bb84' (choose from 'simulate', 'attack', 'audit')"),
+        (("simulate", "--scenario", "xor-chain", "x\ny"), "error: unrecognized arguments: x\\ny\n"),
+        (("simulate", "--scenario", "xor-chain", "--out", "/nonexistent/a\nb"),
+         "error: cannot write /nonexistent/a\\nb: No such file or directory\n"),
     ], ids=["invalid-choice", "non-integer", "missing-scenario", "missing-command", "ambiguous",
             "no-value", "option-for-value", "bad-value-before-help", "required-before-unrecognized",
-            "unrecognized-last", "after-double-dash", "help-with-a-value", "unknown-command"])
+            "unrecognized-last", "after-double-dash", "help-with-a-value", "unknown-command",
+            "newline-token", "newline-out-path"])
     def test_bad_command_line_is_one_error_line(self, capsys, args, message):
         code, out, err = run_cli(capsys, *args)
         assert code == 2
@@ -536,9 +547,9 @@ VALUES = (
     | st.integers(-3, 2**64 + 3).map(str)
     | st.sampled_from(["007", "-0", "-00", "-01", "", " 1", "1_0", "+3", "1e3", "٣",
                        "-1.5", "-.5", "-1_0"])
-    # Not '\n': argparse lists unrecognized tokens verbatim, so a newline in one breaks the
-    # one-line refusal (see CHANGES.md).
-    | st.text(st.characters(exclude_characters="\n"), max_size=5)
+    # Any character: argparse lists unrecognized tokens verbatim, and `main` escapes
+    # the non-printable ones in the line it prints.
+    | st.text(max_size=5)
 )
 
 
@@ -580,6 +591,8 @@ class TestCommandLine:
     @example(["simulate", "--f", "-hx"])
     @example(["audit", "-h=hx"])
     @example(["simulate", "--scenario", "xor-chain", "--seed", "-1"])
+    @example(["simulate", "--scenario", "xor-chain", "x\ny"])
+    @example(["simulate", "--s=x\ny"])
     def test_the_table_parser_reads_as_argparse(self, argv):
         expected = argparse_reading(argv)
         assert table_reading(argv) == expected
@@ -587,7 +600,8 @@ class TestCommandLine:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(argv)
-            assert (code, out.getvalue(), err.getvalue()) == (2, "", f"error: {expected[1]}\n")
+            assert (code, out.getvalue(), err.getvalue()) == (
+                2, "", f"error: {cli._one_line(expected[1])}\n")
 
     @pytest.mark.parametrize("argv", [["--help"], ["-h", "simulate"], ["--he"], *(
         [command, help_option] for command in cli.COMMANDS for help_option in ("-h", "--help"))])
@@ -672,8 +686,6 @@ class TestOutput:
         # them at interpreter exit, so this needs a process of its own.
         if target == "/dev/full" and not os.path.exists(target):
             pytest.skip("no /dev/full")
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
         if target == "/dev/full":
             stdout = os.open(target, os.O_WRONLY)
         else:
@@ -682,7 +694,7 @@ class TestOutput:
         try:
             done = subprocess.run(
                 [sys.executable, "-m", "otplab.cli", "audit"],
-                stdout=stdout, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+                stdout=stdout, stderr=subprocess.PIPE, env=child_env(), text=True, timeout=60,
             )
         finally:
             os.close(stdout)
@@ -690,6 +702,22 @@ class TestOutput:
         assert done.stderr.startswith("error: cannot write standard output: ")
         assert done.stderr.count("\n") == 1
         assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
+
+    def test_closed_stdout_exits_2_with_one_line(self, capsys, monkeypatch):
+        # An interpreter started with descriptor 1 closed has no sys.stdout.
+        monkeypatch.setattr(sys, "stdout", None)
+        assert main(["simulate", "--scenario", "xor-chain"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write standard output: {os.strerror(errno.EBADF)}\n")
+
+    def test_closed_stdout_in_a_fresh_interpreter_exits_2_with_one_line(self):
+        done = subprocess.run(
+            ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "otplab.cli", "simulate",
+             "--scenario", "xor-chain"],
+            stderr=subprocess.PIPE, env=child_env(), text=True, timeout=60,
+        )
+        assert (done.returncode, done.stderr) == (
+            2, f"error: cannot write standard output: {os.strerror(errno.EBADF)}\n")
 
     def test_text_mode_carries_the_same_numbers(self, capsys):
         code, out, _ = run_cli(

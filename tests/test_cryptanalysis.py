@@ -1,4 +1,3 @@
-import functools
 import itertools
 import math
 import random
@@ -11,6 +10,8 @@ from hypothesis import strategies as st
 from otplab import cryptanalysis
 from otplab.bits import bits_to_int, codes_to_bits, int_to_bits, xor_bits
 from otplab.cryptanalysis import (
+    CARRIERS,
+    Analysis,
     EfficiencyVerdict,
     LeakageReport,
     ResourceCount,
@@ -35,6 +36,7 @@ from otplab.protocols import (
 from otplab.quantum import (
     BELL_LABELS,
     PHI_PLUS,
+    PSI_MINUS,
     PSI_PLUS,
     swap_distribution_oracle,
     swap_distribution_rule,
@@ -42,6 +44,7 @@ from otplab.quantum import (
 from otplab.tolerances import FLOAT_TOL
 
 ALL_PAIRS = list(itertools.product(BELL_LABELS, BELL_LABELS))
+TWO_PAIRS = [(PHI_PLUS, PSI_PLUS), (PSI_MINUS, PHI_PLUS)]
 
 
 def as_dict(dist: Distribution) -> dict:
@@ -49,14 +52,19 @@ def as_dict(dist: Distribution) -> dict:
     return dict(zip(dist.support, dist.probabilities.tolist()))
 
 
+def key_entropy(analysis: Analysis) -> float:
+    """The entropy of an es-qkd key given Eve's key sets: the bits claimed less hers."""
+    return CARRIERS["es-qkd"].claimed_bits * analysis.carriers - analysis.eve_bits
+
+
 class TestAttackXorChain:
     def test_two_bit_posterior_and_gain(self):
         run = run_xor_chain("11")  # broadcast is 0
-        attack, eve_bits = attack_xor_chain(Distribution.uniform_bits(2))
-        post = attack(eve_view(run.transcript))
+        analysis = attack_xor_chain(Distribution.uniform_bits(2))
+        post = analysis.attack(eve_view(run.transcript))
         assert set(post.support) == {"00", "11"}
         assert as_dict(post).get("00", 0.0) == pytest.approx(0.5, abs=1e-9)
-        assert eve_bits == pytest.approx(1.0, abs=1e-9)
+        assert analysis.eve_bits == pytest.approx(1.0, abs=1e-9)
 
     def test_two_bit_throughput(self):
         run = run_xor_chain("11")
@@ -67,12 +75,12 @@ class TestAttackXorChain:
         assert report.secure_bits == pytest.approx(1.0, abs=1e-9)
 
     def test_eight_bit_gain(self):
-        _, eve_bits = attack_xor_chain(Distribution.uniform_bits(8))
+        eve_bits = attack_xor_chain(Distribution.uniform_bits(8)).eve_bits
         assert eve_bits == pytest.approx(4.0, abs=1e-9)
 
     @pytest.mark.parametrize("n_bits", [2, 4, 6, 8, 10, 12, 14, 16])
     def test_leakage_is_half_the_message(self, n_bits):
-        _, eve_bits = attack_xor_chain(Distribution.uniform_bits(n_bits))
+        eve_bits = attack_xor_chain(Distribution.uniform_bits(n_bits)).eve_bits
         assert eve_bits == pytest.approx(n_bits / 2, abs=1e-9)
 
     def test_view_function_matches_protocol(self):
@@ -81,7 +89,7 @@ class TestAttackXorChain:
 
     def test_posterior_is_consistent_with_view(self):
         run = run_xor_chain("0110")
-        attack, _ = attack_xor_chain(Distribution.uniform_bits(4))
+        attack = attack_xor_chain(Distribution.uniform_bits(4)).attack
         view = eve_view(run.transcript)
         post = attack(view)
         assert all(xor_chain_view(m) == view for m in post.support)
@@ -89,10 +97,10 @@ class TestAttackXorChain:
 
     def test_prior_length_mismatch_rejected(self):
         # A 4-bit prior's attack takes 2-bit views; a 2-bit run's view has 1 bit.
-        attack, _ = attack_xor_chain(Distribution.uniform_bits(4))
+        attack = attack_xor_chain(Distribution.uniform_bits(4)).attack
         with pytest.raises(ValueError, match="observation width 1 != joint width 2"):
             attack(eve_view(run_xor_chain("11").transcript))
-        attack, _ = attack_otp_baseline(Distribution.uniform_bits(4))
+        attack = attack_otp_baseline(Distribution.uniform_bits(4)).attack
         with pytest.raises(ValueError, match="observation width 3 != joint width 4"):
             attack("101")
 
@@ -107,8 +115,7 @@ class TestAttackXorChain:
 
         monkeypatch.setattr(cryptanalysis, "posterior", counted)
         for setup, view in ((attack_xor_chain, "01"), (attack_otp_baseline, "0110")):
-            attack, _ = setup(Distribution.uniform_bits(4))
-            attack(view)
+            setup(Distribution.uniform_bits(4)).attack(view)
         assert seen == ["01", "0110"]
 
     @pytest.mark.parametrize("width", [1, 3, 5])
@@ -133,40 +140,40 @@ class TestAttackXorChain:
 
 class TestAttackEsQkdKeyset:
     def test_phi_plus_psi_plus_key_set(self):
-        key_sets, total = attack_es_qkd_keyset([(PHI_PLUS, PSI_PLUS)])
-        assert key_sets == [("0010", "0111", "1000", "1101")]
-        assert total == pytest.approx(2.0, abs=1e-9)
+        analysis = attack_es_qkd_keyset([(PHI_PLUS, PSI_PLUS)])
+        assert analysis.attack == [("0010", "0111", "1000", "1101")]
+        assert key_entropy(analysis) == pytest.approx(2.0, abs=1e-9)
 
     def test_equal_labels_key_set(self):
-        key_sets, total = attack_es_qkd_keyset([(PHI_PLUS, PHI_PLUS)])
-        assert key_sets == [("0000", "0101", "1010", "1111")]
-        assert total == pytest.approx(2.0, abs=1e-9)
+        analysis = attack_es_qkd_keyset([(PHI_PLUS, PHI_PLUS)])
+        assert analysis.attack == [("0000", "0101", "1010", "1111")]
+        assert key_entropy(analysis) == pytest.approx(2.0, abs=1e-9)
 
     def test_two_swaps_add(self):
-        _, total = attack_es_qkd_keyset([(PHI_PLUS, PSI_PLUS), (PHI_PLUS, PHI_PLUS)])
-        assert total == pytest.approx(4.0, abs=1e-9)
+        analysis = attack_es_qkd_keyset([(PHI_PLUS, PSI_PLUS), (PHI_PLUS, PHI_PLUS)])
+        assert key_entropy(analysis) == pytest.approx(4.0, abs=1e-9)
 
     @pytest.mark.parametrize("pair", ALL_PAIRS)
     def test_every_initial_pair_leaves_two_bits(self, pair):
-        key_sets, total = attack_es_qkd_keyset([pair])
-        assert len(key_sets[0]) == 4
-        assert total == pytest.approx(2.0, abs=1e-9)
+        analysis = attack_es_qkd_keyset([pair])
+        assert len(analysis.attack[0]) == 4
+        assert key_entropy(analysis) == pytest.approx(2.0, abs=1e-9)
 
     @pytest.mark.parametrize("pair", ALL_PAIRS)
     def test_key_set_size_is_the_rule_entropy(self, pair):
         # The figure assumes equally likely blocks: log2 of the set size is
         # exactly the entropy of the dyadic rule.  The oracle's quarters are
         # rounded, so its entropy only comes within FLOAT_TOL of 2 bits.
-        key_sets, total = attack_es_qkd_keyset([pair])
-        assert math.log2(len(key_sets[0])) == entropy(swap_distribution_rule(*pair)) == total
+        analysis = attack_es_qkd_keyset([pair])
+        assert (math.log2(len(analysis.attack[0])) == entropy(swap_distribution_rule(*pair))
+                == key_entropy(analysis))
         assert abs(entropy(swap_distribution_oracle(*pair)) - 2.0) <= FLOAT_TOL
 
     def test_residual_half_of_key_is_uniform(self):
         # What Eve cannot pin down -- Alice's result label -- runs over all
         # four values exactly once inside the reachable key set.
         for pair in ALL_PAIRS:
-            key_sets, _ = attack_es_qkd_keyset([pair])
-            prior = Distribution.uniform(key_sets[0])
+            prior = Distribution.uniform(attack_es_qkd_keyset([pair]).attack[0])
             joint = enumerate_joint(prior, lambda key: "")
             post = posterior(joint, "")
             first_halves = {key[:2] for key in post.support}
@@ -181,7 +188,7 @@ class TestAttackEsQkdKeyset:
     @given(st.lists(st.sampled_from(ALL_PAIRS), min_size=1, max_size=20),
            st.integers(0, 2**32 - 1))
     def test_key_sets_are_the_rule_blocks(self, pairs, seed):
-        key_sets, _ = attack_es_qkd_keyset(pairs)
+        key_sets = attack_es_qkd_keyset(pairs).attack
         assert key_sets == [swap_distribution_rule(*pair).support for pair in pairs]
         run = run_es_qkd(pairs, random.Random(seed))
         for i, blocks in enumerate(key_sets):
@@ -248,9 +255,9 @@ class TestAttackEsQkdParity:
 class TestAttackOtpBaseline:
     def test_posterior_equals_prior(self):
         prior = Distribution.uniform_bits(4)
-        attack, eve_bits = attack_otp_baseline(prior)
-        post = attack("1011")
-        assert eve_bits == pytest.approx(0.0, abs=1e-9)
+        analysis = attack_otp_baseline(prior)
+        post = analysis.attack("1011")
+        assert analysis.eve_bits == pytest.approx(0.0, abs=1e-9)
         for outcome in as_dict(prior):
             assert as_dict(post).get(outcome, 0.0) == pytest.approx(0.0625, abs=1e-9)
 
@@ -302,36 +309,50 @@ class TestLeakageReport:
         with pytest.raises(TypeError):
             leakage_report(object(), (None, 0.0))
 
-    @pytest.mark.parametrize("make_run, make_analysis", [
-        (lambda: run_xor_chain("11"), lambda: attack_xor_chain(Distribution.uniform_bits(4))),
-        (lambda: run_xor_chain("1111"), lambda: attack_otp_baseline(Distribution.uniform_bits(4))),
-        (lambda: run_otp_baseline("1111", random_key(4, random.Random(1))),
-         lambda: attack_xor_chain(Distribution.uniform_bits(4))),
-        (lambda: run_otp_baseline("11", random_key(2, random.Random(1))),
-         lambda: attack_otp_baseline(Distribution.uniform_bits(4))),
-        (lambda: run_es_qkd([(PHI_PLUS, PSI_PLUS)] * 3, random.Random(1)),
-         lambda: attack_es_qkd_keyset([(PHI_PLUS, PSI_PLUS)])),
-        (lambda: run_es_qkd([(PHI_PLUS, PSI_PLUS)], random.Random(1)),
-         lambda: attack_es_qkd_keyset([(PHI_PLUS, PHI_PLUS)])),
-        (lambda: run_xor_chain("11"), lambda: (None, 1.0)),
-        (lambda: run_otp_baseline("11", random_key(2, random.Random(1))), lambda: (None, 1.0)),
-    ], ids=["xor-chain-2-bit-run-4-bit-analysis", "xor-chain-run-otp-analysis",
-            "otp-run-xor-chain-analysis", "otp-2-bit-run-4-bit-analysis",
-            "es-qkd-3-swaps-1-key-set", "es-qkd-other-pairs-key-sets",
-            "xor-chain-run-no-joint", "otp-run-no-joint"])
-    def test_an_analysis_for_another_scheme_or_size_is_refused(self, make_run, make_analysis):
-        # Priced, each pairing would misstate the run: the first, second and
-        # fifth give eve_bits 2.0, 0.0 and 10.0 where the run's are 1.0, 2.0 and 6.0.
-        with pytest.raises(ValueError):
-            leakage_report(make_run(), make_analysis())
+    # Each scheme at one and two carriers: its runs, and the analysis its attack sets up.
+    RUNS = {
+        ("xor-chain", 1): lambda: run_xor_chain("11"),
+        ("xor-chain", 2): lambda: run_xor_chain("0110"),
+        ("es-qkd", 1): lambda: run_es_qkd(TWO_PAIRS[:1], random.Random(1)),
+        ("es-qkd", 2): lambda: run_es_qkd(TWO_PAIRS, random.Random(1)),
+        ("otp-baseline", 1): lambda: run_otp_baseline("1", random_key(1, random.Random(1))),
+        ("otp-baseline", 2): lambda: run_otp_baseline("10", random_key(2, random.Random(1))),
+    }
+    ANALYSES = {
+        ("xor-chain", 1): lambda: attack_xor_chain(Distribution.uniform_bits(2)),
+        ("xor-chain", 2): lambda: attack_xor_chain(Distribution.uniform_bits(4)),
+        ("es-qkd", 1): lambda: attack_es_qkd_keyset(TWO_PAIRS[:1]),
+        ("es-qkd", 2): lambda: attack_es_qkd_keyset(TWO_PAIRS),
+        ("otp-baseline", 1): lambda: attack_otp_baseline(Distribution.uniform_bits(1)),
+        ("otp-baseline", 2): lambda: attack_otp_baseline(Distribution.uniform_bits(2)),
+    }
+
+    @pytest.mark.parametrize("run_key", sorted(RUNS))
+    @pytest.mark.parametrize("analysis_key", sorted(ANALYSES))
+    def test_an_analysis_for_another_scheme_or_size_is_refused(self, analysis_key, run_key):
+        # Priced, a mismatched pairing would misstate the run: a 4-bit xor-chain
+        # analysis gives a 2-bit run eve_bits 2.0 where the run's are 1.0.
+        run, analysis = self.RUNS[run_key](), self.ANALYSES[analysis_key]()
+        assert (analysis.scenario, analysis.carriers) == analysis_key
+        if analysis_key != run_key:
+            with pytest.raises(ValueError, match="the analysis is for"):
+                leakage_report(run, analysis)
+        else:
+            report = leakage_report(run, analysis)
+            assert (report.scenario, report.resources.carrier_states) == run_key
+            assert report.eve_bits == analysis.eve_bits
+
+    def test_key_sets_for_other_pairs_are_refused(self):
+        run = run_es_qkd([(PHI_PLUS, PSI_PLUS)], random.Random(1))
+        with pytest.raises(ValueError, match="key sets do not hold"):
+            leakage_report(run, attack_es_qkd_keyset([(PHI_PLUS, PHI_PLUS)]))
 
     def test_the_check_calls_neither_the_attack_nor_the_oracle(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("called")
 
-        _, eve_bits = analysis = attack_xor_chain(Distribution.uniform_bits(4))
-        joint = analysis[0].args[0]
-        report = leakage_report(run_xor_chain("0110"), (functools.partial(refuse, joint), eve_bits))
+        # An analysis that holds no joint is priced from its fields alone.
+        report = leakage_report(run_xor_chain("0110"), Analysis("xor-chain", 2, refuse, 2.0))
         assert (report.eve_bits, report.secure_bits) == (2.0, 2.0)
         pairs = [(PHI_PLUS, PSI_PLUS)] * 3
         run, analysis = run_es_qkd(pairs, random.Random(1)), attack_es_qkd_keyset(pairs)

@@ -527,7 +527,8 @@ class TestBoundaryRoundTrip:
     def test_ciphertext_joint_is_in_stored_order(self, width):
         # Observation by observation, the tiled joint's one slice ascends by secret.
         joint = ciphertext_joint(Distribution.uniform_bits(width))
-        keys = [(o, s) for o in range(1 << width) for s in joint._slice(o)[0].tolist()]
+        keys = [(o, s) for o in range(1 << width)
+                for s in posterior(joint, int_to_bits(o, width)).codes.tolist()]
         assert len(keys) == len(joint)
         assert all(a < b for a, b in zip(keys, keys[1:]))
 
@@ -859,6 +860,24 @@ class TestMemoryBound:
             assert np.array_equal(result.probabilities, prior.probabilities)
         # Its 2**24-entry columns would take 384 MiB.
         assert peak < 1 << 20
+
+    def test_every_observation_of_a_uniform_pad_joint_shares_one_posterior(self):
+        width = 10
+        prior = Distribution.uniform_bits(width)
+        joint = ciphertext_joint(prior)
+        observations = [int_to_bits(o, width) for o in range(1 << width)]
+        tracemalloc.start()
+        try:
+            posteriors = [posterior(joint, observation) for observation in observations]
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(joint._posteriors) == len(observations)
+        assert all(result is posteriors[0] for result in posteriors)
+        assert np.array_equal(posteriors[0].probabilities, prior.probabilities)
+        # One 8 KiB probability vector per observation held 8 MiB; the list,
+        # the memo's dict and one vector take under 64 KiB.
+        assert held < 16 * posteriors[0].probabilities.nbytes
 
     def test_integer_view_build_holds_one_column_beyond_the_result(self):
         mib = 1 << 20

@@ -18,8 +18,10 @@ from otplab.cryptanalysis import (
     CARRIERS,
     LeakageReport,
     ResourceCount,
+    attack_xor_chain,
     efficiency_audit,
 )
+from otplab.infotheory import Distribution
 from otplab.otp import TRULY_RANDOM, KeyMaterial, encrypt, shannon_audit
 from otplab.protocols import Channel, Transcript, XorChainRun, run_es_qkd, run_xor_chain
 from otplab.quantum import BELL_LABELS, PHI_PLUS, PSI_MINUS, PSI_PLUS, BellLabel
@@ -40,6 +42,7 @@ def one_of_each() -> dict:
         CARRIERS["es-qkd"],
         report.resources,
         report,
+        attack_xor_chain(Distribution.uniform_bits(2)),
         efficiency_audit(report),
         ScenarioConfig("xor-chain", seed=3, trials=1, fmt="json"),
         SCENARIOS["xor-chain"],
@@ -60,7 +63,7 @@ def test_every_record_is_covered():
         if inspect.isclass(value) and value.__module__ == module.__name__
         and (issubclass(value, Record) or issubclass(value, tuple) and hasattr(value, "_fields"))
     }
-    assert defined == set(one_of_each()) and len(defined) == 14
+    assert defined == set(one_of_each()) and len(defined) == 15
 
 
 @pytest.mark.parametrize("name", sorted(one_of_each()))
