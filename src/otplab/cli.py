@@ -35,14 +35,16 @@ argparse parser it replaced:
   was refused; a missing --scenario is refused after the last token, and
   tokens no option took (those after `--` included) last.
 
-Reports go to standard output (or --out PATH, written whole or not at
-all), a text file in 2**20-character slices; diagnostics to standard
+Reports go to standard output (or --out PATH: a regular file, or a
+symlink's target, written whole or not at all; a FIFO or device in
+place), a text file in 2**20-character slices; diagnostics to standard
 error.  A JSON report is byte-identical to `json.dumps(report, indent=2,
 sort_keys=True)`: `json.dumps` writes its header, and each trial body is
 written directly from the one shape every report's trials have.  Exit
 codes: 0 success, 1 internal failure, 2 configuration error (a bad
 command line or an unwritable --out or stdout, closed included: one
-`error:` line, its non-printable characters escaped).
+`error:` line, its non-printable characters escaped, if standard error
+takes it).
 Identical command lines, including the seed, produce byte-identical JSON.
 The default seed can be overridden with the OTPLAB_SEED environment
 variable.
@@ -59,6 +61,7 @@ import json
 import os
 import random
 import re
+import stat
 import sys
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
@@ -73,7 +76,6 @@ from .cryptanalysis import (
     attack_es_qkd_parity,
     attack_otp_baseline,
     attack_xor_chain,
-    efficiency_audit,
     leakage_report,
 )
 from .infotheory import Distribution
@@ -257,9 +259,8 @@ def _xor_chain(config: ScenarioConfig, with_attack: bool):
 
 def _es_qkd(config: ScenarioConfig, with_attack: bool):
     analysis = attack_es_qkd_keyset(config.pairs)
-    # The key sets as report lists, the key's entropy and the true parities: shared by every trial.
+    # The key sets as report lists and the true parities: shared by every trial.
     key_sets = [list(blocks) for blocks in analysis.attack]
-    key_entropy = CARRIERS["es-qkd"].claimed_bits * analysis.carriers - analysis.eve_bits
     true = None
     if config.plaintext is not None:
         p = [int(ch) for ch in config.plaintext]
@@ -270,7 +271,7 @@ def _es_qkd(config: ScenarioConfig, with_attack: bool):
         key = run.key
         attack = None
         if with_attack:
-            attack = {"key_sets": key_sets, "key_entropy_given_eve": key_entropy}
+            attack = {"key_sets": key_sets, "key_entropy_given_eve": analysis.secure_bits}
             if true is not None:
                 pad = KeyMaterial(key, derived_correlated("entanglement-swap outcomes"))
                 ciphertext = encrypt(config.plaintext, pad).ciphertext
@@ -292,6 +293,7 @@ def _es_qkd(config: ScenarioConfig, with_attack: bool):
 def _otp_baseline(config: ScenarioConfig, with_attack: bool):
     prior = Distribution.uniform_bits(config.message_bits)
     analysis = attack_otp_baseline(prior)
+    blocks = {}  # the report's attack block per distinct ciphertext, shared by its trials
 
     def trial(rng):
         plaintext = random_bits(config.message_bits, rng)
@@ -299,11 +301,16 @@ def _otp_baseline(config: ScenarioConfig, with_attack: bool):
         block = None
         if with_attack:
             ciphertext = eve_view(transcript)
-            block = {
-                "ciphertext": ciphertext,
-                "eve_bits": analysis.eve_bits,
-                "posterior_equals_prior": _distributions_match(analysis.attack(ciphertext), prior),
-            }
+            # Computed in every attack trial: perfbench's expected call counts
+            # pin one posterior per otp-baseline attack trial.
+            post = analysis.attack(ciphertext)
+            block = blocks.get(ciphertext)
+            if block is None:
+                block = blocks[ciphertext] = {
+                    "ciphertext": ciphertext,
+                    "eve_bits": analysis.eve_bits,
+                    "posterior_equals_prior": _distributions_match(post, prior),
+                }
         return transcript, _trial(transcript.to_records(), plaintext, block)
 
     return trial, analysis
@@ -522,7 +529,7 @@ def build_report(config: ScenarioConfig, with_attack: bool) -> dict:
             "receiver_bits": leakage.receiver_bits, "eve_bits": leakage.eve_bits,
             "secure_bits": leakage.secure_bits, "resources": leakage.resources._asdict(),
         },
-        "efficiency": efficiency_audit(leakage)._asdict(),
+        "efficiency": leakage.efficiency._asdict(),
         "tool_version": __version__,
     }
 
@@ -702,13 +709,13 @@ def render_audit_text(rows: list) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _discard_stdout() -> None:
-    """Point stdout's descriptor, if it has one, at the null device after a failed write.
+def _discard(stream) -> None:
+    """Point `stream`'s descriptor, if it has one, at the null device after a failed write.
 
     The stream keeps the unwritten bytes, and the interpreter retries them at exit.
     """
     try:
-        fd = sys.stdout.fileno()
+        fd = stream.fileno()
     except OSError:
         return
     devnull = os.open(os.devnull, os.O_WRONLY)
@@ -733,6 +740,37 @@ def _write(stream, text: str) -> None:
         stream.write(text[start:start + WRITE_SLICE])
 
 
+def _write_out(text: str, out: str) -> None:
+    """Write `text` to the path `out`, as --out does; an I/O failure raises `OSError`.
+
+    A FIFO or a device is written in place, as the shell's `>` writes it.
+    A regular file (a symlink's target, so the link stays) is written whole
+    beside itself, then renamed over, so a failed write never leaves a
+    partial report behind; the new file keeps the old one's permission
+    bits, and the old one's other hard links keep its bytes.
+    """
+    try:
+        mode = os.stat(out).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(out, "w") as handle:
+            _write(handle, text)
+        return
+    target = os.path.realpath(out) if os.path.islink(out) else out
+    partial = f"{target}.{os.getpid()}.partial"
+    handle = open(partial, "x")
+    try:
+        with handle:
+            if mode is not None:
+                os.chmod(partial, stat.S_IMODE(mode))
+            _write(handle, text)
+        os.replace(partial, target)
+    except BaseException:  # an interrupt too: remove the partial, then re-raise
+        os.remove(partial)
+        raise
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         if sys.stdout is None:  # the interpreter started with its descriptor closed
@@ -741,24 +779,12 @@ def _emit(text: str, out: str | None) -> None:
             _write(sys.stdout, text)
             sys.stdout.flush()
         except OSError as exc:
-            _discard_stdout()
+            _discard(sys.stdout)
             raise ConfigError(f"cannot write standard output: {exc.strerror or exc}") from None
         return
-    # Write beside the target, then rename over it, so a failed write never
-    # leaves a partial report behind.
-    partial = f"{out}.{os.getpid()}.partial"
     try:
-        handle = open(partial, "x")
+        _write_out(text, out)
     except OSError as exc:
-        raise ConfigError(f"cannot write {out}: {exc.strerror or exc}") from None
-    try:
-        with handle:
-            _write(handle, text)
-        os.replace(partial, out)
-    except BaseException as exc:  # an interrupt too: remove the partial, then re-raise
-        os.remove(partial)
-        if not isinstance(exc, OSError):
-            raise
         raise ConfigError(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
@@ -790,7 +816,11 @@ def main(argv=None) -> int:
         _emit(text, args.out)
         return 0
     except ConfigError as exc:
-        print(f"error: {_one_line(str(exc))}", file=sys.stderr)
+        try:  # a refusal exits 2 whether or not its line can be written
+            if sys.stderr is not None:
+                print(f"error: {_one_line(str(exc))}", file=sys.stderr)
+        except OSError:
+            _discard(sys.stderr)
         return 2
     except Exception:
         import traceback  # only here: a run that succeeds never loads it

@@ -22,15 +22,17 @@ their joint.  The accounting per scheme:
 Each scheme's analysis is set up once (`attack_xor_chain` and
 `attack_otp_baseline` per message prior, `attack_es_qkd_keyset` per list of
 pairs) and returns an `Analysis`: the scheme and carrier count it is for,
-Eve's attack and her bits.  `leakage_report` prices a run by comparing its
-scheme and carrier count with those two fields; the CLI runs the same.
+Eve's attack and her bits, and the price those fields and `CARRIERS` fix,
+derived when it is built (claimed, receiver and secure bits, resources
+and the efficiency verdict).  `leakage_report` checks that an analysis
+prices a run by comparing the run's scheme and carrier count with its two
+fields, and returns it; the CLI runs the same.
 
 `CARRIERS` states, once per scenario, what a carrier is, the bits the
 scheme claims per carrier and the qubits each carrier costs.  Every
 verdict is sanity-checked against the n-qubits-carry-at-most-n-bits
 ceiling (one secure bit per qubit at best).  The carrier, resource and
-verdict records are named tuples; an `Analysis` and a `LeakageReport` are
-`records.Record`s.
+verdict records are named tuples; an `Analysis` is a `records.Record`.
 """
 
 import functools
@@ -71,34 +73,6 @@ class ResourceCount(NamedTuple):
     qubits: int
 
 
-class LeakageReport(Record):
-    """Claimed vs. delivered vs. leaked bits for one scenario.
-
-    `secure_bits` is derived: `receiver_bits - eve_bits`.
-    """
-
-    __slots__ = ("scenario", "claimed_bits", "receiver_bits", "eve_bits", "secure_bits",
-                 "resources")
-
-    def __init__(self, scenario: str, claimed_bits: int, receiver_bits: float, eve_bits: float,
-                 resources: ResourceCount):
-        if not (-FLOAT_TOL <= eve_bits <= receiver_bits + FLOAT_TOL):
-            raise ValueError(f"eve_bits {eve_bits} outside [0, receiver_bits={receiver_bits}]")
-        super().__init__(scenario, claimed_bits, receiver_bits, eve_bits,
-                         receiver_bits - eve_bits, resources)
-
-
-class Analysis(Record):
-    """Eve's analysis of one scheme's runs of `carriers` carriers, set up once.
-
-    `attack` is the posterior over secrets given Eve's view (xor-chain,
-    otp-baseline) or each swap's allowed key blocks (es-qkd); `eve_bits` is
-    what she learns of such a run.
-    """
-
-    __slots__ = ("scenario", "carriers", "attack", "eve_bits")
-
-
 class EfficiencyVerdict(NamedTuple):
     """Per-resource throughput and the qubit-ceiling check."""
 
@@ -106,6 +80,38 @@ class EfficiencyVerdict(NamedTuple):
     effective_bits_per_carrier: float
     effective_bits_per_qubit: float
     holevo_ok: bool
+
+
+class Analysis(Record):
+    """Eve's analysis of one scheme's runs of `carriers` carriers, set up once, and its price.
+
+    `attack` is the posterior over secrets given Eve's view (xor-chain,
+    otp-baseline) or each swap's allowed key blocks (es-qkd); `eve_bits` is
+    what she learns of such a run.  The rest is derived from `CARRIERS`:
+    the bits claimed, the receiver's (as a float) and the secure bits
+    (receiver's less Eve's), the resources and the efficiency verdict.  A
+    carrier count that is not positive, or `eve_bits` outside [0, receiver
+    bits], raises `ValueError`.
+    """
+
+    __slots__ = ("scenario", "carriers", "attack", "eve_bits", "claimed_bits", "receiver_bits",
+                 "secure_bits", "resources", "efficiency")
+
+    def __init__(self, scenario: str, carriers: int, attack, eve_bits: float):
+        accounting = CARRIERS[scenario]
+        resources = ResourceCount(carriers, accounting.qubits * carriers)
+        if min(resources) <= 0:
+            raise ValueError("resource counts must be positive")
+        claimed = accounting.claimed_bits * carriers
+        receiver = float(claimed)
+        if not (-FLOAT_TOL <= eve_bits <= receiver + FLOAT_TOL):
+            raise ValueError(f"eve_bits {eve_bits} outside [0, receiver_bits={receiver}]")
+        secure = receiver - eve_bits
+        per_qubit = secure / resources.qubits
+        efficiency = EfficiencyVerdict(claimed / carriers, secure / carriers, per_qubit,
+                                       per_qubit <= 1.0 + FLOAT_TOL)
+        super().__init__(scenario, carriers, attack, eve_bits, claimed, receiver, secure,
+                         resources, efficiency)
 
 
 def _check_even(width: int) -> None:
@@ -151,11 +157,12 @@ def attack_xor_chain(message_prior: Distribution) -> Analysis:
 def attack_es_qkd_keyset(initial_pairs) -> Analysis:
     """Eve's key-set analysis from the public initial states alone.
 
-    `attack` lists, per swap, the 4 key blocks the oracle support allows.
-    eve_bits is the bits claimed less the entropy of the key given that
-    knowledge (2 bits per swap; the blocks are independent across swaps).
+    `attack` is a tuple of the 4 key blocks the oracle support allows, per
+    swap.  eve_bits is the bits claimed less the entropy of the key given
+    that knowledge (2 bits per swap; the blocks are independent across
+    swaps), which leaves the analysis's secure bits that entropy.
     """
-    key_sets = [swap_distribution_oracle(*pair).support for pair in initial_pairs]
+    key_sets = tuple(swap_distribution_oracle(*pair).support for pair in initial_pairs)
     key_entropy = sum(math.log2(len(blocks)) for blocks in key_sets)  # equally likely blocks
     claimed = CARRIERS["es-qkd"].claimed_bits * len(key_sets)
     return Analysis("es-qkd", len(key_sets), key_sets, claimed - key_entropy)
@@ -193,14 +200,14 @@ def attack_otp_baseline(message_prior: Distribution) -> Analysis:
                     mutual_information(joint))
 
 
-def leakage_report(run, analysis: Analysis) -> LeakageReport:
-    """Assemble the leakage accounting for a run and its scheme's `Analysis`.
+def leakage_report(run, analysis: Analysis) -> Analysis:
+    """Check that `analysis` prices `run`, and return it.
 
     Accepts an `XorChainRun`, an `EsQkdRun` or an otp-baseline `Transcript`.
     The run gives the scenario and its carrier count (for the baseline, the
-    length of its one broadcast, `eve_view`), the analysis Eve's bits and
-    `CARRIERS` the rest.  An analysis for another scenario or carrier count
-    raises `ValueError`, and so do es-qkd key sets that miss a run's block.
+    length of its one broadcast, `eve_view`).  An analysis for another
+    scenario or carrier count raises `ValueError`, and so do es-qkd key sets
+    that miss a run's block.
     """
     if isinstance(run, XorChainRun):
         scenario, carriers = "xor-chain", run.ghz_states_consumed
@@ -218,25 +225,4 @@ def leakage_report(run, analysis: Analysis) -> LeakageReport:
     if scenario == "es-qkd" and not all(a.bits + b.bits in keys for a, b, keys in zip(
             run.alice_results, run.bob_results, analysis.attack, strict=True)):
         raise ValueError(f"the key sets do not hold this run's {carriers} key blocks")
-    accounting = CARRIERS[scenario]
-    claimed = accounting.claimed_bits * carriers
-    return LeakageReport(
-        scenario=scenario,
-        claimed_bits=claimed,
-        receiver_bits=float(claimed),
-        eve_bits=analysis.eve_bits,
-        resources=ResourceCount(carriers, accounting.qubits * carriers),
-    )
-
-
-def efficiency_audit(report: LeakageReport) -> EfficiencyVerdict:
-    """Per-carrier and per-qubit rates plus the qubit-ceiling flag."""
-    if report.resources.carrier_states <= 0 or report.resources.qubits <= 0:
-        raise ValueError("resource counts must be positive")
-    per_qubit = report.secure_bits / report.resources.qubits
-    return EfficiencyVerdict(
-        claimed_bits_per_carrier=report.claimed_bits / report.resources.carrier_states,
-        effective_bits_per_carrier=report.secure_bits / report.resources.carrier_states,
-        effective_bits_per_qubit=per_qubit,
-        holevo_ok=per_qubit <= 1.0 + FLOAT_TOL,
-    )
+    return analysis

@@ -7,8 +7,11 @@ import io
 import json
 import os
 import random
+import stat
 import subprocess
 import sys
+import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -617,6 +620,116 @@ class TestCommandLine:
             assert all(f"\n  {option.name} " in out for option in cli.COMMANDS[command][1])
 
 
+def run_main(argv: list) -> tuple:
+    """`main(argv)`'s exit code, standard output and standard error."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# The kinds of --out path, each made in a fresh directory by `make_out`.
+OUT_KINDS = ("new", "existing", "private", "directory", "symlink", "dangling", "fifo",
+             "missing/report", "line\nbreak")
+SEEDS = st.text(max_size=6).filter(lambda text: "\x00" not in text) | st.integers(-1, 2**64).map(str)
+
+
+@st.composite
+def runnable_command_lines(draw):
+    """A command with a scenario and small settings where it takes them; a token after, at times."""
+    argv = [draw(COMMAND_WORDS)]
+    if argv[0] != "audit":
+        scenario = draw(st.sampled_from(list(cli.SCENARIOS)))
+        sizes = ["--pairs", "phi+:psi+,psi-:phi-"] if scenario == "es-qkd" else [
+            "--message-bits", draw(st.sampled_from(["2", "4"]))]
+        argv += ["--scenario", scenario, *sizes, "--trials", str(draw(st.integers(1, 3)))]
+        argv += draw(st.sampled_from([[], ["--seed", "5"]]))  # else $OTPLAB_SEED, maybe refused
+    argv += draw(st.sampled_from([[], ["--format", "json"]]))
+    return argv + [draw(TOKENS)] * draw(st.sampled_from([0, 0, 0, 1]))
+
+
+def make_out(directory: Path, kind: str) -> Path:
+    """An --out path of `kind` in `directory`; a symlink's target is `directory / "target"`."""
+    path = directory / kind
+    if kind in ("existing", "private", "symlink"):
+        file = directory / "target" if kind == "symlink" else path
+        file.write_text("old")
+        file.chmod(0o600 if kind == "private" else 0o644)
+    if kind == "directory":
+        path.mkdir()
+    elif kind in ("symlink", "dangling"):
+        path.symlink_to("target")
+    elif kind == "fifo":
+        os.mkfifo(path)
+    return path
+
+
+class TestWholeCommandLines:
+    """Any command line, --out path and $OTPLAB_SEED: exit 0 or 2, and --out damages nothing."""
+
+    KINDS = st.sampled_from((None, *OUT_KINDS))
+
+    @settings(max_examples=200, deadline=None)
+    @given(COMMAND_LINES | st.lists(TOKENS | st.binary(max_size=4).map(os.fsdecode), max_size=6),
+           KINDS, st.none() | SEEDS, st.data())
+    def test_any_command_line(self, argv, kind, seed, data):
+        self.check(argv, kind, seed, data)
+
+    @settings(max_examples=200, deadline=None)
+    @given(runnable_command_lines(), KINDS, st.none() | SEEDS, st.data())
+    def test_a_runnable_command_line(self, argv, kind, seed, data):
+        self.check(argv, kind, seed, data)
+
+    @staticmethod
+    def check(argv, kind, seed, data):
+        """Exit 0 or 2; --out gets the report if it is written, else keeps its bytes and mode."""
+        with tempfile.TemporaryDirectory() as name, pytest.MonkeyPatch.context() as patch:
+            directory = Path(name)
+            patch.chdir(directory)  # a drawn relative --out path lands here
+            patch.setattr(cli, "MAX_TRIALS", 8)  # small runs only
+            patch.setattr(cli, "MAX_SWAPS", 16)
+            if seed is None:
+                patch.delenv("OTPLAB_SEED", raising=False)
+            else:
+                patch.setenv("OTPLAB_SEED", seed)
+            out = at = None
+            if kind is not None:
+                out = make_out(directory, kind)
+                # At the end half the time, where a runnable command line stays runnable.
+                at = data.draw(st.just(len(argv)) | st.integers(0, len(argv)))
+                argv = argv[:at] + ["--out", str(out)] + argv[at:]
+            received = []
+            if kind == "fifo":
+                reader = threading.Thread(target=lambda: received.append(out.read_text()),
+                                          daemon=True)
+                reader.start()
+            code, stdout, stderr = run_main(argv)
+            assert code in (0, 2), stderr
+            if code == 2:
+                assert stdout == "" and stderr.startswith("error: ") and stderr.count("\n") == 1
+            parsed = parse_command_line(argv) if code == 0 else None
+            written = out is not None and getattr(parsed, "out", None) == str(out)
+            if kind == "fifo":
+                if not written:  # nothing opened the FIFO: open it, so its reader returns
+                    os.close(os.open(out, os.O_WRONLY))
+                reader.join(timeout=30)
+                assert not reader.is_alive()
+            assert not list(directory.rglob("*.partial"))
+            file = directory / "target" if kind in ("symlink", "dangling") else out
+            if written:
+                # The same command line, with a fresh --out path in the same place.
+                expected = directory / "expected"
+                assert run_main(argv[:at + 1] + [str(expected)] + argv[at + 2:])[0] == 0
+                assert stdout == ""
+                assert (received or [file.read_text()]) == [expected.read_text()]
+            elif kind in ("existing", "private", "symlink"):
+                assert file.read_text() == "old"
+            if kind in ("existing", "private", "symlink"):
+                assert stat.S_IMODE(file.stat().st_mode) == (0o600 if kind == "private" else 0o644)
+            if kind in ("symlink", "dangling"):
+                assert out.is_symlink()
+
+
 class TestOutput:
     def test_out_writes_file_and_stdout_stays_quiet(self, capsys, tmp_path):
         target = tmp_path / "report.json"
@@ -718,6 +831,66 @@ class TestOutput:
         )
         assert (done.returncode, done.stderr) == (
             2, f"error: cannot write standard output: {os.strerror(errno.EBADF)}\n")
+
+    @pytest.mark.parametrize("existing", [True, False], ids=["target", "dangling"])
+    def test_out_through_a_symlink_writes_its_target_and_keeps_the_link(self, capsys, tmp_path,
+                                                                        existing):
+        target, link = tmp_path / "report.txt", tmp_path / "link"
+        if existing:
+            target.write_text("old")
+        link.symlink_to(target.name)
+        assert main(["audit", "--out", str(link)]) == 0
+        assert main(["audit"]) == 0
+        assert link.is_symlink() and os.readlink(link) == target.name
+        assert target.read_text() == capsys.readouterr().out
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "report.txt"]
+
+    def test_out_to_a_fifo_is_written_in_place(self, capsys, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+        reader.start()
+        assert main(["audit", "--out", str(fifo)]) == 0
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert main(["audit"]) == 0
+        assert received == [capsys.readouterr().out]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
+
+    def test_replaced_file_keeps_its_mode_and_its_other_links_keep_the_old_bytes(
+            self, capsys, tmp_path):
+        target, other = tmp_path / "report.txt", tmp_path / "other-link"
+        target.write_text("old")
+        target.chmod(0o600)
+        os.link(target, other)
+        assert main(["audit", "--out", str(target)]) == 0
+        assert main(["audit"]) == 0
+        assert target.read_text() == capsys.readouterr().out
+        assert stat.S_IMODE(target.stat().st_mode) == 0o600
+        assert other.read_text() == "old"
+
+    def test_refusal_exits_2_when_stderr_is_unwritable(self, capsys, monkeypatch):
+        class FullStderr(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        for stderr in (None, FullStderr()):
+            monkeypatch.setattr(sys, "stderr", stderr)
+            assert main(["simulate", "--scenario", "nope"]) == 2
+            assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("redirect", ["2>&-", "2>/dev/full"])
+    def test_refusal_in_a_fresh_interpreter_exits_2_when_stderr_is_unwritable(self, redirect):
+        if redirect == "2>/dev/full" and not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        done = subprocess.run(
+            ["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m", "otplab.cli",
+             "simulate", "--scenario", "nope"],
+            stdout=subprocess.PIPE, env=child_env(), text=True, timeout=60,
+        )
+        assert (done.returncode, done.stdout) == (2, "")
 
     def test_text_mode_carries_the_same_numbers(self, capsys):
         code, out, _ = run_cli(
@@ -1206,6 +1379,28 @@ class TestRepeatedTrials:
             assert by_view.setdefault(attack["view"], support) is support
         assert len(by_view) < len({trial["key_or_message"] for trial in trials})
 
+    def test_otp_baseline_trials_with_one_ciphertext_share_one_attack_block(self, monkeypatch):
+        calls = collections.Counter()
+
+        def counting(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            return counted
+
+        monkeypatch.setattr(cryptanalysis, "posterior",
+                            counting("posterior", cryptanalysis.posterior))
+        monkeypatch.setattr(cli, "_distributions_match",
+                            counting("match", cli._distributions_match))
+        config = ScenarioConfig("otp-baseline", seed=3, trials=64, fmt="json", message_bits=2)
+        attacks = [trial["attack"] for trial in build_report(config, with_attack=True)["trials"]]
+        by_ciphertext = {}
+        for attack in attacks:
+            assert by_ciphertext.setdefault(attack["ciphertext"], attack) is attack
+        # One posterior per trial still; one comparison with the prior per ciphertext.
+        assert calls["posterior"] == 64
+        assert calls["match"] == len(by_ciphertext) == len({id(a) for a in attacks}) <= 4
+
 
 class TestAttacksAreTheOnlyPath:
     """A report's analysis is its scheme's attack from `cryptanalysis`, set up once."""
@@ -1248,7 +1443,8 @@ def fresh_generator_trials(config, with_attack):
         runs.append(run)
         trials.append(body)
     leakage = leakage_report(runs[0], analysis)
-    fields = {name: getattr(leakage, name) for name in type(leakage).__slots__}
+    fields = {name: getattr(leakage, name) for name in (
+        "scenario", "claimed_bits", "receiver_bits", "eve_bits", "secure_bits")}
     return trials, {**fields, "resources": leakage.resources._asdict()}
 
 

@@ -12,14 +12,13 @@ from otplab.bits import bits_to_int, codes_to_bits, int_to_bits, xor_bits
 from otplab.cryptanalysis import (
     CARRIERS,
     Analysis,
+    CarrierAccounting,
     EfficiencyVerdict,
-    LeakageReport,
     ResourceCount,
     attack_es_qkd_keyset,
     attack_es_qkd_parity,
     attack_otp_baseline,
     attack_xor_chain,
-    efficiency_audit,
     leakage_report,
     xor_chain_view,
 )
@@ -141,12 +140,12 @@ class TestAttackXorChain:
 class TestAttackEsQkdKeyset:
     def test_phi_plus_psi_plus_key_set(self):
         analysis = attack_es_qkd_keyset([(PHI_PLUS, PSI_PLUS)])
-        assert analysis.attack == [("0010", "0111", "1000", "1101")]
+        assert analysis.attack == (("0010", "0111", "1000", "1101"),)
         assert key_entropy(analysis) == pytest.approx(2.0, abs=1e-9)
 
     def test_equal_labels_key_set(self):
         analysis = attack_es_qkd_keyset([(PHI_PLUS, PHI_PLUS)])
-        assert analysis.attack == [("0000", "0101", "1010", "1111")]
+        assert analysis.attack == (("0000", "0101", "1010", "1111"),)
         assert key_entropy(analysis) == pytest.approx(2.0, abs=1e-9)
 
     def test_two_swaps_add(self):
@@ -189,7 +188,7 @@ class TestAttackEsQkdKeyset:
            st.integers(0, 2**32 - 1))
     def test_key_sets_are_the_rule_blocks(self, pairs, seed):
         key_sets = attack_es_qkd_keyset(pairs).attack
-        assert key_sets == [swap_distribution_rule(*pair).support for pair in pairs]
+        assert key_sets == tuple(swap_distribution_rule(*pair).support for pair in pairs)
         run = run_es_qkd(pairs, random.Random(seed))
         for i, blocks in enumerate(key_sets):
             assert run.key[4 * i:4 * i + 4] in blocks
@@ -361,37 +360,35 @@ class TestLeakageReport:
         assert (report.eve_bits, report.secure_bits) == (6.0, 6.0)
 
     def test_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            LeakageReport("x", 2, 1.0, 2.0, ResourceCount(1, 3))
+        # Eve's bits lie in [0, receiver bits] when the analysis is built.
+        for eve_bits in (3.0, -1.0):
+            with pytest.raises(ValueError, match="outside"):
+                Analysis("xor-chain", 1, None, eve_bits)
 
 
 class TestEfficiencyAudit:
     def test_xor_chain_rates(self):
         run = run_xor_chain("11")
-        report = leakage_report(run, attack_xor_chain(Distribution.uniform_bits(2)))
-        verdict = efficiency_audit(report)
+        verdict = leakage_report(run, attack_xor_chain(Distribution.uniform_bits(2))).efficiency
         assert verdict.claimed_bits_per_carrier == pytest.approx(2.0, abs=1e-9)
         assert verdict.effective_bits_per_carrier == pytest.approx(1.0, abs=1e-9)
         assert verdict.holevo_ok
 
     def test_es_qkd_rates(self):
         run = run_es_qkd([(PHI_PLUS, PSI_PLUS)], random.Random(2))
-        verdict = efficiency_audit(
-            leakage_report(run, attack_es_qkd_keyset(run.initial_pairs))
-        )
+        verdict = leakage_report(run, attack_es_qkd_keyset(run.initial_pairs)).efficiency
         assert verdict.claimed_bits_per_carrier == pytest.approx(4.0, abs=1e-9)
         assert verdict.effective_bits_per_carrier == pytest.approx(2.0, abs=1e-9)
         assert verdict.effective_bits_per_qubit == pytest.approx(0.5, abs=1e-9)
         assert verdict.holevo_ok
 
-    def test_ceiling_violation_is_flagged(self):
-        impossible = LeakageReport("x", 8, 8.0, 0.0, ResourceCount(1, 4))
-        verdict = efficiency_audit(impossible)
+    def test_ceiling_violation_is_flagged(self, monkeypatch):
+        # A carrier that claims 8 bits on 4 qubits, with nothing leaked.
+        monkeypatch.setitem(CARRIERS, "otp-baseline", CarrierAccounting("x", 8, 4))
+        verdict = Analysis("otp-baseline", 1, None, 0.0).efficiency
         assert not verdict.holevo_ok
 
     def test_rejects_empty_resources(self):
-        report = LeakageReport("x", 2, 2.0, 1.0, ResourceCount(1, 3))
-        broken = LeakageReport("x", 2, 2.0, 1.0, ResourceCount(0, 0))
-        assert isinstance(efficiency_audit(report), EfficiencyVerdict)
-        with pytest.raises(ValueError):
-            efficiency_audit(broken)
+        assert isinstance(Analysis("xor-chain", 1, None, 1.0).efficiency, EfficiencyVerdict)
+        with pytest.raises(ValueError, match="resource counts must be positive"):
+            Analysis("xor-chain", 0, None, 0.0)

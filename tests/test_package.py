@@ -17,8 +17,8 @@ import otplab
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(info.name for info in pkgutil.iter_modules(otplab.__path__))
 NUMPY_FREE = ["bits", "records", "tolerances"]
-# The names, still defined, that the package root re-exported before each
-# name had one import path.
+# The names that the package root re-exported before each name had one
+# import path.
 FORMER_REEXPORTS = [
     "AuditReport", "BELL_LABELS", "BellLabel", "Channel", "CipherBlock",
     "ConditionViolationError", "Distribution", "EfficiencyVerdict", "EsQkdRun",

@@ -14,13 +14,7 @@ import pytest
 
 from otplab import cli, cryptanalysis, otp, protocols, quantum
 from otplab.cli import SCENARIOS, ScenarioConfig
-from otplab.cryptanalysis import (
-    CARRIERS,
-    LeakageReport,
-    ResourceCount,
-    attack_xor_chain,
-    efficiency_audit,
-)
+from otplab.cryptanalysis import CARRIERS, Analysis, attack_xor_chain
 from otplab.infotheory import Distribution
 from otplab.otp import TRULY_RANDOM, KeyMaterial, encrypt, shannon_audit
 from otplab.protocols import Channel, Transcript, XorChainRun, run_es_qkd, run_xor_chain
@@ -30,7 +24,7 @@ from otplab.records import Record
 
 def one_of_each() -> dict:
     """One instance of every record, by class name."""
-    report = LeakageReport("x", 2, 2.0, 1.0, ResourceCount(1, 3))
+    analysis = attack_xor_chain(Distribution.uniform_bits(2))
     records = [
         BellLabel(1, 0),
         TRULY_RANDOM,
@@ -40,10 +34,9 @@ def one_of_each() -> dict:
         run_xor_chain("0110"),
         run_es_qkd([(PHI_PLUS, PSI_PLUS)], random.Random(1)),
         CARRIERS["es-qkd"],
-        report.resources,
-        report,
-        attack_xor_chain(Distribution.uniform_bits(2)),
-        efficiency_audit(report),
+        analysis.resources,
+        analysis,
+        analysis.efficiency,
         ScenarioConfig("xor-chain", seed=3, trials=1, fmt="json"),
         SCENARIOS["xor-chain"],
         cli.COMMANDS["simulate"][1][0],
@@ -63,7 +56,7 @@ def test_every_record_is_covered():
         if inspect.isclass(value) and value.__module__ == module.__name__
         and (issubclass(value, Record) or issubclass(value, tuple) and hasattr(value, "_fields"))
     }
-    assert defined == set(one_of_each()) and len(defined) == 15
+    assert defined == set(one_of_each()) and len(defined) == 14
 
 
 @pytest.mark.parametrize("name", sorted(one_of_each()))
@@ -131,12 +124,12 @@ class TestCipherBlock:
 
 class TestRecord:
     def test_records_of_equal_fields_are_equal_within_one_class(self):
-        a = LeakageReport("x", 2, 2.0, 1.0, ResourceCount(1, 3))
-        assert a == LeakageReport("x", 2, 2.0, 1.0, ResourceCount(1, 3))
-        assert hash(a) == hash(LeakageReport("x", 2, 2.0, 1.0, ResourceCount(1, 3)))
-        assert a != LeakageReport("x", 2, 2.0, 0.5, ResourceCount(1, 3))
+        a = Analysis("xor-chain", 1, None, 1.0)
+        assert a == Analysis("xor-chain", 1, None, 1.0)
+        assert hash(a) == hash(Analysis("xor-chain", 1, None, 1.0))
+        assert a != Analysis("xor-chain", 1, None, 0.5)
 
-        class Other(LeakageReport):
+        class Other(Analysis):
             pass
 
-        assert a != Other("x", 2, 2.0, 1.0, ResourceCount(1, 3))
+        assert a != Other("xor-chain", 1, None, 1.0)
