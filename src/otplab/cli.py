@@ -79,7 +79,7 @@ from .cryptanalysis import (
     leakage_report,
 )
 from .infotheory import Distribution
-from .otp import KeyMaterial, derived_correlated, encrypt, random_key
+from .otp import KeyMaterial, encrypt, random_key
 from .protocols import XOR_CHAIN_MEMO_BITS, eve_view, run_es_qkd, run_otp_baseline, run_xor_chain
 from .quantum import BellLabel
 from .records import Record
@@ -184,22 +184,24 @@ def parse_pairs(text: str) -> list:
 
 
 def default_seed() -> int:
-    """$OTPLAB_SEED, default 0: ASCII digits only, an unsigned 64-bit integer.
+    """$OTPLAB_SEED, default 0, read by `_integer`: an unsigned 64-bit integer.
 
-    `int` alone would take " 1_0 " as 10 and leave "-1" to a message that
-    does not name the variable.
+    Every refusal, "-1" included, names the variable, as `--seed`'s would not.
     """
     raw = os.environ.get("OTPLAB_SEED", "0")
-    digits = raw.lstrip("0") or "0"
-    if not (raw.isascii() and raw.isdigit() and len(digits) <= 20 and int(digits) < 1 << 64):
-        raise ConfigError(f"OTPLAB_SEED must be an unsigned 64-bit integer, got {raw!r}")
-    return int(digits)
+    try:
+        if 0 <= (seed := _integer(raw)) < 1 << 64:
+            return seed
+    except ValueError:
+        pass
+    raise ConfigError(f"OTPLAB_SEED must be an unsigned 64-bit integer, got {raw!r}")
 
 
 def _integer(text: str) -> int:
-    """ASCII digits, as `default_seed` takes them, after a '-' that makes them negative.
+    """ASCII digits, after a '-' that makes them negative: each integer option and $OTPLAB_SEED.
 
-    The '-' form reaches the range message; "-0", " 1_0 ", "+3" and "1e3" raise ValueError.
+    The '-' form reaches the range message; "-0", " 1_0 ", "+3", "1e3" and
+    more than `int`'s 4,300 digits raise ValueError.
     """
     negative = text.startswith("-")
     digits = text[1:] if negative else text
@@ -273,7 +275,7 @@ def _es_qkd(config: ScenarioConfig, with_attack: bool):
         if with_attack:
             attack = {"key_sets": key_sets, "key_entropy_given_eve": analysis.secure_bits}
             if true is not None:
-                pad = KeyMaterial(key, derived_correlated("entanglement-swap outcomes"))
+                pad = KeyMaterial(key, truly_random=False)  # swap outcomes, correlated
                 ciphertext = encrypt(config.plaintext, pad).ciphertext
                 recovered = [
                     list(attack_es_qkd_parity(ciphertext[4 * i:4 * i + 4], pair))
@@ -537,15 +539,14 @@ def build_report(config: ScenarioConfig, with_attack: bool) -> dict:
 def build_audit_rows() -> list:
     """Claimed-vs-effective table: each scheme's efficiency at its default size.
 
-    Every row is the efficiency block of the report `simulate` builds
-    without size flags.
+    Every row is the efficiency verdict of the `Analysis` that `simulate`
+    sets up without size flags; no trial is drawn.
     """
     table = []
     for name in SCENARIOS:
-        config = ScenarioConfig(name, seed=0, trials=1, fmt="json")
-        verdict = build_report(config, with_attack=False)["efficiency"]
-        claimed = verdict["claimed_bits_per_carrier"]
-        effective = verdict["effective_bits_per_carrier"]
+        _, analysis = SCENARIOS[name].start(ScenarioConfig(name, 0, 1, "json"), False)
+        verdict = analysis.efficiency
+        claimed, effective = verdict.claimed_bits_per_carrier, verdict.effective_bits_per_carrier
         if any(abs(rate - round(rate)) > FLOAT_TOL for rate in (claimed, effective)):
             raise AssertionError("audit table rates must be exact integers")
         table.append({
@@ -553,8 +554,8 @@ def build_audit_rows() -> list:
             "carrier_unit": CARRIERS[name].unit,
             "claimed_bits_per_carrier": int(round(claimed)),
             "effective_bits_per_carrier": int(round(effective)),
-            "effective_bits_per_qubit": verdict["effective_bits_per_qubit"],
-            "holevo_ok": verdict["holevo_ok"],
+            "effective_bits_per_qubit": verdict.effective_bits_per_qubit,
+            "holevo_ok": verdict.holevo_ok,
         })
     return table
 

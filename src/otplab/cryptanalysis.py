@@ -90,15 +90,20 @@ class Analysis(Record):
     what she learns of such a run.  The rest is derived from `CARRIERS`:
     the bits claimed, the receiver's (as a float) and the secure bits
     (receiver's less Eve's), the resources and the efficiency verdict.  A
-    carrier count that is not positive, or `eve_bits` outside [0, receiver
-    bits], raises `ValueError`.
+    scenario without a `CARRIERS` row, a carrier count that is not a
+    positive `int` (a bool is not), or `eve_bits` outside [0, receiver
+    bits] raises `ValueError`.
     """
 
     __slots__ = ("scenario", "carriers", "attack", "eve_bits", "claimed_bits", "receiver_bits",
                  "secure_bits", "resources", "efficiency")
 
     def __init__(self, scenario: str, carriers: int, attack, eve_bits: float):
-        accounting = CARRIERS[scenario]
+        accounting = CARRIERS.get(scenario)
+        if accounting is None:
+            raise ValueError(f"no carrier accounting for scenario {scenario!r}")
+        if type(carriers) is not int:
+            raise ValueError(f"carriers must be an int, got {carriers!r}")
         resources = ResourceCount(carriers, accounting.qubits * carriers)
         if min(resources) <= 0:
             raise ValueError("resource counts must be positive")

@@ -12,12 +12,11 @@ marked truly random.  Analytically, when the distribution the key was
 drawn from is supplied: condition (i) holds iff that distribution's
 entropy equals the key length.
 
-`KeyOrigin` is a named tuple; `CipherBlock` (its repr leaves out the pad)
-and `AuditReport` are immutable `records.Record`s.
+`CipherBlock` (its repr leaves out the pad) and `AuditReport` are
+immutable `records.Record`s.
 """
 
 import random
-from typing import NamedTuple
 
 from .bits import check_bits, random_bits, xor_bits
 from .infotheory import Distribution, TiledJoint, check_budget, entropy
@@ -41,32 +40,21 @@ class KeyMismatchError(OtpError):
     """A cipher block was presented against a pad it was not made from."""
 
 
-class KeyOrigin(NamedTuple):
-    """Provenance of key material; immutable after creation."""
-
-    kind: str  # "truly-random" or "derived-correlated"
-    description: str = ""
-
-
-TRULY_RANDOM = KeyOrigin("truly-random")
-
-
-def derived_correlated(description: str) -> KeyOrigin:
-    return KeyOrigin("derived-correlated", description)
-
-
 class KeyMaterial:
     """A pad of key bits with a usage ledger.
 
     Bits are consumed as a strictly advancing prefix; a used bit never
     becomes unused.  Single-writer: encryptions against one pad must be
     serialized by the caller.  A pad is identified by the object itself,
-    not its bits.
+    not its bits.  `truly_random`, a keyword-only `bool`, says whether the
+    bits were drawn truly at random; any other value raises `ValueError`.
     """
 
-    def __init__(self, bits: str, origin: KeyOrigin):
+    def __init__(self, bits: str, *, truly_random: bool):
+        if type(truly_random) is not bool:
+            raise ValueError(f"truly_random must be a bool, got {truly_random!r}")
         self._bits = check_bits(bits, "key bits")
-        self._origin = origin
+        self._truly_random = truly_random
         self._cursor = 0
 
     @property
@@ -74,8 +62,8 @@ class KeyMaterial:
         return self._bits
 
     @property
-    def origin(self) -> KeyOrigin:
-        return self._origin
+    def truly_random(self) -> bool:
+        return self._truly_random
 
     @property
     def unused_count(self) -> int:
@@ -120,7 +108,7 @@ class CipherBlock(Record):
 
 def random_key(width: int, rng: random.Random) -> KeyMaterial:
     """Fresh pad of uniform bits drawn from the caller's seeded stream."""
-    return KeyMaterial(random_bits(width, rng), TRULY_RANDOM)
+    return KeyMaterial(random_bits(width, rng), truly_random=True)
 
 
 def encrypt(plaintext: str, key: KeyMaterial) -> CipherBlock:
@@ -143,7 +131,7 @@ class AuditReport(Record):
 
     `key_entropy_bits` and `deficiency_bits` are filled in analytic mode
     (when the key's generating distribution is supplied); in origin mode
-    the entropy is unknown and reported as None.
+    (the pad's `truly_random` flag) the entropy is unknown, reported as None.
     """
 
     __slots__ = ("randomness_ok", "length_ok", "reuse_ok", "key_entropy_bits", "deficiency_bits")
@@ -172,7 +160,7 @@ def shannon_audit(key: KeyMaterial, intended_message_len: int,
 
     Randomness passes iff the supplied generating distribution has entropy
     equal to the key length within `FLOAT_TOL` (analytic mode) or, absent a
-    distribution, iff the pad's origin is truly random.  Length passes iff
+    distribution, iff the pad's `truly_random` flag is set.  Length passes iff
     enough unused bits remain for the intended message.  Reuse passes iff
     the pad has never been committed to an encryption before.
     """
@@ -187,7 +175,7 @@ def shannon_audit(key: KeyMaterial, intended_message_len: int,
         randomness_ok = deficiency <= FLOAT_TOL
     else:
         ent = None
-        randomness_ok = key.origin.kind == TRULY_RANDOM.kind
+        randomness_ok = key.truly_random
         deficiency = 0.0 if randomness_ok else None
     return AuditReport(
         randomness_ok=randomness_ok,

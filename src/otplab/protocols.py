@@ -230,9 +230,9 @@ def run_es_qkd(initial_pairs, rng: random.Random) -> EsQkdRun:
 def run_otp_baseline(plaintext: str, key: KeyMaterial) -> Transcript:
     """Correct one-time pad over the public channel, on a plaintext of at least 1 bit.
 
-    Refuses to run unless the pad passes all three secrecy conditions,
-    randomness audited by the pad's origin; otherwise broadcasts the
-    ciphertext and checks the receiver's decryption round-trips.
+    Refuses to run unless the pad passes all three secrecy conditions, its
+    randomness read from the pad's `truly_random` flag; otherwise broadcasts
+    the ciphertext and checks the receiver's decryption round-trips.
     """
     if not check_bits(plaintext, "plaintext"):
         raise ValueError("plaintext must hold at least 1 bit")

@@ -21,7 +21,7 @@ from otplab.cryptanalysis import (
     leakage_report,
 )
 from otplab.infotheory import Distribution, mutual_information
-from otplab.otp import TRULY_RANDOM, KeyMaterial, ciphertext_joint, random_key
+from otplab.otp import KeyMaterial, ciphertext_joint, random_key
 from otplab.protocols import (
     ConditionViolationError,
     eve_view,
@@ -168,12 +168,12 @@ def test_criterion_09_baseline_perfect_secrecy():
         for length in range(1, 13):
             joint = ciphertext_joint(Distribution.uniform_bits(length))
             assert abs(mutual_information(joint)) <= 1e-9
-        reused = KeyMaterial("10", TRULY_RANDOM)
+        reused = KeyMaterial("10", truly_random=True)
         run_otp_baseline("01", reused)
         with pytest.raises(ConditionViolationError):
             run_otp_baseline("11", reused)
         with pytest.raises(ConditionViolationError):
-            run_otp_baseline("0101", KeyMaterial("01", TRULY_RANDOM))
+            run_otp_baseline("0101", KeyMaterial("01", truly_random=True))
 
 
 def test_criterion_10_holevo_ceiling_everywhere():

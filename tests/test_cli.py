@@ -340,6 +340,16 @@ class TestConfigErrors:
         assert (code, out) == (2, "")
         assert err == f"error: OTPLAB_SEED must be an unsigned 64-bit integer, got {raw!r}\n"
 
+    @pytest.mark.parametrize("raw", ["-0", "1" * 4301, "0" * 4300 + "1"])
+    def test_env_seed_follows_the_seed_options_digit_rule(self, capsys, monkeypatch, raw):
+        # `int` reads at most 4,300 digits, leading zeros counted, as --seed does.
+        monkeypatch.setenv("OTPLAB_SEED", raw)
+        code, out, err = run_cli(capsys, "simulate", "--scenario", "xor-chain")
+        assert (code, out) == (2, "")
+        assert err == f"error: OTPLAB_SEED must be an unsigned 64-bit integer, got {raw!r}\n"
+        code, _, err = run_cli(capsys, "simulate", "--scenario", "xor-chain", "--seed", raw)
+        assert (code, err) == (2, f"error: argument --seed: invalid int value: {raw!r}\n")
+
     @pytest.mark.parametrize("raw, seed", [("0", 0), ("007", 7), ("0" * 30 + "5", 5),
                                            (str(2**64 - 1), 2**64 - 1)])
     def test_env_seed_of_ascii_digits_is_taken(self, monkeypatch, raw, seed):
@@ -920,6 +930,16 @@ class TestAudit:
         assert row["carrier_unit"] == CARRIERS[scenario].unit
         for key, value in report["efficiency"].items():
             assert row[key] == value
+
+    def test_rows_draw_no_trial(self, monkeypatch):
+        rows = build_audit_rows()
+
+        def refuse(*args):
+            raise AssertionError("the audit ran a trial")
+
+        for name in ("run_xor_chain", "run_es_qkd", "run_otp_baseline", "random_bits"):
+            monkeypatch.setattr(cli, name, refuse)
+        assert build_audit_rows() == rows
 
     def test_text_table(self, capsys):
         code, out, _ = run_cli(capsys, "audit")

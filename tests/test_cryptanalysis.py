@@ -392,3 +392,12 @@ class TestEfficiencyAudit:
         assert isinstance(Analysis("xor-chain", 1, None, 1.0).efficiency, EfficiencyVerdict)
         with pytest.raises(ValueError, match="resource counts must be positive"):
             Analysis("xor-chain", 0, None, 0.0)
+
+    def test_rejects_an_unknown_scheme(self):
+        with pytest.raises(ValueError, match="no carrier accounting for scenario 'nope'"):
+            Analysis("nope", 1, None, 0.0)
+
+    @pytest.mark.parametrize("carriers", [1.5, True, 2.0])
+    def test_rejects_a_carrier_count_that_is_not_an_int(self, carriers):
+        with pytest.raises(ValueError, match="carriers must be an int"):
+            Analysis("xor-chain", carriers, None, 0.0)

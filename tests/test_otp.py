@@ -18,14 +18,12 @@ from otplab.infotheory import (
     posterior,
 )
 from otplab.otp import (
-    TRULY_RANDOM,
     KeyExhaustedError,
     KeyMaterial,
     KeyMismatchError,
     ReuseViolationError,
     ciphertext_joint,
     decrypt,
-    derived_correlated,
     encrypt,
     random_key,
     shannon_audit,
@@ -105,7 +103,7 @@ def assert_matches_generic_enumeration(prior):
 
 
 def fresh_key(bits: str) -> KeyMaterial:
-    return KeyMaterial(bits, TRULY_RANDOM)
+    return KeyMaterial(bits, truly_random=True)
 
 
 class TestEncryptDecrypt:
@@ -170,7 +168,7 @@ class TestPadIdentity:
 
     @staticmethod
     def observed():
-        block = encrypt("10", KeyMaterial("11", TRULY_RANDOM))
+        block = encrypt("10", KeyMaterial("11", truly_random=True))
         with pytest.raises(KeyExhaustedError) as exhausted:
             encrypt("1010", fresh_key("10"))
         spent = fresh_key("11")
@@ -210,9 +208,16 @@ class TestLedger:
     def test_origin_is_immutable(self):
         key = fresh_key("01")
         with pytest.raises(AttributeError):
-            key.origin.kind = "derived-correlated"
-        with pytest.raises(AttributeError):
-            key.origin = derived_correlated("swapped out")
+            key.truly_random = False
+
+    @pytest.mark.parametrize("flag", ["yes", 1, 0, None, "truly-random"])
+    def test_truly_random_must_be_a_bool(self, flag):
+        with pytest.raises(ValueError, match="truly_random must be a bool"):
+            KeyMaterial("01", truly_random=flag)
+
+    def test_truly_random_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            KeyMaterial("01", True)
 
 
 class TestShannonAudit:
@@ -221,7 +226,7 @@ class TestShannonAudit:
         # A pad keyed by one swap's 4-bit block: the rule is dyadic, so its
         # 2 bits of entropy, and the 2 missing, are exact.
         dist = swap_distribution_rule(*initial)
-        key = KeyMaterial(dist.support[0], derived_correlated("entanglement-swap outcomes"))
+        key = KeyMaterial(dist.support[0], truly_random=False)
         report = shannon_audit(key, 4, key_distribution=dist)
         assert not report.randomness_ok
         assert report.key_entropy_bits == 2.0
@@ -240,7 +245,7 @@ class TestShannonAudit:
 
     def test_origin_mode_uses_provenance(self):
         assert shannon_audit(fresh_key("01"), 2).randomness_ok
-        derived = KeyMaterial("01", derived_correlated("swap outcomes"))
+        derived = KeyMaterial("01", truly_random=False)
         report = shannon_audit(derived, 2)
         assert not report.randomness_ok
         assert report.key_entropy_bits is None

@@ -12,7 +12,7 @@ from otplab import protocols
 from otplab.bits import check_bits, random_bits, xor_bits
 from otplab.cli import SCENARIOS
 from otplab.cryptanalysis import attack_es_qkd_keyset, leakage_report
-from otplab.otp import KeyMaterial, TRULY_RANDOM, derived_correlated, random_key
+from otplab.otp import KeyMaterial, random_key
 from otplab.protocols import (
     XOR_CHAIN_SENDER,
     Channel,
@@ -145,7 +145,7 @@ class TestFrozenRun:
         assert len(events_of(run.transcript)) == 2
 
     def test_transcript_columns_are_tuples(self):
-        key = KeyMaterial("11", TRULY_RANDOM)
+        key = KeyMaterial("11", truly_random=True)
         for transcript in (run_xor_chain("0110").transcript, run_otp_baseline("10", key)):
             for column in (transcript.senders, transcript.channels, transcript.payloads):
                 assert type(column) is tuple
@@ -205,7 +205,7 @@ class TestEveView:
         assert eve_view(run.transcript) == "0"
 
     def test_otp_view_is_the_ciphertext(self):
-        key = KeyMaterial("11", TRULY_RANDOM)
+        key = KeyMaterial("11", truly_random=True)
         transcript = run_otp_baseline("10", key)
         assert eve_view(transcript) == "01"
 
@@ -636,14 +636,14 @@ class TestEsQkd:
 
 class TestOtpBaseline:
     def test_broadcast_is_the_ciphertext(self):
-        transcript = run_otp_baseline("10", KeyMaterial("11", TRULY_RANDOM))
+        transcript = run_otp_baseline("10", KeyMaterial("11", truly_random=True))
         events = events_of(transcript)
         assert len(events) == 1
         assert events[0].channel is Channel.PUBLIC_BROADCAST
         assert events[0].payload == "01"
 
     def test_reused_key_refused(self):
-        key = KeyMaterial("11", TRULY_RANDOM)
+        key = KeyMaterial("11", truly_random=True)
         run_otp_baseline("10", key)
         with pytest.raises(ConditionViolationError) as err:
             run_otp_baseline("01", key)
@@ -651,11 +651,11 @@ class TestOtpBaseline:
 
     def test_short_key_refused(self):
         with pytest.raises(ConditionViolationError) as err:
-            run_otp_baseline("0101", KeyMaterial("01", TRULY_RANDOM))
+            run_otp_baseline("0101", KeyMaterial("01", truly_random=True))
         assert "length" in str(err.value)
 
     def test_correlated_key_refused(self):
-        key = KeyMaterial("0010", derived_correlated("entanglement-swap outcomes"))
+        key = KeyMaterial("0010", truly_random=False)
         with pytest.raises(ConditionViolationError) as err:
             run_otp_baseline("1010", key)
         assert "randomness" in str(err.value)
@@ -668,14 +668,14 @@ class TestOtpBaseline:
             assert len(eve_view(transcript)) == 12
 
     def test_refusal_leaves_no_broadcast(self):
-        key = KeyMaterial("01", TRULY_RANDOM)
+        key = KeyMaterial("01", truly_random=True)
         with pytest.raises(ConditionViolationError):
             run_otp_baseline("0101", key)
         assert key.is_fresh
 
     def test_empty_plaintext_refused_before_the_key_is_used(self):
         # An empty broadcast used to give a report of 0 carriers that the audit rejected.
-        key = KeyMaterial("", TRULY_RANDOM)
+        key = KeyMaterial("", truly_random=True)
         with pytest.raises(ValueError, match="at least 1 bit"):
             run_otp_baseline("", key)
         assert key.is_fresh

@@ -16,7 +16,7 @@ from otplab import cli, cryptanalysis, otp, protocols, quantum
 from otplab.cli import SCENARIOS, ScenarioConfig
 from otplab.cryptanalysis import CARRIERS, Analysis, attack_xor_chain
 from otplab.infotheory import Distribution
-from otplab.otp import TRULY_RANDOM, KeyMaterial, encrypt, shannon_audit
+from otplab.otp import KeyMaterial, encrypt, shannon_audit
 from otplab.protocols import Channel, Transcript, XorChainRun, run_es_qkd, run_xor_chain
 from otplab.quantum import BELL_LABELS, PHI_PLUS, PSI_MINUS, PSI_PLUS, BellLabel
 from otplab.records import Record
@@ -27,9 +27,8 @@ def one_of_each() -> dict:
     analysis = attack_xor_chain(Distribution.uniform_bits(2))
     records = [
         BellLabel(1, 0),
-        TRULY_RANDOM,
-        encrypt("10", KeyMaterial("11", TRULY_RANDOM)),
-        shannon_audit(KeyMaterial("11", TRULY_RANDOM), 2),
+        encrypt("10", KeyMaterial("11", truly_random=True)),
+        shannon_audit(KeyMaterial("11", truly_random=True), 2),
         Transcript(("alice",), (Channel.PUBLIC_BROADCAST,), ("1",)),
         run_xor_chain("0110"),
         run_es_qkd([(PHI_PLUS, PSI_PLUS)], random.Random(1)),
@@ -56,7 +55,7 @@ def test_every_record_is_covered():
         if inspect.isclass(value) and value.__module__ == module.__name__
         and (issubclass(value, Record) or issubclass(value, tuple) and hasattr(value, "_fields"))
     }
-    assert defined == set(one_of_each()) and len(defined) == 14
+    assert defined == set(one_of_each()) and len(defined) == 13
 
 
 @pytest.mark.parametrize("name", sorted(one_of_each()))
@@ -117,7 +116,7 @@ class TestXorChainRun:
 
 class TestCipherBlock:
     def test_repr_leaves_out_the_pad(self):
-        block = encrypt("10", KeyMaterial("11", TRULY_RANDOM))
+        block = encrypt("10", KeyMaterial("11", truly_random=True))
         assert repr(block) == "CipherBlock(ciphertext='01', key_offset=0)"
         assert "pad" not in repr(block) and "KeyMaterial" not in repr(block)
 
