@@ -6,6 +6,7 @@ first, so a key written k1 k2 k3 k4 reads left to right.
 
 import functools
 import itertools
+import operator
 import random
 
 
@@ -59,12 +60,13 @@ def codes_to_bits(codes, width: int) -> list:
     return list(map(format, codes, itertools.repeat(f"0{width}b")))
 
 
-def random_bits(width: int, rng: random.Random) -> str:
+def random_bits(width: int, rng) -> str:
     """A uniformly random bitstring drawn from the caller's stream.
 
-    Each bit is `getrandbits(2)`, drawn again while it is 2 or more: the
-    draws `rng.choice("01")` makes, so the bits and the stream's final
-    state are the same as one `choice` call per bit.
+    `rng` is a `random.Random` or a `SeededStream`.  Each bit is
+    `getrandbits(2)`, drawn again while it is 2 or more: the draws
+    `rng.choice("01")` makes, so the bits and the stream's final state are
+    the same as one `choice` call per bit.
     """
     if width < 0:
         raise ValueError(f"bit width must be >= 0, got {width}")
@@ -76,3 +78,134 @@ def random_bits(width: int, rng: random.Random) -> str:
             r = getrandbits(2)
         bits.append("01"[r])
     return "".join(bits)
+
+
+# CPython's `random.Random` is MT19937 (Matsumoto & Nishimura, ACM TOMACS 8,
+# 1998): 624 state words; the first 227 words of a twist read only the state
+# that seeding leaves.
+_MT_WORDS = 624
+MAX_SEEDED_WORDS = 227
+
+
+@functools.cache
+def _init_genrand() -> tuple:
+    """MT19937's `init_genrand(19650218)`: the state every seeding starts from."""
+    state = [19650218]
+    for i in range(1, _MT_WORDS):
+        state.append((1812433253 * (state[-1] ^ (state[-1] >> 30)) + i) & 0xFFFFFFFF)
+    return tuple(state)
+
+
+def seeded_words(seeds, count: int):
+    """The first `count` words of `random.Random(s).getrandbits(32)` for each seed, in bulk.
+
+    `seeds` are integers in [0, 2**64) and `count` is at most
+    `MAX_SEEDED_WORDS`; the result is a (len(seeds), count) numpy uint32
+    array.  CPython seeds `Random(s)` by `init_by_array` over the 32-bit
+    words of s, low word first, sets word 0 to 0x80000000, and draws the
+    tempered words of one twist.  Those steps are the same for every seed,
+    so they run in uint32 lanes, one per seed.  `init_by_array`'s second
+    loop reads the words its first loop wrote, so the first loop runs twice:
+    to its end, then again in step with the second loop; only the words the
+    twist reads are kept, so memory is O(len(seeds) x count).  Every scalar
+    is an `np.uint32`, so numpy 1.x and 2.x promote alike, and numpy is
+    imported here, so importing this module loads none.
+    """
+    import numpy as np
+
+    if not 0 <= count <= MAX_SEEDED_WORDS:
+        raise ValueError(f"count must be between 0 and {MAX_SEEDED_WORDS}, got {count}")
+    u32 = np.uint32
+    genrand = [u32(word) for word in _init_genrand()]
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    low = (seeds & np.uint64(0xFFFFFFFF)).astype(u32)
+    high = (seeds >> np.uint64(32)).astype(u32)
+    # The key word (plus its index) that the first loop adds at even and at
+    # odd steps: a seed below 2**32 is a one-word key, so both add its low word.
+    keys = (low, np.where(high == u32(0), low, high + u32(1)))
+    shift, first, second = u32(30), u32(1664525), u32(1566083941)
+    mixed = np.empty_like(low)
+
+    def step(previous, base, multiplier, out):
+        """`base ^ ((previous ^ (previous >> 30)) * multiplier)` into `out`."""
+        np.right_shift(previous, shift, out=mixed)
+        np.bitwise_xor(mixed, previous, out=mixed)
+        np.multiply(mixed, multiplier, out=mixed)
+        np.bitwise_xor(mixed, base, out=out)
+
+    def first_loop(a, i):
+        """The first loop's word i, from its word i - 1 in `a`, into `a`."""
+        step(a, genrand[i], first, a)
+        np.add(a, keys[(i - 1) & 1], out=a)
+
+    a = np.full_like(low, genrand[0])
+    first_loop(a, 1)
+    a1 = a.copy()
+    for i in range(2, _MT_WORDS):
+        first_loop(a, i)
+    # The first loop's last step writes word 1 again, after word 623.
+    b1 = np.empty_like(low)
+    step(a, a1, first, b1)
+    np.add(b1, keys[1], out=b1)
+    # The second loop, words 2 to 623 and then word 1, each from the first
+    # loop's word i (recomputed in `a`) and its own previous word (in `c`).
+    head = np.empty((count + 1, len(low)), dtype=u32)  # words 0 to count
+    tail = np.empty((count, len(low)), dtype=u32)  # words 397 to 396 + count
+    a[:] = a1
+    c = b1.copy()
+    for i in range(2, _MT_WORDS):
+        first_loop(a, i)
+        step(c, a, second, c)
+        np.subtract(c, u32(i), out=c)
+        if i <= count:
+            head[i] = c
+        elif 397 <= i < 397 + count:
+            tail[i - 397] = c
+    if count:
+        step(c, b1, second, head[1])
+        np.subtract(head[1], u32(1), out=head[1])
+    head[0] = u32(0x80000000)
+    # The twist's first `count` words, tempered, each in place of the word
+    # 397 on that it reads.
+    for k, word in enumerate(tail):
+        y = (head[k] & u32(0x80000000)) | (head[k + 1] & u32(0x7FFFFFFF))
+        word ^= (y >> u32(1)) ^ ((y & u32(1)) * u32(0x9908B0DF))
+        word ^= word >> u32(11)
+        word ^= (word << u32(7)) & u32(0x9D2C5680)
+        word ^= (word << u32(15)) & u32(0xEFC60000)
+        word ^= word >> u32(18)
+    return tail.T
+
+
+class SeededStream:
+    """The stream of `random.Random(seed)`, drawn from its first words while they last.
+
+    `words` are that stream's first words (a row of `seeded_words`).
+    `getrandbits(k)` for 0 < k <= 32 is the next word's top k bits, as
+    `Random.getrandbits` takes them.  Past the last word, and for any other
+    k or `random()`, it builds `Random(seed)`, draws the words already used,
+    and hands every later draw to it, so the stream is exactly `Random(seed)`'s.
+    """
+
+    __slots__ = ("_seed", "_words", "_given", "_rng")
+
+    def __init__(self, seed: int, words: list):
+        self._seed, self._words, self._given, self._rng = seed, iter(words), len(words), None
+
+    def getrandbits(self, k: int) -> int:
+        if 0 < k <= 32:
+            for word in self._words:  # the next word, if one is left
+                return word >> (32 - k)
+        return self._random().getrandbits(k)
+
+    def random(self) -> float:
+        return self._random().random()
+
+    def _random(self):
+        """`Random(seed)` past the words used; from here on, every draw's."""
+        if self._rng is None:
+            self._rng = random.Random(self._seed)
+            for _ in range(self._given - operator.length_hint(self._words)):
+                self._rng.getrandbits(32)
+            self._words = iter(())
+        return self._rng

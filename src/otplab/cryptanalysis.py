@@ -37,6 +37,7 @@ verdict records are named tuples; an `Analysis` is a `records.Record`.
 
 import functools
 import math
+import numbers
 from typing import NamedTuple
 
 import numpy as np
@@ -91,8 +92,8 @@ class Analysis(Record):
     the bits claimed, the receiver's (as a float) and the secure bits
     (receiver's less Eve's), the resources and the efficiency verdict.  A
     scenario without a `CARRIERS` row, a carrier count that is not a
-    positive `int` (a bool is not), or `eve_bits` outside [0, receiver
-    bits] raises `ValueError`.
+    positive `int` (a bool is not), or `eve_bits` that is not a real number
+    (a bool is not) or lies outside [0, receiver bits] raises `ValueError`.
     """
 
     __slots__ = ("scenario", "carriers", "attack", "eve_bits", "claimed_bits", "receiver_bits",
@@ -109,6 +110,8 @@ class Analysis(Record):
             raise ValueError("resource counts must be positive")
         claimed = accounting.claimed_bits * carriers
         receiver = float(claimed)
+        if type(eve_bits) is bool or not isinstance(eve_bits, numbers.Real):
+            raise ValueError(f"eve_bits must be a real number, got {eve_bits!r}")
         if not (-FLOAT_TOL <= eve_bits <= receiver + FLOAT_TOL):
             raise ValueError(f"eve_bits {eve_bits} outside [0, receiver_bits={receiver}]")
         secure = receiver - eve_bits

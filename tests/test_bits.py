@@ -1,10 +1,19 @@
 import random
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from otplab.bits import check_bits, codes_to_bits, int_to_bits, random_bits, xor_bits
+from otplab.bits import (
+    MAX_SEEDED_WORDS,
+    SeededStream,
+    check_bits,
+    codes_to_bits,
+    int_to_bits,
+    random_bits,
+    seeded_words,
+    xor_bits,
+)
 from otplab.otp import random_key
 
 
@@ -154,3 +163,69 @@ class TestCodesToBits:
     def test_every_code_of_a_table_width(self, width):
         codes = range(1 << width)
         assert codes_to_bits(codes, width) == [int_to_bits(c, width) for c in codes]
+
+
+SEEDS = st.integers(0, 2**64 - 1) | st.integers(0, 2**32 - 1)
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+def reference_words(seed: int, count: int) -> list:
+    rng = random.Random(seed)
+    return [rng.getrandbits(32) for _ in range(count)]
+
+
+class TestSeededWords:
+    """`seeded_words`' uint32 lanes against a fresh `random.Random(s)` per seed."""
+
+    @settings(deadline=None)
+    @given(st.lists(SEEDS, min_size=1, max_size=8), st.integers(0, MAX_SEEDED_WORDS))
+    @example([0], 16)
+    @example([1], 16)
+    @example([2**32 - 1], 16)
+    @example([2**32], 16)
+    @example([2**64 - 1], 16)
+    @example(EDGE_SEEDS, MAX_SEEDED_WORDS)  # one-word and two-word keys side by side
+    def test_words_equal_a_fresh_generators(self, seeds, count):
+        words = seeded_words(seeds, count)
+        assert words.shape == (len(seeds), count)
+        assert words.tolist() == [reference_words(seed, count) for seed in seeds]
+
+    def test_no_seeds_give_no_rows(self):
+        assert seeded_words([], 4).shape == (0, 4)
+
+    @pytest.mark.parametrize("count", [-1, MAX_SEEDED_WORDS + 1])
+    def test_count_outside_the_first_twist_is_refused(self, count):
+        with pytest.raises(ValueError, match="count must be between 0 and 227"):
+            seeded_words([1], count)
+
+
+DRAWS = st.lists(st.integers(0, 70) | st.just("random"), max_size=24)
+
+
+class TestSeededStream:
+    """A `SeededStream` draws exactly what `random.Random(seed)` draws, words or no words left."""
+
+    @settings(deadline=None)
+    @given(SEEDS, st.integers(0, 8), DRAWS)
+    @example(2**64 - 1, 0, [2, 64, "random", 0, 32])
+    @example(7, 3, [2, 2, 2, 2, 33, 1])
+    def test_every_draw_equals_a_fresh_generators(self, seed, given_words, draws):
+        stream = SeededStream(seed, seeded_words([seed], given_words)[0].tolist())
+        reference = random.Random(seed)
+        for draw in draws:
+            if draw == "random":
+                assert stream.random() == reference.random()
+            else:
+                assert stream.getrandbits(draw) == reference.getrandbits(draw)
+
+    @pytest.mark.parametrize("seed", [1, 2**32 + 5, 7919])
+    def test_too_few_words_fall_back_in_step(self, seed):
+        # Three words cannot cover 20 bits (at least 20 draws), so the stream
+        # builds Random(seed) part way through the bitstring.
+        stream, reference = SeededStream(seed, reference_words(seed, 3)), random.Random(seed)
+        assert random_bits(20, stream) == random_bits(20, reference)
+        assert stream.getrandbits(32) == reference.getrandbits(32)
+
+    def test_negative_bit_count_is_refused_as_random_refuses_it(self):
+        with pytest.raises(ValueError, match="negative"):
+            SeededStream(1, reference_words(1, 2)).getrandbits(-1)

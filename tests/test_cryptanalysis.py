@@ -365,6 +365,15 @@ class TestLeakageReport:
             with pytest.raises(ValueError, match="outside"):
                 Analysis("xor-chain", 1, None, eve_bits)
 
+    @pytest.mark.parametrize("eve_bits", [True, "1", None, 1 + 0j])
+    def test_eve_bits_that_are_not_a_real_number_are_refused(self, eve_bits):
+        with pytest.raises(ValueError, match="eve_bits must be a real number"):
+            Analysis("xor-chain", 1, None, eve_bits)
+
+    def test_nan_eve_bits_are_refused(self):
+        with pytest.raises(ValueError, match="outside"):
+            Analysis("xor-chain", 1, None, float("nan"))
+
 
 class TestEfficiencyAudit:
     def test_xor_chain_rates(self):
