@@ -6,7 +6,6 @@ first, so a key written k1 k2 k3 k4 reads left to right.
 
 import functools
 import itertools
-import operator
 import random
 
 
@@ -63,13 +62,15 @@ def codes_to_bits(codes, width: int) -> list:
 def random_bits(width: int, rng) -> str:
     """A uniformly random bitstring drawn from the caller's stream.
 
-    `rng` is a `random.Random` or a `SeededStream`.  Each bit is
-    `getrandbits(2)`, drawn again while it is 2 or more: the draws
-    `rng.choice("01")` makes, so the bits and the stream's final state are
-    the same as one `choice` call per bit.
+    `rng` is a `random.Random` or a `PlannedStream`, whose next bitstring
+    may be drawn already.  Each bit is `getrandbits(2)`, drawn again while
+    it is 2 or more: the draws `rng.choice("01")` makes, so the bits and the
+    stream's final state are the same as one `choice` call per bit.
     """
     if width < 0:
         raise ValueError(f"bit width must be >= 0, got {width}")
+    if isinstance(rng, PlannedStream) and (planned := rng.planned(width)) is not None:
+        return planned
     getrandbits = rng.getrandbits
     bits = []
     for _ in range(width):
@@ -99,8 +100,8 @@ def _init_genrand() -> tuple:
 def seeded_words(seeds, count: int):
     """The first `count` words of `random.Random(s).getrandbits(32)` for each seed, in bulk.
 
-    `seeds` are integers in [0, 2**64) and `count` is at most
-    `MAX_SEEDED_WORDS`; the result is a (len(seeds), count) numpy uint32
+    `seeds` are integers in [0, 2**64), others refused, and `count` is at
+    most `MAX_SEEDED_WORDS`; the result is a (len(seeds), count) numpy uint32
     array.  CPython seeds `Random(s)` by `init_by_array` over the 32-bit
     words of s, low word first, sets word 0 to 0x80000000, and draws the
     tempered words of one twist.  Those steps are the same for every seed,
@@ -115,6 +116,9 @@ def seeded_words(seeds, count: int):
 
     if not 0 <= count <= MAX_SEEDED_WORDS:
         raise ValueError(f"count must be between 0 and {MAX_SEEDED_WORDS}, got {count}")
+    if not (seeds.dtype.kind in "ui" and seeds.min(initial=0) >= 0 if isinstance(seeds, np.ndarray)
+            else all(isinstance(seed, int) and 0 <= seed < 2**64 for seed in seeds)):
+        raise ValueError("seeds must be integers in [0, 2**64)")
     u32 = np.uint32
     genrand = [u32(word) for word in _init_genrand()]
     seeds = np.asarray(seeds, dtype=np.uint64)
@@ -177,35 +181,70 @@ def seeded_words(seeds, count: int):
     return tail.T
 
 
-class SeededStream:
-    """The stream of `random.Random(seed)`, drawn from its first words while they last.
+def planned_bits(words, width: int, drawn: int):
+    """`drawn` calls of `random_bits(width, Random(s))` in a row, for each row of `seeded_words`.
 
-    `words` are that stream's first words (a row of `seeded_words`).
-    `getrandbits(k)` for 0 < k <= 32 is the next word's top k bits, as
-    `Random.getrandbits` takes them.  Past the last word, and for any other
-    k or `random()`, it builds `Random(seed)`, draws the words already used,
-    and hands every later draw to it, so the stream is exactly `Random(seed)`'s.
+    A word is taken iff its top bit is 0 (`getrandbits(2) < 2`); bit 30 is the bit.
+    Returns the codes (a row's share a uint32: `width * drawn` <= 32) and the words drawn
+    when each ends, (rows, drawn) uint32s, partial in rows out of words, and those rows.
+    """
+    import numpy as np
+
+    u32, total = np.uint32, width * drawn
+    if total > 32:
+        raise ValueError(f"width * drawn must be at most 32 bits, got {total}")
+    code, taken, *used = np.zeros((2 + drawn, len(words)), dtype=u32)  # code: the bits taken
+    for column in words.T:
+        for k, count in enumerate(used):  # a word is drawn while bitstring k is short
+            count += taken < u32((k + 1) * width)
+        taken += (take := (column < u32(1 << 31)) & (taken < u32(total)))
+        code = (code << take) | ((column >> u32(30)) & take)
+    codes = [(code >> u32(width * k)) & u32((1 << width) - 1) for k in reversed(range(drawn))]
+    return np.stack(codes, axis=1), np.stack(used, axis=1), taken < u32(total)
+
+
+def planned_streams(seeds, width: int, drawn: int):
+    """A `PlannedStream` per seed, its first `drawn` bitstrings of `width` bits planned.
+
+    A bit takes two words on average; four per bit plus 8 (104 for 24 bits)
+    run out in under 3 in 10,000 rows of 2 bits, which then build `Random(s)`.
+    """
+    codes, used, short = planned_bits(seeded_words(seeds, 4 * width * drawn + 8), width, drawn)
+    strings = codes_to_bits(codes.ravel().tolist(), width)
+    for row in short.nonzero()[0].tolist():  # a row short of words plans nothing
+        strings[row * drawn:(row + 1) * drawn] = [None] * drawn
+    plan = (seeds, strings, used.ravel(), width, drawn)
+    return map(PlannedStream, itertools.repeat(plan), range(0, len(strings), drawn))
+
+
+class PlannedStream:
+    """The stream of `random.Random(seed)`, its first bitstrings drawn in bulk.
+
+    `random_bits(width, stream)` takes the next planned bitstring, if its width
+    is the plan's; any other draw, and every later one, is `Random(seed)`'s.
     """
 
-    __slots__ = ("_seed", "_words", "_given", "_rng")
+    __slots__ = ("_plan", "_next", "_end", "_rng")
 
-    def __init__(self, seed: int, words: list):
-        self._seed, self._words, self._given, self._rng = seed, iter(words), len(words), None
+    def __init__(self, plan: tuple, first: int):
+        self._plan, self._next, self._end, self._rng = plan, first, first + plan[4], None
 
-    def getrandbits(self, k: int) -> int:
-        if 0 < k <= 32:
-            for word in self._words:  # the next word, if one is left
-                return word >> (32 - k)
-        return self._random().getrandbits(k)
+    def planned(self, width: int):
+        """Takes the next planned bitstring, if one is left and `width` is the plan's; else None."""
+        i, (_, strings, _, plan_width, _) = self._next, self._plan
+        if i < self._end and width == plan_width and strings[i] is not None:
+            self._next = i + 1
+            return strings[i]
 
-    def random(self) -> float:
-        return self._random().random()
+    getrandbits = property(lambda self: self._random().getrandbits)
+    random = property(lambda self: self._random().random)
 
     def _random(self):
-        """`Random(seed)` past the words used; from here on, every draw's."""
+        """`Random(seed)` past the words the bitstrings taken used; from here on, every draw's."""
         if self._rng is None:
-            self._rng = random.Random(self._seed)
-            for _ in range(self._given - operator.length_hint(self._words)):
-                self._rng.getrandbits(32)
-            self._words = iter(())
+            seeds, _, used, _, drawn = self._plan
+            skip = int(used[self._next - 1]) if self._next > self._end - drawn else 0
+            self._rng = random.Random(int(seeds[self._end // drawn - 1]))
+            self._rng.getrandbits(32 * skip)  # draws `skip` words
+            self._next = self._end
         return self._rng

@@ -48,7 +48,7 @@ takes it).
 Identical command lines, including the seed, produce byte-identical JSON:
 each trial draws from its own stream, that of `random.Random(s)` for the
 trial's seed s, the next `getrandbits(64)` of `Random(seed)`; a long report
-of short trials seeds those streams in bulk (`_trial_streams`), word for word.
+draws its trials' bitstrings from those streams in bulk (`_trial_streams`).
 The default seed can be overridden with the OTPLAB_SEED environment
 variable.
 
@@ -72,7 +72,7 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from . import __version__
-from .bits import SeededStream, check_bits, random_bits, seeded_words
+from .bits import check_bits, planned_streams, random_bits
 from .cryptanalysis import (
     CARRIERS,
     attack_es_qkd_keyset,
@@ -97,14 +97,12 @@ MAX_TRIALS = 100_000
 MAX_SWAPS = 8 * MAX_TRIALS
 DEFAULT_MESSAGE_BITS = 2
 DEFAULT_PAIRS = "phi+:psi+"
-# A report of more than BULK_TRIALS trials, each drawing at most BULK_BITS
-# random bits, seeds its trials' streams in bulk, SEED_CHUNK at a time.
-# Measured on 2-bit xor-chain trials (2-vCPU host): bulk seeding costs 1.05 times
-# the reseeds at 1,500 trials and 0.9 times at 2,000; above 4 bits a
-# trial's draws through `SeededStream` eat the saving (16 bits: slower).
+# A report of more than BULK_TRIALS trials draws its bitstrings in bulk,
+# SEED_CHUNK trials at a time.  Bulk over reseeding, `build_report` in a fresh
+# process at 1,000, 1,700 and 20,000 trials (2-vCPU host): 2-bit xor-chain 1.11,
+# 0.80, 0.35; 16-bit 1.00, 0.93, 0.81; 12-bit otp-baseline 1.05, 0.90, 0.72.
 BULK_TRIALS = 1_700
-BULK_BITS = 4
-SEED_CHUNK = 8_192
+SEED_CHUNK = 32_768
 
 
 class ConfigError(Exception):
@@ -528,19 +526,13 @@ def parse_command_line(argv: list) -> SimpleNamespace | str:
 def _trial_streams(config: ScenarioConfig) -> Iterator:
     """Each trial's stream: `random.Random(base.getrandbits(64))`'s, base = Random(config.seed).
 
-    Reseeding one generator per trial gives it (`seed` resets the whole
-    state).  Past `BULK_TRIALS` trials of at most `BULK_BITS` bits each,
-    where that reseed is most of a trial's cost, each chunk of `SEED_CHUNK`
-    trials draws its seeds in one call, in the same order, seeds their
-    first words at once (`seeded_words`) and gives each trial a
-    `SeededStream` of its own.  A bit takes two words on average; four per
-    bit plus 8 run out in under 3 in 10,000 two-bit trials, whose streams
-    then build their `Random(s)`.
+    Reseeding one generator per trial gives it (`seed` resets the whole state).  Past
+    `BULK_TRIALS` trials that draw only bitstrings, each chunk of `SEED_CHUNK` trials draws
+    its seeds in one call, in the same order, and their bitstrings at once (`planned_streams`).
     """
     base = random.Random(config.seed)
     drawn = SCENARIOS[config.scenario].bitstrings_drawn
-    bits = None if drawn is None else drawn * config.message_bits
-    if bits is None or bits > BULK_BITS or config.trials <= BULK_TRIALS:
+    if drawn is None or config.trials <= BULK_TRIALS:
         rng = random.Random()
         for _ in range(config.trials):
             rng.seed(base.getrandbits(64))
@@ -550,8 +542,7 @@ def _trial_streams(config: ScenarioConfig) -> Iterator:
         n = min(SEED_CHUNK, config.trials - start)
         # One getrandbits(64 * n) is n getrandbits(64) draws, the first lowest.
         seeds = np.frombuffer(base.getrandbits(64 * n).to_bytes(8 * n, "little"), dtype="<u8")
-        for seed, words in zip(seeds.tolist(), seeded_words(seeds, 4 * bits + 8)):
-            yield SeededStream(seed, words.tolist())
+        yield from planned_streams(seeds, config.message_bits, drawn)
 
 
 def build_report(config: ScenarioConfig, with_attack: bool) -> dict:

@@ -1,15 +1,19 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from otplab import bits
 from otplab.bits import (
     MAX_SEEDED_WORDS,
-    SeededStream,
+    PlannedStream,
     check_bits,
     codes_to_bits,
     int_to_bits,
+    planned_bits,
+    planned_streams,
     random_bits,
     seeded_words,
     xor_bits,
@@ -198,34 +202,130 @@ class TestSeededWords:
         with pytest.raises(ValueError, match="count must be between 0 and 227"):
             seeded_words([1], count)
 
+    @pytest.mark.parametrize("seeds", [
+        np.array([-1]),  # as int64 it would wrap to the words of Random(2**64 - 1)
+        [-1],
+        [1.5],  # read as Random(1), which Random(1.5) is not
+        np.array([1.5]),
+        ["3"],  # read as Random(3), which Random("3") is not
+        [2**64],  # past uint64
+        [1, 2**64],
+    ])
+    def test_seeds_it_does_not_model_are_refused(self, seeds):
+        with pytest.raises(ValueError, match=r"seeds must be integers in \[0, 2\*\*64\)"):
+            seeded_words(seeds, 2)
 
-DRAWS = st.lists(st.integers(0, 70) | st.just("random"), max_size=24)
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64, np.uint32])
+    def test_integer_arrays_are_read_by_value(self, dtype):
+        seeds = np.array([0, 1, 7919], dtype=dtype)
+        assert seeded_words(seeds, 3).tolist() == [reference_words(s, 3) for s in (0, 1, 7919)]
 
 
-class TestSeededStream:
-    """A `SeededStream` draws exactly what `random.Random(seed)` draws, words or no words left."""
+class CountedWords:
+    """`Random(seed)` that counts the words its `getrandbits(k <= 32)` calls draw."""
+
+    def __init__(self, seed: int):
+        self.rng, self.words = random.Random(seed), 0
+
+    def getrandbits(self, k: int) -> int:
+        self.words += 1
+        return self.rng.getrandbits(k)
+
+
+def plans(max_count: int = MAX_SEEDED_WORDS):
+    """(width, drawn, count): `drawn` bitstrings of `width` bits, at most 32 in all, from `count` words."""
+    return st.integers(1, 3).flatmap(lambda drawn: st.tuples(
+        st.integers(0, 32 // drawn), st.just(drawn), st.integers(0, max_count)))
+
+
+class TestPlannedBits:
+    """`planned_bits`' columns against `random_bits` on a fresh `random.Random(s)` per seed."""
 
     @settings(deadline=None)
-    @given(SEEDS, st.integers(0, 8), DRAWS)
-    @example(2**64 - 1, 0, [2, 64, "random", 0, 32])
-    @example(7, 3, [2, 2, 2, 2, 33, 1])
-    def test_every_draw_equals_a_fresh_generators(self, seed, given_words, draws):
-        stream = SeededStream(seed, seeded_words([seed], given_words)[0].tolist())
-        reference = random.Random(seed)
-        for draw in draws:
-            if draw == "random":
-                assert stream.random() == reference.random()
-            else:
-                assert stream.getrandbits(draw) == reference.getrandbits(draw)
+    @given(st.lists(SEEDS, min_size=1, max_size=6), plans())
+    @example(EDGE_SEEDS, (2, 1, 16))
+    @example(EDGE_SEEDS, (12, 2, 104))
+    @example(EDGE_SEEDS, (16, 1, 5))  # every row runs out of words
+    @example([1], (0, 2, 0))  # empty bitstrings draw no word
+    def test_codes_and_words_used_equal_random_bits(self, seeds, plan):
+        width, drawn, count = plan
+        codes, used, short = planned_bits(seeded_words(seeds, count), width, drawn)
+        assert codes.shape == used.shape == (len(seeds), drawn)
+        for seed, row_codes, row_used, row_short in zip(seeds, codes, used, short):
+            counted, expected = CountedWords(seed), []
+            for _ in range(drawn):
+                drawn_bits = random_bits(width, counted)
+                expected.append((int(drawn_bits, 2) if drawn_bits else 0, counted.words))
+            assert row_short == (counted.words > count)
+            if not row_short:
+                assert list(zip(row_codes.tolist(), row_used.tolist())) == expected
+
+    @pytest.mark.parametrize("width,drawn", [(33, 1), (17, 2), (11, 3)])
+    def test_more_bits_than_a_uint32_holds_are_refused(self, width, drawn):
+        with pytest.raises(ValueError, match="width \\* drawn must be at most 32 bits"):
+            planned_streams(np.array([1], dtype=np.uint64), width, drawn)
+
+
+DRAWS = st.lists(st.sampled_from(["planned", "random"]) | st.tuples(
+    st.sampled_from(["bits", "getrandbits"]), st.integers(0, 70)), max_size=12)
+
+
+def draw_from(rng, draw, width: int):
+    """One draw: the plan's bitstring width, another width, `getrandbits(k)` or `random()`."""
+    if draw == "planned":
+        return random_bits(width, rng)
+    if draw == "random":
+        return rng.random()
+    kind, k = draw
+    return random_bits(k % 20, rng) if kind == "bits" else rng.getrandbits(k)
+
+
+def planned_from_words(seeds: list, width: int, drawn: int, kept) -> list:
+    """`planned_streams`' streams, each row planned from its first `kept` words (None: all)."""
+    lanes = np.array(seeds, dtype=np.uint64)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bits, "seeded_words", lambda seeds, count: seeded_words(seeds, count)[:, :kept])
+        return list(planned_streams(lanes, width, drawn))
+
+
+class TestPlannedStream:
+    """A `PlannedStream` draws exactly what `random.Random(seed)` draws, planned bits or not."""
+
+    @settings(deadline=None)
+    @given(st.lists(SEEDS, min_size=1, max_size=4), plans(max_count=40) | st.tuples(
+        st.integers(0, 12), st.integers(1, 2), st.none()), DRAWS)
+    @example(EDGE_SEEDS, (2, 1, None), ["planned", "planned", ("getrandbits", 32)])
+    @example([2**64 - 1, 7], (3, 2, 3), ["planned", ("getrandbits", 64), "random", "planned"])
+    @example([7, 2**32], (4, 2, None), ["planned", ("bits", 5), "planned"])
+    @example([7], (4, 2, None), ["planned", "planned", "planned", ("getrandbits", 1)])
+    def test_every_draw_equals_a_fresh_generators(self, seeds, plan, draws):
+        width, drawn, kept = plan
+        streams = planned_from_words(seeds, width, drawn, kept)
+        assert len(streams) == len(seeds)
+        for seed, stream in zip(seeds, streams):
+            reference = random.Random(seed)
+            for draw in draws:
+                assert draw_from(stream, draw, width) == draw_from(reference, draw, width)
+
+    def test_planned_bitstrings_build_no_generator(self, monkeypatch):
+        streams = planned_from_words([1, 2, 3], 4, 2, None)
+        generator = random.Random
+        monkeypatch.setattr(random, "Random", None)  # building one would fail
+        drawn = [[random_bits(4, stream) for _ in range(2)] for stream in streams]
+        monkeypatch.undo()
+        assert drawn == [[random_bits(4, rng) for _ in range(2)] for rng in map(generator, (1, 2, 3))]
 
     @pytest.mark.parametrize("seed", [1, 2**32 + 5, 7919])
     def test_too_few_words_fall_back_in_step(self, seed):
         # Three words cannot cover 20 bits (at least 20 draws), so the stream
-        # builds Random(seed) part way through the bitstring.
-        stream, reference = SeededStream(seed, reference_words(seed, 3)), random.Random(seed)
+        # builds Random(seed) and draws the whole bitstring from it.
+        [stream] = planned_from_words([seed], 20, 1, 3)
+        reference = random.Random(seed)
         assert random_bits(20, stream) == random_bits(20, reference)
         assert stream.getrandbits(32) == reference.getrandbits(32)
 
     def test_negative_bit_count_is_refused_as_random_refuses_it(self):
+        [stream] = planned_from_words([1], 1, 1, None)
+        assert isinstance(stream, PlannedStream)
         with pytest.raises(ValueError, match="negative"):
-            SeededStream(1, reference_words(1, 2)).getrandbits(-1)
+            stream.getrandbits(-1)

@@ -22,8 +22,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import otplab
-from otplab import cli, cryptanalysis, protocols
-from otplab.bits import SeededStream
+from otplab import bits, cli, cryptanalysis, otp, protocols
+from otplab.bits import PlannedStream
 from otplab.cli import (
     ScenarioConfig,
     build_audit_rows,
@@ -1487,26 +1487,26 @@ class TestReseededGenerator:
         report = build_report(config, with_attack)
         assert (report["trials"], report["leakage"]) == fresh_generator_trials(config, with_attack)
 
-    @pytest.mark.parametrize("kept_words", [None, 1])
+    @pytest.mark.parametrize("kept_words", [None, 1, 9])
     @pytest.mark.parametrize("with_attack", [False, True])
     @pytest.mark.parametrize("trials", [1, 3, 4, 5, 9])
     @pytest.mark.parametrize("scenario", sorted(CONFIGS))
     def test_bulk_streams_match_a_fresh_generator_per_trial(self, monkeypatch, scenario, trials,
                                                             with_attack, kept_words):
         # Bulk above one trial, in chunks of 4: one trial under, at and over a
-        # chunk, and two chunks and a part.  One kept word makes most streams
-        # run out and build Random(s) part way through a trial.
+        # chunk, and two chunks and a part.  One kept word makes every row run
+        # out, so its stream builds Random(s) and draws every bit from it; with
+        # nine, some rows run out and some do not.
         monkeypatch.setattr(cli, "BULK_TRIALS", 1)
-        monkeypatch.setattr(cli, "BULK_BITS", 99)
         monkeypatch.setattr(cli, "SEED_CHUNK", 4)
         chunks = []
 
         def seeded_words(seeds, count):
             chunks.append(len(seeds))
-            return cli_seeded_words(seeds, count)[:, :kept_words]
+            return bits_seeded_words(seeds, count)[:, :kept_words]
 
-        cli_seeded_words = cli.seeded_words
-        monkeypatch.setattr(cli, "seeded_words", seeded_words)
+        bits_seeded_words = bits.seeded_words
+        monkeypatch.setattr(bits, "seeded_words", seeded_words)
         config = ScenarioConfig(scenario, seed=11, trials=trials, fmt="json",
                                 **self.CONFIGS[scenario])
         report = build_report(config, with_attack)
@@ -1514,10 +1514,12 @@ class TestReseededGenerator:
         assert chunks == ([min(4, trials - start) for start in range(0, trials, 4)] if bulk else [])
         assert (report["trials"], report["leakage"]) == fresh_generator_trials(config, with_attack)
 
-    def test_xor_chain_16_counts_hold_through_the_word_streams(self, monkeypatch):
-        # perfbench pins one random_bits, run_xor_chain and posterior call per trial.
+    @pytest.mark.parametrize("kept_words", [None, 1])
+    def test_xor_chain_16_counts_hold_through_the_planned_streams(self, monkeypatch, kept_words):
+        # perfbench pins one random_bits, run_xor_chain and posterior call per
+        # trial, counted at every module binding; a row short of words (one
+        # kept word) draws its bits from Random(s) inside that one call.
         monkeypatch.setattr(cli, "BULK_TRIALS", 1)
-        monkeypatch.setattr(cli, "BULK_BITS", 99)
         monkeypatch.setattr(cli, "SEED_CHUNK", 4)
         calls, streams = collections.Counter(), set()
 
@@ -1529,28 +1531,35 @@ class TestReseededGenerator:
 
         def random_bits(width, rng):
             streams.add(type(rng))
-            return cli_random_bits(width, rng)
+            return bits_random_bits(width, rng)
 
-        cli_random_bits = cli.random_bits
-        monkeypatch.setattr(cli, "random_bits", counting("random_bits", random_bits))
+        bits_random_bits, bits_seeded_words = bits.random_bits, bits.seeded_words
+        for module in (bits, cli, otp):
+            monkeypatch.setattr(module, "random_bits", counting("random_bits", random_bits))
+        monkeypatch.setattr(bits, "seeded_words",
+                            lambda seeds, count: bits_seeded_words(seeds, count)[:, :kept_words])
         monkeypatch.setattr(cli, "run_xor_chain", counting("run_xor_chain", cli.run_xor_chain))
         monkeypatch.setattr(cryptanalysis, "posterior",
                             counting("posterior", cryptanalysis.posterior))
         config = ScenarioConfig("xor-chain", seed=11, trials=6, fmt="json", message_bits=16)
         report = build_report(config, with_attack=True)
         assert calls == {"random_bits": 6, "run_xor_chain": 6, "posterior": 6}
-        assert streams == {SeededStream}
+        assert streams == {PlannedStream}
         assert (report["trials"], report["leakage"]) == fresh_generator_trials(config, True)
 
     @pytest.mark.parametrize("scenario,settings,trials,bulk", [
         ("xor-chain", {"message_bits": 2}, cli.BULK_TRIALS + 1, True),
         ("xor-chain", {"message_bits": 2}, cli.BULK_TRIALS, False),
-        ("xor-chain", {"message_bits": 6}, cli.BULK_TRIALS + 1, False),
+        ("xor-chain", {"message_bits": 6}, cli.BULK_TRIALS + 1, True),
+        ("xor-chain", {"message_bits": 16}, cli.BULK_TRIALS + 1, True),
+        ("xor-chain", {"message_bits": 16}, cli.BULK_TRIALS, False),
         ("otp-baseline", {"message_bits": 2}, cli.BULK_TRIALS + 1, True),
-        ("otp-baseline", {"message_bits": 3}, cli.BULK_TRIALS + 1, False),
+        ("otp-baseline", {"message_bits": 3}, cli.BULK_TRIALS + 1, True),
+        ("otp-baseline", {"message_bits": 12}, cli.BULK_TRIALS + 1, True),
+        ("otp-baseline", {"message_bits": 12}, cli.BULK_TRIALS, False),
         ("es-qkd", {}, cli.BULK_TRIALS + 1, False),
     ])
     def test_the_config_alone_chooses_the_bulk_path(self, scenario, settings, trials, bulk):
         config = ScenarioConfig(scenario, seed=11, trials=trials, fmt="json", **settings)
         first = next(cli._trial_streams(config))
-        assert isinstance(first, SeededStream if bulk else random.Random)
+        assert isinstance(first, PlannedStream if bulk else random.Random)
