@@ -86,6 +86,8 @@ def random_bits(width: int, rng) -> str:
 # that seeding leaves.
 _MT_WORDS = 624
 MAX_SEEDED_WORDS = 227
+# The most bits a row of `planned_bits` holds: one uint32 of codes.
+PLANNED_BITS = 32
 
 
 @functools.cache
@@ -185,14 +187,14 @@ def planned_bits(words, width: int, drawn: int):
     """`drawn` calls of `random_bits(width, Random(s))` in a row, for each row of `seeded_words`.
 
     A word is taken iff its top bit is 0 (`getrandbits(2) < 2`); bit 30 is the bit.
-    Returns the codes (a row's share a uint32: `width * drawn` <= 32) and the words drawn
-    when each ends, (rows, drawn) uint32s, partial in rows out of words, and those rows.
+    Returns the codes (a row's share a uint32: `width * drawn` <= `PLANNED_BITS`) and the words
+    drawn when each ends, (rows, drawn) uint32s, partial in rows out of words, and those rows.
     """
     import numpy as np
 
     u32, total = np.uint32, width * drawn
-    if total > 32:
-        raise ValueError(f"width * drawn must be at most 32 bits, got {total}")
+    if total > PLANNED_BITS:
+        raise ValueError(f"width * drawn must be at most {PLANNED_BITS} bits, got {total}")
     code, taken, *used = np.zeros((2 + drawn, len(words)), dtype=u32)  # code: the bits taken
     for column in words.T:
         for k, count in enumerate(used):  # a word is drawn while bitstring k is short
@@ -204,37 +206,45 @@ def planned_bits(words, width: int, drawn: int):
 
 
 def planned_streams(seeds, width: int, drawn: int):
-    """A `PlannedStream` per seed, its first `drawn` bitstrings of `width` bits planned.
+    """One `PlannedStream` pointed at each seed in turn (valid until the next is drawn).
 
-    A bit takes two words on average; four per bit plus 8 (104 for 24 bits)
-    run out in under 3 in 10,000 rows of 2 bits, which then build `Random(s)`.
+    Each seed's first `drawn` bitstrings are planned, and the plan checked, in this call.
+    A bit takes two words on average; four per bit plus 8 (104 for 24 bits) run out in
+    under 3 in 10,000 rows of 2 bits, which then build `Random(s)`.
     """
     codes, used, short = planned_bits(seeded_words(seeds, 4 * width * drawn + 8), width, drawn)
     strings = codes_to_bits(codes.ravel().tolist(), width)
     for row in short.nonzero()[0].tolist():  # a row short of words plans nothing
         strings[row * drawn:(row + 1) * drawn] = [None] * drawn
-    plan = (seeds, strings, used.ravel(), width, drawn)
-    return map(PlannedStream, itertools.repeat(plan), range(0, len(strings), drawn))
+    stream = PlannedStream(seeds, strings, used.ravel(), width, drawn)
+    return map(stream.point, range(0, len(strings), drawn))
 
 
 class PlannedStream:
     """The stream of `random.Random(seed)`, its first bitstrings drawn in bulk.
 
     `random_bits(width, stream)` takes the next planned bitstring, if its width
-    is the plan's; any other draw, and every later one, is `Random(seed)`'s.
+    is the plan's; any other draw, and every later one, is `Random(seed)`'s,
+    until `point` moves the stream to another row of the plan.
     """
 
-    __slots__ = ("_plan", "_next", "_end", "_rng")
+    __slots__ = ("_seeds", "_strings", "_used", "_width", "_drawn", "_next", "_end", "_rng")
 
-    def __init__(self, plan: tuple, first: int):
-        self._plan, self._next, self._end, self._rng = plan, first, first + plan[4], None
+    def __init__(self, seeds, strings: list, used, width: int, drawn: int):
+        self._seeds, self._strings, self._used = seeds, strings, used
+        self._width, self._drawn, self._next, self._end, self._rng = width, drawn, 0, 0, None
+
+    def point(self, first: int) -> "PlannedStream":
+        """This stream, moved to the row whose bitstrings start at `first`, with no generator."""
+        self._next, self._end, self._rng = first, first + self._drawn, None
+        return self
 
     def planned(self, width: int):
         """Takes the next planned bitstring, if one is left and `width` is the plan's; else None."""
-        i, (_, strings, _, plan_width, _) = self._next, self._plan
-        if i < self._end and width == plan_width and strings[i] is not None:
+        i = self._next
+        if i < self._end and width == self._width and (bitstring := self._strings[i]) is not None:
             self._next = i + 1
-            return strings[i]
+            return bitstring
 
     getrandbits = property(lambda self: self._random().getrandbits)
     random = property(lambda self: self._random().random)
@@ -242,9 +252,9 @@ class PlannedStream:
     def _random(self):
         """`Random(seed)` past the words the bitstrings taken used; from here on, every draw's."""
         if self._rng is None:
-            seeds, _, used, _, drawn = self._plan
-            skip = int(used[self._next - 1]) if self._next > self._end - drawn else 0
-            self._rng = random.Random(int(seeds[self._end // drawn - 1]))
+            drawn = self._drawn
+            skip = int(self._used[self._next - 1]) if self._next > self._end - drawn else 0
+            self._rng = random.Random(int(self._seeds[self._end // drawn - 1]))
             self._rng.getrandbits(32 * skip)  # draws `skip` words
             self._next = self._end
         return self._rng

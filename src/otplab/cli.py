@@ -72,7 +72,7 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from . import __version__
-from .bits import check_bits, planned_streams, random_bits
+from .bits import PLANNED_BITS, check_bits, planned_streams, random_bits
 from .cryptanalysis import (
     CARRIERS,
     attack_es_qkd_keyset,
@@ -99,8 +99,8 @@ DEFAULT_MESSAGE_BITS = 2
 DEFAULT_PAIRS = "phi+:psi+"
 # A report of more than BULK_TRIALS trials draws its bitstrings in bulk,
 # SEED_CHUNK trials at a time.  Bulk over reseeding, `build_report` in a fresh
-# process at 1,000, 1,700 and 20,000 trials (2-vCPU host): 2-bit xor-chain 1.11,
-# 0.80, 0.35; 16-bit 1.00, 0.93, 0.81; 12-bit otp-baseline 1.05, 0.90, 0.72.
+# process at 1,000, 1,700 and 20,000 trials (2-vCPU host): 2-bit xor-chain 1.08,
+# 0.86, 0.32; 16-bit 1.02, 0.94, 0.84; 12-bit otp-baseline 1.15, 0.94, 0.72.
 BULK_TRIALS = 1_700
 SEED_CHUNK = 32_768
 
@@ -527,12 +527,14 @@ def _trial_streams(config: ScenarioConfig) -> Iterator:
     """Each trial's stream: `random.Random(base.getrandbits(64))`'s, base = Random(config.seed).
 
     Reseeding one generator per trial gives it (`seed` resets the whole state).  Past
-    `BULK_TRIALS` trials that draw only bitstrings, each chunk of `SEED_CHUNK` trials draws
-    its seeds in one call, in the same order, and their bitstrings at once (`planned_streams`).
+    `BULK_TRIALS` trials that draw only bitstrings, at most `PLANNED_BITS` bits a trial,
+    each chunk of `SEED_CHUNK` trials draws its seeds in one call, in the same order, and
+    their bitstrings at once (`planned_streams`).  Either way one stream object serves
+    every trial, so a stream is valid until the next is drawn.
     """
     base = random.Random(config.seed)
     drawn = SCENARIOS[config.scenario].bitstrings_drawn
-    if drawn is None or config.trials <= BULK_TRIALS:
+    if drawn is None or config.trials <= BULK_TRIALS or config.message_bits * drawn > PLANNED_BITS:
         rng = random.Random()
         for _ in range(config.trials):
             rng.seed(base.getrandbits(64))

@@ -33,7 +33,6 @@ their bit without leakage, so the analysis isolates the classical misuse.
 """
 
 import enum
-import functools
 import random
 
 from .bits import bits_to_int, check_bits, int_to_bits, xor_bits
@@ -180,13 +179,15 @@ class EsQkdRun(Record):
 def run_xor_chain(message: str) -> XorChainRun:
     """Run the xor-chain scheme on an even-length message (see `XorChainRun`).
 
-    The message is checked on every call; runs of up to
-    `XOR_CHAIN_MEMO_BITS` bits are memoized.
+    Runs of up to `XOR_CHAIN_MEMO_BITS` bits are memoized, each checked once,
+    when it enters the memo: a `str` found there is returned as it is.
     """
-    check_bits(message, "message")  # before the cache: a list is unhashable
-    # Keyed on a plain str, so a subclass neither keys the cache nor becomes run.message.
-    build = _xor_chain_run if len(message) <= XOR_CHAIN_MEMO_BITS else XorChainRun
-    return build(str.__str__(message))
+    if type(message) is str and (run := _xor_chain_runs.get(message)) is not None:
+        return run
+    check_bits(message, "message")  # before the memo: a list is unhashable
+    # Keyed on a plain str, so a subclass neither keys the memo nor becomes run.message.
+    run = XorChainRun(message := str.__str__(message))
+    return _xor_chain_runs.setdefault(message, run) if len(message) <= XOR_CHAIN_MEMO_BITS else run
 
 
 # The longest memoized message, and the CLI's cap: `cli.SCENARIOS["xor-chain"]
@@ -194,7 +195,7 @@ def run_xor_chain(message: str) -> XorChainRun:
 XOR_CHAIN_MEMO_BITS = 16
 
 # One run per distinct message, shared by every caller: it is immutable.
-_xor_chain_run = functools.cache(XorChainRun)
+_xor_chain_runs: dict = {}
 
 
 def xor_chain_decode(transcript: Transcript) -> str:

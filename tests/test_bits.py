@@ -280,12 +280,15 @@ def draw_from(rng, draw, width: int):
     return random_bits(k % 20, rng) if kind == "bits" else rng.getrandbits(k)
 
 
-def planned_from_words(seeds: list, width: int, drawn: int, kept) -> list:
-    """`planned_streams`' streams, each row planned from its first `kept` words (None: all)."""
+def planned_from_words(seeds: list, width: int, drawn: int, kept):
+    """`planned_streams`' streams, each row planned from its first `kept` words (None: all).
+
+    One stream is re-pointed per row, so each is drawn from before the next is taken.
+    """
     lanes = np.array(seeds, dtype=np.uint64)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bits, "seeded_words", lambda seeds, count: seeded_words(seeds, count)[:, :kept])
-        return list(planned_streams(lanes, width, drawn))
+        return planned_streams(lanes, width, drawn)
 
 
 class TestPlannedStream:
@@ -300,12 +303,48 @@ class TestPlannedStream:
     @example([7], (4, 2, None), ["planned", "planned", "planned", ("getrandbits", 1)])
     def test_every_draw_equals_a_fresh_generators(self, seeds, plan, draws):
         width, drawn, kept = plan
-        streams = planned_from_words(seeds, width, drawn, kept)
-        assert len(streams) == len(seeds)
-        for seed, stream in zip(seeds, streams):
+        rows = 0
+        for seed, stream in zip(seeds, planned_from_words(seeds, width, drawn, kept), strict=True):
             reference = random.Random(seed)
             for draw in draws:
                 assert draw_from(stream, draw, width) == draw_from(reference, draw, width)
+            rows += 1
+        assert rows == len(seeds)
+
+    @settings(deadline=None)
+    @given(st.lists(SEEDS, min_size=2, max_size=5), st.integers(1, 3).flatmap(
+        lambda drawn: st.tuples(st.integers(0, 32 // drawn), st.just(drawn))), st.booleans(), DRAWS)
+    @example([1, 2, 3], (4, 2), True, ["planned"])
+    @example([1, 2, 3], (4, 2), False, [("getrandbits", 1)])
+    def test_a_fallback_ends_with_its_row(self, seeds, plan, refused, draws):
+        # Even rows fall back to Random(seed): all their words refused (a row
+        # short of words), and a `random()` draw past the plan.  Each odd row
+        # then draws its planned bits with no generator to build, unless it
+        # ran short of words itself.
+        width, drawn = plan
+        planned = []
+
+        def words(lanes, count):
+            planned.append(seeded_words(lanes, count))
+            if refused:
+                planned[0][0::2] = 0xFFFFFFFF
+            return planned[0]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bits, "seeded_words", words)
+            streams = planned_streams(np.array(seeds, dtype=np.uint64), width, drawn)
+        short = planned_bits(planned[0], width, drawn)[2]
+        for row, (seed, stream) in enumerate(zip(seeds, streams, strict=True)):
+            reference = random.Random(seed)
+            if row % 2 == 0:
+                for draw in [*draws, "random"]:
+                    assert draw_from(stream, draw, width) == draw_from(reference, draw, width)
+                continue
+            expected = [random_bits(width, reference) for _ in range(drawn)]
+            with pytest.MonkeyPatch.context() as patch:
+                if not short[row]:
+                    patch.setattr(random, "Random", None)  # building one would fail
+                assert [random_bits(width, stream) for _ in range(drawn)] == expected
 
     def test_planned_bitstrings_build_no_generator(self, monkeypatch):
         streams = planned_from_words([1, 2, 3], 4, 2, None)

@@ -2,7 +2,6 @@ import argparse
 import collections
 import contextlib
 import errno
-import functools
 import io
 import json
 import os
@@ -1372,8 +1371,8 @@ class TestRepeatedTrials:
                 return fn(*args)
             return counted
 
-        build = counting("build", protocols._xor_chain_run.__wrapped__)
-        monkeypatch.setattr(protocols, "_xor_chain_run", functools.cache(build))
+        monkeypatch.setattr(protocols, "XorChainRun", counting("build", protocols.XorChainRun))
+        monkeypatch.setattr(protocols, "_xor_chain_runs", {})
         for name in ("run_xor_chain", "eve_view"):
             monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
         monkeypatch.setattr(cryptanalysis, "posterior",
@@ -1563,3 +1562,18 @@ class TestReseededGenerator:
         config = ScenarioConfig(scenario, seed=11, trials=trials, fmt="json", **settings)
         first = next(cli._trial_streams(config))
         assert isinstance(first, PlannedStream if bulk else random.Random)
+
+    def test_a_plan_wider_than_a_uint32_reseeds_per_trial(self, monkeypatch):
+        # A 17-bit otp-baseline trial draws 34 bits, more than a planned row holds.
+        wider = cli.SCENARIOS["otp-baseline"]._replace(message_lengths=range(1, 18))
+        monkeypatch.setitem(cli.SCENARIOS, "otp-baseline", wider)
+        monkeypatch.setattr(cli, "BULK_TRIALS", 1)
+        config = ScenarioConfig("otp-baseline", seed=11, trials=3, fmt="json", message_bits=17)
+        base, trials = random.Random(11), 0
+        for stream in cli._trial_streams(config):
+            assert isinstance(stream, random.Random)
+            reference = random.Random(base.getrandbits(64))
+            assert [bits.random_bits(17, stream) for _ in range(2)] == [
+                bits.random_bits(17, reference) for _ in range(2)]
+            trials += 1
+        assert trials == 3

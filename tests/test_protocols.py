@@ -1,4 +1,3 @@
-import functools
 import inspect
 import itertools
 import random
@@ -402,14 +401,14 @@ class TestXorChainAgainstStringRunner:
 
 
 class TestXorChainMemo:
-    """`run_xor_chain` checks every call and shares one run per distinct message."""
+    """`run_xor_chain` checks each message as it enters the memo and shares one run per message."""
 
     @settings(deadline=None)
     @given(EVEN_MESSAGES)
     def test_cached_run_matches_a_fresh_build_and_the_string_runner(self, message):
         run_xor_chain(message)
         run = run_xor_chain(message)
-        assert run == protocols._xor_chain_run.__wrapped__(message)
+        assert run == protocols.XorChainRun(message)
         reference, decoded = string_run_xor_chain(message)
         assert events_of(run.transcript) == tuple(reference.events)
         assert xor_chain_decode(run.transcript) == decoded
@@ -425,10 +424,12 @@ class TestXorChainMemo:
 
     @pytest.mark.parametrize("message", [["0", "1"], 10, "101", "0121"])
     def test_invalid_message_raises_value_error(self, message):
-        # A list would reach the cache as an unhashable key (TypeError)
-        # if the checks did not come first.
+        # A list would reach the memo as an unhashable key (TypeError)
+        # if the checks did not come first; neither it nor a bad string keys it.
+        size = len(protocols._xor_chain_runs)
         with pytest.raises(ValueError):
             run_xor_chain(message)
+        assert len(protocols._xor_chain_runs) == size
 
     def test_memo_cap_is_the_cli_cap(self):
         assert max(SCENARIOS["xor-chain"].message_lengths) == protocols.XOR_CHAIN_MEMO_BITS
@@ -439,10 +440,10 @@ class TestXorChainMemo:
 
     def test_long_message_is_run_uncached(self):
         message = random_bits(10_000, random.Random(5))
-        size = protocols._xor_chain_run.cache_info().currsize
+        size = len(protocols._xor_chain_runs)
         run = run_xor_chain(message)
-        assert protocols._xor_chain_run.cache_info().currsize == size
-        assert run == protocols._xor_chain_run.__wrapped__(message)
+        assert len(protocols._xor_chain_runs) == size
+        assert run == protocols.XorChainRun(message)
         assert run_xor_chain(message) is not run
         assert xor_chain_decode(run.transcript) == message
 
@@ -450,11 +451,17 @@ class TestXorChainMemo:
         class Bits(str):
             pass
 
-        fresh = functools.cache(protocols._xor_chain_run.__wrapped__)
-        monkeypatch.setattr(protocols, "_xor_chain_run", fresh)
+        monkeypatch.setattr(protocols, "_xor_chain_runs", {})
         run = run_xor_chain(Bits("0110"))
         assert type(run.message) is str
         assert run_xor_chain("0110") is run
+
+    def test_a_memo_hit_is_not_checked_again(self, monkeypatch):
+        run = run_xor_chain("0110")
+        checks = []
+        monkeypatch.setattr(protocols, "check_bits", lambda *args: checks.append(args))
+        assert run_xor_chain("0110") is run
+        assert checks == []
 
 
 class TestEsQkd:

@@ -1,0 +1,108 @@
+"""Alternate the benchmark's children between two checkouts and print paired medians.
+
+    python tools/ab_children.py BASE CHANGE [--workload NAME] [--seed N] [--pairs P]
+
+BASE and CHANGE are the roots of two checkouts (a `git clone` or `git
+archive` of each commit).  Each pair runs one untraced `perfbench/child.py`
+of each tree, one at a time, BASE first in even pairs and CHANGE first in
+odd ones, so host drift falls on both sides alike; `perfbench/run.py`
+instead times each side as one block of children.  Before the first child,
+every `__pycache__` directory under each tree's `src` and `perfbench` is
+removed, and every child runs with PYTHONDONTWRITEBYTECODE=1, so both sides
+compile otplab from source in every child and neither gains a bytecode
+cache along the way.  Each child runs in its own tree with that tree's
+`src` and `perfbench` on PYTHONPATH and reads the workload's command line
+from BASE's `perfbench/workloads.py`.  Every child must exit 0 and write the
+same report bytes as BASE's first child.
+
+Prints, for `wall_s`, `setup_s` and `peak_rss_mb` (raw, not scaled to a
+reference host): each side's median, BASE's quartile distance, the median of
+the paired differences CHANGE - BASE, and the pairs in which CHANGE is lower.
+"""
+
+import argparse
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import time
+
+METRICS = ("wall_s", "setup_s", "peak_rss_mb")
+# A pause before each child, so the previous child's exit is over.
+SETTLE_S = 0.2
+SAMPLE_TIMEOUT_S = 60
+
+
+def drop_bytecode(tree: str) -> int:
+    """Remove every `__pycache__` under the tree's `src` and `perfbench`; returns how many."""
+    removed = 0
+    for top in ("src", "perfbench"):
+        for directory, subdirs, _ in os.walk(os.path.join(tree, top)):
+            if "__pycache__" in subdirs:
+                shutil.rmtree(os.path.join(directory, "__pycache__"))
+                subdirs.remove("__pycache__")
+                removed += 1
+    return removed
+
+
+def run_child(tree: str, argv_json: bytes) -> tuple:
+    """One untraced child in `tree`: its header and the report bytes it wrote."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
+        [os.path.join(tree, "src"), os.path.join(tree, "perfbench")]))
+    time.sleep(SETTLE_S)
+    spawn_ns = time.monotonic_ns()
+    done = subprocess.run([sys.executable, os.path.join(tree, "perfbench", "child.py"),
+                           str(spawn_ns), "0"], input=argv_json, capture_output=True, env=env,
+                          cwd=tree, timeout=SAMPLE_TIMEOUT_S)
+    head, _, report = done.stdout.partition(b"\n")
+    if done.returncode != 0 or json.loads(head)["exit_code"] != 0:
+        stderr = done.stderr.decode(errors="replace").strip().splitlines()[-1:]
+        raise SystemExit(f"{tree}: the child failed: {stderr}")
+    return json.loads(head), report
+
+
+def quartile_distance(values: list) -> float:
+    low, _, high = statistics.quantiles(values, n=4)
+    return high - low
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("base")
+    parser.add_argument("change")
+    parser.add_argument("--workload", default="xor-chain-trials")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--pairs", type=int, default=20)
+    args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2")
+    trees = [os.path.abspath(args.base), os.path.abspath(args.change)]
+    sys.path.insert(0, os.path.join(trees[0], "perfbench"))
+    import workloads
+
+    argv_json = json.dumps(workloads.command_line(args.workload, args.seed)).encode()
+    for tree in trees:
+        print(f"{tree}: removed {drop_bytecode(tree)} __pycache__ directories")
+    samples, expected = ([], []), None
+    for pair in range(args.pairs):
+        for side in (0, 1) if pair % 2 == 0 else (1, 0):
+            header, report = run_child(trees[side], argv_json)
+            expected = report if expected is None else expected
+            if report != expected:
+                raise SystemExit(f"{trees[side]}: the report differs from the first child's")
+            samples[side].append(header)
+    print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs, raw")
+    print(f"{'metric':<12} {'base':>10} {'change':>10} {'base IQR':>10} {'paired':>10}  lower")
+    for metric in METRICS:
+        base, change = ([sample[metric] for sample in side] for side in samples)
+        paired = [b - a for a, b in zip(base, change)]
+        print(f"{metric:<12} {statistics.median(base):10.4f} {statistics.median(change):10.4f} "
+              f"{quartile_distance(base):10.4f} {statistics.median(paired):+10.4f}  "
+              f"{sum(d < 0 for d in paired)}/{args.pairs}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
