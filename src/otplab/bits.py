@@ -62,16 +62,23 @@ def codes_to_bits(codes, width: int) -> list:
 def random_bits(width: int, rng) -> str:
     """A uniformly random bitstring drawn from the caller's stream.
 
-    `rng` is a `random.Random` or a `PlannedStream`, whose next bitstring
-    may be drawn already.  Each bit is `getrandbits(2)`, drawn again while
-    it is 2 or more: the draws `rng.choice("01")` makes, so the bits and the
-    stream's final state are the same as one `choice` call per bit.
+    `rng` is a `random.Random` or a `PlannedStream` (of `trial_streams`),
+    whose next bitstring is drawn already.
     """
     if width < 0:
         raise ValueError(f"bit width must be >= 0, got {width}")
-    if isinstance(rng, PlannedStream) and (planned := rng.planned(width)) is not None:
-        return planned
-    getrandbits = rng.getrandbits
+    if isinstance(rng, PlannedStream):
+        return rng.planned(width)
+    return _choice_bits(width, rng.getrandbits)
+
+
+def _choice_bits(width: int, getrandbits) -> str:
+    """`width` bits from a generator's `getrandbits`.
+
+    Each bit is `getrandbits(2)`, drawn again while it is 2 or more: the
+    draws `choice("01")` makes, so the bits and the generator's final state
+    are the same as one `choice` call per bit.
+    """
     bits = []
     for _ in range(width):
         r = getrandbits(2)
@@ -88,6 +95,12 @@ _MT_WORDS = 624
 MAX_SEEDED_WORDS = 227
 # The most bits a row of `planned_bits` holds: one uint32 of codes.
 PLANNED_BITS = 32
+# More than BULK_TRIALS trials draw their bitstrings in bulk, SEED_CHUNK trials
+# at a time.  Bulk over reseeding, `build_report` in a fresh process at 1,000,
+# 1,700 and 20,000 trials (2-vCPU host): 2-bit xor-chain 1.08, 0.86, 0.32;
+# 16-bit 1.02, 0.94, 0.84; 12-bit otp-baseline 1.15, 0.94, 0.72.
+BULK_TRIALS = 1_700
+SEED_CHUNK = 32_768
 
 
 @functools.cache
@@ -187,74 +200,79 @@ def planned_bits(words, width: int, drawn: int):
     """`drawn` calls of `random_bits(width, Random(s))` in a row, for each row of `seeded_words`.
 
     A word is taken iff its top bit is 0 (`getrandbits(2) < 2`); bit 30 is the bit.
-    Returns the codes (a row's share a uint32: `width * drawn` <= `PLANNED_BITS`) and the words
-    drawn when each ends, (rows, drawn) uint32s, partial in rows out of words, and those rows.
+    Returns the codes, (rows, drawn) uint32s (a row's share a uint32: `width * drawn` <=
+    `PLANNED_BITS`), and the rows that run out of words, whose codes are partial.
     """
     import numpy as np
 
     u32, total = np.uint32, width * drawn
     if total > PLANNED_BITS:
         raise ValueError(f"width * drawn must be at most {PLANNED_BITS} bits, got {total}")
-    code, taken, *used = np.zeros((2 + drawn, len(words)), dtype=u32)  # code: the bits taken
+    code, taken = np.zeros((2, len(words)), dtype=u32)  # code: the bits taken
     for column in words.T:
-        for k, count in enumerate(used):  # a word is drawn while bitstring k is short
-            count += taken < u32((k + 1) * width)
         taken += (take := (column < u32(1 << 31)) & (taken < u32(total)))
         code = (code << take) | ((column >> u32(30)) & take)
     codes = [(code >> u32(width * k)) & u32((1 << width) - 1) for k in reversed(range(drawn))]
-    return np.stack(codes, axis=1), np.stack(used, axis=1), taken < u32(total)
+    return np.stack(codes, axis=1), taken < u32(total)
 
 
-def planned_streams(seeds, width: int, drawn: int):
-    """One `PlannedStream` pointed at each seed in turn (valid until the next is drawn).
+def trial_streams(seed: int, trials: int, width: int | None, drawn: int | None):
+    """Each trial's stream: `random.Random(base.getrandbits(64))`'s, base = Random(seed).
 
-    Each seed's first `drawn` bitstrings are planned, and the plan checked, in this call.
-    A bit takes two words on average; four per bit plus 8 (104 for 24 bits) run out in
-    under 3 in 10,000 rows of 2 bits, which then build `Random(s)`.
+    A trial draws `drawn` bitstrings of `width` bits with `random_bits`, or
+    anything (`drawn` None).  Reseeding one generator per trial gives every
+    trial's stream.  Past `BULK_TRIALS` trials that draw at most `PLANNED_BITS`
+    bits, each chunk of `SEED_CHUNK` trials draws its seeds in one call, in the
+    same order, and plans their bitstrings at once: a bit takes two words on
+    average, and a row that runs out of four per bit plus 8 (under 3 in 10,000
+    rows of 2 bits) draws its bitstrings from `Random(s)`.  Either way one
+    stream object serves every trial, so a stream is valid until the next is drawn.
     """
-    codes, used, short = planned_bits(seeded_words(seeds, 4 * width * drawn + 8), width, drawn)
-    strings = codes_to_bits(codes.ravel().tolist(), width)
-    for row in short.nonzero()[0].tolist():  # a row short of words plans nothing
-        strings[row * drawn:(row + 1) * drawn] = [None] * drawn
-    stream = PlannedStream(seeds, strings, used.ravel(), width, drawn)
-    return map(stream.point, range(0, len(strings), drawn))
+    base = random.Random(seed)
+    if drawn is None or trials <= BULK_TRIALS or width * drawn > PLANNED_BITS:
+        rng = random.Random()
+        for _ in range(trials):
+            rng.seed(base.getrandbits(64))
+            yield rng
+        return
+    import numpy as np
+
+    for start in range(0, trials, SEED_CHUNK):
+        n = min(SEED_CHUNK, trials - start)
+        # One getrandbits(64 * n) is n getrandbits(64) draws, the first lowest.
+        seeds = np.frombuffer(base.getrandbits(64 * n).to_bytes(8 * n, "little"), dtype="<u8")
+        codes, short = planned_bits(seeded_words(seeds, 4 * width * drawn + 8), width, drawn)
+        strings = codes_to_bits(codes.ravel().tolist(), width)
+        for row in short.nonzero()[0].tolist():
+            getrandbits = random.Random(int(seeds[row])).getrandbits
+            strings[row * drawn:(row + 1) * drawn] = [
+                _choice_bits(width, getrandbits) for _ in range(drawn)]
+        stream = PlannedStream(strings, width, drawn)
+        yield from map(stream.point, range(0, len(strings), drawn))
 
 
 class PlannedStream:
-    """The stream of `random.Random(seed)`, its first bitstrings drawn in bulk.
+    """The bitstrings `random_bits` draws from a row of seeds' streams, planned in bulk.
 
-    `random_bits(width, stream)` takes the next planned bitstring, if its width
-    is the plan's; any other draw, and every later one, is `Random(seed)`'s,
-    until `point` moves the stream to another row of the plan.
+    `point` moves the stream to a row; `random_bits(width, stream)` then takes
+    the row's next bitstring.  A draw of another width, or past the row, is refused.
     """
 
-    __slots__ = ("_seeds", "_strings", "_used", "_width", "_drawn", "_next", "_end", "_rng")
+    __slots__ = ("_strings", "_width", "_drawn", "_next", "_end")
 
-    def __init__(self, seeds, strings: list, used, width: int, drawn: int):
-        self._seeds, self._strings, self._used = seeds, strings, used
-        self._width, self._drawn, self._next, self._end, self._rng = width, drawn, 0, 0, None
+    def __init__(self, strings: list, width: int, drawn: int):
+        self._strings, self._width, self._drawn, self._next, self._end = strings, width, drawn, 0, 0
 
     def point(self, first: int) -> "PlannedStream":
-        """This stream, moved to the row whose bitstrings start at `first`, with no generator."""
-        self._next, self._end, self._rng = first, first + self._drawn, None
+        """This stream, moved to the row whose bitstrings start at `first`."""
+        self._next, self._end = first, first + self._drawn
         return self
 
-    def planned(self, width: int):
-        """Takes the next planned bitstring, if one is left and `width` is the plan's; else None."""
+    def planned(self, width: int) -> str:
+        """Takes the row's next bitstring; ValueError if none is left or `width` is not its."""
         i = self._next
-        if i < self._end and width == self._width and (bitstring := self._strings[i]) is not None:
-            self._next = i + 1
-            return bitstring
-
-    getrandbits = property(lambda self: self._random().getrandbits)
-    random = property(lambda self: self._random().random)
-
-    def _random(self):
-        """`Random(seed)` past the words the bitstrings taken used; from here on, every draw's."""
-        if self._rng is None:
-            drawn = self._drawn
-            skip = int(self._used[self._next - 1]) if self._next > self._end - drawn else 0
-            self._rng = random.Random(int(self._seeds[self._end // drawn - 1]))
-            self._rng.getrandbits(32 * skip)  # draws `skip` words
-            self._next = self._end
-        return self._rng
+        if i >= self._end or width != self._width:
+            raise ValueError(f"a planned stream draws {self._drawn} bitstrings of "
+                             f"{self._width} bits, not another of {width}")
+        self._next = i + 1
+        return self._strings[i]

@@ -47,8 +47,9 @@ command line or an unwritable --out or stdout, closed included: one
 takes it).
 Identical command lines, including the seed, produce byte-identical JSON:
 each trial draws from its own stream, that of `random.Random(s)` for the
-trial's seed s, the next `getrandbits(64)` of `Random(seed)`; a long report
-draws its trials' bitstrings from those streams in bulk (`_trial_streams`).
+trial's seed s, the next `getrandbits(64)` of `Random(seed)`.  One rule,
+`bits.trial_streams`, hands each trial its stream: a reseeded generator, or
+for a long report the bitstrings its stream draws, planned in bulk.
 The default seed can be overridden with the OTPLAB_SEED environment
 variable.
 
@@ -62,17 +63,16 @@ import gc
 import io
 import json
 import os
-import random
 import re
 import stat
 import sys
 from types import SimpleNamespace
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .bits import PLANNED_BITS, check_bits, planned_streams, random_bits
+from .bits import check_bits, random_bits, trial_streams
 from .cryptanalysis import (
     CARRIERS,
     attack_es_qkd_keyset,
@@ -97,12 +97,6 @@ MAX_TRIALS = 100_000
 MAX_SWAPS = 8 * MAX_TRIALS
 DEFAULT_MESSAGE_BITS = 2
 DEFAULT_PAIRS = "phi+:psi+"
-# A report of more than BULK_TRIALS trials draws its bitstrings in bulk,
-# SEED_CHUNK trials at a time.  Bulk over reseeding, `build_report` in a fresh
-# process at 1,000, 1,700 and 20,000 trials (2-vCPU host): 2-bit xor-chain 1.08,
-# 0.86, 0.32; 16-bit 1.02, 0.94, 0.84; 12-bit otp-baseline 1.15, 0.94, 0.72.
-BULK_TRIALS = 1_700
-SEED_CHUNK = 32_768
 
 
 class ConfigError(Exception):
@@ -523,35 +517,12 @@ def parse_command_line(argv: list) -> SimpleNamespace | str:
     raise ConfigError("the following arguments are required: command")
 
 
-def _trial_streams(config: ScenarioConfig) -> Iterator:
-    """Each trial's stream: `random.Random(base.getrandbits(64))`'s, base = Random(config.seed).
-
-    Reseeding one generator per trial gives it (`seed` resets the whole state).  Past
-    `BULK_TRIALS` trials that draw only bitstrings, at most `PLANNED_BITS` bits a trial,
-    each chunk of `SEED_CHUNK` trials draws its seeds in one call, in the same order, and
-    their bitstrings at once (`planned_streams`).  Either way one stream object serves
-    every trial, so a stream is valid until the next is drawn.
-    """
-    base = random.Random(config.seed)
-    drawn = SCENARIOS[config.scenario].bitstrings_drawn
-    if drawn is None or config.trials <= BULK_TRIALS or config.message_bits * drawn > PLANNED_BITS:
-        rng = random.Random()
-        for _ in range(config.trials):
-            rng.seed(base.getrandbits(64))
-            yield rng
-        return
-    for start in range(0, config.trials, SEED_CHUNK):
-        n = min(SEED_CHUNK, config.trials - start)
-        # One getrandbits(64 * n) is n getrandbits(64) draws, the first lowest.
-        seeds = np.frombuffer(base.getrandbits(64 * n).to_bytes(8 * n, "little"), dtype="<u8")
-        yield from planned_streams(seeds, config.message_bits, drawn)
-
-
 def build_report(config: ScenarioConfig, with_attack: bool) -> dict:
     trial, analysis = SCENARIOS[config.scenario].start(config, with_attack)
     trials = []
     # Each trial draws from its own stream, Random(s) for its seed s.
-    for rng in _trial_streams(config):
+    for rng in trial_streams(config.seed, config.trials, config.message_bits,
+                             SCENARIOS[config.scenario].bitstrings_drawn):
         run, body = trial(rng)
         trials.append(body)
     # Every run of one config has the same scheme and carrier count.
@@ -834,7 +805,10 @@ def _one_line(text: str) -> str:
 def main(argv=None) -> int:
     # What exists before the run (numpy, the modules, the caller's objects) outlives it:
     # frozen, it is left out of the collector's passes, which then scan only the run's objects.
-    gc.freeze()
+    # A caller that froze objects itself keeps its freeze, which `unfreeze` would undo.
+    freeze = gc.get_freeze_count() == 0
+    if freeze:
+        gc.freeze()
     try:
         args = parse_command_line(sys.argv[1:] if argv is None else argv)
         if isinstance(args, str):
@@ -862,7 +836,8 @@ def main(argv=None) -> int:
         traceback.print_exc(file=sys.stderr)
         return 1
     finally:
-        gc.unfreeze()
+        if freeze:
+            gc.unfreeze()
 
 
 def console_main() -> None:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -13,9 +14,9 @@ from otplab.bits import (
     codes_to_bits,
     int_to_bits,
     planned_bits,
-    planned_streams,
     random_bits,
     seeded_words,
+    trial_streams,
     xor_bits,
 )
 from otplab.otp import random_key
@@ -232,10 +233,10 @@ class CountedWords:
         return self.rng.getrandbits(k)
 
 
-def plans(max_count: int = MAX_SEEDED_WORDS):
+def plans():
     """(width, drawn, count): `drawn` bitstrings of `width` bits, at most 32 in all, from `count` words."""
     return st.integers(1, 3).flatmap(lambda drawn: st.tuples(
-        st.integers(0, 32 // drawn), st.just(drawn), st.integers(0, max_count)))
+        st.integers(0, 32 // drawn), st.just(drawn), st.integers(0, MAX_SEEDED_WORDS)))
 
 
 class TestPlannedBits:
@@ -247,124 +248,96 @@ class TestPlannedBits:
     @example(EDGE_SEEDS, (12, 2, 104))
     @example(EDGE_SEEDS, (16, 1, 5))  # every row runs out of words
     @example([1], (0, 2, 0))  # empty bitstrings draw no word
-    def test_codes_and_words_used_equal_random_bits(self, seeds, plan):
+    def test_codes_equal_random_bits(self, seeds, plan):
         width, drawn, count = plan
-        codes, used, short = planned_bits(seeded_words(seeds, count), width, drawn)
-        assert codes.shape == used.shape == (len(seeds), drawn)
-        for seed, row_codes, row_used, row_short in zip(seeds, codes, used, short):
-            counted, expected = CountedWords(seed), []
-            for _ in range(drawn):
-                drawn_bits = random_bits(width, counted)
-                expected.append((int(drawn_bits, 2) if drawn_bits else 0, counted.words))
+        codes, short = planned_bits(seeded_words(seeds, count), width, drawn)
+        assert codes.shape == (len(seeds), drawn)
+        for seed, row_codes, row_short in zip(seeds, codes, short):
+            counted = CountedWords(seed)
+            expected = [int(random_bits(width, counted) or "0", 2) for _ in range(drawn)]
             assert row_short == (counted.words > count)
             if not row_short:
-                assert list(zip(row_codes.tolist(), row_used.tolist())) == expected
+                assert row_codes.tolist() == expected
 
     @pytest.mark.parametrize("width,drawn", [(33, 1), (17, 2), (11, 3)])
     def test_more_bits_than_a_uint32_holds_are_refused(self, width, drawn):
         with pytest.raises(ValueError, match="width \\* drawn must be at most 32 bits"):
-            planned_streams(np.array([1], dtype=np.uint64), width, drawn)
+            planned_bits(seeded_words([1], 4), width, drawn)
 
 
-DRAWS = st.lists(st.sampled_from(["planned", "random"]) | st.tuples(
-    st.sampled_from(["bits", "getrandbits"]), st.integers(0, 70)), max_size=12)
+def fresh_trial_bitstrings(seed: int, trials: int, width: int, drawn: int) -> list:
+    """Each trial's bitstrings drawn from `Random(base.getrandbits(64))`, base = Random(seed)."""
+    base = random.Random(seed)
+    return [[random_bits(width, rng) for _ in range(drawn)]
+            for rng in (random.Random(base.getrandbits(64)) for _ in range(trials))]
 
 
-def draw_from(rng, draw, width: int):
-    """One draw: the plan's bitstring width, another width, `getrandbits(k)` or `random()`."""
-    if draw == "planned":
-        return random_bits(width, rng)
-    if draw == "random":
-        return rng.random()
-    kind, k = draw
-    return random_bits(k % 20, rng) if kind == "bits" else rng.getrandbits(k)
+class TestTrialStreams:
+    """`trial_streams` against a fresh `random.Random` per trial, either side of each crossover."""
 
+    @settings(deadline=None)
+    @given(SEEDS, st.integers(1, 3).flatmap(lambda drawn: st.tuples(
+        st.integers(0, 36 // drawn), st.just(drawn))), st.sampled_from([2, 3, 4, 5, 9]),
+        st.none() | st.integers(0, 40))
+    @example(7, (2, 1), 9, None)
+    @example(7, (16, 1), 5, 1)  # every row runs out of words
+    @example(7, (12, 2), 4, 12)
+    @example(7, (3, 2), 3, 9)
+    @example(7, (0, 2), 5, 0)  # empty bitstrings draw no word
+    @example(7, (17, 2), 5, None)  # 34 bits, more than a row holds: reseeded
+    def test_every_draw_equals_a_fresh_generators(self, seed, plan, trials, kept):
+        # Bulk past 3 trials, in chunks of 4: trials 2 to 5 are one either
+        # side of both, 9 is two chunks and a part.  Each row is planned from
+        # its first `kept` words (None: all), so some rows run short; each
+        # stream is drawn from before the next is taken.
+        width, drawn = plan
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bits, "BULK_TRIALS", 3)
+            patch.setattr(bits, "SEED_CHUNK", 4)
+            patch.setattr(bits, "seeded_words",
+                          lambda seeds, count: seeded_words(seeds, count)[:, :kept])
+            drawn_bits = [[random_bits(width, stream) for _ in range(drawn)]
+                          for stream in trial_streams(seed, trials, width, drawn)]
+        assert drawn_bits == fresh_trial_bitstrings(seed, trials, width, drawn)
 
-def planned_from_words(seeds: list, width: int, drawn: int, kept):
-    """`planned_streams`' streams, each row planned from its first `kept` words (None: all).
-
-    One stream is re-pointed per row, so each is drawn from before the next is taken.
-    """
-    lanes = np.array(seeds, dtype=np.uint64)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(bits, "seeded_words", lambda seeds, count: seeded_words(seeds, count)[:, :kept])
-        return planned_streams(lanes, width, drawn)
+    def test_trials_that_draw_floats_reseed_a_generator(self):
+        base, trials = random.Random(7), 0
+        for stream in trial_streams(7, bits.BULK_TRIALS + 1, None, None):
+            assert stream.random() == random.Random(base.getrandbits(64)).random()
+            trials += 1
+        assert trials == bits.BULK_TRIALS + 1
 
 
 class TestPlannedStream:
-    """A `PlannedStream` draws exactly what `random.Random(seed)` draws, planned bits or not."""
+    """A `PlannedStream` holds only its row's planned bitstrings."""
 
-    @settings(deadline=None)
-    @given(st.lists(SEEDS, min_size=1, max_size=4), plans(max_count=40) | st.tuples(
-        st.integers(0, 12), st.integers(1, 2), st.none()), DRAWS)
-    @example(EDGE_SEEDS, (2, 1, None), ["planned", "planned", ("getrandbits", 32)])
-    @example([2**64 - 1, 7], (3, 2, 3), ["planned", ("getrandbits", 64), "random", "planned"])
-    @example([7, 2**32], (4, 2, None), ["planned", ("bits", 5), "planned"])
-    @example([7], (4, 2, None), ["planned", "planned", "planned", ("getrandbits", 1)])
-    def test_every_draw_equals_a_fresh_generators(self, seeds, plan, draws):
-        width, drawn, kept = plan
-        rows = 0
-        for seed, stream in zip(seeds, planned_from_words(seeds, width, drawn, kept), strict=True):
-            reference = random.Random(seed)
-            for draw in draws:
-                assert draw_from(stream, draw, width) == draw_from(reference, draw, width)
-            rows += 1
-        assert rows == len(seeds)
-
-    @settings(deadline=None)
-    @given(st.lists(SEEDS, min_size=2, max_size=5), st.integers(1, 3).flatmap(
-        lambda drawn: st.tuples(st.integers(0, 32 // drawn), st.just(drawn))), st.booleans(), DRAWS)
-    @example([1, 2, 3], (4, 2), True, ["planned"])
-    @example([1, 2, 3], (4, 2), False, [("getrandbits", 1)])
-    def test_a_fallback_ends_with_its_row(self, seeds, plan, refused, draws):
-        # Even rows fall back to Random(seed): all their words refused (a row
-        # short of words), and a `random()` draw past the plan.  Each odd row
-        # then draws its planned bits with no generator to build, unless it
-        # ran short of words itself.
-        width, drawn = plan
-        planned = []
-
-        def words(lanes, count):
-            planned.append(seeded_words(lanes, count))
-            if refused:
-                planned[0][0::2] = 0xFFFFFFFF
-            return planned[0]
-
+    @staticmethod
+    def first_stream(width: int, drawn: int) -> PlannedStream:
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(bits, "seeded_words", words)
-            streams = planned_streams(np.array(seeds, dtype=np.uint64), width, drawn)
-        short = planned_bits(planned[0], width, drawn)[2]
-        for row, (seed, stream) in enumerate(zip(seeds, streams, strict=True)):
-            reference = random.Random(seed)
-            if row % 2 == 0:
-                for draw in [*draws, "random"]:
-                    assert draw_from(stream, draw, width) == draw_from(reference, draw, width)
-                continue
-            expected = [random_bits(width, reference) for _ in range(drawn)]
-            with pytest.MonkeyPatch.context() as patch:
-                if not short[row]:
-                    patch.setattr(random, "Random", None)  # building one would fail
-                assert [random_bits(width, stream) for _ in range(drawn)] == expected
+            patch.setattr(bits, "BULK_TRIALS", 1)
+            stream = next(trial_streams(7, 2, width, drawn))
+        assert isinstance(stream, PlannedStream)
+        return stream
+
+    def test_a_third_draw_is_refused(self):
+        stream = self.first_stream(4, 2)
+        assert [random_bits(4, stream) for _ in range(2)] == fresh_trial_bitstrings(7, 1, 4, 2)[0]
+        with pytest.raises(ValueError, match="draws 2 bitstrings of 4 bits, not another of 4"):
+            random_bits(4, stream)
+
+    @pytest.mark.parametrize("width", [0, 3, 5])
+    def test_a_draw_of_another_width_is_refused(self, width):
+        stream = self.first_stream(4, 2)
+        with pytest.raises(ValueError, match=f"of 4 bits, not another of {width}"):
+            random_bits(width, stream)
+        assert random_bits(4, stream) == fresh_trial_bitstrings(7, 1, 4, 2)[0][0]
 
     def test_planned_bitstrings_build_no_generator(self, monkeypatch):
-        streams = planned_from_words([1, 2, 3], 4, 2, None)
-        generator = random.Random
+        monkeypatch.setattr(bits, "BULK_TRIALS", 1)
+        streams = trial_streams(7, 3, 4, 2)
+        first = next(streams)  # the chunk is planned when its first stream is taken
         monkeypatch.setattr(random, "Random", None)  # building one would fail
-        drawn = [[random_bits(4, stream) for _ in range(2)] for stream in streams]
+        drawn = [[random_bits(4, stream) for _ in range(2)]
+                 for stream in itertools.chain([first], streams)]
         monkeypatch.undo()
-        assert drawn == [[random_bits(4, rng) for _ in range(2)] for rng in map(generator, (1, 2, 3))]
-
-    @pytest.mark.parametrize("seed", [1, 2**32 + 5, 7919])
-    def test_too_few_words_fall_back_in_step(self, seed):
-        # Three words cannot cover 20 bits (at least 20 draws), so the stream
-        # builds Random(seed) and draws the whole bitstring from it.
-        [stream] = planned_from_words([seed], 20, 1, 3)
-        reference = random.Random(seed)
-        assert random_bits(20, stream) == random_bits(20, reference)
-        assert stream.getrandbits(32) == reference.getrandbits(32)
-
-    def test_negative_bit_count_is_refused_as_random_refuses_it(self):
-        [stream] = planned_from_words([1], 1, 1, None)
-        assert isinstance(stream, PlannedStream)
-        with pytest.raises(ValueError, match="negative"):
-            stream.getrandbits(-1)
+        assert drawn == fresh_trial_bitstrings(7, 3, 4, 2)

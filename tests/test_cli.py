@@ -2,6 +2,7 @@ import argparse
 import collections
 import contextlib
 import errno
+import gc
 import io
 import json
 import os
@@ -956,6 +957,24 @@ class TestAudit:
         assert out == stdlib_json({"rows": build_audit_rows(), "tool_version": otplab.__version__})
 
 
+class TestFrozenObjects:
+    """`main` freezes what exists before a run, unless its caller froze objects itself."""
+
+    @pytest.mark.parametrize("caller_froze", [False, True])
+    def test_main_leaves_the_freeze_count_as_it_found_it(self, capsys, caller_froze):
+        assert main(["audit"]) == 0  # a first run's imports and caches outlive it
+        gc.unfreeze()
+        try:
+            if caller_froze:
+                gc.freeze()
+            before = gc.get_freeze_count()
+            assert (before > 0) == caller_froze
+            assert main(["audit"]) == 0
+            assert gc.get_freeze_count() == before
+        finally:
+            gc.unfreeze()
+
+
 # `render_json` writes each distinct trial once; the oracle is one
 # `json.dumps` of the whole report.
 
@@ -1468,6 +1487,12 @@ def fresh_generator_trials(config, with_attack):
     return trials, {**fields, "resources": leakage.resources._asdict()}
 
 
+def config_streams(config):
+    """The streams `build_report` hands a config's trials."""
+    return bits.trial_streams(config.seed, config.trials, config.message_bits,
+                              cli.SCENARIOS[config.scenario].bitstrings_drawn)
+
+
 class TestReseededGenerator:
     """One reseeded trial generator gives the streams of a fresh one per trial."""
 
@@ -1494,10 +1519,10 @@ class TestReseededGenerator:
                                                             with_attack, kept_words):
         # Bulk above one trial, in chunks of 4: one trial under, at and over a
         # chunk, and two chunks and a part.  One kept word makes every row run
-        # out, so its stream builds Random(s) and draws every bit from it; with
-        # nine, some rows run out and some do not.
-        monkeypatch.setattr(cli, "BULK_TRIALS", 1)
-        monkeypatch.setattr(cli, "SEED_CHUNK", 4)
+        # out, so its bitstrings are planned from Random(s); with nine, some
+        # rows run out and some do not.
+        monkeypatch.setattr(bits, "BULK_TRIALS", 1)
+        monkeypatch.setattr(bits, "SEED_CHUNK", 4)
         chunks = []
 
         def seeded_words(seeds, count):
@@ -1517,9 +1542,9 @@ class TestReseededGenerator:
     def test_xor_chain_16_counts_hold_through_the_planned_streams(self, monkeypatch, kept_words):
         # perfbench pins one random_bits, run_xor_chain and posterior call per
         # trial, counted at every module binding; a row short of words (one
-        # kept word) draws its bits from Random(s) inside that one call.
-        monkeypatch.setattr(cli, "BULK_TRIALS", 1)
-        monkeypatch.setattr(cli, "SEED_CHUNK", 4)
+        # kept word) is planned from Random(s) without a random_bits call.
+        monkeypatch.setattr(bits, "BULK_TRIALS", 1)
+        monkeypatch.setattr(bits, "SEED_CHUNK", 4)
         calls, streams = collections.Counter(), set()
 
         def counting(name, fn):
@@ -1547,30 +1572,30 @@ class TestReseededGenerator:
         assert (report["trials"], report["leakage"]) == fresh_generator_trials(config, True)
 
     @pytest.mark.parametrize("scenario,settings,trials,bulk", [
-        ("xor-chain", {"message_bits": 2}, cli.BULK_TRIALS + 1, True),
-        ("xor-chain", {"message_bits": 2}, cli.BULK_TRIALS, False),
-        ("xor-chain", {"message_bits": 6}, cli.BULK_TRIALS + 1, True),
-        ("xor-chain", {"message_bits": 16}, cli.BULK_TRIALS + 1, True),
-        ("xor-chain", {"message_bits": 16}, cli.BULK_TRIALS, False),
-        ("otp-baseline", {"message_bits": 2}, cli.BULK_TRIALS + 1, True),
-        ("otp-baseline", {"message_bits": 3}, cli.BULK_TRIALS + 1, True),
-        ("otp-baseline", {"message_bits": 12}, cli.BULK_TRIALS + 1, True),
-        ("otp-baseline", {"message_bits": 12}, cli.BULK_TRIALS, False),
-        ("es-qkd", {}, cli.BULK_TRIALS + 1, False),
+        ("xor-chain", {"message_bits": 2}, bits.BULK_TRIALS + 1, True),
+        ("xor-chain", {"message_bits": 2}, bits.BULK_TRIALS, False),
+        ("xor-chain", {"message_bits": 6}, bits.BULK_TRIALS + 1, True),
+        ("xor-chain", {"message_bits": 16}, bits.BULK_TRIALS + 1, True),
+        ("xor-chain", {"message_bits": 16}, bits.BULK_TRIALS, False),
+        ("otp-baseline", {"message_bits": 2}, bits.BULK_TRIALS + 1, True),
+        ("otp-baseline", {"message_bits": 3}, bits.BULK_TRIALS + 1, True),
+        ("otp-baseline", {"message_bits": 12}, bits.BULK_TRIALS + 1, True),
+        ("otp-baseline", {"message_bits": 12}, bits.BULK_TRIALS, False),
+        ("es-qkd", {}, bits.BULK_TRIALS + 1, False),
     ])
     def test_the_config_alone_chooses_the_bulk_path(self, scenario, settings, trials, bulk):
         config = ScenarioConfig(scenario, seed=11, trials=trials, fmt="json", **settings)
-        first = next(cli._trial_streams(config))
+        first = next(config_streams(config))
         assert isinstance(first, PlannedStream if bulk else random.Random)
 
     def test_a_plan_wider_than_a_uint32_reseeds_per_trial(self, monkeypatch):
         # A 17-bit otp-baseline trial draws 34 bits, more than a planned row holds.
         wider = cli.SCENARIOS["otp-baseline"]._replace(message_lengths=range(1, 18))
         monkeypatch.setitem(cli.SCENARIOS, "otp-baseline", wider)
-        monkeypatch.setattr(cli, "BULK_TRIALS", 1)
+        monkeypatch.setattr(bits, "BULK_TRIALS", 1)
         config = ScenarioConfig("otp-baseline", seed=11, trials=3, fmt="json", message_bits=17)
         base, trials = random.Random(11), 0
-        for stream in cli._trial_streams(config):
+        for stream in config_streams(config):
             assert isinstance(stream, random.Random)
             reference = random.Random(base.getrandbits(64))
             assert [bits.random_bits(17, stream) for _ in range(2)] == [
