@@ -303,12 +303,22 @@ def _marginal(codes: np.ndarray, probs: np.ndarray, width: int) -> Distribution:
 
 
 def _entropy(probs: np.ndarray) -> float:
-    """-sum(p * log2 p) over positive probabilities, one chunk of logarithms at a time."""
+    """-sum(p * log2 p) over positive probabilities, one chunk of terms at a time.
+
+    Each chunk's terms p * log2 p are formed in one reused buffer and added
+    by numpy's own pairwise `sum`, never by a BLAS `dot`: OpenBLAS hands a dot
+    longer than about 10,000 entries to a worker thread, whose wake-up took
+    3-8 ms per call on a 2-vCPU host, and a threaded dot's partial sums,
+    hence its rounding, depend on the thread count and on the CPU's BLAS
+    kernel.
+    """
     logs = np.empty(min(probs.size, _CHUNK))
     total = 0.0
     for start in range(0, probs.size, _CHUNK):
         chunk = probs[start:start + _CHUNK]
-        total += float(np.dot(chunk, np.log2(chunk, out=logs[:chunk.size])))
+        terms = np.log2(chunk, out=logs[:chunk.size])
+        np.multiply(chunk, terms, out=terms)
+        total += float(terms.sum())
     return 0.0 - total  # not -total: a point mass gives 0.0, not -0.0
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from otplab import cryptanalysis, infotheory
+from otplab import cli, cryptanalysis, infotheory
 from otplab.bits import bits_to_int, codes_to_bits, int_to_bits, xor_bits
 from otplab.infotheory import (
     Distribution,
@@ -634,11 +634,11 @@ def reference_entropy(probs) -> float:
 
 
 def reference_conditional_entropy(joint) -> float:
-    """H(S,O) - H(O), with observation totals by `reduceat` over whole-array run starts."""
+    """H(S,O) - H(O) by `math.fsum`, with observation totals by `reduceat` over run starts."""
     probs, observations = joint.probabilities, joint.observation_codes
     starts = np.flatnonzero(np.concatenate(([True], observations[1:] != observations[:-1])))
     totals = np.add.reduceat(probs, starts)
-    return max(float(np.dot(totals, np.log2(totals)) - np.dot(probs, np.log2(probs))), 0.0)
+    return max(reference_entropy(probs) - reference_entropy(totals), 0.0)
 
 
 def reference_mutual_information(joint) -> float:
@@ -812,6 +812,81 @@ class TestChunkedReductions:
                 reference_conditional_entropy(joint), abs=FLOAT_TOL)
             assert mutual_information(joint) == pytest.approx(
                 reference_mutual_information(joint), abs=FLOAT_TOL)
+
+
+# OpenBLAS hands a dot of more than 10,000 entries to a worker thread; the
+# largest size here also spans two `_CHUNK` windows.
+WIDE_SIZES = [1 << 14, 1 << 16, (1 << 18) + 1]
+
+
+def dyadic_depths(size: int, rng) -> np.ndarray:
+    """Leaf depths of a random full binary tree with `size` leaves, in random order.
+
+    Each round splits min(leaves, size - leaves) distinct leaves, so no
+    depth exceeds ceil(log2 size): every term 2**-d * d, and every sum of
+    such terms in any order, is then exact.
+    """
+    depths = np.zeros(1, dtype=np.int64)
+    while depths.size < size:
+        split = rng.choice(depths.size, size=min(depths.size, size - depths.size), replace=False)
+        depths[split] += 1
+        depths = np.concatenate((depths, depths[split]))
+    return rng.permutation(depths)
+
+
+class TestWideEntropies:
+    """`_entropy` at sizes whose dot product OpenBLAS would thread."""
+
+    @pytest.mark.parametrize("width", [14, 16, 18, 19])
+    def test_uniform_gives_its_width(self, width):
+        assert infotheory._entropy(np.full(1 << width, 2.0 ** -width)) == float(width)
+
+    @pytest.mark.parametrize("size", WIDE_SIZES)
+    @settings(deadline=None, max_examples=5)
+    @given(st.integers(0, 2**32 - 1))
+    def test_dyadic_gives_its_exact_value(self, size, seed):
+        depths = dyadic_depths(size, np.random.default_rng(seed))
+        counts = np.bincount(depths)
+        exact = sum(Fraction(int(c) * d, 1 << d) for d, c in enumerate(counts))
+        assert infotheory._entropy(np.ldexp(1.0, -depths)) == float(exact)
+
+    @pytest.mark.parametrize("size", WIDE_SIZES)
+    @settings(deadline=None, max_examples=5)
+    @given(st.integers(0, 2**32 - 1))
+    def test_random_agrees_with_fsum(self, size, seed):
+        weights = 1.0 - np.random.default_rng(seed).random(size)  # in (0, 1]
+        probs = weights / weights.sum()
+        assert infotheory._entropy(probs) == pytest.approx(reference_entropy(probs),
+                                                           abs=FLOAT_TOL)
+
+
+class TestNoBlas:
+    """With numpy's BLAS entry points made to raise, every exact figure still comes out."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_blas(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a BLAS routine was called")
+
+        for name in ("dot", "vdot", "inner", "matmul"):
+            monkeypatch.setattr(np, name, refuse)
+
+    @pytest.mark.parametrize("size", [1 << 16, (1 << 18) + 1])
+    def test_entropy(self, size):
+        assert infotheory._entropy(np.full(size, 1.0 / size)) == pytest.approx(
+            math.log2(size), abs=FLOAT_TOL)
+
+    def test_mutual_information_of_the_16_bit_chain(self):
+        joint = enumerate_joint(Distribution.uniform_bits(16), cryptanalysis.xor_chain_view)
+        assert mutual_information(joint) == 8.0
+
+    @pytest.mark.parametrize("scenario, bits", [("xor-chain", "16"), ("otp-baseline", "12")])
+    def test_attack_reports(self, scenario, bits, capsys):
+        code = cli.main(["attack", "--scenario", scenario, "--message-bits", bits,
+                         "--trials", "3"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        assert out
 
 
 class TestMemoryBound:

@@ -16,8 +16,11 @@ from BASE's `perfbench/workloads.py`.  Every child must exit 0 and write the
 same report bytes as BASE's first child.
 
 Prints, for `wall_s`, `setup_s` and `peak_rss_mb` (raw, not scaled to a
-reference host): each side's median, BASE's quartile distance, the median of
-the paired differences CHANGE - BASE, and the pairs in which CHANGE is lower.
+reference host): each side's median, then each side's lower quartile, upper
+quartile and quartile distance, the median of the paired differences
+CHANGE - BASE, and the pairs in which CHANGE is lower.  Both sides' quartiles
+show a side whose children fall into two groups (some paying a cost that
+others do not), which two medians alone hide.
 """
 
 import argparse
@@ -63,9 +66,10 @@ def run_child(tree: str, argv_json: bytes) -> tuple:
     return json.loads(head), report
 
 
-def quartile_distance(values: list) -> float:
+def quartiles(values: list) -> tuple:
+    """(lower quartile, upper quartile, their distance)."""
     low, _, high = statistics.quantiles(values, n=4)
-    return high - low
+    return low, high, high - low
 
 
 def main(argv=None) -> int:
@@ -94,13 +98,15 @@ def main(argv=None) -> int:
                 raise SystemExit(f"{trees[side]}: the report differs from the first child's")
             samples[side].append(header)
     print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs, raw")
-    print(f"{'metric':<12} {'base':>10} {'change':>10} {'base IQR':>10} {'paired':>10}  lower")
+    spread = [f"{side} {column}" for side in ("base", "change") for column in ("Q1", "Q3", "IQR")]
+    print(f"{'metric':<12} {'base':>10} {'change':>10} "
+          + "".join(f"{column:>11}" for column in spread) + f" {'paired':>10}  lower")
     for metric in METRICS:
         base, change = ([sample[metric] for sample in side] for side in samples)
         paired = [b - a for a, b in zip(base, change)]
         print(f"{metric:<12} {statistics.median(base):10.4f} {statistics.median(change):10.4f} "
-              f"{quartile_distance(base):10.4f} {statistics.median(paired):+10.4f}  "
-              f"{sum(d < 0 for d in paired)}/{args.pairs}")
+              + "".join(f"{value:11.4f}" for value in (*quartiles(base), *quartiles(change)))
+              + f" {statistics.median(paired):+10.4f}  {sum(d < 0 for d in paired)}/{args.pairs}")
     return 0
 
 
