@@ -37,9 +37,10 @@ observation shares, from it; it has no columns.
 Memory bound: the reductions over a joint's columns (the order check,
 the marginals and the entropies) hold at most one chunk of `_CHUNK`
 entries beyond the columns themselves and their result.  The one
-exception is a secret marginal wider than `_DENSE_MARGINAL_MAX_BITS`,
-which groups codes by a sort that copies the column.  Building a joint
-from an integer view holds the result's columns plus one sort order.
+exception is a marginal of either column wider than
+`_DENSE_MARGINAL_MAX_BITS`, which groups codes by a sort that copies the
+column.  Building a joint from an integer view holds the result's
+columns plus one sort order.
 """
 
 from functools import cached_property
@@ -198,8 +199,10 @@ class JointDistribution:
 
     Stored as parallel arrays of integer codes and probabilities, strictly
     ascending by (observation, secret), observation first: the constructor
-    sorts its input into that order and rejects a repeated pair, so each
-    observation's entries form one slice, ascending by secret.
+    sorts its input into that order and rejects a repeated pair.  The
+    order serves posteriors alone: each observation's entries form one
+    slice, ascending by secret, which `_posterior` normalizes.  Both
+    marginals sum per code through `_marginal`, in entry order.
     """
 
     def __init__(self, secret_codes, observation_codes, probabilities,
@@ -218,33 +221,28 @@ class JointDistribution:
     def secret_marginal(self) -> Distribution:
         return _marginal(self.secret_codes, self.probabilities, self.secret_bits)
 
-    def _slice(self, code: int):
-        """(secret codes, probabilities) of one observation's entries: views of the columns.
-
-        Two scalar searches: one array search costs about twice as much on
-        the tiny joints that are queried once per trial.
-        """
-        observations = self.observation_codes
-        lo, hi = observations.searchsorted(code), observations.searchsorted(code, "right")
-        return self.secret_codes[lo:hi], self.probabilities[lo:hi]
+    def observation_marginal(self) -> Distribution:
+        return _marginal(self.observation_codes, self.probabilities, self.observation_bits)
 
     def _joint_entropy(self) -> float:
         """H(secret, observation)."""
         return _entropy(self.probabilities)
 
-    def observation_marginal(self) -> Distribution:
-        """Each observation's total, summed over its run of the stored order."""
-        observations = self.observation_codes
-        n = observations.size
-        starts = [np.zeros(1, dtype=np.intp)]
-        for lo in range(0, n - 1, _CHUNK):
-            hi = min(lo + _CHUNK, n - 1)
-            changes = np.flatnonzero(observations[lo + 1:hi + 1] != observations[lo:hi])
-            changes += lo + 1
-            starts.append(changes)
-        starts = np.concatenate(starts)
-        totals = np.add.reduceat(self.probabilities, starts)
-        return Distribution._from_codes(observations[starts], totals, self.observation_bits)
+    def _posterior(self, observation: str) -> Distribution:
+        """The observation's slice of the stored order, normalized; its secret codes are a view.
+
+        Two scalar searches: one array search costs about twice as much on
+        the tiny joints that are queried once per trial.
+        """
+        code, observations = bits_to_int(observation), self.observation_codes
+        lo, hi = observations.searchsorted(code), observations.searchsorted(code, "right")
+        probs = self.probabilities[lo:hi]
+        total = float(probs.sum())
+        if total <= 0.0:
+            raise ZeroProbabilityObservationError(
+                f"observation {observation!r} has zero marginal probability"
+            )
+        return Distribution._from_codes(self.secret_codes[lo:hi], probs / total, self.secret_bits)
 
 
 class TiledJoint:
@@ -276,9 +274,13 @@ class TiledJoint:
         total = float(self._slice_probabilities.sum())
         return Distribution._from_codes(np.arange(n), np.full(n, total), self.observation_bits)
 
+    def _posterior(self, observation: str) -> Distribution:
+        """The one posterior that every observation shares."""
+        return self._shared_posterior
+
     @cached_property
-    def _posterior(self) -> Distribution:
-        """Every observation's posterior: the one slice, normalized once."""
+    def _shared_posterior(self) -> Distribution:
+        """The one slice, normalized once."""
         probs = self._slice_probabilities
         return Distribution._from_codes(self.secret_prior.codes, probs / float(probs.sum()),
                                         self.secret_bits)
@@ -330,15 +332,16 @@ def entropy(dist: Distribution) -> float:
 def posterior(joint: JointDistribution | TiledJoint, observation: str) -> Distribution:
     """Bayes-normalized distribution over secrets given one observation.
 
-    The observation's entries are one slice of the joint's stored order,
-    read through `joint._slice`; every observation of a `TiledJoint` has
-    its one `_posterior` object.  Each joint keeps the posteriors it has
-    returned, keyed by observation, and returns the same read-only
-    `Distribution` when asked again.  An observation that raises is never
-    stored, so it raises on every call.  The stored probabilities are at
-    most one copy of the joint's probability column (each entry belongs to
-    one observation; a `TiledJoint`'s are one slice), and the secret codes
-    are views of the joint's column (of a `TiledJoint`'s prior).
+    The joint's own `_posterior` answers: a `JointDistribution` normalizes
+    the observation's slice of its stored order, and a `TiledJoint` returns
+    the one posterior that all its observations share.  Each joint keeps the
+    posteriors it has returned, keyed by observation, and returns the same
+    read-only `Distribution` when asked again.  An observation that raises
+    is never stored, so it raises on every call.  The stored probabilities
+    are at most one copy of the joint's probability column (each entry
+    belongs to one observation; a `TiledJoint`'s are one slice), and the
+    secret codes are views of the joint's column (of a `TiledJoint`'s
+    prior).
     """
     if isinstance(observation, str):
         cached = joint._posteriors.get(observation)
@@ -349,17 +352,7 @@ def posterior(joint: JointDistribution | TiledJoint, observation: str) -> Distri
         raise ValueError(
             f"observation width {len(observation)} != joint width {joint.observation_bits}"
         )
-    if isinstance(joint, TiledJoint):
-        result = joint._posterior
-    else:
-        secrets, probs = joint._slice(bits_to_int(observation))
-        total = float(probs.sum())
-        if total <= 0.0:
-            raise ZeroProbabilityObservationError(
-                f"observation {observation!r} has zero marginal probability"
-            )
-        result = Distribution._from_codes(secrets, probs / total, joint.secret_bits)
-    joint._posteriors[observation] = result
+    result = joint._posteriors[observation] = joint._posterior(observation)
     return result
 
 

@@ -152,6 +152,22 @@ class TestAttack:
         assert attack["eve_bits"] == pytest.approx(0.0, abs=1e-9)
         jsonschema.validate(report, SCHEMA)
 
+    @pytest.mark.parametrize("args", [
+        ("--scenario", "xor-chain", "--message-bits", "2"),
+        ("--scenario", "otp-baseline", "--message-bits", "2"),
+        ("--scenario", "es-qkd", "--pairs", "phi+:psi+"),
+        ("--scenario", "es-qkd", "--pairs", "phi+:psi+", "--plaintext", "1010"),
+    ])
+    def test_schema_states_each_attack_block(self, capsys, args):
+        report = run_json(capsys, "attack", *args, "--seed", "1")
+        jsonschema.validate(report, SCHEMA)
+        attack = report["trials"][0]["attack"]
+        first = sorted(attack)[0]
+        for broken in ({**attack, "extra": 0}, {k: v for k, v in attack.items() if k != first}):
+            report["trials"][0]["attack"] = broken
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate(report, SCHEMA)
+
 
 class TestDeterminism:
     def test_identical_command_lines_identical_json(self, capsys):
@@ -1117,7 +1133,9 @@ class TestRenderJson:
     @example((ScenarioConfig("otp-baseline", seed=7, trials=12, fmt="json", message_bits=12), True))
     def test_report_like_payloads_match_stdlib(self, config_and_attack):
         report = build_report(*config_and_attack)
-        assert render_json(report) == stdlib_json(report)
+        text = render_json(report)
+        assert text == stdlib_json(report)
+        jsonschema.validate(json.loads(text), SCHEMA)
 
     @settings(deadline=None)
     @given(st.dictionaries(REPORT_KEYS, JSON_VALUES, max_size=4))

@@ -406,27 +406,32 @@ class TestExactRationalOracle:
 
 @st.composite
 def wide_exact_joints(draw):
-    """(sb, ob, {(s, o): Fraction}) with secrets wider than the dense marginal's buffer.
+    """(sb, ob, {(s, o): Fraction}) with a column wider than the dense marginal's buffer.
 
-    A few secrets, each paired with one or more observations, so the secret
-    marginal sums several entries per code.
+    Secrets are always that wide; observations are narrow or as wide.  A few
+    codes of each column, each paired with one or more of the other's, so
+    both marginals sum several entries per code.
     """
-    sb = draw(st.integers(infotheory._DENSE_MARGINAL_MAX_BITS + 1, 63))
-    ob = draw(st.integers(1, 3))
+    wide = st.integers(infotheory._DENSE_MARGINAL_MAX_BITS + 1, 63)
+    sb, ob = draw(wide), draw(st.integers(1, 3) | wide)
     secrets = draw(st.lists(st.integers(0, (1 << sb) - 1), min_size=1, max_size=6, unique=True))
+    observations = draw(st.lists(st.integers(0, (1 << ob) - 1), min_size=1, max_size=6,
+                                 unique=True))
     pairs = draw(st.lists(
-        st.tuples(st.sampled_from(secrets), st.integers(0, (1 << ob) - 1)),
+        st.tuples(st.sampled_from(secrets), st.sampled_from(observations)),
         min_size=1, max_size=12, unique=True,
     ))
     return sb, ob, dict(zip(pairs, draw(dyadic_weights(len(pairs)))))
 
 
-class TestWideSecretMarginal:
-    """Secrets over `_DENSE_MARGINAL_MAX_BITS` are grouped by `np.unique`, not a dense buffer."""
+class TestWideMarginals:
+    """Codes over `_DENSE_MARGINAL_MAX_BITS` are grouped by `np.unique`, not a dense buffer."""
 
     @settings(deadline=None)
     @given(wide_exact_joints())
     @example((40, 1, {(0, 0): Fraction(1, 2), ((1 << 40) - 1, 1): Fraction(1, 2)}))
+    @example((40, 63, {(0, (1 << 63) - 1): Fraction(1, 2), ((1 << 40) - 1, 0): Fraction(1, 4),
+                       (1, (1 << 63) - 1): Fraction(1, 4)}))
     def test_figures_match_exact_rationals(self, case):
         sb, ob, exact = case
         joint = joint_of({
@@ -434,6 +439,7 @@ class TestWideSecretMarginal:
         })
         secrets, observations = exact_marginal(exact, 0), exact_marginal(exact, 1)
         assert_matches(joint.secret_marginal(), sb, secrets)
+        assert_matches(joint.observation_marginal(), ob, observations)
         mi = (exact_entropy(secrets.values()) + exact_entropy(observations.values())
               - exact_entropy(exact.values()))
         assert mutual_information(joint) == pytest.approx(mi, abs=FLOAT_TOL)
@@ -805,7 +811,7 @@ class TestChunkedReductions:
                 joint.observation_codes, joint.probabilities, joint.observation_bits)
             marginal = joint.observation_marginal()
             assert np.array_equal(marginal.codes, observation_codes)
-            assert np.allclose(marginal.probabilities, observation_totals, rtol=0, atol=FLOAT_TOL)
+            assert np.array_equal(marginal.probabilities, observation_totals)
             assert entropy(marginal) == pytest.approx(
                 reference_entropy(observation_totals), abs=FLOAT_TOL)
             assert conditional_entropy(joint) == pytest.approx(
