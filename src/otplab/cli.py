@@ -69,6 +69,12 @@ import sys
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
+# OpenBLAS starts its worker threads when numpy is imported, about half of
+# that import's time, and no figure uses a threaded BLAS call.  So the
+# process that runs a command loads numpy with one thread, unless the user
+# set a count; a library import of otplab leaves the environment alone.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import __version__

@@ -37,10 +37,10 @@ observation shares, from it; it has no columns.
 Memory bound: the reductions over a joint's columns (the order check,
 the marginals and the entropies) hold at most one chunk of `_CHUNK`
 entries beyond the columns themselves and their result.  The one
-exception is a marginal of either column wider than
-`_DENSE_MARGINAL_MAX_BITS`, which groups codes by a sort that copies the
-column.  Building a joint from an integer view holds the result's
-columns plus one sort order.
+exception is a marginal of a column wider than `_DENSE_MARGINAL_MAX_BITS`,
+or with fewer entries than its width has codes, which groups codes by a
+sort that copies the column.  Building a joint from an integer view holds
+the result's columns plus one sort order.
 """
 
 from functools import cached_property
@@ -53,8 +53,9 @@ from .bits import bits_to_int, check_bits, codes_to_bits
 from .tolerances import FLOAT_TOL, PROB_SUM_TOL
 
 ENUMERATION_BUDGET = 1 << 24
-# Sum a marginal into a dense buffer of 2**width totals up to this width;
-# wider codes are first grouped by a sort, so the buffer stays small.
+# Sum a marginal into a dense buffer of 2**width totals up to this width,
+# when the buffer holds no more totals than the column has entries; other
+# codes are first grouped by a sort, so the buffer stays small.
 _DENSE_MARGINAL_MAX_BITS = 20
 # Entries per window of a pass over the columns: about 2 MB of float64
 # temporaries, whatever the joint's size.
@@ -293,9 +294,9 @@ def _marginal(codes: np.ndarray, probs: np.ndarray, width: int) -> Distribution:
     """Distribution of the per-code probability totals (zero totals are dropped).
 
     `np.add.at` sums in entry order into the totals buffer, reading the
-    read-only columns in place.
+    read-only columns in place, so both paths give the same floats.
     """
-    if width <= _DENSE_MARGINAL_MAX_BITS:
+    if width <= _DENSE_MARGINAL_MAX_BITS and 1 << width <= codes.size:
         values, index = np.arange(1 << width), codes
     else:
         values, index = np.unique(codes, return_inverse=True)

@@ -446,6 +446,51 @@ class TestWideMarginals:
 
 
 @st.composite
+def marginal_columns(draw):
+    """(codes, probabilities, width): a column with at least one entry per code of its width.
+
+    Codes repeat, and the weights are integers over a general total, so a
+    total's last bit depends on the order its entries are summed in.
+    """
+    width = draw(st.integers(1, 5))
+    n = draw(st.integers(1 << width, (1 << width) + 40))
+    codes = np.array(draw(st.lists(st.integers(0, (1 << width) - 1), min_size=n, max_size=n)),
+                     dtype=np.int64)
+    weights = np.array(draw(st.lists(st.integers(1, 1000), min_size=n, max_size=n)),
+                       dtype=np.float64)
+    return codes, weights / weights.sum(), width
+
+
+class TestMarginalPaths:
+    """A marginal sums into a dense buffer only if the column has an entry per code of its width."""
+
+    @settings(deadline=None)
+    @given(marginal_columns())
+    def test_dense_and_grouped_totals_are_equal(self, column):
+        dense = infotheory._marginal(*column)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(infotheory, "_DENSE_MARGINAL_MAX_BITS", 0)
+            grouped = infotheory._marginal(*column)
+        assert dense.bit_length == grouped.bit_length == column[2]
+        assert np.array_equal(dense.codes, grouped.codes)
+        assert np.array_equal(dense.probabilities, grouped.probabilities)
+
+    def test_a_small_joint_with_a_wide_column_allocates_no_dense_buffer(self):
+        width = infotheory._DENSE_MARGINAL_MAX_BITS
+        joint = JointDistribution([0, 1, 2, 3], [0, 5, 5, (1 << width) - 1], [0.25] * 4, 2, width)
+        tracemalloc.start()
+        try:
+            marginal = joint.observation_marginal()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert as_dict(marginal) == {int_to_bits(0, width): 0.25, int_to_bits(5, width): 0.5,
+                                     int_to_bits((1 << width) - 1, width): 0.25}
+        # Its 2**20 dense totals would take 8 MiB.
+        assert peak < 1 << 20
+
+
+@st.composite
 def bit_mappings(draw):
     """{bitstring: p} in drawn order, dyadic, with some zero-probability outcomes."""
     width, exact = draw(exact_distributions(4))

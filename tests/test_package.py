@@ -33,8 +33,14 @@ FORMER_REEXPORTS = [
 ]
 
 
-def fresh_python(code: str) -> str:
-    env = dict(os.environ)
+def fresh_python(code: str, openblas_threads: str | None = None) -> str:
+    """Run `code` in a new interpreter and return its stdout.
+
+    The child's OPENBLAS_NUM_THREADS is `openblas_threads`, or unset if that is None.
+    """
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env,
                           text=True, timeout=60)
@@ -96,3 +102,46 @@ def test_the_command_line_loads_no_argparse():
         "    print(code, [name for name in unwanted if name in sys.modules])\n"
     )
     assert out == "[]\n0 []\n0 []\n0 []\n0 []\n2 []\n"
+
+
+def openblas_pool_size(requested: int) -> str | None:
+    """The threads a process shows once numpy's OpenBLAS starts with `requested`; None without /proc.
+
+    OpenBLAS caps its pool at the CPUs the process may run on.
+    """
+    if not os.path.exists("/proc/self/status"):
+        return None
+    return str(min(requested, len(os.sched_getaffinity(0))))
+
+
+def command_line_blas_threads(openblas_threads: str | None = None) -> list:
+    """OPENBLAS_NUM_THREADS and the thread count of a process that imported `otplab.cli`."""
+    return fresh_python(
+        "import os, otplab.cli\n"
+        "status = '/proc/self/status'\n"
+        "threads = ([line.split()[1] for line in open(status) if line.startswith('Threads:')]\n"
+        "           if os.path.exists(status) else ['-'])\n"
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'), threads[0])\n",
+        openblas_threads,
+    ).split()
+
+
+@pytest.mark.parametrize("user_set, expected", [(None, 1), ("2", 2)])
+def test_the_command_line_loads_numpy_with_one_blas_thread_unless_told(user_set, expected):
+    # The variable is set before numpy's first import, wherever that import
+    # moves: a later one would start OpenBLAS's pool at the default count.
+    variable, threads = command_line_blas_threads(user_set)
+    assert variable == str(expected)
+    pool = openblas_pool_size(expected)
+    if pool is None:
+        pytest.skip("no /proc/self/status: the thread count is not checked")
+    assert threads == pool
+
+
+@pytest.mark.parametrize("module", [name for name in MODULES if name != "cli"])
+def test_a_library_import_leaves_the_environment_alone(module):
+    out = fresh_python("import os\n"
+                       "before = dict(os.environ)\n"
+                       f"import otplab.{module}\n"
+                       "print(os.environ == before, os.environ.get('OPENBLAS_NUM_THREADS'))\n")
+    assert out == "True None\n"
