@@ -271,11 +271,15 @@ def _xor_chain(config: ScenarioConfig, with_attack: bool):
 def _es_qkd(config: ScenarioConfig, with_attack: bool):
     analysis = attack_es_qkd_keyset(config.pairs)
     # The key sets as report lists and the true parities: shared by every trial.
+    # The true parities are also kept as tuples, the form the parity attack
+    # returns, beside each swap's (start, stop, pair) slice of the ciphertext.
     key_sets = [list(blocks) for blocks in analysis.attack]
     true = None
     if config.plaintext is not None:
         p = [int(ch) for ch in config.plaintext]
-        true = [[p[i] ^ p[i + 2], p[i + 1] ^ p[i + 3]] for i in range(0, len(p), 4)]
+        true_tuples = [(p[i] ^ p[i + 2], p[i + 1] ^ p[i + 3]) for i in range(0, len(p), 4)]
+        true = [list(parities) for parities in true_tuples]
+        swaps = [(4 * i, 4 * i + 4, pair) for i, pair in enumerate(config.pairs)]
 
     def trial(rng):
         run = run_es_qkd(config.pairs, rng)
@@ -286,15 +290,15 @@ def _es_qkd(config: ScenarioConfig, with_attack: bool):
             if true is not None:
                 pad = KeyMaterial(key, truly_random=False)  # swap outcomes, correlated
                 ciphertext = encrypt(config.plaintext, pad).ciphertext
-                recovered = [
-                    list(attack_es_qkd_parity(ciphertext[4 * i:4 * i + 4], pair))
-                    for i, pair in enumerate(config.pairs)
-                ]
+                recovered = [attack_es_qkd_parity(ciphertext[start:stop], pair)
+                             for start, stop, pair in swaps]
+                match = recovered == true_tuples
                 attack.update({
                     "ciphertext": ciphertext,
-                    "recovered_parities": recovered,
+                    # A trial that recovers every parity shares the report's list.
+                    "recovered_parities": true if match else [list(pr) for pr in recovered],
                     "true_parities": true,
-                    "parities_match": recovered == true,
+                    "parities_match": match,
                 })
         return run, _trial([], key, attack)
 
@@ -590,8 +594,10 @@ def _attack_value(value, lists: dict) -> str:
     bitstrings, of such lists (es-qkd's key sets) or of int pairs.  `lists`
     holds list texts keyed by identity, marked at a list's first sight and
     kept from its second on: a list that several trial bodies share (a
-    posterior support, es-qkd's key sets and true parities) is written at
-    most twice, and a list seen once holds no text beyond its body's.
+    posterior support, es-qkd's key sets and true parities, which a trial
+    that recovers every parity also holds as its recovered parities) is
+    written at most twice, and a list seen once holds no text beyond its
+    body's.
     """
     if type(value) is bool:
         return "true" if value else "false"

@@ -133,17 +133,30 @@ def xor_chain_view(message: str) -> str:
     return xor_bits(message[0::2], message[1::2])
 
 
+@functools.cache
+def _pair_xor_nibbles() -> np.ndarray:
+    """Per byte value b, the 4-bit nibble whose bit i is b's bit 2i+1 XOR bit 2i."""
+    parity = np.arange(256, dtype=np.int64)
+    parity ^= parity >> 1
+    nibbles = sum(((parity >> (2 * i)) & 1) << i for i in range(4))
+    nibbles.setflags(write=False)
+    return nibbles
+
+
 def _xor_chain_view_codes(codes: np.ndarray, width: int):
     """Integer form of `xor_chain_view` for `enumerate_joint`.
 
     Bitstrings are read most significant bit first, so bit i of the view
-    is the XOR of code bits 2i+1 and 2i: bit 2i of `codes ^ (codes >> 1)`.
+    is the XOR of code bits 2i+1 and 2i.  Code byte j holds pairs 4j to
+    4j+3, so it gives view bits 4j to 4j+3: one lookup per byte in a
+    256-entry table of pair-XOR nibbles (`_pair_xor_nibbles`, built once),
+    ceil(width / 8) table passes in all.
     """
     _check_even(width)
-    parity = codes ^ (codes >> 1)
-    view = np.zeros_like(codes)
-    for i in range(width // 2):
-        view |= ((parity >> (2 * i)) & 1) << i
+    nibbles = _pair_xor_nibbles()
+    view = nibbles[codes & 0xFF]
+    for j in range(1, -(-width // 8)):
+        view |= nibbles[(codes >> (8 * j)) & 0xFF] << (4 * j)
     return view, width // 2
 
 

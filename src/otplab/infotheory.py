@@ -194,6 +194,11 @@ class Distribution:
         """
         return tuple(accumulate(self.probabilities.tolist()))
 
+    @cached_property
+    def int_codes(self) -> tuple:
+        """`codes` as Python ints in stored order, read beside `cumulative`, entry for entry."""
+        return tuple(self.codes.tolist())
+
 
 class JointDistribution:
     """Exact joint distribution over (secret, observation) bitstring pairs.
@@ -382,7 +387,10 @@ def enumerate_joint(secret_prior: Distribution, view_fn: ViewFn) -> JointDistrib
     view's internal randomness, enumerated exactly).  The result is exact
     and bit-identical across repeated calls; the total enumeration size is
     capped at 2**24 entries.  Entries are collected secret-major and put in
-    the joint's stored order by one stable sort on the observations.
+    the joint's stored order by one stable sort on the observations, read
+    in the narrowest unsigned dtype that holds `observation_bits` (numpy's
+    radix sort up to 16 bits); a stable order is unique, so the dtype
+    never changes it.
 
     A deterministic view may carry an integer form: a `codes` attribute,
     called as `view_fn.codes(secret_codes, secret_bits)`, that returns
@@ -433,11 +441,16 @@ def enumerate_joint(secret_prior: Distribution, view_fn: ViewFn) -> JointDistrib
     # The columns are secret-major with ascending secrets, and each
     # secret's observations ascend.  A stable sort by observation keeps the
     # secrets ascending within each observation, so the constructor finds
-    # the stored order and skips its lexsort.  The columns are gathered one
-    # at a time and the unsorted observations dropped first, so with an
-    # integer view (secrets and probabilities are the prior's) the peak is
-    # the result's columns plus the sort order.
-    order = np.argsort(observations, kind="stable")
+    # the stored order and skips its lexsort.  The sort reads the
+    # observations in the narrowest unsigned dtype that holds their width,
+    # which numpy radix-sorts up to 16 bits; a stable order is unique, so it
+    # is the int64 sort's.  The columns are gathered one at a time and the
+    # unsorted observations dropped first, so with an integer view (secrets
+    # and probabilities are the prior's) the peak is the result's columns
+    # plus the sort order.
+    narrow = observations.astype(np.min_scalar_type((1 << observation_bits) - 1))
+    order = np.argsort(narrow, kind="stable")
+    del narrow
     observations = observations[order]
     secrets = secrets[order]
     probabilities = probabilities[order]

@@ -48,6 +48,9 @@ class Channel(enum.Enum):
     SECURE_PRIMITIVE = "secure-primitive"
 
 
+_CHANNEL_VALUES = {channel: channel.value for channel in Channel}
+
+
 class Transcript(Record):
     """Immutable ordered record of channel events: only its three columns.
 
@@ -74,9 +77,13 @@ class Transcript(Record):
         super().__init__(*columns)
 
     def to_records(self) -> list:
-        """JSON-ready records, one {sender, channel, payload} per event."""
+        """JSON-ready records, one {sender, channel, payload} per event.
+
+        Channel strings come from `_CHANNEL_VALUES`, a dict lookup, not the
+        enum's `value` property, which runs Python code on every read.
+        """
         return [
-            {"sender": sender, "channel": channel.value, "payload": payload}
+            {"sender": sender, "channel": _CHANNEL_VALUES[channel], "payload": payload}
             for sender, channel, payload in zip(self.senders, self.channels, self.payloads)
         ]
 

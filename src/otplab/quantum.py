@@ -172,10 +172,13 @@ def sample_swap(dist: Distribution, rng: random.Random):
 
     One bisect of the draw over the distribution's running totals: the k-th
     block in ascending code order owns the k-th interval of [0, 1), and a
-    draw past the last total lands on the last block.
+    draw past the last total lands on the last block.  The block's code is
+    read from the distribution's `int_codes`, a tuple formed once per
+    distribution, so a memoized oracle distribution pays one `tolist` for
+    all its swaps.
     """
     if dist.bit_length != 4:
         raise ValueError(f"a swap outcome is a 4-bit key block, got {dist.bit_length} bits")
     totals = dist.cumulative
     k = bisect_right(totals, rng.random())
-    return _SWAP_OUTCOMES[dist.codes.item(k if k < len(totals) else k - 1)]
+    return _SWAP_OUTCOMES[dist.int_codes[k if k < len(totals) else k - 1]]

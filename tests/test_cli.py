@@ -1212,8 +1212,11 @@ class TestRenderJson:
         assert texts == [stdlib_json(report) for report in reports]
         attacks = [trial["attack"] for trial in reports[0]["trials"]]
         assert [written[id(blocks)] for blocks in attacks[0]["key_sets"]] == [2, 2]
-        assert written[id(attacks[0]["true_parities"])] == 2
-        assert [written[id(attack["recovered_parities"])] for attack in attacks] == [1] * 6
+        # Every trial recovers the true parities and holds the report's list,
+        # so the parities are written twice per report, not once per trial.
+        true = attacks[0]["true_parities"]
+        assert all(attack["recovered_parities"] is true for attack in attacks)
+        assert written[id(true)] == 2
         bodies = {id(trial): trial for trial in reports[1]["trials"]}.values()
         assert len(bodies) < 40
         holders = collections.Counter(id(body["attack"]["posterior_support"]) for body in bodies)
@@ -1426,6 +1429,52 @@ class TestRepeatedTrials:
         assert attacks[0]["true_parities"] == [[0, 1], [1, 0]]
         for name in ("key_sets", "true_parities"):
             assert all(attack[name] is attacks[0][name] for attack in attacks)
+
+    ALL_PAIRS = ",".join(f"{a}:{b}" for a in ("phi+", "phi-", "psi+", "psi-")
+                         for b in ("phi+", "phi-", "psi+", "psi-"))
+
+    def es_qkd_report(self, fmt="json"):
+        config = ScenarioConfig("es-qkd", seed=5, trials=5, fmt=fmt,
+                                pairs=parse_pairs(self.ALL_PAIRS), plaintext="0110" * 4 + "1" * 48)
+        return build_report(config, with_attack=True)
+
+    def test_es_qkd_trials_that_recover_every_parity_share_the_true_list(self):
+        report = self.es_qkd_report()
+        attacks = [trial["attack"] for trial in report["trials"]]
+        true = attacks[0]["true_parities"]
+        assert true == [[1, 1]] * 4 + [[0, 0]] * 12
+        for attack in attacks:
+            assert attack["parities_match"] is True
+            assert attack["recovered_parities"] is true
+        assert render_json(report) == stdlib_json(report)
+
+    def test_an_es_qkd_trial_that_misses_a_parity_gets_its_own_list(self, monkeypatch):
+        calls = []
+
+        def one_flipped(block, pair):
+            parities = cryptanalysis.attack_es_qkd_parity(block, pair)
+            calls.append(pair)
+            # Trial 3 (0-based 2), swap 5: the first parity comes back flipped.
+            return (1 - parities[0], parities[1]) if len(calls) == 2 * 16 + 6 else parities
+
+        monkeypatch.setattr(cli, "attack_es_qkd_parity", one_flipped)
+        reports = {}
+        for fmt in ("json", "text"):
+            calls.clear()
+            reports[fmt] = self.es_qkd_report(fmt)
+            assert len(calls) == 5 * 16
+        for report in reports.values():
+            attacks = [trial["attack"] for trial in report["trials"]]
+            true = attacks[0]["true_parities"]
+            missed = attacks[2]["recovered_parities"]
+            assert missed is not true and attacks[2]["parities_match"] is False
+            assert missed[:5] + missed[6:] == true[:5] + true[6:]
+            assert missed[5] == [1 - true[5][0], true[5][1]]
+            for i, attack in enumerate(attacks):
+                if i != 2:
+                    assert attack["recovered_parities"] is true and attack["parities_match"]
+        assert render_json(reports["json"]) == stdlib_json(reports["json"])
+        assert cli.render_report_text(reports["text"]) == reference_text(reports["text"])
 
     def test_xor_chain_trials_with_one_view_share_one_support_list(self):
         config = ScenarioConfig("xor-chain", seed=3, trials=64, fmt="json", message_bits=4)

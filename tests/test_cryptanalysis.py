@@ -397,6 +397,14 @@ class TestEfficiencyAudit:
         verdict = Analysis("otp-baseline", 1, None, 0.0).efficiency
         assert not verdict.holevo_ok
 
+    @pytest.mark.parametrize("claimed, holevo_ok", [(4, True), (5, False)])
+    def test_the_ceiling_is_one_bit_per_qubit(self, monkeypatch, claimed, holevo_ok):
+        # Nothing leaked on 4 qubits: exactly 1.0 bit per qubit passes, 1.25 fails.
+        monkeypatch.setitem(CARRIERS, "otp-baseline", CarrierAccounting("x", claimed, 4))
+        verdict = Analysis("otp-baseline", 1, None, 0.0).efficiency
+        assert verdict.effective_bits_per_qubit == claimed / 4
+        assert verdict.holevo_ok is holevo_ok
+
     def test_rejects_empty_resources(self):
         assert isinstance(Analysis("xor-chain", 1, None, 1.0).efficiency, EfficiencyVerdict)
         with pytest.raises(ValueError, match="resource counts must be positive"):

@@ -645,6 +645,39 @@ class TestIntegerView:
         prior = Distribution.uniform_bits(6)
         assert_same_joint(enumerate_joint(prior, view), enumerate_joint(prior, xor_chain_view))
 
+    @settings(deadline=None)
+    @given(st.sampled_from([8, 16, 17, 32, 33, 63]), st.data())
+    def test_the_narrow_sort_gives_the_int64_stable_order(self, observation_bits, data):
+        """8 and 16 bits radix-sort, 17 and more fall back; each gives the stored order.
+
+        Few distinct observations, both ends of the range among them, so many
+        secrets tie; the constructor's own sort is made to raise, so the
+        columns come from `enumerate_joint`'s one sort.
+        """
+        prior = Distribution.uniform_bits(data.draw(st.integers(1, 8)))
+        top = (1 << observation_bits) - 1
+        pool = [0, top] + data.draw(st.lists(st.integers(0, top), max_size=3))
+        observations = np.array(data.draw(st.lists(
+            st.sampled_from(pool), min_size=prior.codes.size, max_size=prior.codes.size)),
+            dtype=np.int64)
+
+        def view(message):
+            raise AssertionError("the string form was called")
+
+        view.codes = lambda codes, width: (observations, observation_bits)
+        order = np.argsort(observations, kind="stable")
+
+        def unsorted(keys):
+            raise AssertionError("enumerate_joint's sort missed the stored order")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np, "lexsort", unsorted)
+            joint = enumerate_joint(prior, view)
+        assert joint.observation_bits == observation_bits
+        assert np.array_equal(joint.observation_codes, observations[order])
+        assert np.array_equal(joint.secret_codes, prior.codes[order])
+        assert np.array_equal(joint.probabilities, prior.probabilities[order])
+
     @pytest.mark.parametrize("view", [cryptanalysis.xor_chain_view, xor_chain_view],
                              ids=["integer", "loop"])
     def test_both_builders_keep_the_budget(self, view, monkeypatch):

@@ -1,6 +1,6 @@
 """Alternate the benchmark's children between two checkouts and print paired medians.
 
-    python tools/ab_children.py BASE CHANGE [--workload NAME] [--seed N] [--pairs P]
+    python tools/ab_children.py BASE CHANGE [--workload NAME|all] [--seed N] [--pairs P]
 
 BASE and CHANGE are the roots of two checkouts (a `git clone` or `git
 archive` of each commit).  Each pair runs one untraced `perfbench/child.py`
@@ -13,14 +13,19 @@ compile otplab from source in every child and neither gains a bytecode
 cache along the way.  Each child runs in its own tree with that tree's
 `src` and `perfbench` on PYTHONPATH and reads the workload's command line
 from BASE's `perfbench/workloads.py`.  Every child must exit 0 and write the
-same report bytes as BASE's first child.
+same report bytes as BASE's first child.  `--workload all` runs the pairs
+of each of BASE's workloads in turn, one table per workload, so a claim and
+the rows of every other workload come from one command.
 
 Prints, for `wall_s`, `setup_s` and `peak_rss_mb` (raw, not scaled to a
 reference host): each side's median, then each side's lower quartile, upper
 quartile and quartile distance, the median of the paired differences
-CHANGE - BASE, and the pairs in which CHANGE is lower.  Both sides' quartiles
-show a side whose children fall into two groups (some paying a cost that
-others do not), which two medians alone hide.
+CHANGE - BASE, the pairs in which CHANGE is lower, and whether a claim that
+CHANGE lowers the metric holds.  It holds when CHANGE is lower in at least
+nine tenths of the pairs (a tie counts for neither side) and BASE's median
+exceeds CHANGE's by more than BASE's quartile distance.  Both sides'
+quartiles show a side whose children fall into two groups (some paying a
+cost that others do not), which two medians alone hide.
 """
 
 import argparse
@@ -72,11 +77,41 @@ def quartiles(values: list) -> tuple:
     return low, high, high - low
 
 
+def run_pairs(trees: list, argv_json: bytes, pairs: int) -> tuple:
+    """Each side's child headers over `pairs` alternated pairs; all reports must match."""
+    samples, expected = ([], []), None
+    for pair in range(pairs):
+        for side in (0, 1) if pair % 2 == 0 else (1, 0):
+            header, report = run_child(trees[side], argv_json)
+            expected = report if expected is None else expected
+            if report != expected:
+                raise SystemExit(f"{trees[side]}: the report differs from the first child's")
+            samples[side].append(header)
+    return samples
+
+
+def print_table(title: str, samples: tuple, pairs: int) -> None:
+    print(title)
+    spread = [f"{side} {column}" for side in ("base", "change") for column in ("Q1", "Q3", "IQR")]
+    print(f"{'metric':<12} {'base':>10} {'change':>10} "
+          + "".join(f"{column:>11}" for column in spread) + f" {'paired':>10}  lower  claim")
+    for metric in METRICS:
+        base, change = ([sample[metric] for sample in side] for side in samples)
+        paired = [b - a for a, b in zip(base, change)]
+        lower = sum(d < 0 for d in paired)
+        gap = statistics.median(base) - statistics.median(change)
+        claim = "holds" if 10 * lower >= 9 * pairs and gap > quartiles(base)[2] else "no"
+        print(f"{metric:<12} {statistics.median(base):10.4f} {statistics.median(change):10.4f} "
+              + "".join(f"{value:11.4f}" for value in (*quartiles(base), *quartiles(change)))
+              + f" {statistics.median(paired):+10.4f}  {lower}/{pairs}  {claim}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base")
     parser.add_argument("change")
-    parser.add_argument("--workload", default="xor-chain-trials")
+    parser.add_argument("--workload", default="xor-chain-trials",
+                        help="a workload name, or 'all' for each workload in turn")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pairs", type=int, default=20)
     args = parser.parse_args(argv)
@@ -86,27 +121,15 @@ def main(argv=None) -> int:
     sys.path.insert(0, os.path.join(trees[0], "perfbench"))
     import workloads
 
-    argv_json = json.dumps(workloads.command_line(args.workload, args.seed)).encode()
+    names = list(workloads.WHY) if args.workload == "all" else [args.workload]
+    if not set(names) <= set(workloads.WHY):
+        parser.error(f"--workload must be 'all' or one of {', '.join(workloads.WHY)}")
     for tree in trees:
         print(f"{tree}: removed {drop_bytecode(tree)} __pycache__ directories")
-    samples, expected = ([], []), None
-    for pair in range(args.pairs):
-        for side in (0, 1) if pair % 2 == 0 else (1, 0):
-            header, report = run_child(trees[side], argv_json)
-            expected = report if expected is None else expected
-            if report != expected:
-                raise SystemExit(f"{trees[side]}: the report differs from the first child's")
-            samples[side].append(header)
-    print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs, raw")
-    spread = [f"{side} {column}" for side in ("base", "change") for column in ("Q1", "Q3", "IQR")]
-    print(f"{'metric':<12} {'base':>10} {'change':>10} "
-          + "".join(f"{column:>11}" for column in spread) + f" {'paired':>10}  lower")
-    for metric in METRICS:
-        base, change = ([sample[metric] for sample in side] for side in samples)
-        paired = [b - a for a, b in zip(base, change)]
-        print(f"{metric:<12} {statistics.median(base):10.4f} {statistics.median(change):10.4f} "
-              + "".join(f"{value:11.4f}" for value in (*quartiles(base), *quartiles(change)))
-              + f" {statistics.median(paired):+10.4f}  {sum(d < 0 for d in paired)}/{args.pairs}")
+    for name in names:
+        argv_json = json.dumps(workloads.command_line(name, args.seed)).encode()
+        samples = run_pairs(trees, argv_json, args.pairs)
+        print_table(f"{name}, seed {args.seed}, {args.pairs} pairs, raw", samples, args.pairs)
     return 0
 
 
