@@ -12,11 +12,11 @@ Three commands:
 * audit -- print the claimed-vs-effective throughput table for the two
   flawed schemes and the correct baseline.
 
-Every scheme is one `Scenario` named tuple in `SCENARIOS`; the three
-commands are loops over that registry.  A `ScenarioConfig`, an immutable
-`records.Record`, checks and completes its own settings, so a config built
-directly is refused where the command line would be; where the report goes
-is not part of it.
+Every scheme is one `Scenario` in `SCENARIOS`, read when a line is, and is
+priced by its `Analysis`'s accounting row; the three commands loop over
+that registry.  A `ScenarioConfig`, an immutable `records.Record`, checks
+and completes its own settings, so a config built directly is refused
+where the command line would be; where the report goes is not part of it.
 
 The command line is `otplab [-h] COMMAND [OPTION ...]`, read from one
 option table per command (`COMMANDS`) in the grammar and words of the
@@ -80,7 +80,6 @@ import numpy as np
 from . import __version__
 from .bits import check_bits, random_bits, trial_streams
 from .cryptanalysis import (
-    CARRIERS,
     attack_es_qkd_keyset,
     attack_es_qkd_parity,
     attack_otp_baseline,
@@ -113,11 +112,11 @@ class ScenarioConfig(Record):
     """One scenario's settings, checked and completed however the config is built.
 
     A scheme with `message_lengths` takes `message_bits` (default
-    `DEFAULT_MESSAGE_BITS`); es-qkd takes `pairs`, a non-empty sequence of
-    (BellLabel, BellLabel) tuples stored as a tuple (default `DEFAULT_PAIRS`),
-    and, for `attack`, a `plaintext` of 4 bits per pair; its pairs x trials
-    are at most `MAX_SWAPS`.  The checks run in the command line's order, so
-    both give the same first error.
+    `DEFAULT_MESSAGE_BITS`); one without (es-qkd) takes `pairs`, a non-empty
+    sequence of (BellLabel, BellLabel) tuples stored as a tuple (default
+    `DEFAULT_PAIRS`), and, for `attack`, a `plaintext` of 4 bits per pair;
+    its pairs x trials are at most `MAX_SWAPS`.  The checks run in the
+    command line's order, so both give the same first error.
     """
 
     __slots__ = ("scenario", "seed", "trials", "fmt", "message_bits", "pairs", "plaintext")
@@ -145,10 +144,11 @@ class ScenarioConfig(Record):
                 raise ConfigError("--pairs applies to the es-qkd scenario only")
             message_bits = DEFAULT_MESSAGE_BITS if message_bits is None else message_bits
             if type(message_bits) is not int or message_bits not in accepted:
-                raise ConfigError(f"{scenario} message length must be one of {accepted[0]}, "
-                                  f"{accepted[1]}, ..., {accepted[-1]}, got {message_bits}")
+                shown = [*accepted] if len(accepted) <= 2 else [*accepted[:2], "...", accepted[-1]]
+                raise ConfigError(f"{scenario} message length must be one of "
+                                  f"{', '.join(map(str, shown))}, got {message_bits}")
         if plaintext is not None:
-            if scenario != "es-qkd":
+            if accepted is not None:
                 raise ConfigError("--plaintext applies to the es-qkd scenario only")
             try:
                 check_bits(plaintext, "plaintext")
@@ -374,12 +374,13 @@ SCENARIOS = {
 class _Option(NamedTuple):
     """One row of a command's option table: `name VALUE`, stored as `dest`.
 
-    `values` is `int` (`_integer`'s digits), a tuple of choices or `str` (any text).
+    `values` is `int` (`_integer`'s digits), `str` (any text) or the choices, a tuple
+    or a dict (`SCENARIOS`, whose keys are read when a line is).
     """
 
     name: str
     dest: str
-    values: type | tuple
+    values: type | tuple | dict
     default: object
     help: str
     required: bool = False
@@ -390,7 +391,7 @@ _OUTPUT_OPTIONS = (
     _Option("--out", "out", str, None, "write the report here instead of stdout"),
 )
 _SCENARIO_OPTIONS = (
-    _Option("--scenario", "scenario", tuple(SCENARIOS), None, "the scheme to run", required=True),
+    _Option("--scenario", "scenario", SCENARIOS, None, "the scheme to run", required=True),
     _Option("--message-bits", "message_bits", int, None,
             f"xor-chain (even) and otp-baseline only: message length "
             f"(default {DEFAULT_MESSAGE_BITS})"),
@@ -454,8 +455,8 @@ def _help(command: str | None) -> str:
         rows = [(name, line) for name, (line, _) in COMMANDS.items()]
     else:
         usage, (about, options) = f"{command} [-h] [OPTION ...]", COMMANDS[command]
-        rows = [(f"{option.name} " + (f"{{{','.join(option.values)}}}"
-                                      if isinstance(option.values, tuple) else option.dest.upper()),
+        rows = [(f"{option.name} " + (option.dest.upper() if isinstance(option.values, type)
+                                      else f"{{{','.join(option.values)}}}"),
                  option.help + " (required)" * option.required) for option in options]
     return f"usage: otplab {usage}\n\n{about}\n\n" + "".join(
         f"  {name}\n      {text}\n" for name, text in [("-h, --help", "print this help and exit"), *rows])
@@ -566,7 +567,7 @@ def build_audit_rows() -> list:
             raise AssertionError("audit table rates must be exact integers")
         table.append({
             "scenario": name,
-            "carrier_unit": CARRIERS[name].unit,
+            "carrier_unit": analysis.accounting.unit,
             "claimed_bits_per_carrier": int(round(claimed)),
             "effective_bits_per_carrier": int(round(effective)),
             "effective_bits_per_qubit": verdict.effective_bits_per_qubit,

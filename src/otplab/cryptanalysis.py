@@ -21,16 +21,12 @@ their joint.  The accounting per scheme:
 
 Each scheme's analysis is set up once (`attack_xor_chain` and
 `attack_otp_baseline` per message prior, `attack_es_qkd_keyset` per list of
-pairs) and returns an `Analysis`: the scheme and carrier count it is for,
-Eve's attack and her bits, and the price those fields and `CARRIERS` fix,
-derived when it is built (claimed, receiver and secure bits, resources
-and the efficiency verdict).  `leakage_report` checks that an analysis
-prices a run by comparing the run's scheme and carrier count with its two
-fields, and returns it; the CLI runs the same.
-
-`CARRIERS` states, once per scenario, what a carrier is, the bits the
-scheme claims per carrier and the qubits each carrier costs.  Every
-verdict is sanity-checked against the n-qubits-carry-at-most-n-bits
+pairs) and returns an `Analysis`: the scheme's `CarrierAccounting` row
+(`XOR_CHAIN`, `ES_QKD` or `OTP_BASELINE`), the carrier count it is for,
+Eve's attack and her bits, and the price they fix, derived when it is
+built.  `leakage_report` checks a run against the row's run type and
+carrier-count rule, and returns the analysis; the CLI runs the same.
+Every verdict is sanity-checked against the n-qubits-carry-at-most-n-bits
 ceiling (one secure bit per qubit at best).  The carrier, resource and
 verdict records are named tuples; an `Analysis` is a `records.Record`.
 """
@@ -38,7 +34,7 @@ verdict records are named tuples; an `Analysis` is a `records.Record`.
 import functools
 import math
 import numbers
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -52,21 +48,44 @@ from .tolerances import FLOAT_TOL
 
 
 class CarrierAccounting(NamedTuple):
-    """A scheme's carrier: its unit name, the bits claimed per carrier, its qubits."""
+    """A scheme's price row: its name, its carrier, the bits it claims per carrier, their qubits.
 
+    `carriers(run, analysis)` counts a `run_type` run's carriers, after the scheme's own checks.
+    """
+
+    scenario: str
     unit: str
     claimed_bits: int
     qubits: int
+    run_type: type
+    carriers: Callable
+
+
+def _swaps(run: EsQkdRun, analysis) -> int:
+    """The run's swap count; key sets for that count must hold each of its key blocks."""
+    swaps = len(run.initial_pairs)
+    if swaps == analysis.carriers and not all(a.bits + b.bits in keys for a, b, keys in zip(
+            run.alice_results, run.bob_results, analysis.attack, strict=True)):
+        raise ValueError(f"the key sets do not hold this run's {swaps} key blocks")
+    return swaps
+
+
+def _pad_bits(run: Transcript, analysis) -> int:
+    """The bits of the baseline's one broadcast, its `eve_view`."""
+    if run.channels.count(Channel.PUBLIC_BROADCAST) != 1:
+        raise ValueError("an otp-baseline transcript carries exactly one broadcast")
+    return len(eve_view(run))
 
 
 # One three-qubit state per xor-chain pair, two Bell pairs per
 # entanglement swap, and the baseline's pad costed at the optimum of one
 # qubit per distributed key bit.
-CARRIERS = {
-    "xor-chain": CarrierAccounting("ghz-state", claimed_bits=2, qubits=3),
-    "es-qkd": CarrierAccounting("swap", claimed_bits=4, qubits=4),
-    "otp-baseline": CarrierAccounting("pad-bit", claimed_bits=1, qubits=1),
-}
+XOR_CHAIN = CarrierAccounting("xor-chain", "ghz-state", claimed_bits=2, qubits=3,
+                              run_type=XorChainRun, carriers=lambda run, _: len(run.message) // 2)
+ES_QKD = CarrierAccounting("es-qkd", "swap", claimed_bits=4, qubits=4, run_type=EsQkdRun,
+                           carriers=_swaps)
+OTP_BASELINE = CarrierAccounting("otp-baseline", "pad-bit", claimed_bits=1, qubits=1,
+                                 run_type=Transcript, carriers=_pad_bits)
 
 
 class ResourceCount(NamedTuple):
@@ -88,21 +107,18 @@ class Analysis(Record):
 
     `attack` is the posterior over secrets given Eve's view (xor-chain,
     otp-baseline) or each swap's allowed key blocks (es-qkd); `eve_bits` is
-    what she learns of such a run.  The rest is derived from `CARRIERS`:
-    the bits claimed, the receiver's (as a float) and the secure bits
-    (receiver's less Eve's), the resources and the efficiency verdict.  A
-    scenario without a `CARRIERS` row, a carrier count that is not a
+    what she learns of such a run.  The rest is derived from the scheme's
+    `accounting` row: its name (`scenario`), the bits claimed, the
+    receiver's (as a float) and the secure bits (receiver's less Eve's),
+    the resources and the efficiency verdict.  A carrier count that is not a
     positive `int` (a bool is not), or `eve_bits` that is not a real number
     (a bool is not) or lies outside [0, receiver bits] raises `ValueError`.
     """
 
-    __slots__ = ("scenario", "carriers", "attack", "eve_bits", "claimed_bits", "receiver_bits",
-                 "secure_bits", "resources", "efficiency")
+    __slots__ = ("scenario", "accounting", "carriers", "attack", "eve_bits", "claimed_bits",
+                 "receiver_bits", "secure_bits", "resources", "efficiency")
 
-    def __init__(self, scenario: str, carriers: int, attack, eve_bits: float):
-        accounting = CARRIERS.get(scenario)
-        if accounting is None:
-            raise ValueError(f"no carrier accounting for scenario {scenario!r}")
+    def __init__(self, accounting: CarrierAccounting, carriers: int, attack, eve_bits: float):
         if type(carriers) is not int:
             raise ValueError(f"carriers must be an int, got {carriers!r}")
         resources = ResourceCount(carriers, accounting.qubits * carriers)
@@ -118,8 +134,8 @@ class Analysis(Record):
         per_qubit = secure / resources.qubits
         efficiency = EfficiencyVerdict(claimed / carriers, secure / carriers, per_qubit,
                                        per_qubit <= 1.0 + FLOAT_TOL)
-        super().__init__(scenario, carriers, attack, eve_bits, claimed, receiver, secure,
-                         resources, efficiency)
+        super().__init__(accounting.scenario, accounting, carriers, attack, eve_bits, claimed,
+                         receiver, secure, resources, efficiency)
 
 
 def _check_even(width: int) -> None:
@@ -171,7 +187,7 @@ def attack_xor_chain(message_prior: Distribution) -> Analysis:
     information between the message and the public broadcasts.
     """
     joint = enumerate_joint(message_prior, xor_chain_view)
-    return Analysis("xor-chain", joint.observation_bits, functools.partial(posterior, joint),
+    return Analysis(XOR_CHAIN, joint.observation_bits, functools.partial(posterior, joint),
                     mutual_information(joint))
 
 
@@ -185,8 +201,8 @@ def attack_es_qkd_keyset(initial_pairs) -> Analysis:
     """
     key_sets = tuple(swap_distribution_oracle(*pair).support for pair in initial_pairs)
     key_entropy = sum(math.log2(len(blocks)) for blocks in key_sets)  # equally likely blocks
-    claimed = CARRIERS["es-qkd"].claimed_bits * len(key_sets)
-    return Analysis("es-qkd", len(key_sets), key_sets, claimed - key_entropy)
+    claimed = ES_QKD.claimed_bits * len(key_sets)
+    return Analysis(ES_QKD, len(key_sets), key_sets, claimed - key_entropy)
 
 
 def attack_es_qkd_parity(ciphertext_block: str, initial_pair):
@@ -217,33 +233,23 @@ def attack_otp_baseline(message_prior: Distribution) -> Analysis:
     plaintext slice is shared by every ciphertext, rather than assumed.
     """
     joint = ciphertext_joint(message_prior)
-    return Analysis("otp-baseline", joint.observation_bits, functools.partial(posterior, joint),
+    return Analysis(OTP_BASELINE, joint.observation_bits, functools.partial(posterior, joint),
                     mutual_information(joint))
 
 
 def leakage_report(run, analysis: Analysis) -> Analysis:
     """Check that `analysis` prices `run`, and return it.
 
-    Accepts an `XorChainRun`, an `EsQkdRun` or an otp-baseline `Transcript`.
-    The run gives the scenario and its carrier count (for the baseline, the
-    length of its one broadcast, `eve_view`).  An analysis for another
-    scenario or carrier count raises `ValueError`, and so do es-qkd key sets
-    that miss a run's block.
+    The analysis's accounting row gives the run type and the rule that
+    counts the run's carriers.  A run of another type or carrier count
+    raises `ValueError`, and so does a rule's own check: the baseline's one
+    broadcast, and es-qkd key sets that miss a run's block.
     """
-    if isinstance(run, XorChainRun):
-        scenario, carriers = "xor-chain", run.ghz_states_consumed
-    elif isinstance(run, EsQkdRun):
-        scenario, carriers = "es-qkd", len(run.initial_pairs)
-    elif isinstance(run, Transcript):
-        if run.channels.count(Channel.PUBLIC_BROADCAST) != 1:
-            raise ValueError("an otp-baseline transcript carries exactly one broadcast")
-        scenario, carriers = "otp-baseline", len(eve_view(run))
-    else:
-        raise TypeError(f"no leakage accounting for run type {type(run)}")
-    if (analysis.scenario, analysis.carriers) != (scenario, carriers):
-        raise ValueError(f"the analysis is for {analysis.scenario} runs of {analysis.carriers} "
-                         f"carriers, not this {scenario} run of {carriers}")
-    if scenario == "es-qkd" and not all(a.bits + b.bits in keys for a, b, keys in zip(
-            run.alice_results, run.bob_results, analysis.attack, strict=True)):
-        raise ValueError(f"the key sets do not hold this run's {carriers} key blocks")
+    accounting = analysis.accounting
+    if not isinstance(run, accounting.run_type):
+        raise ValueError(f"the analysis is for {accounting.scenario} runs, not {type(run)}")
+    carriers = accounting.carriers(run, analysis)
+    if carriers != analysis.carriers:
+        raise ValueError(f"the analysis is for {accounting.scenario} runs of {analysis.carriers} "
+                         f"carriers, not this {accounting.scenario} run of {carriers}")
     return analysis

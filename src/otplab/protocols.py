@@ -5,8 +5,8 @@ immutable `records.Record`s, equal when their fields are.  A `Transcript`
 is only its three tuple columns (senders, channels, payloads); its
 public-broadcast payloads are exactly what an eavesdropper sees
 (`eve_view`).  An xor-chain run is its message: it checks it, builds the
-transcript from it, checks that a receiver rebuilds it (`xor_chain_decode`)
-and derives the carrier count.  An es-qkd run stores its pairs and both
+transcript from it and checks that a receiver rebuilds it
+(`xor_chain_decode`).  An es-qkd run stores its pairs and both
 parties' results and derives its key from them.  It checks each swap in
 one pass over the three columns: a 2-tuple initial pair, four
 `BellLabel`s (subclasses too), and the party codes XORing to the initial
@@ -48,9 +48,6 @@ class Channel(enum.Enum):
     SECURE_PRIMITIVE = "secure-primitive"
 
 
-_CHANNEL_VALUES = {channel: channel.value for channel in Channel}
-
-
 class Transcript(Record):
     """Immutable ordered record of channel events: only its three columns.
 
@@ -79,11 +76,11 @@ class Transcript(Record):
     def to_records(self) -> list:
         """JSON-ready records, one {sender, channel, payload} per event.
 
-        Channel strings come from `_CHANNEL_VALUES`, a dict lookup, not the
-        enum's `value` property, which runs Python code on every read.
+        A channel's string is read from its stored `_value_`, not the enum's
+        `value` property, which runs Python code on every read.
         """
         return [
-            {"sender": sender, "channel": _CHANNEL_VALUES[channel], "payload": payload}
+            {"sender": sender, "channel": channel._value_, "payload": payload}
             for sender, channel, payload in zip(self.senders, self.channels, self.payloads)
         ]
 
@@ -135,11 +132,6 @@ class XorChainRun(Record):
         if xor_chain_decode(transcript) != message:
             raise AssertionError("receivers did not rebuild the message")
         super().__init__(message, transcript)
-
-    @property
-    def ghz_states_consumed(self) -> int:
-        """One three-qubit carrier state per bit pair."""
-        return len(self.message) // 2
 
 
 class EsQkdRun(Record):

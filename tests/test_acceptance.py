@@ -13,7 +13,7 @@ import pytest
 from otplab.bits import codes_to_bits, xor_bits
 from otplab.cli import build_audit_rows, main
 from otplab.cryptanalysis import (
-    CARRIERS,
+    ES_QKD,
     attack_es_qkd_keyset,
     attack_es_qkd_parity,
     attack_otp_baseline,
@@ -117,7 +117,7 @@ def test_criterion_05_es_qkd_reachable_key_set():
         analysis = attack_es_qkd_keyset([(PHI_PLUS, PSI_PLUS)])
         assert analysis.attack == (("0010", "0111", "1000", "1101"),)
         # The key entropy Eve leaves: the bits claimed less hers.
-        total_entropy = CARRIERS["es-qkd"].claimed_bits * analysis.carriers - analysis.eve_bits
+        total_entropy = ES_QKD.claimed_bits * analysis.carriers - analysis.eve_bits
         assert abs(total_entropy - 2.0) <= 1e-9
 
 

@@ -2,6 +2,7 @@ import argparse
 import collections
 import contextlib
 import errno
+import functools
 import gc
 import io
 import json
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 
 import otplab
 from otplab import bits, cli, cryptanalysis, otp, protocols
-from otplab.bits import PlannedStream
+from otplab.bits import PlannedStream, random_bits, xor_bits
 from otplab.cli import (
     ScenarioConfig,
     build_audit_rows,
@@ -34,7 +35,16 @@ from otplab.cli import (
     parse_pairs,
     render_json,
 )
-from otplab.cryptanalysis import CARRIERS, leakage_report
+from otplab.cryptanalysis import (
+    ES_QKD,
+    OTP_BASELINE,
+    XOR_CHAIN,
+    Analysis,
+    CarrierAccounting,
+    leakage_report,
+)
+from otplab.infotheory import Distribution, enumerate_joint, mutual_information, posterior
+from otplab.protocols import Channel, Transcript
 from otplab.quantum import PHI_MINUS, PHI_PLUS, PSI_MINUS, PSI_PLUS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -944,7 +954,8 @@ class TestAudit:
     def test_row_matches_simulate_at_default_size(self, capsys, scenario):
         row = {row["scenario"]: row for row in build_audit_rows()}[scenario]
         report = run_json(capsys, "simulate", "--scenario", scenario, "--seed", "0")
-        assert row["carrier_unit"] == CARRIERS[scenario].unit
+        units = {row.scenario: row.unit for row in (XOR_CHAIN, ES_QKD, OTP_BASELINE)}
+        assert row["carrier_unit"] == units[scenario]
         for key, value in report["efficiency"].items():
             assert row[key] == value
 
@@ -971,6 +982,52 @@ class TestAudit:
             "xor-chain", "es-qkd", "otp-baseline",
         }
         assert out == stdlib_json({"rows": build_audit_rows(), "tool_version": otplab.__version__})
+
+
+class TestAFourthScheme:
+    def test_a_reused_pad_is_one_row_one_attack_and_one_scenario(self, monkeypatch, capsys):
+        # One 2-bit pad for two messages: the ciphertexts' XOR is the messages' XOR.
+        row = CarrierAccounting("reused-pad", "pad", claimed_bits=4, qubits=2,
+                                run_type=Transcript, carriers=lambda run, _: len(run.payloads) // 2)
+
+        def start(config, with_attack):
+            joint = enumerate_joint(Distribution.uniform_bits(4), lambda m: xor_bits(m[:2], m[2:]))
+            analysis = Analysis(row, 1, functools.partial(posterior, joint),
+                                mutual_information(joint))
+
+            def trial(rng):
+                first, second, pad = (random_bits(2, rng) for _ in range(3))
+                run = Transcript(("alice",) * 2, (Channel.PUBLIC_BROADCAST,) * 2,
+                                 (xor_bits(first, pad), xor_bits(second, pad)))
+                view = xor_bits(*run.payloads)
+                block = {"view": view, "posterior_support": list(analysis.attack(view).support),
+                         "eve_bits": analysis.eve_bits} if with_attack else None
+                return run, {"transcript": run.to_records(), "key_or_message": first + second,
+                             "attack": block}
+
+            return trial, analysis
+
+        monkeypatch.setitem(cli.SCENARIOS, "reused-pad", cli.Scenario(start, range(2, 3), 3))
+        line = ("--scenario", "reused-pad", "--trials", "3", "--seed", "5")
+        report = run_json(capsys, "attack", *line)
+        assert report["leakage"] == {"scenario": "reused-pad", "claimed_bits": 4,
+                                     "receiver_bits": 4.0, "eve_bits": 2.0, "secure_bits": 2.0,
+                                     "resources": {"carrier_states": 1, "qubits": 2}}
+        assert [len(trial["attack"]["posterior_support"]) for trial in report["trials"]] == [4] * 3
+        for command in ("simulate", "attack"):
+            code, out, _ = run_cli(capsys, command, *line)
+            assert code == 0 and out.count("attack.view") == 3 * (command == "attack")
+            assert "claimed=4 receiver=4.0 eve=2.0 secure=2.0 carriers=1 qubits=2" in out
+        assert run_json(capsys, "audit")["rows"][-1] == {
+            "scenario": "reused-pad", "carrier_unit": "pad", "claimed_bits_per_carrier": 4,
+            "effective_bits_per_carrier": 2, "effective_bits_per_qubit": 1.0, "holevo_ok": True}
+
+    def test_a_row_of_one_length_refuses_another_with_exit_2(self, monkeypatch, capsys):
+        monkeypatch.setitem(cli.SCENARIOS, "one-length", cli.Scenario(None, range(4, 5), 1))
+        code, _, err = run_cli(capsys, "simulate", "--scenario", "one-length")
+        assert (code, err) == (2, "error: one-length message length must be one of 4, got 2\n")
+        code, out, _ = run_cli(capsys, "simulate", "--help")
+        assert code == 0 and "--scenario {xor-chain,es-qkd,otp-baseline,one-length}" in out
 
 
 class TestFrozenObjects:

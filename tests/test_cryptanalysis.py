@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from otplab import cryptanalysis
 from otplab.bits import bits_to_int, codes_to_bits, int_to_bits, xor_bits
 from otplab.cryptanalysis import (
-    CARRIERS,
+    ES_QKD,
+    OTP_BASELINE,
+    XOR_CHAIN,
     Analysis,
-    CarrierAccounting,
     EfficiencyVerdict,
     ResourceCount,
     attack_es_qkd_keyset,
@@ -53,7 +54,7 @@ def as_dict(dist: Distribution) -> dict:
 
 def key_entropy(analysis: Analysis) -> float:
     """The entropy of an es-qkd key given Eve's key sets: the bits claimed less hers."""
-    return CARRIERS["es-qkd"].claimed_bits * analysis.carriers - analysis.eve_bits
+    return ES_QKD.claimed_bits * analysis.carriers - analysis.eve_bits
 
 
 class TestAttackXorChain:
@@ -292,7 +293,7 @@ class TestLeakageReport:
     def test_otp_baseline_needs_exactly_one_broadcast(self, channels):
         transcript = Transcript(("alice",) * len(channels), channels, ("01",) * len(channels))
         with pytest.raises(ValueError, match="exactly one broadcast"):
-            leakage_report(transcript, (None, 0.0))
+            leakage_report(transcript, attack_otp_baseline(Distribution.uniform_bits(2)))
 
     def test_point_mass_prior_reports_positive_zero_eve_bits(self):
         # A point-mass prior used to give eve_bits -0.0, rendered as "-0.0" in a report.
@@ -305,8 +306,9 @@ class TestLeakageReport:
             assert eve_bits == 0.0 and math.copysign(1.0, eve_bits) == 1.0
 
     def test_unknown_run_type_raises(self):
-        with pytest.raises(TypeError):
-            leakage_report(object(), (None, 0.0))
+        analysis = attack_xor_chain(Distribution.uniform_bits(2))
+        with pytest.raises(ValueError, match="for xor-chain runs, not <class 'object'>"):
+            leakage_report(object(), analysis)
 
     # Each scheme at one and two carriers: its runs, and the analysis its attack sets up.
     RUNS = {
@@ -351,7 +353,7 @@ class TestLeakageReport:
             raise AssertionError("called")
 
         # An analysis that holds no joint is priced from its fields alone.
-        report = leakage_report(run_xor_chain("0110"), Analysis("xor-chain", 2, refuse, 2.0))
+        report = leakage_report(run_xor_chain("0110"), Analysis(XOR_CHAIN, 2, refuse, 2.0))
         assert (report.eve_bits, report.secure_bits) == (2.0, 2.0)
         pairs = [(PHI_PLUS, PSI_PLUS)] * 3
         run, analysis = run_es_qkd(pairs, random.Random(1)), attack_es_qkd_keyset(pairs)
@@ -363,16 +365,16 @@ class TestLeakageReport:
         # Eve's bits lie in [0, receiver bits] when the analysis is built.
         for eve_bits in (3.0, -1.0):
             with pytest.raises(ValueError, match="outside"):
-                Analysis("xor-chain", 1, None, eve_bits)
+                Analysis(XOR_CHAIN, 1, None, eve_bits)
 
     @pytest.mark.parametrize("eve_bits", [True, "1", None, 1 + 0j])
     def test_eve_bits_that_are_not_a_real_number_are_refused(self, eve_bits):
         with pytest.raises(ValueError, match="eve_bits must be a real number"):
-            Analysis("xor-chain", 1, None, eve_bits)
+            Analysis(XOR_CHAIN, 1, None, eve_bits)
 
     def test_nan_eve_bits_are_refused(self):
         with pytest.raises(ValueError, match="outside"):
-            Analysis("xor-chain", 1, None, float("nan"))
+            Analysis(XOR_CHAIN, 1, None, float("nan"))
 
 
 class TestEfficiencyAudit:
@@ -391,30 +393,32 @@ class TestEfficiencyAudit:
         assert verdict.effective_bits_per_qubit == pytest.approx(0.5, abs=1e-9)
         assert verdict.holevo_ok
 
-    def test_ceiling_violation_is_flagged(self, monkeypatch):
+    def test_ceiling_violation_is_flagged(self):
         # A carrier that claims 8 bits on 4 qubits, with nothing leaked.
-        monkeypatch.setitem(CARRIERS, "otp-baseline", CarrierAccounting("x", 8, 4))
-        verdict = Analysis("otp-baseline", 1, None, 0.0).efficiency
+        row = OTP_BASELINE._replace(unit="x", claimed_bits=8, qubits=4)
+        verdict = Analysis(row, 1, None, 0.0).efficiency
         assert not verdict.holevo_ok
 
     @pytest.mark.parametrize("claimed, holevo_ok", [(4, True), (5, False)])
-    def test_the_ceiling_is_one_bit_per_qubit(self, monkeypatch, claimed, holevo_ok):
+    def test_the_ceiling_is_one_bit_per_qubit(self, claimed, holevo_ok):
         # Nothing leaked on 4 qubits: exactly 1.0 bit per qubit passes, 1.25 fails.
-        monkeypatch.setitem(CARRIERS, "otp-baseline", CarrierAccounting("x", claimed, 4))
-        verdict = Analysis("otp-baseline", 1, None, 0.0).efficiency
+        row = OTP_BASELINE._replace(unit="x", claimed_bits=claimed, qubits=4)
+        verdict = Analysis(row, 1, None, 0.0).efficiency
         assert verdict.effective_bits_per_qubit == claimed / 4
         assert verdict.holevo_ok is holevo_ok
 
     def test_rejects_empty_resources(self):
-        assert isinstance(Analysis("xor-chain", 1, None, 1.0).efficiency, EfficiencyVerdict)
+        assert isinstance(Analysis(XOR_CHAIN, 1, None, 1.0).efficiency, EfficiencyVerdict)
         with pytest.raises(ValueError, match="resource counts must be positive"):
-            Analysis("xor-chain", 0, None, 0.0)
+            Analysis(XOR_CHAIN, 0, None, 0.0)
 
-    def test_rejects_an_unknown_scheme(self):
-        with pytest.raises(ValueError, match="no carrier accounting for scenario 'nope'"):
-            Analysis("nope", 1, None, 0.0)
+    def test_a_row_of_its_own_prices_a_new_scheme(self):
+        # No registry names the schemes: the analysis carries its row.
+        analysis = Analysis(XOR_CHAIN._replace(scenario="nope", claimed_bits=1), 2, None, 0.5)
+        assert (analysis.scenario, analysis.claimed_bits, analysis.resources) == (
+            "nope", 2, ResourceCount(carrier_states=2, qubits=6))
 
     @pytest.mark.parametrize("carriers", [1.5, True, 2.0])
     def test_rejects_a_carrier_count_that_is_not_an_int(self, carriers):
         with pytest.raises(ValueError, match="carriers must be an int"):
-            Analysis("xor-chain", carriers, None, 0.0)
+            Analysis(XOR_CHAIN, carriers, None, 0.0)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from otplab import protocols
 from otplab.bits import check_bits, random_bits, xor_bits
 from otplab.cli import SCENARIOS
-from otplab.cryptanalysis import attack_es_qkd_keyset, leakage_report
+from otplab.cryptanalysis import XOR_CHAIN, attack_es_qkd_keyset, leakage_report
 from otplab.otp import KeyMaterial, random_key
 from otplab.protocols import (
     XOR_CHAIN_SENDER,
@@ -156,8 +156,8 @@ class TestFrozenRun:
         with pytest.raises(AttributeError):
             run.message = "1001"
         with pytest.raises(AttributeError):
-            run.ghz_states_consumed = 3
-        assert (xor_chain_decode(run.transcript), run.ghz_states_consumed) == ("0110", 2)
+            run.transcript = run_xor_chain("1001").transcript
+        assert (xor_chain_decode(run.transcript), XOR_CHAIN.carriers(run, None)) == ("0110", 2)
 
     @pytest.mark.parametrize("name", ["initial_pairs", "alice_results", "bob_results"])
     def test_es_qkd_results_cannot_be_appended_or_assigned(self, name):
@@ -227,7 +227,7 @@ class TestXorChain:
         assert secure == ["1", "1", "0", "0"]
         assert eve_view(run.transcript) == "1010"
         assert xor_chain_decode(run.transcript) == "10110100"
-        assert run.ghz_states_consumed == 4
+        assert XOR_CHAIN.carriers(run, None) == 4
 
     def test_odd_length_rejected(self):
         with pytest.raises(ValueError):
@@ -290,7 +290,7 @@ class TestXorChain:
         secure = payloads_on(run.transcript, Channel.SECURE_PRIMITIVE)
         assert len(public) == n_bits // 2
         assert len(secure) == n_bits // 2
-        assert run.ghz_states_consumed == n_bits // 2
+        assert XOR_CHAIN.carriers(run, None) == n_bits // 2
 
     def test_all_receivers_decode_exactly(self):
         rng = random.Random(31)
@@ -378,7 +378,7 @@ class TestXorChainAgainstStringRunner:
         assert public_events_of(run.transcript) == reference.public_events()
         assert eve_view(run.transcript) == list_eve_view(reference)
         assert xor_chain_decode(run.transcript) == decoded
-        assert run.ghz_states_consumed == len(message) // 2
+        assert XOR_CHAIN.carriers(run, None) == len(message) // 2
 
     @settings(deadline=None)
     @given(EVENTS)

@@ -14,7 +14,7 @@ import pytest
 
 from otplab import cli, cryptanalysis, otp, protocols, quantum
 from otplab.cli import SCENARIOS, ScenarioConfig
-from otplab.cryptanalysis import CARRIERS, Analysis, attack_xor_chain
+from otplab.cryptanalysis import ES_QKD, XOR_CHAIN, Analysis, attack_xor_chain
 from otplab.infotheory import Distribution
 from otplab.otp import KeyMaterial, encrypt, shannon_audit
 from otplab.protocols import Channel, Transcript, XorChainRun, run_es_qkd, run_xor_chain
@@ -32,7 +32,7 @@ def one_of_each() -> dict:
         Transcript(("alice",), (Channel.PUBLIC_BROADCAST,), ("1",)),
         run_xor_chain("0110"),
         run_es_qkd([(PHI_PLUS, PSI_PLUS)], random.Random(1)),
-        CARRIERS["es-qkd"],
+        ES_QKD,
         analysis.resources,
         analysis,
         analysis.efficiency,
@@ -123,12 +123,12 @@ class TestCipherBlock:
 
 class TestRecord:
     def test_records_of_equal_fields_are_equal_within_one_class(self):
-        a = Analysis("xor-chain", 1, None, 1.0)
-        assert a == Analysis("xor-chain", 1, None, 1.0)
-        assert hash(a) == hash(Analysis("xor-chain", 1, None, 1.0))
-        assert a != Analysis("xor-chain", 1, None, 0.5)
+        a = Analysis(XOR_CHAIN, 1, None, 1.0)
+        assert a == Analysis(XOR_CHAIN, 1, None, 1.0)
+        assert hash(a) == hash(Analysis(XOR_CHAIN, 1, None, 1.0))
+        assert a != Analysis(XOR_CHAIN, 1, None, 0.5)
 
         class Other(Analysis):
             pass
 
-        assert a != Other("xor-chain", 1, None, 1.0)
+        assert a != Other(XOR_CHAIN, 1, None, 1.0)
