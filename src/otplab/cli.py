@@ -374,8 +374,7 @@ SCENARIOS = {
 class _Option(NamedTuple):
     """One row of a command's option table: `name VALUE`, stored as `dest`.
 
-    `values` is `int` (`_integer`'s digits), `str` (any text) or the choices, a tuple
-    or a dict (`SCENARIOS`, whose keys are read when a line is).
+    `values` is `int` (`_integer`'s digits), `str` (any text) or the choices, read per line.
     """
 
     name: str

@@ -115,8 +115,9 @@ class Analysis(Record):
     (a bool is not) or lies outside [0, receiver bits] raises `ValueError`.
     """
 
-    __slots__ = ("scenario", "accounting", "carriers", "attack", "eve_bits", "claimed_bits",
-                 "receiver_bits", "secure_bits", "resources", "efficiency")
+    __slots__ = ("accounting", "carriers", "attack", "eve_bits", "claimed_bits", "receiver_bits",
+                 "secure_bits", "resources", "efficiency")
+    scenario = property(lambda self: self.accounting.scenario)  # the row's name, stored once
 
     def __init__(self, accounting: CarrierAccounting, carriers: int, attack, eve_bits: float):
         if type(carriers) is not int:
@@ -134,8 +135,8 @@ class Analysis(Record):
         per_qubit = secure / resources.qubits
         efficiency = EfficiencyVerdict(claimed / carriers, secure / carriers, per_qubit,
                                        per_qubit <= 1.0 + FLOAT_TOL)
-        super().__init__(accounting.scenario, accounting, carriers, attack, eve_bits, claimed,
-                         receiver, secure, resources, efficiency)
+        super().__init__(accounting, carriers, attack, eve_bits, claimed, receiver, secure,
+                         resources, efficiency)
 
 
 def _check_even(width: int) -> None:
