@@ -3,14 +3,11 @@
 Three commands:
 
 * simulate -- run a scenario and report transcripts plus the exact leakage
-  accounting (never from trial frequencies: the scheme's `cryptanalysis`
-  attack, set up once per report, enumerates xor-chain's joint, computes
-  otp-baseline's from the one plaintext slice every ciphertext shares, and
-  counts the key blocks es-qkd's exact swap-outcome support allows).
+  accounting, never from trial frequencies: the scheme's `cryptanalysis`
+  attack, set up once per report, computes it.
 * attack -- simulate and additionally mount the eavesdropper attack that
   matches the scenario, reporting what Eve recovers.
-* audit -- print the claimed-vs-effective throughput table for the two
-  flawed schemes and the correct baseline.
+* audit -- print the claimed-vs-effective throughput table of every scheme.
 
 Every scheme is one `Scenario` in `SCENARIOS`, read when a line is, and is
 priced by its `Analysis`'s accounting row; the three commands loop over
@@ -62,6 +59,7 @@ import errno
 import gc
 import io
 import json
+import math
 import os
 import re
 import stat
@@ -111,12 +109,12 @@ class ConfigError(Exception):
 class ScenarioConfig(Record):
     """One scenario's settings, checked and completed however the config is built.
 
-    A scheme with `message_lengths` takes `message_bits` (default
-    `DEFAULT_MESSAGE_BITS`); one without (es-qkd) takes `pairs`, a non-empty
-    sequence of (BellLabel, BellLabel) tuples stored as a tuple (default
-    `DEFAULT_PAIRS`), and, for `attack`, a `plaintext` of 4 bits per pair;
-    its pairs x trials are at most `MAX_SWAPS`.  The checks run in the
-    command line's order, so both give the same first error.
+    A sizing option the scheme's `SCENARIOS` row does not take is refused.
+    `message_bits` defaults to `DEFAULT_MESSAGE_BITS`; `pairs`, a non-empty
+    sequence of (BellLabel, BellLabel) tuples stored as a tuple, defaults to
+    `DEFAULT_PAIRS`, and `plaintext` (for `attack`) has 4 bits per pair;
+    pairs x trials are at most `MAX_SWAPS`.  The checks run in the command
+    line's order, so both give the same first error.
     """
 
     __slots__ = ("scenario", "seed", "trials", "fmt", "message_bits", "pairs", "plaintext")
@@ -129,9 +127,11 @@ class ScenarioConfig(Record):
         if fmt not in ("json", "text"):
             raise ConfigError(f"format must be json or text, got {fmt!r}")
         accepted = SCENARIOS[scenario].message_lengths
+        given = {"--message-bits": message_bits, "--pairs": pairs, "--plaintext": plaintext}
+        for name in ("--message-bits",) if accepted is None else ("--pairs", "--plaintext"):
+            if given[name] is not None:
+                raise ConfigError(f"{name} does not apply to the {scenario} scenario")
         if accepted is None:
-            if message_bits is not None:
-                raise ConfigError(f"--message-bits does not apply to the {scenario} scenario")
             completed = parse_pairs(DEFAULT_PAIRS) if pairs is None else pairs
             completed = tuple(completed) if isinstance(completed, (list, tuple)) else ()
             if not completed or not all(type(pair) is tuple and len(pair) == 2 and all(
@@ -140,16 +140,12 @@ class ScenarioConfig(Record):
                                   f"tuples, got {pairs!r}")
             pairs = completed
         else:
-            if pairs is not None:
-                raise ConfigError("--pairs applies to the es-qkd scenario only")
             message_bits = DEFAULT_MESSAGE_BITS if message_bits is None else message_bits
             if type(message_bits) is not int or message_bits not in accepted:
                 shown = [*accepted] if len(accepted) <= 2 else [*accepted[:2], "...", accepted[-1]]
                 raise ConfigError(f"{scenario} message length must be one of "
                                   f"{', '.join(map(str, shown))}, got {message_bits}")
         if plaintext is not None:
-            if accepted is not None:
-                raise ConfigError("--plaintext applies to the es-qkd scenario only")
             try:
                 check_bits(plaintext, "plaintext")
             except ValueError as exc:
@@ -241,8 +237,8 @@ def _distributions_match(a: Distribution, b: Distribution) -> bool:
 def _xor_chain(config: ScenarioConfig, with_attack: bool):
     analysis = attack_xor_chain(Distribution.uniform_bits(config.message_bits))
     # (Eve's view, the report's trial dict) per distinct message, and the
-    # report's posterior support list per distinct view.
-    seen_messages, supports = {}, {}
+    # report's attack block per distinct view, shared by its messages' trials.
+    seen_messages, blocks = {}, {}
 
     def trial(rng):
         run = run_xor_chain(random_bits(config.message_bits, rng))
@@ -254,13 +250,10 @@ def _xor_chain(config: ScenarioConfig, with_attack: bool):
         # counts pin one posterior per xor-chain trial.
         post = analysis.attack(view)
         if seen is None:
-            block = None
-            if with_attack:
-                # Messages with one view share its posterior, and so its list.
-                support = supports.get(view)
-                if support is None:
-                    support = supports[view] = list(post.support)
-                block = {"view": view, "posterior_support": support, "eve_bits": analysis.eve_bits}
+            block = blocks.get(view) if with_attack else None
+            if with_attack and block is None:
+                block = blocks[view] = {"view": view, "posterior_support": list(post.support),
+                                        "eve_bits": analysis.eve_bits}
             body = _trial(run.transcript.to_records(), run.message, block)
             seen = seen_messages[run.message] = (view, body)
         return run, seen[1]
@@ -293,13 +286,9 @@ def _es_qkd(config: ScenarioConfig, with_attack: bool):
                 recovered = [attack_es_qkd_parity(ciphertext[start:stop], pair)
                              for start, stop, pair in swaps]
                 match = recovered == true_tuples
-                attack.update({
-                    "ciphertext": ciphertext,
-                    # A trial that recovers every parity shares the report's list.
-                    "recovered_parities": true if match else [list(pr) for pr in recovered],
-                    "true_parities": true,
-                    "parities_match": match,
-                })
+                # A trial that recovers every parity shares the report's list.
+                attack.update(ciphertext=ciphertext, true_parities=true, parities_match=match,
+                              recovered_parities=true if match else [list(pr) for pr in recovered])
         return run, _trial([], key, attack)
 
     return trial, analysis
@@ -322,10 +311,8 @@ def _otp_baseline(config: ScenarioConfig, with_attack: bool):
             block = blocks.get(ciphertext)
             if block is None:
                 block = blocks[ciphertext] = {
-                    "ciphertext": ciphertext,
-                    "eve_bits": analysis.eve_bits,
-                    "posterior_equals_prior": _distributions_match(post, prior),
-                }
+                    "ciphertext": ciphertext, "eve_bits": analysis.eve_bits,
+                    "posterior_equals_prior": _distributions_match(post, prior)}
         return transcript, _trial(transcript.to_records(), plaintext, block)
 
     return trial, analysis
@@ -344,10 +331,11 @@ class Scenario(NamedTuple):
     function's `Analysis`, and `trial(rng)` runs one seeded trial over it and
     the report's memos, returning (run, trial dict).  One dict object may
     serve several trials; the report lists it per trial.
-    `message_lengths` is the range of message lengths the scheme accepts, or
-    None for es-qkd, which is sized by its Bell pairs.  `bitstrings_drawn`
-    is the number of message-length bitstrings a trial draws with
-    `random_bits`, its only draws, or None for es-qkd, whose trials draw floats.
+    `message_lengths` is the range of message lengths the scheme accepts
+    (`--message-bits`), or None for a scheme sized by Bell pairs (`--pairs`,
+    `--plaintext`).  `bitstrings_drawn` is the number of message-length
+    bitstrings a trial draws with `random_bits`, its only draws, or None
+    for es-qkd, whose trials draw floats.
 
     Both look up the protocol and attack functions as module globals at
     call time, and the attacks look up `posterior` in theirs, so patching a
@@ -391,11 +379,10 @@ _OUTPUT_OPTIONS = (
 )
 _SCENARIO_OPTIONS = (
     _Option("--scenario", "scenario", SCENARIOS, None, "the scheme to run", required=True),
-    _Option("--message-bits", "message_bits", int, None,
-            f"xor-chain (even) and otp-baseline only: message length "
-            f"(default {DEFAULT_MESSAGE_BITS})"),
-    _Option("--pairs", "pairs", str, None,
-            f"es-qkd only: initial Bell pairs, e.g. phi+:psi+,phi-:phi- (default {DEFAULT_PAIRS})"),
+    _Option("--message-bits", "message_bits", int, None, "message length in bits, for a "
+            f"scenario sized by message length (default {DEFAULT_MESSAGE_BITS})"),
+    _Option("--pairs", "pairs", str, None, "initial Bell pairs, for a scenario sized by Bell "
+            f"pairs, e.g. phi+:psi+,phi-:phi- (default {DEFAULT_PAIRS})"),
     _Option("--seed", "seed", int, None, "defaults to $OTPLAB_SEED or 0"),
     _Option("--trials", "trials", int, 1, f"seeded trials, 1 to {MAX_TRIALS} (default 1)"),
 ) + _OUTPUT_OPTIONS
@@ -404,7 +391,7 @@ COMMANDS = {
     "simulate": ("run a scenario and report exact leakage", _SCENARIO_OPTIONS),
     "attack": ("run a scenario and mount Eve's attack", _SCENARIO_OPTIONS + (
         _Option("--plaintext", "plaintext", str, None,
-                "es-qkd only: plaintext to encrypt with the run's key (4 bits per pair)"),)),
+                "plaintext to encrypt with the run's key, 4 bits per Bell pair"),)),
     "audit": ("print the claimed-vs-effective table", _OUTPUT_OPTIONS),
 }
 _HELP = ("-h", "--help")
@@ -582,47 +569,59 @@ def _strings(items: list, depth: int) -> str:
 
 
 def _pairs(pairs: list) -> str:
-    """A non-empty list of int pairs (es-qkd's parities) as an attack block's value."""
+    """A non-empty list of int pairs (the parities of Bell pairs) as an attack block's value."""
     return "[\n          " + ",\n          ".join(
         f"[\n            {a},\n            {b}\n          ]" for a, b in pairs) + "\n        ]"
 
 
-def _attack_value(value, lists: dict) -> str:
+def _bitstrings(items) -> bool:
+    """Whether `items` is a non-empty list of bitstrings, which `_strings` writes as JSON does."""
+    try:  # a non-string item stops `join`, a non-ASCII one `encode`
+        return type(items) is list and len(items) > 0 and not "".join(items).encode(
+            "ascii").translate(None, b"01")
+    except (TypeError, UnicodeEncodeError):
+        return False
+
+
+def _attack_value(value, texts: dict) -> str:
     """A value of a trial's attack block as `json.dumps` writes it, four indents deep.
 
-    Attack values are bitstrings, floats, bools and non-empty lists: of
-    bitstrings, of such lists (es-qkd's key sets) or of int pairs.  `lists`
-    holds list texts keyed by identity, marked at a list's first sight and
-    kept from its second on: a list that several trial bodies share (a
-    posterior support, es-qkd's key sets and true parities, which a trial
-    that recovers every parity also holds as its recovered parities) is
-    written at most twice, and a list seen once holds no text beyond its
-    body's.
+    Bitstrings, finite floats, bools and non-empty lists of bitstrings, of
+    such lists or of int pairs are written directly, any other value by
+    `json.dumps`.  `texts` holds the others' texts by identity, marked at
+    first sight and kept from the second on: a list that several trial
+    bodies share (a posterior support, the key sets, the true parities) is
+    written at most twice, and a value seen once keeps no text.
     """
     if type(value) is bool:
         return "true" if value else "false"
-    if isinstance(value, str):
+    if type(value) is str and _bitstrings([value]):
         return f'"{value}"'
-    if isinstance(value, float):
+    if isinstance(value, float) and math.isfinite(value):
         return float.__repr__(value)
-    text = lists.get(id(value))
+    text = texts.get(id(value))
     if text is None:
-        if isinstance(value[0], str):
+        listed = type(value) is list and len(value) > 0
+        if _bitstrings(value):
             text = _strings(value, 4)
-        elif isinstance(value[0][0], str):
+        elif listed and all(type(pair) is list and len(pair) == 2
+                            and type(pair[0]) is type(pair[1]) is int for pair in value):
+            text = _pairs(value)
+        elif listed and all(map(_bitstrings, value)):
             text = "[\n          " + ",\n          ".join(
                 _strings(blocks, 5) for blocks in value) + "\n        ]"
         else:
-            text = _pairs(value)
-        lists[id(value)] = text if id(value) in lists else None
+            text = json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n        ")
+        texts[id(value)] = text if id(value) in texts else None
     return text
 
 
-def _trial_json(trial: dict, lists: dict) -> str:
+def _trial_json(trial: dict, texts: dict) -> str:
     """One trial as `json.dumps(report, indent=2, sort_keys=True)` writes it in `trials`.
 
-    Every string in a trial is a checked bitstring, a `Channel` value or the
-    sender constant, none of which JSON escapes, so each is written verbatim.
+    `_attack_value` writes its attack values; every other string is a checked
+    bitstring, a `Channel` value, the sender constant or an attack key (a
+    name), none of which JSON escapes.
     """
     events = trial["transcript"]
     transcript = "[]" if not events else "[\n        " + ",\n        ".join(
@@ -630,8 +629,8 @@ def _trial_json(trial: dict, lists: dict) -> str:
         f'"{event["payload"]}",\n          "sender": "{event["sender"]}"\n        }}'
         for event in events) + "\n      ]"
     attack = trial["attack"]
-    block = "null" if attack is None else "{\n        " + ",\n        ".join(
-        f'"{key}": {_attack_value(attack[key], lists)}' for key in sorted(attack)) + "\n      }"
+    block = json.dumps(attack) if not attack else "{\n        " + ",\n        ".join(
+        f'"{key}": {_attack_value(attack[key], texts)}' for key in sorted(attack)) + "\n      }"
     return (f'{{\n      "attack": {block},\n      "key_or_message": "{trial["key_or_message"]}",'
             f'\n      "transcript": {transcript}\n    }}')
 
@@ -652,12 +651,12 @@ def render_json(report: dict) -> str:
                         indent=2, sort_keys=True)
     if not report["trials"]:
         return header[:-2] + ',\n  "trials": []\n}\n'
-    bodies, lists = {}, {}
+    bodies, texts = {}, {}
     parts = [header[:-2], ',\n  "trials": [\n    ']
     for trial in report["trials"]:
         body = bodies.get(id(trial))
         if body is None:
-            body = bodies[id(trial)] = _trial_json(trial, lists)
+            body = bodies[id(trial)] = _trial_json(trial, texts)
         parts += (body, ",\n    ")
     parts[-1] = "\n  ]\n}\n"
     return "".join(parts)

@@ -268,9 +268,9 @@ class TestConfigErrors:
         (("--scenario", "es-qkd", "--message-bits", "4"), {"scenario": "es-qkd", "message_bits": 4},
          "--message-bits does not apply to the es-qkd scenario"),
         (("--pairs", "phi+:psi+"), {"pairs": [(PHI_PLUS, PHI_PLUS)]},
-         "--pairs applies to the es-qkd scenario only"),
+         "--pairs does not apply to the xor-chain scenario"),
         (("--plaintext", "1010"), {"plaintext": "1010"},
-         "--plaintext applies to the es-qkd scenario only"),
+         "--plaintext does not apply to the xor-chain scenario"),
         (("--scenario", "es-qkd", "--plaintext", "101"), {"scenario": "es-qkd", "plaintext": "101"},
          "plaintext must cover 4 bits per pair (4), got 3"),
         (("--scenario", "es-qkd", "--plaintext", "102x"),
@@ -984,30 +984,56 @@ class TestAudit:
         assert out == stdlib_json({"rows": build_audit_rows(), "tool_version": otplab.__version__})
 
 
+def reused_pad(**extra) -> cli.Scenario:
+    """A toy fourth scheme: one 2-bit pad for two messages, whose attack block also holds `extra`."""
+    # The ciphertexts' XOR is the messages' XOR.
+    row = CarrierAccounting("reused-pad", "pad", claimed_bits=4, qubits=2,
+                            run_type=Transcript, carriers=lambda run, _: len(run.payloads) // 2)
+
+    def start(config, with_attack):
+        joint = enumerate_joint(Distribution.uniform_bits(4), lambda m: xor_bits(m[:2], m[2:]))
+        analysis = Analysis(row, 1, functools.partial(posterior, joint), mutual_information(joint))
+
+        def trial(rng):
+            first, second, pad = (random_bits(2, rng) for _ in range(3))
+            run = Transcript(("alice",) * 2, (Channel.PUBLIC_BROADCAST,) * 2,
+                             (xor_bits(first, pad), xor_bits(second, pad)))
+            view = xor_bits(*run.payloads)
+            block = {"view": view, "posterior_support": list(analysis.attack(view).support),
+                     "eve_bits": analysis.eve_bits, **extra} if with_attack else None
+            return run, {"transcript": run.to_records(), "key_or_message": first + second,
+                         "attack": block}
+
+        return trial, analysis
+
+    return cli.Scenario(start, range(2, 3), 3)
+
+
+def schema_nodes(node):
+    """Every object and array of a schema, depth first."""
+    yield node
+    for child in node.values() if isinstance(node, dict) else node:
+        if isinstance(child, (dict, list)):
+            yield from schema_nodes(child)
+
+
+class TestSchema:
+    def test_one_scenario_enum_names_every_scheme(self):
+        enums = [node["enum"] for node in schema_nodes(SCHEMA)
+                 if isinstance(node, dict) and "xor-chain" in node.get("enum", ())]
+        assert enums == [list(cli.SCENARIOS)]
+        assert SCHEMA["definitions"]["scenario"] == {"enum": list(cli.SCENARIOS)}
+
+    def test_every_scheme_has_an_attack_block(self):
+        blocks = {rule["if"]["properties"]["scenario"]["const"]
+                  for rule in SCHEMA["allOf"]
+                  if "attack" in rule["then"]["properties"]["trials"]["items"]["properties"]}
+        assert blocks == set(cli.SCENARIOS)
+
+
 class TestAFourthScheme:
     def test_a_reused_pad_is_one_row_one_attack_and_one_scenario(self, monkeypatch, capsys):
-        # One 2-bit pad for two messages: the ciphertexts' XOR is the messages' XOR.
-        row = CarrierAccounting("reused-pad", "pad", claimed_bits=4, qubits=2,
-                                run_type=Transcript, carriers=lambda run, _: len(run.payloads) // 2)
-
-        def start(config, with_attack):
-            joint = enumerate_joint(Distribution.uniform_bits(4), lambda m: xor_bits(m[:2], m[2:]))
-            analysis = Analysis(row, 1, functools.partial(posterior, joint),
-                                mutual_information(joint))
-
-            def trial(rng):
-                first, second, pad = (random_bits(2, rng) for _ in range(3))
-                run = Transcript(("alice",) * 2, (Channel.PUBLIC_BROADCAST,) * 2,
-                                 (xor_bits(first, pad), xor_bits(second, pad)))
-                view = xor_bits(*run.payloads)
-                block = {"view": view, "posterior_support": list(analysis.attack(view).support),
-                         "eve_bits": analysis.eve_bits} if with_attack else None
-                return run, {"transcript": run.to_records(), "key_or_message": first + second,
-                             "attack": block}
-
-            return trial, analysis
-
-        monkeypatch.setitem(cli.SCENARIOS, "reused-pad", cli.Scenario(start, range(2, 3), 3))
+        monkeypatch.setitem(cli.SCENARIOS, "reused-pad", reused_pad())
         line = ("--scenario", "reused-pad", "--trials", "3", "--seed", "5")
         report = run_json(capsys, "attack", *line)
         assert report["leakage"] == {"scenario": "reused-pad", "claimed_bits": 4,
@@ -1021,6 +1047,27 @@ class TestAFourthScheme:
         assert run_json(capsys, "audit")["rows"][-1] == {
             "scenario": "reused-pad", "carrier_unit": "pad", "claimed_bits_per_carrier": 4,
             "effective_bits_per_carrier": 2, "effective_bits_per_qubit": 1.0, "holevo_ok": True}
+
+    def test_its_attack_block_may_hold_any_json_value(self, monkeypatch, capsys):
+        # An int count, None, an empty list and a dict: `render_json` used to index `value[0][0]`.
+        extra = {"guesses": 3, "hint": None, "ruled_out": [], "by_view": {"01": [1, 0.5], "10": {}}}
+        monkeypatch.setitem(cli.SCENARIOS, "reused-pad", reused_pad(**extra))
+        report = build_report(ScenarioConfig("reused-pad", seed=5, trials=3, fmt="json"), True)
+        assert render_json(report) == stdlib_json(report)
+        code, out, err = run_cli(capsys, "attack", "--scenario", "reused-pad", "--trials", "3",
+                                 "--seed", "5", "--format", "json")
+        assert (code, err, out) == (0, "", stdlib_json(report))
+        assert all(trial["attack"].items() >= extra.items() for trial in json.loads(out)["trials"])
+
+    def test_its_row_refuses_the_sizing_options_it_does_not_take(self, monkeypatch, capsys):
+        monkeypatch.setitem(cli.SCENARIOS, "reused-pad", reused_pad())
+        for option, value in (("--pairs", "phi+:psi+"), ("--plaintext", "0101")):
+            assert run_cli(capsys, "attack", "--scenario", "reused-pad", option, value) == (
+                2, "", f"error: {option} does not apply to the reused-pad scenario\n")
+        # The sizing options' help names no scheme; only --scenario's choices do.
+        code, out, _ = run_cli(capsys, "attack", "--help")
+        assert code == 0 and [line for line in out.splitlines() if "es-qkd" in line] == [
+            "  --scenario {xor-chain,es-qkd,otp-baseline,reused-pad}"]
 
     def test_a_row_of_one_length_refuses_another_with_exit_2(self, monkeypatch, capsys):
         monkeypatch.setitem(cli.SCENARIOS, "one-length", cli.Scenario(None, range(4, 5), 1))
@@ -1090,6 +1137,11 @@ REPORT_KEYS = st.sampled_from(HEADER_KEYS) | TRICKY_TEXT.filter(lambda k: k < "t
 BITSTRINGS = st.text(alphabet="01", max_size=16)
 KEY_SETS = st.lists(st.lists(BITSTRINGS, min_size=1, max_size=4), min_size=1, max_size=4)
 PARITIES = st.lists(st.tuples(st.integers(), st.integers()).map(list), min_size=1, max_size=4)
+# Attack blocks of those shapes and of any other JSON value, keyed by names.
+ATTACK_BLOCKS = st.dictionaries(
+    st.sampled_from(["count", "eve_bits", "hint", "key_sets", "posterior_support", "view"]),
+    JSON_VALUES | BITSTRINGS | st.lists(BITSTRINGS, min_size=1, max_size=6) | KEY_SETS | PARITIES,
+    max_size=4)
 
 
 def small_report(scenario="xor-chain", trials=3, **sizes) -> dict:
@@ -1198,6 +1250,15 @@ class TestRenderJson:
     @given(st.dictionaries(REPORT_KEYS, JSON_VALUES, max_size=4))
     def test_any_keys_match_stdlib(self, header):
         report = {**small_report(), **header}
+        assert render_json(report) == stdlib_json(report)
+
+    @settings(deadline=None)
+    @given(st.lists(ATTACK_BLOCKS, min_size=1, max_size=4))
+    def test_attack_blocks_of_any_json_values_match_stdlib(self, blocks):
+        trial = small_report()["trials"][0]
+        trials = [{**trial, "attack": block} for block in blocks]
+        # The first trial object twice: the values it holds are seen again.
+        report = {**small_report(), "trials": [*trials, trials[0]]}
         assert render_json(report) == stdlib_json(report)
 
     def test_empty_trials_match_stdlib(self):

@@ -3,15 +3,16 @@
     python tools/mutants.py
 
 A mutant names a program file, the exact text to replace, its
-replacement and the test files that must catch it.  Every `old` text is
-checked first: one that does not occur exactly once in its file is an
-error (exit 2), so a mutant cannot go stale silently.  Then those test
-files run once on an unmutated copy of `src` and `tests` and must pass,
-in a copy whose `otplab` is the one imported, so that a failure below
-is the mutant's.  Each mutant then runs in a temporary copy of its own;
-the repository is never edited.  Prints one line per mutant, KILLED
-(with the first failure pytest names) or SURVIVED, with its seconds, and
-exits 1 if one survived or the unmutated run failed.
+replacement, the narrowest test nodes that must catch it and, in one
+line, why it matters.  Every `old` text is checked first: one that does
+not occur exactly once in its file is an error (exit 2), so a mutant
+cannot go stale silently.  Then those test nodes run once on an
+unmutated copy of `src`, `tests` and `docs` and must pass, in a copy
+whose `otplab` is the one imported, so that a failure below is the
+mutant's.  Each mutant then runs in a temporary copy of its own; the
+repository is never edited.  Prints one line per mutant, KILLED (with
+the first failure pytest names) or SURVIVED (with its why), with its
+seconds, and exits 1 if one survived or the unmutated run failed.
 """
 
 import argparse
@@ -24,7 +25,8 @@ import time
 from typing import NamedTuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-COPIED = ("src", "tests", "pyproject.toml")
+# `tests/test_cli.py` reads `docs/report.schema.json` when it is imported.
+COPIED = ("src", "tests", "docs", "pyproject.toml")
 
 
 class Mutant(NamedTuple):
@@ -33,22 +35,62 @@ class Mutant(NamedTuple):
     old: str
     new: str
     tests: tuple
+    why: str
 
 
 CRYPTANALYSIS = "src/otplab/cryptanalysis.py"
-CRYPTANALYSIS_TESTS = ("tests/test_cryptanalysis.py",)
+LEAKAGE_TESTS = ("tests/test_cryptanalysis.py::TestLeakageReport",)
+PROTOCOLS = "src/otplab/protocols.py"
+MEMO_TESTS = ("tests/test_protocols.py::TestXorChainMemo",)
 MUTANTS = (
     Mutant("es-qkd key-set check", CRYPTANALYSIS, 'raise ValueError(f"the key sets do not hold',
-           'pass  # ValueError(f"the key sets do not hold', CRYPTANALYSIS_TESTS),
+           'pass  # ValueError(f"the key sets do not hold', LEAKAGE_TESTS,
+           "key sets for other pairs would price a run they do not describe"),
     Mutant("carrier count compared before the key sets", CRYPTANALYSIS,
-           "if swaps == analysis.carriers and not all(", "if not all(", CRYPTANALYSIS_TESTS),
+           "if swaps == analysis.carriers and not all(", "if not all(", LEAKAGE_TESTS,
+           "a run of another swap count must meet the count check, not a key-set zip error"),
     Mutant("otp-baseline one broadcast", CRYPTANALYSIS,
            "if run.channels.count(Channel.PUBLIC_BROADCAST) != 1:",
-           "if run.channels.count(Channel.PUBLIC_BROADCAST) > 1:", CRYPTANALYSIS_TESTS),
+           "if run.channels.count(Channel.PUBLIC_BROADCAST) > 1:", LEAKAGE_TESTS,
+           "a transcript with no broadcast has no pad bits to price"),
     Mutant("carrier count comparison", CRYPTANALYSIS,
-           "if carriers != analysis.carriers:", "if False:", CRYPTANALYSIS_TESTS),
+           "if carriers != analysis.carriers:", "if False:", LEAKAGE_TESTS,
+           "an analysis set up for one size would price a run of another"),
     Mutant("one bit per qubit ceiling", CRYPTANALYSIS,
-           "per_qubit <= 1.0 + FLOAT_TOL", "per_qubit <= 1.5", CRYPTANALYSIS_TESTS),
+           "per_qubit <= 1.0 + FLOAT_TOL", "per_qubit <= 1.5",
+           ("tests/test_cryptanalysis.py::TestEfficiencyAudit",),
+           "the audit's verdict is the paper's one-bit-per-qubit bound, not a looser one"),
+    Mutant("swap blocks read in reverse", "src/otplab/quantum.py",
+           "dist.int_codes[k if k < len(totals)", "dist.int_codes[::-1][k if k < len(totals)",
+           ("tests/test_quantum.py::TestSampleSwap",),
+           "the k-th quarter of [0, 1) must draw the k-th block, or every es-qkd draw moves"),
+    Mutant("es-qkd result count", PROTOCOLS,
+           "if not len(self.alice_results) == len(self.bob_results) == len(self.initial_pairs):",
+           "if False:", ("tests/test_protocols.py::TestEsQkd",),
+           "a run missing a swap's results would be priced on a truncated key"),
+    Mutant("one bit per draw", "src/otplab/bits.py",
+           "        r = getrandbits(2)\n        while", "        r = getrandbits(1)\n        while",
+           ("tests/test_bits.py::TestRandomBits",),
+           "random_bits must draw what rng.choice('01') draws, or every seeded report moves"),
+    Mutant("memo reached before the str check", PROTOCOLS,
+           "if type(message) is str and (run := _xor_chain_runs.get(message)) is not None:",
+           "if (run := _xor_chain_runs.get(message)) is not None:", MEMO_TESTS,
+           "an unhashable or subclassed message must reach check_bits, not the memo"),
+    Mutant("a BLAS dot in the entropy", "src/otplab/infotheory.py",
+           "np.multiply(chunk, terms, out=terms)\n        total += float(terms.sum())",
+           "total += float(np.dot(chunk, terms))",
+           ("tests/test_infotheory.py::TestNoBlas",),
+           "a threaded dot's rounding depends on the BLAS thread count and CPU"),
+    Mutant("memo bound", PROTOCOLS, "if len(message) <= XOR_CHAIN_MEMO_BITS else run",
+           "if len(message) < XOR_CHAIN_MEMO_BITS else run", MEMO_TESTS,
+           "16-bit runs, the CLI's cap, must be built once per process"),
+    Mutant("bulk crossover", "src/otplab/bits.py", "trials <= BULK_TRIALS or",
+           "trials < BULK_TRIALS or", ("tests/test_cli.py::TestReseededGenerator",),
+           "a report of exactly BULK_TRIALS trials must reseed, as its bound says"),
+    Mutant("sizing rule forgets --plaintext", "src/otplab/cli.py",
+           'else ("--pairs", "--plaintext"):', 'else ("--pairs",):',
+           ("tests/test_cli.py::TestConfigErrors",),
+           "a sizing option the scheme's row does not take must be refused with exit 2"),
 )
 
 
@@ -114,7 +156,7 @@ def _killed(mutant: Mutant) -> bool:
     killed = done.returncode != 0
     # The first failure pytest names, so a mutant killed by an error in the edit shows as one.
     caught = next((line for line in done.stdout.splitlines()
-                   if line.startswith(("FAILED", "ERROR"))), "")
+                   if line.startswith(("FAILED", "ERROR"))), "") if killed else mutant.why
     print(f"{'KILLED  ' if killed else 'SURVIVED'} {time.monotonic() - start:6.1f} s  "
           f"{mutant.name}{': ' * bool(caught)}{caught}", flush=True)
     return killed
