@@ -1255,10 +1255,10 @@ class TestRenderJson:
     @settings(deadline=None)
     @given(st.lists(ATTACK_BLOCKS, min_size=1, max_size=4))
     def test_attack_blocks_of_any_json_values_match_stdlib(self, blocks):
-        trial = small_report()["trials"][0]
-        trials = [{**trial, "attack": block} for block in blocks]
+        report = small_report()
+        trials = [{**report["trials"][0], "attack": block} for block in blocks]
         # The first trial object twice: the values it holds are seen again.
-        report = {**small_report(), "trials": [*trials, trials[0]]}
+        report["trials"] = [*trials, trials[0]]
         assert render_json(report) == stdlib_json(report)
 
     def test_empty_trials_match_stdlib(self):
